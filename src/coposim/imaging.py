@@ -7,21 +7,26 @@ antenna indicator evaluated on the sphere f = ||f_vec||.  Resampling that
 sphere onto a uniform (f_x, f_y, f_z) grid and inverting yields a complex
 volume whose magnitude peaks at the transmit antennas.
 
-The inverse transform is evaluated with chirp-Z transforms so the voxel grid
-can sit anywhere (boxes are centered on the clock-sync anchor estimate) at any
-pitch.  Amplitudes are calibrated so that, for a Nyquist-sampled aperture, the
-peak of a single emitter matches the coherent gain of direct matched-filter
-back-projection over (antenna, tone) pairs.
+The resampling interpolates between adjacent shells after each shell value
+has been multiplied by its own depth carrier exp(j*2*pi*z0*f_z,k/c), f_z,k =
+sqrt(f_k^2 - f_x^2 - f_y^2), so the phase turn over the range z0 of the box
+does not wash out the interpolated values.  The inverse transform is
+evaluated axis by axis as chirp-Z sums with Bluestein's FFT convolution, so
+the voxel grid can sit anywhere (boxes are centered on the clock-sync anchor
+estimate) at any pitch; the 1/f_z weights and the output phases ride in the
+chirps.  Amplitudes are calibrated so that, for a Nyquist-sampled aperture,
+the peak of a single emitter matches the coherent gain of direct
+matched-filter back-projection over (antenna, tone) pairs.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import maximum_filter
-from scipy.signal import czt
+from scipy import fft as sp_fft
 
 from .errors import EmptySpectrumError, InterpolationDegeneracyError
 from .geometry import SPEED_OF_LIGHT as C
@@ -106,18 +111,6 @@ class PowerSpectrum:
     def axis(self, i: int) -> np.ndarray:
         return self.origin[i] + self.spacing[i] * np.arange(self.voxels.shape[i])
 
-    def slice_rows(self, axis: int, value: float):
-        """Rows (x, y, z, magnitude) of the plane nearest ``value`` along ``axis``."""
-        idx = int(np.argmin(np.abs(self.axis(axis) - value)))
-        mags = self.magnitude()
-        axes = [self.axis(i) for i in range(3)]
-        sel = [slice(None)] * 3
-        sel[axis] = idx
-        coords = np.meshgrid(*[axes[i] if i != axis else [axes[axis][idx]] for i in range(3)],
-                             indexing="ij")
-        flat = [c.ravel() for c in coords]
-        return np.stack(flat + [mags[tuple(sel)].ravel()], axis=1)
-
 
 def _cluster_rows(y_coords: np.ndarray, row_tol: float | None) -> list[np.ndarray]:
     """Group antenna indices into rows of near-constant y."""
@@ -130,6 +123,18 @@ def _cluster_rows(y_coords: np.ndarray, row_tol: float | None) -> list[np.ndarra
         row_tol = 0.5 * float(gaps.max())
     breaks = np.nonzero(gaps > row_tol)[0]
     return [seg for seg in np.split(order, breaks + 1)]
+
+
+def _interp_weights(x: np.ndarray, xp: np.ndarray) -> np.ndarray:
+    """Matrix W with W @ fp == np.interp(x, xp, fp, left=0, right=0) for ascending ``xp``."""
+    j = np.clip(np.searchsorted(xp, x, side="right") - 1, 0, len(xp) - 2)
+    t = (x - xp[j]) / (xp[j + 1] - xp[j])
+    inside = (x >= xp[0]) & (x <= xp[-1])
+    w = np.zeros((len(x), len(xp)))
+    rows = np.arange(len(x))
+    w[rows, j] = np.where(inside, 1.0 - t, 0.0)
+    w[rows, j + 1] = np.where(inside, t, 0.0)
+    return w
 
 
 def sample_aperture(observation, sv_antennas, grid: FrequencyGrid,
@@ -189,23 +194,14 @@ def sample_aperture(observation, sv_antennas, grid: FrequencyGrid,
     gx = np.linspace(x_lo, x_hi, nx)
     gy = np.linspace(row_y[0], row_y[-1], ny)
 
-    k = symbols.shape[1]
-    per_row = np.zeros((len(rows), nx, k), dtype=complex)
+    # One weight matrix per axis, applied to every tone at once: along X it
+    # maps all antennas to (row, gx) samples, along Y it maps rows to gy.
+    wx = np.zeros((len(rows), nx, len(ants)))
     for i, r in enumerate(rows):
-        xs = ants[r, 0]
-        o = np.argsort(xs, kind="stable")
-        xs = xs[o]
-        vals = projected[r][o]
-        for kk in range(k):
-            per_row[i, :, kk] = (np.interp(gx, xs, vals[:, kk].real, left=0.0, right=0.0)
-                                 + 1j * np.interp(gx, xs, vals[:, kk].imag, left=0.0, right=0.0))
-
-    out = np.zeros((nx, ny, k), dtype=complex)
-    for kk in range(k):
-        block = per_row[:, :, kk]
-        for ix in range(nx):
-            out[ix, :, kk] = (np.interp(gy, row_y, block[:, ix].real, left=0.0, right=0.0)
-                              + 1j * np.interp(gy, row_y, block[:, ix].imag, left=0.0, right=0.0))
+        r = r[np.argsort(ants[r, 0], kind="stable")]
+        wx[i][:, r] = _interp_weights(gx, ants[r, 0])
+    per_row = (wx.reshape(-1, len(ants)) @ projected).reshape(len(rows), nx, -1)
+    out = _interp_weights(gy, row_y) @ per_row.transpose(1, 0, 2)
     if deramp_center is not None:
         ref = np.asarray(deramp_center, dtype=float)
         r_grid = np.sqrt((gx[:, None] - ref[0]) ** 2 + (gy[None, :] - ref[1]) ** 2 + ref[2] ** 2)
@@ -243,57 +239,93 @@ def remap_to_sphere(spec: Spectrum2D, f_z: np.ndarray, ref_depth: float = 0.0) -
 
     Each voxel reads the spectrum at f = ||(f_x, f_y, f_z)||, linearly
     interpolated between the two nearest tone shells; voxels outside the
-    measured band [f_1, f_K] are zero.
+    measured band [f_1, f_K] are zero.  Both shells are read from one flat
+    index array with weights that already hold the in-band mask.
 
     At range R the spectrum's phase turns by 2*pi*delta*R/c between adjacent
     shells, so interpolating the raw phasor washes out its magnitude far from
-    the origin.  ``ref_depth`` removes the depth carrier exp(-j*2*pi*f_z*z0/c)
-    before interpolating and restores it afterwards; values at exact shell
-    crossings are unchanged, and the default keeps the plain linear rule.
+    the origin.  ``ref_depth`` = z0 removes the depth carrier before
+    interpolating and restores it afterwards: each shell value is multiplied
+    once by its own carrier exp(j*2*pi*z0*sqrt(f_k^2 - rho^2)/c), rho^2 =
+    f_x^2 + f_y^2, and each interpolated voxel by exp(-j*2*pi*z0*f_z/c).
+    Values at exact shell crossings are unchanged, and the default keeps the
+    plain linear rule.
     """
     f_z = np.asarray(f_z, dtype=float)
     shells = spec.grid.frequencies
-    f1, fk = shells[0], shells[-1]
-    nfx, nfy, nfz = len(spec.f_x), len(spec.f_y), len(f_z)
+    tones = spec.grid.tones
+    nfx, nfy = len(spec.f_x), len(spec.f_y)
 
     rho2 = spec.f_x[:, None, None] ** 2 + spec.f_y[None, :, None] ** 2
     f = np.sqrt(rho2 + f_z[None, None, :] ** 2)
-    pos = (f - f1) / spec.grid.delta
-    idx = np.clip(np.floor(pos).astype(np.int64), 0, spec.grid.tones - 2)
+    in_band = (f >= shells[0]) & (f <= shells[-1])
+    pos = f - shells[0]
+    pos /= spec.grid.delta
+    idx = np.clip(np.floor(pos).astype(np.int64), 0, tones - 2)
     frac = pos - idx
-    in_band = (f >= f1) & (f <= fk)
+    w_low = np.where(in_band, 1.0 - frac, 0.0)
+    w_high = np.where(in_band, frac, 0.0)
+    idx += (tones * np.arange(nfx * nfy)).reshape(nfx, nfy, 1)  # lower shell in the flat values
 
-    flat_vals = spec.values.reshape(nfx * nfy, spec.grid.tones)
-    flat_idx = idx.reshape(nfx * nfy, nfz)
-    low = np.take_along_axis(flat_vals, flat_idx, axis=1).reshape(nfx, nfy, nfz)
-    high = np.take_along_axis(flat_vals, flat_idx + 1, axis=1).reshape(nfx, nfy, nfz)
+    values = spec.values
     if ref_depth != 0.0:
         beta = 2.0 * math.pi / C * ref_depth
-        f_low = f1 + idx * spec.grid.delta
-        fz_low = np.sqrt(np.maximum(f_low**2 - rho2, 0.0))
-        fz_high = np.sqrt(np.maximum((f_low + spec.grid.delta) ** 2 - rho2, 0.0))
-        out = (1.0 - frac) * low * np.exp(1j * beta * fz_low) \
-            + frac * high * np.exp(1j * beta * fz_high)
+        # FFT frequency axes are symmetric about zero, so each f_x^2 and f_y^2
+        # occurs about twice: evaluate each distinct carrier once.
+        fx2, ix = np.unique(spec.f_x**2, return_inverse=True)
+        fy2, iy = np.unique(spec.f_y**2, return_inverse=True)
+        fz_shell = np.sqrt(np.maximum(shells**2 - (fx2[:, None, None] + fy2[None, :, None]), 0.0))
+        values = values * np.exp(1j * beta * fz_shell)[ix[:, None], iy[None, :]]
+    flat = values.reshape(-1)
+    out = flat[idx]
+    out *= w_low
+    high = flat[idx + 1]
+    high *= w_high
+    out += high
+    if ref_depth != 0.0:
         out *= np.exp(-1j * beta * f_z)[None, None, :]
-    else:
-        out = (1.0 - frac) * low + frac * high
-    out[~in_band] = 0.0
     return Spectrum3D(f_x=spec.f_x, f_y=spec.f_y, f_z=f_z, values=out,
                       shell_spacing=spec.grid.delta, sample_area=spec.sample_area)
 
 
-def _czt_axis(values: np.ndarray, axis: int, f0: float, df: float,
-              t0: float, dt: float, n_out: int) -> np.ndarray:
-    """Evaluate sum_q V_q * exp(+j*(2*pi/c)*(f0 + q*df)*(t0 + p*dt)) along one axis."""
+def _chirp_sum(values: np.ndarray, axis: int, f0: float, df: float,
+               t0: float, dt: float, n_out: int, weight: np.ndarray | None = None) -> np.ndarray:
+    """Evaluate sum_q w_q * V_q * exp(+j*(2*pi/c)*(f0 + q*df)*(t0 + p*dt)) along one axis.
+
+    Bluestein's identity q*p = (q^2 + p^2 - (p - q)^2) / 2 turns the sum
+    into a chirp-weighted convolution evaluated with FFTs.  The optional
+    per-q weight w_q rides in the input chirp and the output phase
+    exp(j*(2*pi/c)*f0*t_p) in the output chirp, so neither costs a pass of
+    its own.
+    """
     alpha = 2.0 * math.pi / C
-    a = np.exp(-1j * alpha * df * t0)
-    w = np.exp(1j * alpha * df * dt)
-    out = czt(values, m=n_out, w=w, a=a, axis=axis)
-    t = t0 + dt * np.arange(n_out)
-    phase = np.exp(1j * alpha * f0 * t)
-    shape = [1] * out.ndim
-    shape[axis] = n_out
-    return out * phase.reshape(shape)
+    n_in = values.shape[axis]
+    q = np.arange(n_in)
+    p = np.arange(n_out)
+    n_fft = sp_fft.next_fast_len(n_in + n_out - 1)
+    pre = np.exp(1j * alpha * df * (t0 * q + 0.5 * dt * q * q))
+    if weight is not None:
+        pre *= weight
+    post = np.exp(1j * alpha * (f0 * (t0 + dt * p) + 0.5 * df * dt * p * p))
+    # Lags p - q span [-(n_in - 1), n_out - 1]; they wrap to distinct bins
+    # because n_fft >= n_in + n_out - 1, and the other bins are never read.
+    lag = np.arange(n_fft)
+    lag = np.where(lag < n_out, lag, lag - n_fft)
+    kernel = sp_fft.fft(np.exp(-0.5j * alpha * df * dt * lag * lag))
+
+    shape = [1] * values.ndim
+    shape[axis] = -1
+    padded = list(values.shape)
+    padded[axis] = n_fft
+    work = np.zeros(padded, dtype=complex)
+    head = [slice(None)] * values.ndim
+    head[axis] = slice(0, n_in)
+    np.multiply(values, pre.reshape(shape), out=work[tuple(head)])
+    work = sp_fft.fft(work, axis=axis, overwrite_x=True)
+    work *= kernel.reshape(shape)
+    work = sp_fft.ifft(work, axis=axis, overwrite_x=True)
+    head[axis] = slice(0, n_out)
+    return work[tuple(head)] * post.reshape(shape)
 
 
 def inverse_3d_spectrum(spec: Spectrum3D, box: ImagingBox) -> PowerSpectrum:
@@ -302,7 +334,9 @@ def inverse_3d_spectrum(spec: Spectrum3D, box: ImagingBox) -> PowerSpectrum:
     The spectrum is weighted by 1/f_z (the Jacobian of the shell-to-grid
     change of variables) and scaled so that voxel magnitudes are directly
     comparable with matched-filter back-projection over (antenna, tone) pairs,
-    referenced to the box-center height above the aperture plane.
+    referenced to the box-center height above the aperture plane.  Each axis
+    is a Bluestein chirp-Z sum, so the voxel grid can sit anywhere at any
+    pitch; the weights ride in the first (z) input chirp.
     """
     nfx, nfy, nfz = spec.values.shape
     if nfz < 2 or nfx < 2 or nfy < 2:
@@ -314,14 +348,14 @@ def inverse_3d_spectrum(spec: Spectrum3D, box: ImagingBox) -> PowerSpectrum:
     z_ref = abs(float(box.center[2]))
     scale = z_ref * C * dfz / (nfx * nfy * spec.sample_area
                                * spec.shell_spacing * np.maximum(spec.f_z, 1.0))
-    work = spec.values * scale[None, None, :]
 
-    work = _czt_axis(work, axis=2, f0=spec.f_z[0], df=dfz,
-                     t0=float(box.origin[2]), dt=float(box.spacing[2]), n_out=box.shape[2])
-    work = _czt_axis(work, axis=1, f0=spec.f_y[0], df=dfy,
-                     t0=float(box.origin[1]), dt=float(box.spacing[1]), n_out=box.shape[1])
-    work = _czt_axis(work, axis=0, f0=spec.f_x[0], df=dfx,
-                     t0=float(box.origin[0]), dt=float(box.spacing[0]), n_out=box.shape[0])
+    work = _chirp_sum(spec.values, axis=2, f0=spec.f_z[0], df=dfz,
+                      t0=float(box.origin[2]), dt=float(box.spacing[2]), n_out=box.shape[2],
+                      weight=scale)
+    work = _chirp_sum(work, axis=1, f0=spec.f_y[0], df=dfy,
+                      t0=float(box.origin[1]), dt=float(box.spacing[1]), n_out=box.shape[1])
+    work = _chirp_sum(work, axis=0, f0=spec.f_x[0], df=dfx,
+                      t0=float(box.origin[0]), dt=float(box.spacing[0]), n_out=box.shape[0])
     return PowerSpectrum(voxels=work, origin=box.origin.copy(), spacing=box.spacing.copy())
 
 
@@ -329,9 +363,9 @@ def detect_peaks(spectrum: PowerSpectrum, nu: float = 0.5) -> np.ndarray:
     """Voxel centers that clear the relative threshold and are local maxima.
 
     A voxel is kept when |phi| >= nu * max|phi| and it dominates its full
-    26-voxel neighbourhood; bare thresholding would return blobs instead of
-    point detections.  Rows are ordered by descending magnitude (index order
-    breaks ties) so output is deterministic.
+    26-voxel neighbourhood, with zero outside the volume; bare thresholding
+    would return blobs instead of point detections.  Rows are ordered by
+    descending magnitude (index order breaks ties) so output is deterministic.
     """
     if not 0.0 < nu <= 1.0:
         raise ValueError("nu must lie in (0, 1]")
@@ -339,15 +373,20 @@ def detect_peaks(spectrum: PowerSpectrum, nu: float = 0.5) -> np.ndarray:
     peak = float(mag.max()) if mag.size else 0.0
     if peak == 0.0:
         raise EmptySpectrumError("power spectrum is identically zero")
-    local_max = mag >= maximum_filter(mag, size=3, mode="constant", cval=0.0)
-    keep = local_max & (mag >= nu * peak)
-    ix, iy, iz = np.nonzero(keep)
-    if len(ix) == 0:
-        return np.empty((0, 3))
-    mags = mag[ix, iy, iz]
+    cand = np.nonzero(mag >= nu * peak)
+    mags = mag[cand]
+    # Only threshold survivors are tested.  Magnitudes are non-negative, so a
+    # zero outside the volume never wins; clipping a neighbour index onto the
+    # edge instead reads a voxel of the same neighbourhood, which is equivalent.
+    shifted = [[np.clip(i + d, 0, n - 1) for d in (-1, 0, 1)]
+               for i, n in zip(cand, mag.shape)]
+    keep = np.ones(len(mags), dtype=bool)
+    for nbr in itertools.product(*shifted):
+        keep &= mags >= mag[nbr]
+    ix, iy, iz = (i[keep] for i in cand)
+    mags = mags[keep]
     order = np.lexsort((iz, iy, ix, -mags))
-    ix, iy, iz = ix[order], iy[order], iz[order]
-    idx = np.stack([ix, iy, iz], axis=1).astype(float)
+    idx = np.stack([ix[order], iy[order], iz[order]], axis=1).astype(float)
     return spectrum.origin[None, :] + idx * spectrum.spacing[None, :]
 
 

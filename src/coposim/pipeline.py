@@ -35,7 +35,6 @@ class PathResult:
     detection: VirtualDetection
     anchor_converged: bool
     sync_discrepancy_s: float
-    spectrum_slice: np.ndarray | None = None
 
 
 @dataclass
@@ -46,7 +45,6 @@ class TrialArtifacts:
     detections: list[PathResult]
     cloud: np.ndarray
     mapped_clouds: dict[int, np.ndarray] = field(default_factory=dict)
-    spectrum_slices: dict[int, np.ndarray] = field(default_factory=dict)
 
 
 @dataclass
@@ -99,7 +97,7 @@ def _bearing_rotation(direction: np.ndarray) -> np.ndarray:
 
 
 def _process_path(args) -> tuple[int, PathResult]:
-    (scene, sig_obs, config, slice_spec, noise_seed) = args
+    (scene, sig_obs, config, noise_seed) = args
     grid = config.frequency_grid()
     noise = NoiseModel(config.noise.phase_sigma_rad, config.noise.snr_db, noise_seed)
     pspec = config.pipeline
@@ -139,17 +137,13 @@ def _process_path(args) -> tuple[int, PathResult]:
     det = VirtualDetection(path_id=pid, x_a_virtual=sync_a.x_anchor,
                            x_b_virtual=sync_b.x_anchor, cloud=cloud,
                            sigma_hat=sigma_hat, baseline_angle=phi)
-    rows = None
-    if slice_spec is not None:
-        rows = spectrum.slice_rows(slice_spec[0], slice_spec[1])
     return pid, PathResult(detection=det,
                            anchor_converged=sync_a.converged and sync_b.converged,
-                           sync_discrepancy_s=abs(sync_a.sigma_hat - sync_b.sigma_hat),
-                           spectrum_slice=rows)
+                           sync_discrepancy_s=abs(sync_a.sigma_hat - sync_b.sigma_hat))
 
 
 def _run_trial(config: ScenarioConfig, mode: str, trial: int = 0, workers: int = 1,
-               slice_spec=None, distance=None, n_surfaces=None, n_rx=None):
+               distance=None, n_surfaces=None, n_rx=None):
     scene = build_scene(config, trial=trial, distance=distance,
                         n_surfaces=n_surfaces, n_rx=n_rx)
     grid = config.frequency_grid()
@@ -160,7 +154,7 @@ def _run_trial(config: ScenarioConfig, mode: str, trial: int = 0, workers: int =
     seed = trial_noise_seed(config, trial)
     noise = NoiseModel(config.noise.phase_sigma_rad, config.noise.snr_db, seed)
     sig_obs = simulate_signature(scene, config.signature(), noise)
-    tasks = [(scene, obs, config, slice_spec, seed) for obs in sig_obs]
+    tasks = [(scene, obs, config, seed) for obs in sig_obs]
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = dict(pool.map(_process_path, tasks))
@@ -183,8 +177,6 @@ def _run_trial(config: ScenarioConfig, mode: str, trial: int = 0, workers: int =
     truth = scene.tv_antennas
     artifacts = TrialArtifacts(scene=scene, detections=[results[p] for p in sorted(results)],
                                cloud=np.empty((0, 3)))
-    artifacts.spectrum_slices = {p: results[p].spectrum_slice for p in results
-                                 if results[p].spectrum_slice is not None}
 
     if mode == "los":
         det = results[0].detection
@@ -252,21 +244,19 @@ def _make_report(mode, config, warnings, trials, failures, sweep_rows=None) -> R
                      aggregates=_aggregate(trials, failures), sweep_rows=sweep_rows)
 
 
-def run_los(config: ScenarioConfig, workers: int = 1, slice_spec=None):
+def run_los(config: ScenarioConfig, workers: int = 1):
     """Direct-view pipeline: sync, image, detect peaks, score."""
     if not config.scene.has_los:
         raise ConfigError("run_los needs scene.has_los = true")
-    metrics, artifacts, warns = _run_trial(config, "los", workers=workers,
-                                           slice_spec=slice_spec)
+    metrics, artifacts, warns = _run_trial(config, "los", workers=workers)
     return _make_report("los", config, warns, [metrics], 0), artifacts
 
 
-def run_nlos(config: ScenarioConfig, workers: int = 1, slice_spec=None):
+def run_nlos(config: ScenarioConfig, workers: int = 1):
     """Reflection pipeline: per-path sync + imaging, clock clustering, fusion."""
     if not config.scene.has_los and len(config.scene.surfaces) < 3:
         raise ConfigError("run_nlos needs at least 3 surfaces when there is no line of sight")
-    metrics, artifacts, warns = _run_trial(config, "nlos", workers=workers,
-                                           slice_spec=slice_spec)
+    metrics, artifacts, warns = _run_trial(config, "nlos", workers=workers)
     return _make_report("nlos", config, warns, [metrics], 0), artifacts
 
 

@@ -4,6 +4,7 @@ Everything here is deliberately brute force and shares no code with the
 package internals it validates.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -75,3 +76,90 @@ def indicator_transform(points: np.ndarray, f_vectors: np.ndarray) -> np.ndarray
     """Direct 3D transform of the antenna indicator, sum_n exp(-j*2*pi/c * f.x_n)."""
     phases = f_vectors @ points.T  # (nf, n_points)
     return np.exp(-2j * math.pi / C * phases).sum(axis=1)
+
+
+def local_maxima_26(mag: np.ndarray, nu: float) -> list[tuple[int, int, int]]:
+    """Voxels >= nu*max that no in-volume 26-neighbour exceeds, loop by loop.
+
+    Sorted by descending magnitude, ties by (i, j, k).
+    """
+    nx, ny, nz = mag.shape
+    threshold = nu * max(float(v) for v in mag.ravel())
+    found = []
+    for i in range(nx):
+        for j in range(ny):
+            for k in range(nz):
+                v = float(mag[i, j, k])
+                if v < threshold:
+                    continue
+                dominant = True
+                for di in (-1, 0, 1):
+                    for dj in (-1, 0, 1):
+                        for dk in (-1, 0, 1):
+                            a, b, c = i + di, j + dj, k + dk
+                            if 0 <= a < nx and 0 <= b < ny and 0 <= c < nz \
+                                    and float(mag[a, b, c]) > v:
+                                dominant = False
+                if dominant:
+                    found.append((-v, i, j, k))
+    return [(i, j, k) for _, i, j, k in sorted(found)]
+
+
+def two_exponential_remap(f_x, f_y, f_z, values, f1: float, delta: float,
+                          ref_depth: float) -> np.ndarray:
+    """Shell-to-grid resampling, one voxel at a time, with the depth carrier
+    removed at both neighbouring shells by its own exponential:
+
+    out = [(1-a) V_i exp(j*b*fz_i) + a V_(i+1) exp(j*b*fz_(i+1))] exp(-j*b*f_z),
+    b = 2*pi*ref_depth/c, fz_i = sqrt(max(f_i^2 - rho^2, 0)); zero off the band.
+    """
+    tones = values.shape[2]
+    beta = 2.0 * math.pi / C * ref_depth
+    out = np.zeros((len(f_x), len(f_y), len(f_z)), dtype=complex)
+    for i, fx in enumerate(f_x):
+        for j, fy in enumerate(f_y):
+            rho2 = fx * fx + fy * fy
+            for k, fz in enumerate(f_z):
+                f = math.sqrt(rho2 + fz * fz)
+                if f < f1 or f > f1 + delta * (tones - 1):
+                    continue
+                pos = (f - f1) / delta
+                lo = min(max(int(math.floor(pos)), 0), tones - 2)
+                a = pos - lo
+                f_lo = f1 + lo * delta
+                fz_lo = math.sqrt(max(f_lo * f_lo - rho2, 0.0))
+                fz_hi = math.sqrt(max((f_lo + delta) ** 2 - rho2, 0.0))
+                out[i, j, k] = ((1.0 - a) * values[i, j, lo] * cmath.exp(1j * beta * fz_lo)
+                                + a * values[i, j, lo + 1] * cmath.exp(1j * beta * fz_hi)) \
+                    * cmath.exp(-1j * beta * fz)
+    return out
+
+
+def direct_fourier_sum(values: np.ndarray, f_x, f_y, f_z, points: np.ndarray) -> np.ndarray:
+    """sum_(i,j,k) V_ijk * exp(+j*2*pi/c * (f_x,i*x + f_y,j*y + f_z,k*z)) per point."""
+    fx, fy, fz = np.meshgrid(f_x, f_y, f_z, indexing="ij")
+    f_vectors = np.stack([fx.ravel(), fy.ravel(), fz.ravel()], axis=1)
+    phases = np.asarray(points, dtype=float) @ f_vectors.T  # (n_points, n_bins)
+    return np.exp(2j * math.pi / C * phases) @ values.ravel()
+
+
+def rowwise_linear_resample(row_x: list, row_vals: list, row_y: np.ndarray,
+                            gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
+    """Per-tone np.interp along x within each row, then along y across rows.
+
+    ``row_x[i]`` ascending x of row i, ``row_vals[i]`` its (n_i, K) values,
+    ``row_y`` ascending; zero outside the sampled span.  Returns (nx, ny, K).
+    """
+    k = row_vals[0].shape[1]
+
+    def interp(x, xp, fp):
+        return (np.interp(x, xp, fp.real, left=0.0, right=0.0)
+                + 1j * np.interp(x, xp, fp.imag, left=0.0, right=0.0))
+
+    per_row = np.array([[interp(gx, xs, vals[:, kk]) for kk in range(k)]
+                        for xs, vals in zip(row_x, row_vals)])  # (rows, K, nx)
+    out = np.zeros((len(gx), len(gy), k), dtype=complex)
+    for kk in range(k):
+        for ix in range(len(gx)):
+            out[ix, :, kk] = interp(gy, row_y, per_row[:, kk, ix])
+    return out

@@ -8,11 +8,14 @@ from coposim.channel import NOISELESS, simulate_sfcw
 from coposim.errors import EmptySpectrumError, InterpolationDegeneracyError
 from coposim.geometry import SPEED_OF_LIGHT as C
 from coposim.geometry import Scene, path_length_matrix
-from coposim.imaging import (ApertureSamples, ImagingBox, PowerSpectrum, backprojection,
-                             detect_peaks, forward_2d_spectrum, inverse_3d_spectrum,
-                             reconstruct, remap_to_sphere, sample_aperture)
+from coposim.imaging import (ApertureSamples, ImagingBox, PowerSpectrum, Spectrum2D,
+                             Spectrum3D, backprojection, detect_peaks, forward_2d_spectrum,
+                             inverse_3d_spectrum, reconstruct, remap_to_sphere,
+                             sample_aperture)
 from coposim.analysis import azimuth_resolution, range_resolution
 from coposim.waveform import FrequencyGrid
+from oracles import (direct_fourier_sum, local_maxima_26, rowwise_linear_resample,
+                     two_exponential_remap)
 
 GRID64 = FrequencyGrid(f1=57e9, tones=64, delta=3e9 / 63)
 
@@ -63,6 +66,31 @@ class TestSampleAperture:
         out = sample_aperture(sym, sv, grid, target_spacing=0.1)
         expected = np.exp(-2j * math.pi * grid.frequencies * 0.01 / C)
         assert np.allclose(out.samples[0, 0], expected, atol=1e-12)
+
+    def test_matches_per_tone_interp_on_ragged_jittered_rows(self):
+        # Rows of unequal length and span: grid points past a row's ends are zero.
+        rng = np.random.default_rng(5)
+        row_y = np.array([-0.3, -0.1, 0.12, 0.3])
+        row_x = [np.sort(rng.uniform(-0.4, 0.4, n)) for n in (5, 7, 4, 6)]
+        row_x[1][0], row_x[2][-1] = -0.45, 0.45   # these rows set the grid's x span
+        sv = np.concatenate([np.stack([xs, np.full(len(xs), y + rng.uniform(-0.01, 0.01)),
+                                       np.zeros(len(xs))], axis=1)
+                             for xs, y in zip(row_x, row_y)])
+        order = rng.permutation(len(sv))
+        sv = sv[order]
+        sym = rng.normal(size=(len(sv), 3)) + 1j * rng.normal(size=(len(sv), 3))
+        out = sample_aperture(sym, sv, FrequencyGrid(57e9, 3, REF_DELTA),
+                              target_spacing=0.03, row_tol=0.05)
+
+        rows = []
+        for y in row_y:
+            r = np.nonzero(np.abs(sv[:, 1] - y) < 0.05)[0]
+            rows.append(r[np.argsort(sv[r, 0], kind="stable")])
+        means = np.array([sv[r, 1].mean() for r in rows])
+        ref = rowwise_linear_resample([sv[r, 0] for r in rows], [sym[r] for r in rows],
+                                      means, out.grid_x, out.grid_y)
+        assert np.allclose(out.samples, ref, rtol=0.0, atol=1e-12)
+        assert np.any(out.samples == 0.0)
 
     def test_degenerate_rows_raise(self):
         sv = np.stack([np.linspace(0, 1, 8), np.zeros(8), np.zeros(8)], axis=1)
@@ -147,6 +175,47 @@ class TestRemap:
         j0 = np.argmin(np.abs(spec.f_y))
         out = remap_to_sphere(spec, np.array([shells[3], shells[5]]), ref_depth=7.5)
         assert out.values[i0, j0, 0] == pytest.approx(spec.values[i0, j0, 3], rel=1e-9)
+
+    @pytest.mark.parametrize("ref_depth", [7.5, -3.2])
+    def test_depth_reference_matches_two_exponential_oracle(self, ref_depth):
+        # Off broadside, between shells, and off both ends of the band.
+        grid = FrequencyGrid(57e9, 8, 100e6)
+        rng = np.random.default_rng(2)
+        f_x = np.linspace(-3.1e9, 2.3e9, 5)
+        f_y = np.linspace(-1.7e9, 4.4e9, 4)
+        vals = rng.normal(size=(5, 4, 8)) + 1j * rng.normal(size=(5, 4, 8))
+        spec = Spectrum2D(f_x=f_x, f_y=f_y, values=vals, grid=grid, sample_area=1e-4)
+        f_z = np.linspace(56.6e9, 57.75e9, 23)
+        out = remap_to_sphere(spec, f_z, ref_depth=ref_depth).values
+        ref = two_exponential_remap(f_x, f_y, f_z, vals, grid.f1, grid.delta, ref_depth)
+        assert np.count_nonzero(ref) and np.count_nonzero(ref == 0.0)
+        assert np.array_equal(out == 0.0, ref == 0.0)
+        assert np.allclose(out, ref, rtol=1e-12, atol=0.0)
+
+
+class TestInverse:
+    def test_matches_direct_sum_in_off_centre_box(self):
+        # Tiny spectrum into a box well off the origin, at a pitch unrelated to
+        # the spectral bin spacings, so no axis is an FFT-native grid.
+        rng = np.random.default_rng(4)
+        f_x = -2.0e9 + 0.61e9 * np.arange(6)
+        f_y = -1.1e9 + 0.47e9 * np.arange(5)
+        f_z = 56.3e9 + 0.173e9 * np.arange(7)
+        vals = rng.normal(size=(6, 5, 7)) + 1j * rng.normal(size=(6, 5, 7))
+        spec = Spectrum3D(f_x=f_x, f_y=f_y, f_z=f_z, values=vals,
+                          shell_spacing=0.15e9, sample_area=2.5e-3)
+        box = ImagingBox(origin=np.array([0.83, -0.41, 5.37]),
+                         spacing=np.array([0.037, 0.041, 0.029]), shape=(9, 4, 11))
+        out = inverse_3d_spectrum(spec, box).voxels
+
+        z_ref = abs(box.origin[2] + 0.029 * 5)
+        weight = z_ref * C * 0.173e9 / (6 * 5 * 2.5e-3 * 0.15e9 * f_z)
+        idx = np.stack(np.meshgrid(*[np.arange(n) for n in box.shape], indexing="ij"),
+                       axis=-1).reshape(-1, 3)
+        points = box.origin + idx * box.spacing
+        ref = direct_fourier_sum(vals * weight, f_x, f_y, f_z, points).reshape(box.shape)
+        assert out.shape == box.shape
+        assert np.allclose(out, ref, rtol=0.0, atol=1e-9 * np.abs(ref).max())
 
 
 class TestReconstruct:
@@ -272,6 +341,22 @@ class TestDetectPeaks:
         assert np.allclose(peaks[0], [1.0, 1.0, 1.0])
         assert np.allclose(peaks[1], [5.0, 5.0, 5.0])
 
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("nu", [0.2, 0.5, 1.0])
+    def test_matches_brute_force_with_ties_and_border_peaks(self, seed, nu):
+        rng = np.random.default_rng(seed)
+        shape = (5, 6, 4)
+        # Few levels give plateaus and ties; peaks go on corners, edges and faces.
+        vol = rng.integers(0, 4, size=shape).astype(float)
+        vol[0, 0, 0] = vol[-1, -1, -1] = 6.0
+        vol[0, 3, -1] = 5.0
+        vol[2, 0, 2] = vol[2, 0, 3] = 5.0
+        vol[rng.integers(0, 5), rng.integers(0, 6), 0] = 6.0
+        vol[3, 2, 1:3] = 4.0
+        peaks = detect_peaks(self.make_ps(vol * rng.choice([-1.0, 1.0], size=shape)), nu)
+        expected = np.array(local_maxima_26(vol, nu), dtype=float).reshape(-1, 3)
+        assert np.array_equal(peaks, expected)
+
     def test_all_zero_raises(self):
         with pytest.raises(EmptySpectrumError):
             detect_peaks(self.make_ps(np.zeros((3, 3, 3))), 0.5)
@@ -280,12 +365,3 @@ class TestDetectPeaks:
         with pytest.raises(ValueError):
             detect_peaks(self.make_ps(np.ones((2, 2, 2))), 0.0)
 
-
-class TestSliceExport:
-    def test_slice_rows_shape(self):
-        vol = np.arange(24, dtype=float).reshape(2, 3, 4)
-        ps = PowerSpectrum(voxels=vol.astype(complex), origin=np.array([0.0, 1.0, 2.0]),
-                           spacing=np.array([0.5, 0.5, 0.5]))
-        rows = ps.slice_rows(axis=1, value=1.6)
-        assert rows.shape == (8, 4)
-        assert np.allclose(rows[:, 1], 1.5)  # nearest plane to 1.6 along y
