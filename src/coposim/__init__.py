@@ -8,9 +8,8 @@ sight, fusion of mirror images reflected off neighbouring vehicles.
 
 from .analysis import LinkBudgetParams, azimuth_resolution, hausdorff, range_resolution, rcs, rx_power
 from .channel import NOISELESS, NoiseModel, PathObservation, resolve_paths, simulate_sfcw, simulate_signature
-from .combining import (CombineResult, VirtualDetection, candidate_anchor, combine_cluster,
-                        estimate_surface, fuse_clouds, group_by_clock, map_virtual_to_actual,
-                        search_theta_ref)
+from .combining import (CombineResult, VirtualDetection, combine_cluster, estimate_surface,
+                        fuse_clouds, group_by_clock, map_virtual_to_actual, search_theta_ref)
 from .geometry import (SPEED_OF_LIGHT, Point3, ReflectionSurface, Scene, directed_angle_xz,
                        mirror_point, path_length)
 from .imaging import (ApertureSamples, ImagingBox, PowerSpectrum, backprojection, detect_peaks,

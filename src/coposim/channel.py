@@ -11,9 +11,8 @@ observations are bit-identical no matter how generation is parallelised.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -155,17 +154,6 @@ def simulate_sfcw(scene: Scene, grid: FrequencyGrid, noise: NoiseModel,
     return out
 
 
-def merge_observations(sig_obs: list[PathObservation],
-                       sfcw_obs: list[PathObservation]) -> list[PathObservation]:
-    """Join signature and SFCW blocks of the same path into one observation."""
-    by_id = {o.path_id: o for o in sfcw_obs}
-    merged = []
-    for o in sig_obs:
-        s = by_id.get(o.path_id)
-        merged.append(o if s is None else replace(o, sfcw=s.sfcw))
-    return merged
-
-
 def resolve_paths(observations: list[PathObservation]) -> dict[int, PathObservation]:
     """Group observations by arrival-direction label; labels must be unique."""
     groups: dict[int, PathObservation] = {}
@@ -175,17 +163,3 @@ def resolve_paths(observations: list[PathObservation]) -> dict[int, PathObservat
         groups[obs.aoa_group] = obs
     return dict(sorted(groups.items()))
 
-
-def write_observations_csv(observations: list[PathObservation], path) -> None:
-    """Dump SFCW symbols as rows (path_id, m, k, re, im) for debugging."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["path_id", "m", "k", "re", "im"])
-        for obs in observations:
-            if obs.sfcw is None:
-                continue
-            n_rx, n_tones = obs.sfcw.shape
-            for m in range(n_rx):
-                for k in range(n_tones):
-                    v = obs.sfcw[m, k]
-                    writer.writerow([obs.path_id, m, k, repr(v.real), repr(v.imag)])

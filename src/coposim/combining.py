@@ -9,6 +9,10 @@ the reference angle makes all back-projection rays meet at the actual anchor;
 the meeting point then fixes each reflecting surface (the perpendicular
 bisector plane), and mirroring each virtual cloud across its surface recovers
 the actual cloud.
+
+The search is array code: every grid angle is scored in one pass that
+intersects all C(L, 2) ray pairs at once, masks the parallel pairs, and takes
+the mean pairwise distance of the surviving anchor candidates.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from .errors import DegenerateGeometryError, FeasibilityError, ParallelRaysError
+from .errors import DegenerateGeometryError, FeasibilityError
 from .geometry import ReflectionSurface, as_xyz, mirror_point
 
 _PARALLEL_TOL = 1e-12
@@ -54,7 +58,11 @@ class VirtualDetection:
 
 @dataclass(frozen=True)
 class CombineResult:
-    """Fusion output; ``surfaces`` aligns with ``path_ids`` (None marks a direct path)."""
+    """Fusion output.
+
+    ``thetas``, ``surfaces`` (None marks a direct path) and ``mapped_clouds``
+    (each path's cloud mirrored into the actual frame) align with ``path_ids``.
+    """
 
     theta_ref: float
     x_a_star: np.ndarray
@@ -62,6 +70,7 @@ class CombineResult:
     path_ids: tuple[int, ...]
     thetas: tuple[float, ...]
     surfaces: tuple[ReflectionSurface | None, ...]
+    mapped_clouds: tuple[np.ndarray, ...]
     actual_cloud: np.ndarray
 
 
@@ -83,88 +92,62 @@ def group_by_clock(detections: list[VirtualDetection], tolerance: float) -> list
     return clusters
 
 
-def _ray_angle(det_ref: VirtualDetection, det: VirtualDetection, theta_ref: float) -> float:
-    return theta_ref + 0.5 * (det.baseline_angle - det_ref.baseline_angle)
+def _ray_angles(cluster: list[VirtualDetection], theta_ref) -> np.ndarray:
+    """Path angles (T, L) locked to each of the T reference angles."""
+    phi = np.array([det.baseline_angle for det in cluster])
+    return np.reshape(theta_ref, (-1, 1)) + 0.5 * (phi - phi[0])
 
 
-def _intersect_rays(p_i, theta_i: float, p_j, theta_j: float) -> np.ndarray:
-    """Meet of two X-Z lines through p_i, p_j at the given angles; y is averaged.
+def _candidates(cluster: list[VirtualDetection], theta_ref):
+    """Anchor candidates from every detection pair at each hypothesised angle.
 
-    Directions are handled parametrically so vertical rays need no special
-    casing; only genuinely parallel lines are rejected.
+    ``theta_ref`` is a scalar or an array of T angles.  The pair relation holds
+    for any two paths, so all P = C(L, 2) pairs are used rather than only those
+    containing the reference path: with noisy inputs a spurious angle is
+    unlikely to cluster every pairwise intersection at once.  Each pair's two
+    X-Z rays are intersected parametrically, so vertical rays need no special
+    casing, and y is the mean of the two virtual y values.  Returns the a- and
+    b-anchor candidates, each (T, P, 3), and a (T, P) mask that is False where
+    the pair's rays are parallel (|sin(theta_j - theta_i)| below tolerance);
+    masked candidates hold finite filler values.
     """
-    det = math.sin(theta_j - theta_i)
-    if abs(det) < _PARALLEL_TOL:
-        raise ParallelRaysError("back-projection rays are parallel")
-    ci, si = math.cos(theta_i), math.sin(theta_i)
-    cj, sj = math.cos(theta_j), math.sin(theta_j)
-    rx = p_j[0] - p_i[0]
-    rz = p_j[2] - p_i[2]
-    # Solve p_i + t*(ci,si) = p_j + s*(cj,sj) in (x, z).
-    t = (rx * sj - rz * cj) / det
-    x = p_i[0] + t * ci
-    z = p_i[2] + t * si
-    y = 0.5 * (p_i[1] + p_j[1])
-    return np.array([x, y, z])
+    thetas = _ray_angles(cluster, theta_ref)
+    cos, sin = np.cos(thetas), np.sin(thetas)
+    i, j = np.triu_indices(len(cluster), k=1)
+    det = np.sin(thetas[:, j] - thetas[:, i])
+    ok = np.abs(det) >= _PARALLEL_TOL
+    det = np.where(ok, det, 1.0)
+
+    def meet(virtuals: np.ndarray) -> np.ndarray:
+        # Solve p_i + t*(cos_i, sin_i) = p_j + s*(cos_j, sin_j) in (x, z).
+        p_i, p_j = virtuals[i], virtuals[j]
+        r = p_j - p_i
+        t = (r[:, 0] * sin[:, j] - r[:, 2] * cos[:, j]) / det
+        return np.stack([p_i[:, 0] + t * cos[:, i],
+                         np.broadcast_to(0.5 * (p_i[:, 1] + p_j[:, 1]), t.shape),
+                         p_i[:, 2] + t * sin[:, i]], axis=-1)
+
+    return (meet(np.array([d.x_a_virtual for d in cluster])),
+            meet(np.array([d.x_b_virtual for d in cluster])), ok)
 
 
-def candidate_anchor(det_ref: VirtualDetection, det: VirtualDetection,
-                     theta_ref: float) -> tuple[np.ndarray, np.ndarray]:
-    """Anchor candidates from one detection pair at a hypothesised reference angle."""
-    theta = _ray_angle(det_ref, det, theta_ref)
-    xa = _intersect_rays(det_ref.x_a_virtual, theta_ref, det.x_a_virtual, theta)
-    xb = _intersect_rays(det_ref.x_b_virtual, theta_ref, det.x_b_virtual, theta)
-    return xa, xb
-
-
-def _candidates(cluster: list[VirtualDetection], theta_ref: float):
-    """Anchor candidates from every detection pair at the hypothesised angle.
-
-    The pair relation holds for any two paths, so all C(L, 2) pairs are used
-    rather than only those containing the reference path: with noisy inputs a
-    spurious angle is unlikely to cluster every pairwise intersection at once.
-    Near-parallel pairs are skipped; at least one pair must survive.
-    """
-    ref = cluster[0]
-    thetas = [_ray_angle(ref, det, theta_ref) for det in cluster]
-    cas, cbs = [], []
-    for i in range(len(cluster)):
-        for j in range(i + 1, len(cluster)):
-            try:
-                xa = _intersect_rays(cluster[i].x_a_virtual, thetas[i],
-                                     cluster[j].x_a_virtual, thetas[j])
-                xb = _intersect_rays(cluster[i].x_b_virtual, thetas[i],
-                                     cluster[j].x_b_virtual, thetas[j])
-            except ParallelRaysError:
-                continue
-            cas.append(xa)
-            cbs.append(xb)
-    if not cas:
-        raise ParallelRaysError("every detection pair is parallel at this angle")
-    return np.array(cas), np.array(cbs)
-
-
-def _scatter_objective(cluster: list[VirtualDetection], theta_ref: float) -> float:
+def _scatter_objective(cluster: list[VirtualDetection], theta_ref):
     """Mean pairwise spread of the anchor candidates; zero iff they coincide.
 
-    Angles that lose candidates to parallel pairs are not rewarded: the spread
-    is averaged per surviving term and needs at least two candidates.
+    For each angle, the mean over pairs of surviving (non-parallel) candidates
+    of |ca_i - ca_j| + |cb_i - cb_j|.  Angles that lose candidates to parallel
+    pairs are not rewarded, and an angle with fewer than two candidates scores
+    inf.  Returns a float for a scalar angle, else an array of T values.
     """
-    try:
-        cas, cbs = _candidates(cluster, theta_ref)
-    except ParallelRaysError:
-        return math.inf
-    n = len(cas)
-    if n < 2:
-        return math.inf
-    total = 0.0
-    terms = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            total += float(np.linalg.norm(cas[i] - cas[j]))
-            total += float(np.linalg.norm(cbs[i] - cbs[j]))
-            terms += 1
-    return total / terms
+    ca, cb, ok = _candidates(cluster, theta_ref)
+    i, j = np.triu_indices(ok.shape[1], k=1)
+    spread = (np.linalg.norm(ca[:, i] - ca[:, j], axis=-1)
+              + np.linalg.norm(cb[:, i] - cb[:, j], axis=-1))
+    kept = ok[:, i] & ok[:, j]
+    terms = kept.sum(axis=1)
+    total = np.where(kept, spread, 0.0).sum(axis=1)
+    values = np.where(terms > 0, total / np.maximum(terms, 1), np.inf)
+    return values if np.ndim(theta_ref) else float(values[0])
 
 
 def _golden_refine(fun, lo: float, hi: float, tol: float) -> float:
@@ -198,7 +181,7 @@ def search_theta_ref(cluster: list[VirtualDetection], grid_step: float = 1e-3,
             f"combining needs at least 3 paths from the same transmitter, got {len(cluster)}"
         )
     grid = np.arange(-math.pi / 2 + grid_step, math.pi / 2 + 0.5 * grid_step, grid_step)
-    values = np.array([_scatter_objective(cluster, t) for t in grid])
+    values = _scatter_objective(cluster, grid)
     if not np.isfinite(values).any():
         raise DegenerateGeometryError("every ray pair is parallel; geometry degenerate")
     best = int(np.argmin(values))
@@ -206,8 +189,8 @@ def search_theta_ref(cluster: list[VirtualDetection], grid_step: float = 1e-3,
                            grid[best] - grid_step, grid[best] + grid_step, refine_tol)
     if not math.isfinite(_scatter_objective(cluster, theta)):
         theta = float(grid[best])
-    cas, cbs = _candidates(cluster, theta)
-    return theta, cas.mean(axis=0), cbs.mean(axis=0)
+    ca, cb, ok = _candidates(cluster, theta)
+    return theta, ca[ok].mean(axis=0), cb[ok].mean(axis=0)
 
 
 def estimate_surface(x_a_star, x_a_virtual, theta: float) -> ReflectionSurface:
@@ -247,17 +230,17 @@ def fuse_clouds(clouds: list[np.ndarray], merge_radius: float) -> np.ndarray:
 
     Points closer than ``merge_radius`` (transitively) collapse to their
     centroid, so perfectly overlapping per-path detections merge while distinct
-    antennas survive.
+    antennas survive.  Rows keep the order in which their points first appear.
     """
-    stacked = [np.asarray(c, dtype=float).reshape(-1, 3) for c in clouds]
-    pts = np.concatenate([c for c in stacked if len(c)], axis=0) if any(len(c) for c in stacked) else None
-    if pts is None or len(pts) == 0:
+    pts = np.concatenate([np.empty((0, 3))]
+                         + [np.asarray(c, dtype=float).reshape(-1, 3) for c in clouds])
+    if len(pts) == 0:
         raise ValueError("no points to fuse")
     if merge_radius <= 0:
-        return pts.copy()
+        return pts
     pairs = cKDTree(pts).query_pairs(merge_radius, output_type="ndarray")
     if len(pairs) == 0:
-        return pts.copy()
+        return pts
     n = len(pts)
     adj = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
     n_comp, labels = connected_components(adj, directed=False)
@@ -265,9 +248,7 @@ def fuse_clouds(clouds: list[np.ndarray], merge_radius: float) -> np.ndarray:
     counts = np.bincount(labels, minlength=n_comp).astype(float)
     for dim in range(3):
         fused[:, dim] = np.bincount(labels, weights=pts[:, dim], minlength=n_comp) / counts
-    first_index = np.full(n_comp, n, dtype=int)
-    for i, lab in enumerate(labels):
-        first_index[lab] = min(first_index[lab], i)
+    first_index = np.unique(labels, return_index=True)[1]
     return fused[np.argsort(first_index, kind="stable")]
 
 
@@ -281,20 +262,15 @@ def combine_cluster(cluster: list[VirtualDetection], merge_radius: float,
     as-is, since the perpendicular-bisector surface degenerates there.
     """
     theta_ref, x_a_star, x_b_star = search_theta_ref(cluster, grid_step, refine_tol)
-    ref = cluster[0]
-    thetas, surfaces, mapped, ids = [], [], [], []
-    for det in cluster:
-        theta = _ray_angle(ref, det, theta_ref)
-        thetas.append(theta)
-        ids.append(det.path_id)
-        if float(np.linalg.norm(det.x_a_virtual - x_a_star)) <= direct_path_tol:
-            surfaces.append(None)
-            mapped.append(det.cloud.copy())
-            continue
-        surfaces.append(estimate_surface(x_a_star, det.x_a_virtual, theta))
-        mapped.append(map_virtual_to_actual(det.cloud, theta, x_a_star, det.x_a_virtual))
-    cloud = fuse_clouds([m for m in mapped if len(m)], merge_radius) \
-        if any(len(m) for m in mapped) else np.empty((0, 3))
+    thetas = tuple(_ray_angles(cluster, theta_ref)[0].tolist())
+    surfaces, mapped = [], []
+    for det, theta in zip(cluster, thetas):
+        direct = float(np.linalg.norm(det.x_a_virtual - x_a_star)) <= direct_path_tol
+        surface = None if direct else estimate_surface(x_a_star, det.x_a_virtual, theta)
+        surfaces.append(surface)
+        mapped.append(det.cloud.copy() if surface is None else mirror_point(surface, det.cloud))
+    cloud = fuse_clouds(mapped, merge_radius) if any(len(m) for m in mapped) else np.empty((0, 3))
     return CombineResult(theta_ref=theta_ref, x_a_star=x_a_star, x_b_star=x_b_star,
-                         path_ids=tuple(ids), thetas=tuple(thetas),
-                         surfaces=tuple(surfaces), actual_cloud=cloud)
+                         path_ids=tuple(det.path_id for det in cluster), thetas=thetas,
+                         surfaces=tuple(surfaces), mapped_clouds=tuple(mapped),
+                         actual_cloud=cloud)

@@ -21,10 +21,6 @@ class FeasibilityError(CoposimError):
     """Scene does not satisfy a feasibility condition of the recovery algorithm."""
 
 
-class ParallelRaysError(CoposimError):
-    """Back-projection rays are parallel; the candidate intersection is undefined."""
-
-
 class InterpolationDegeneracyError(CoposimError):
     """Aperture samples cannot be resampled onto a 2D grid (too few rows/columns)."""
 

@@ -136,23 +136,6 @@ def directed_angle_xz(p, q) -> float:
     return ang
 
 
-def specular_point(surface: ReflectionSurface, tx, rx) -> np.ndarray:
-    """Intersection of the segment mirror(tx)->rx with the surface trace.
-
-    Used by tests to confirm that the mirror construction reproduces the
-    two-segment reflected path.
-    """
-    t = mirror_point(surface, as_xyz(tx))
-    r = as_xyz(rx)
-    nx, nz, d = surface.normal_form()
-    ft = t[0] * nx + t[2] * nz - d
-    fr = r[0] * nx + r[2] * nz - d
-    if ft == fr:
-        raise DegenerateGeometryError("segment is parallel to the surface")
-    lam = ft / (ft - fr)
-    return t + lam * (r - t)
-
-
 @dataclass(frozen=True)
 class Scene:
     """Ground truth for one simulated snapshot.

@@ -17,8 +17,7 @@ import numpy as np
 from . import __version__
 from .analysis import azimuth_resolution, hausdorff, range_resolution, rmse_nearest
 from .channel import NoiseModel, simulate_sfcw, simulate_signature
-from .combining import (VirtualDetection, combine_cluster, group_by_clock,
-                        map_virtual_to_actual)
+from .combining import VirtualDetection, combine_cluster, group_by_clock
 from .errors import ConfigError, CoposimError
 from .geometry import SPEED_OF_LIGHT as C
 from .geometry import Scene, directed_angle_xz, mirror_point
@@ -202,12 +201,7 @@ def _run_trial(config: ScenarioConfig, mode: str, trial: int = 0, workers: int =
         metrics["anchor_err_m"] = float(np.linalg.norm(res.x_a_star - scene.anchor_a))
         metrics["anchor_b_err_m"] = float(np.linalg.norm(res.x_b_star - scene.anchor_b))
         metrics["clusters"] = len(clusters)
-        for det, theta, est in zip(primary, res.thetas, res.surfaces):
-            pid = det.path_id
-            if est is None:
-                mapped = det.cloud.copy()
-            else:
-                mapped = map_virtual_to_actual(det.cloud, theta, res.x_a_star, det.x_a_virtual)
+        for pid, est, mapped in zip(res.path_ids, res.surfaces, res.mapped_clouds):
             artifacts.mapped_clouds[pid] = mapped
             if len(mapped):
                 metrics[f"path{pid}_hausdorff_m"] = hausdorff(mapped, truth)

@@ -55,6 +55,63 @@ def mirror_across_line(slope: float, intercept: float, points: np.ndarray) -> np
     return pts
 
 
+def specular_point(surface, tx, rx) -> np.ndarray:
+    """Where the segment mirror(tx) -> rx crosses the surface trace.
+
+    ``surface`` needs only ``slope``, ``intercept`` and ``vertical`` (then
+    the trace is x = intercept).  Raises ValueError when the segment runs
+    parallel to the trace.
+    """
+    tx = np.asarray(tx, dtype=float)
+    rx = np.asarray(rx, dtype=float)
+    if surface.vertical:
+        t = np.array([2.0 * surface.intercept - tx[0], tx[1], tx[2]])
+        ft, fr = t[0] - surface.intercept, rx[0] - surface.intercept
+    else:
+        t = mirror_across_line(surface.slope, surface.intercept, tx)[0]
+        ft = t[2] - surface.slope * t[0] - surface.intercept
+        fr = rx[2] - surface.slope * rx[0] - surface.intercept
+    if ft == fr:
+        raise ValueError("segment is parallel to the surface")
+    lam = ft / (ft - fr)
+    return t + lam * (rx - t)
+
+
+def pairwise_ray_scatter(a_virtuals, b_virtuals, baseline_angles, theta_ref: float) -> float:
+    """Mean pairwise spread of the anchor candidates at one reference angle.
+
+    Path l's ray leaves its virtual anchor at theta_ref + (phi_l - phi_0)/2 in
+    X-Z.  Every pair of paths whose rays are not parallel (|sin| of the angle
+    gap >= 1e-12) gives one a- and one b-candidate: the rays' meeting point,
+    with y the mean of the two virtual y values.  Returns the mean over pairs
+    of candidates of |ca_i - ca_j| + |cb_i - cb_j|, or inf with fewer than two.
+    """
+    n = len(baseline_angles)
+    thetas = [theta_ref + 0.5 * (baseline_angles[l] - baseline_angles[0]) for l in range(n)]
+
+    def meet(p, q, ti, tj):
+        det = math.sin(tj - ti)
+        t = ((q[0] - p[0]) * math.sin(tj) - (q[2] - p[2]) * math.cos(tj)) / det
+        return [p[0] + t * math.cos(ti), 0.5 * (p[1] + q[1]), p[2] + t * math.sin(ti)]
+
+    cands = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(math.sin(thetas[j] - thetas[i])) < 1e-12:
+                continue
+            cands.append((meet(a_virtuals[i], a_virtuals[j], thetas[i], thetas[j]),
+                          meet(b_virtuals[i], b_virtuals[j], thetas[i], thetas[j])))
+    if len(cands) < 2:
+        return math.inf
+    total, terms = 0.0, 0
+    for i in range(len(cands)):
+        for j in range(i + 1, len(cands)):
+            for k in (0, 1):
+                total += math.dist(cands[i][k], cands[j][k])
+            terms += 1
+    return total / terms
+
+
 def tan_form_recovery_map(points: np.ndarray, theta: float, x_a_star: np.ndarray,
                           x_a_virtual: np.ndarray) -> np.ndarray:
     """Closed-form virtual-to-actual map in its tan() form.

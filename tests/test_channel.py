@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import REF_DELTA, REF_GRID, REF_SIGNATURE, small_scene, square_array
-from coposim.channel import (NOISELESS, NoiseModel, merge_observations, resolve_paths,
-                             simulate_sfcw, simulate_signature, write_observations_csv)
+from coposim.channel import NOISELESS, NoiseModel, resolve_paths, simulate_sfcw, simulate_signature
 from coposim.geometry import SPEED_OF_LIGHT as C
 from coposim.geometry import ReflectionSurface, Scene, path_length
 from coposim.waveform import FrequencyGrid
@@ -127,22 +126,9 @@ class TestDeterminismAndPlumbing:
         surf = (ReflectionSurface(slope=1.0, intercept=3.0),
                 ReflectionSurface(slope=0.3, intercept=4.0))
         scene = small_scene(surfaces=surf, has_los=True)
-        grid = FrequencyGrid(f1=57e9, tones=8, delta=REF_DELTA)
         sig = simulate_signature(scene, REF_SIGNATURE, NOISELESS)
-        sfc = simulate_sfcw(scene, grid, NOISELESS, sigma_estimate=0.0)
-        merged = merge_observations(sig, sfc)
-        groups = resolve_paths(merged)
+        groups = resolve_paths(sig)
         assert sorted(groups) == [0, 1, 2]
-        assert all(groups[g].sfcw is not None and groups[g].sig_a is not None for g in groups)
+        assert all(groups[g].sig_a is not None and groups[g].sig_b is not None for g in groups)
         with pytest.raises(ValueError):
-            resolve_paths(merged + [merged[0]])
-
-    def test_csv_dump(self, tmp_path):
-        scene = small_scene()
-        grid = FrequencyGrid(f1=57e9, tones=4, delta=REF_DELTA)
-        obs = simulate_sfcw(scene, grid, NOISELESS, sigma_estimate=0.0)
-        out = tmp_path / "obs.csv"
-        write_observations_csv(obs, out)
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "path_id,m,k,re,im"
-        assert len(lines) == 1 + scene.n_sv * 4
+            resolve_paths(sig + [sig[0]])

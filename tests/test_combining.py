@@ -5,12 +5,12 @@ import pytest
 
 from conftest import REF_SURFACES
 from coposim.analysis import hausdorff
-from coposim.combining import (VirtualDetection, candidate_anchor, combine_cluster,
+from coposim.combining import (VirtualDetection, _candidates, _scatter_objective, combine_cluster,
                                estimate_surface, fuse_clouds, group_by_clock,
                                map_virtual_to_actual, search_theta_ref)
-from coposim.errors import DegenerateGeometryError, FeasibilityError, ParallelRaysError
+from coposim.errors import DegenerateGeometryError, FeasibilityError
 from coposim.geometry import ReflectionSurface, directed_angle_xz, mirror_point
-from oracles import mirror_across_line, tan_form_recovery_map
+from oracles import mirror_across_line, pairwise_ray_scatter, tan_form_recovery_map
 
 
 def make_detection(path_id, surface, x_a, x_b, cloud, sigma=1e-8):
@@ -40,21 +40,25 @@ class TestCandidateAnchor:
                               np.empty((0, 3)), 0.0, baseline_angle=math.pi / 2)
         # baseline gap pi/2 halves to a ray-angle gap of pi/4: with theta_ref =
         # pi/2 the second ray runs at 3*pi/4, the same line as -pi/4.
-        xa, _ = candidate_anchor(da, db, theta_ref=math.pi / 2)
-        assert np.allclose(xa, [1.0, 0.0, 6.0], atol=1e-9)
+        ca, cb, ok = _candidates([da, db], math.pi / 2)
+        assert ca.shape == cb.shape == (1, 1, 3) and ok.shape == (1, 1)
+        assert ok[0, 0]
+        assert np.allclose(ca[0, 0], [1.0, 0.0, 6.0], atol=1e-9)
 
-    def test_parallel_rays_raise(self):
+    def test_parallel_rays_masked(self):
+        # equal baseline angles give parallel rays: the pair is masked out
         da = VirtualDetection(1, [0.0, 0.0, 0.0], [1.0, 0.0, 0.0], np.empty((0, 3)), 0.0, 0.3)
         db = VirtualDetection(2, [2.0, 0.0, 1.0], [3.0, 0.0, 1.0], np.empty((0, 3)), 0.0, 0.3)
-        with pytest.raises(ParallelRaysError):
-            candidate_anchor(da, db, theta_ref=0.7)
+        _, _, ok = _candidates([da, db], np.array([0.7, -0.2]))
+        assert ok.shape == (2, 1)
+        assert not ok.any()
 
     def test_y_is_mean_of_virtual_y(self):
         da = VirtualDetection(1, [1.0, 0.4, 0.0], [1.5, 0.4, 0.0], np.empty((0, 3)), 0.0, 0.0)
         db = VirtualDetection(2, [-4.0, 0.8, 11.0], [-4.0, 0.8, 11.5],
                               np.empty((0, 3)), 0.0, math.pi / 2)
-        xa, _ = candidate_anchor(da, db, theta_ref=math.pi / 2)
-        assert xa[1] == pytest.approx(0.6)
+        ca, _, _ = _candidates([da, db], math.pi / 2)
+        assert ca[0, 0, 1] == pytest.approx(0.6)
 
 
 class TestSearchTheta:
@@ -76,7 +80,6 @@ class TestSearchTheta:
                 assert abs(diff) < 1e-9
 
     def test_objective_zero_at_truth(self):
-        from coposim.combining import _scatter_objective
         dets, x_a, _, _ = reference_cluster()
         theta_true = directed_angle_xz(dets[0].x_a_virtual, x_a)
         theta_found, _, _ = search_theta_ref(dets)
@@ -84,6 +87,40 @@ class TestSearchTheta:
         # V-shaped objective: a 1e-6 rad refinement leaves slope * 1e-6 residual
         assert _scatter_objective(dets, theta_found) <= _scatter_objective(dets, theta_true) + 1e-3
         assert abs((theta_found - theta_true + math.pi / 2) % math.pi - math.pi / 2) < 2e-6
+
+    def test_objective_matches_pairwise_oracle(self, rng):
+        grid = np.linspace(-math.pi / 2, math.pi / 2, 181)[1:]
+        clusters = []
+        for n in (3, 3, 4, 4, 5, 5, 6, 6):
+            phi = rng.uniform(-math.pi, math.pi, n)
+            if len(clusters) % 2:
+                phi[rng.integers(1, n)] = phi[0]  # one pair parallel at every angle
+            clusters.append([VirtualDetection(l, rng.uniform(-8, 8, 3), rng.uniform(-8, 8, 3),
+                                              np.empty((0, 3)), 0.0, phi[l]) for l in range(n)])
+        # every pair parallel: no candidate survives at any angle
+        clusters.append([VirtualDetection(l, rng.uniform(-8, 8, 3), rng.uniform(-8, 8, 3),
+                                          np.empty((0, 3)), 0.0, 0.4) for l in range(3)])
+        for cluster in clusters:
+            ours = _scatter_objective(cluster, grid)
+            oracle = np.array([pairwise_ray_scatter([d.x_a_virtual for d in cluster],
+                                                    [d.x_b_virtual for d in cluster],
+                                                    [d.baseline_angle for d in cluster], t)
+                               for t in grid])
+            assert ours.shape == grid.shape
+            assert np.array_equal(np.isinf(ours), np.isinf(oracle))
+            finite = np.isfinite(oracle)
+            assert np.allclose(ours[finite], oracle[finite], rtol=1e-12, atol=0.0)
+            assert _scatter_objective(cluster, float(grid[7])) == pytest.approx(ours[7], rel=1e-12)
+        assert np.isinf(ours).all()
+
+    def test_parallel_pair_left_out_of_the_anchor_means(self):
+        # a repeated detection is parallel to its twin at every angle
+        dets, x_a, x_b, _ = reference_cluster()
+        twin = VirtualDetection(9, dets[1].x_a_virtual, dets[1].x_b_virtual, np.empty((0, 3)),
+                                dets[1].sigma_hat, dets[1].baseline_angle)
+        _, xa, xb = search_theta_ref(dets + [twin])
+        assert np.linalg.norm(xa - x_a) < 1e-4
+        assert np.linalg.norm(xb - x_b) < 1e-4
 
     def test_two_paths_infeasible(self):
         dets, _, _, _ = reference_cluster()
@@ -157,10 +194,12 @@ class TestSurfaceAndMapping:
 
 class TestFuseAndCluster:
     def test_identical_clouds_merge(self):
-        cloud = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        cloud = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         fused = fuse_clouds([cloud, cloud.copy(), cloud.copy()], merge_radius=0.05)
         assert fused.shape == (2, 3)
         assert np.allclose(np.sort(fused[:, 0]), [0.0, 1.0])
+        # merged rows keep the order in which their points first appear
+        assert np.array_equal(fused, cloud)
 
     def test_disjoint_clouds_union(self):
         a = np.array([[0.0, 0.0, 0.0]])

@@ -5,7 +5,8 @@ import pytest
 
 from coposim.errors import DegenerateGeometryError
 from coposim.geometry import (Point3, ReflectionSurface, Scene, directed_angle_xz,
-                              mirror_point, path_length, path_length_matrix, specular_point)
+                              mirror_point, path_length, path_length_matrix)
+from oracles import specular_point
 
 
 def random_surface(rng) -> ReflectionSurface:
@@ -66,7 +67,7 @@ class TestPathLength:
             rx = rng.uniform(-8, 8, size=3)
             try:
                 sp = specular_point(s, tx, rx)
-            except DegenerateGeometryError:
+            except ValueError:
                 continue
             two_leg = np.linalg.norm(tx - sp) + np.linalg.norm(sp - rx)
             # Same-side endpoints make the specular point a true bounce.

@@ -1,6 +1,9 @@
 import json
 
-from coposim.pipeline import run_los, run_sweep
+import pytest
+
+from coposim.analysis import hausdorff
+from coposim.pipeline import run_los, run_nlos, run_sweep
 from coposim.scenario import ScenarioConfig
 
 # Small noiseless line-of-sight scenario: 64 tones and a compact box keep a
@@ -12,6 +15,18 @@ NOISELESS_LOS = {
     "pipeline": {"box_extent_m": [4.0, 2.0, 4.0]},
     "sweep": {"trials": 2},
 }
+
+# The same without line of sight: the three default reflecting surfaces.
+NOISELESS_NLOS = {
+    "waveform": {"tones": 64},
+    "noise": {"phase_sigma_rad": 0.0, "snr_db": None},
+    "pipeline": {"box_extent_m": [4.0, 2.0, 4.0]},
+}
+# Fused Hausdorff distance is 0.43-0.52 m on noise seeds 1-5 (about 2.5 range
+# cells of 0.2 m at 64 tones) and per mapped path 0.40-0.78 m; both bounds
+# leave about 45% headroom.
+NLOS_HAUSDORFF_BOUND_M = 0.75
+NLOS_PATH_HAUSDORFF_BOUND_M = 1.15
 
 
 def test_noiseless_los_trial_recovers_the_anchor():
@@ -28,3 +43,16 @@ def test_sweep_trials_do_not_depend_on_worker_count():
     parallel, _ = run_sweep(config, workers=2)
     assert len(serial.trials) == 2
     assert json.dumps(serial.trials, sort_keys=True) == json.dumps(parallel.trials, sort_keys=True)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_noiseless_nlos_trial_fuses_the_reflections(seed):
+    config = dict(NOISELESS_NLOS, noise={**NOISELESS_NLOS["noise"], "seed": seed})
+    report, artifacts = run_nlos(ScenarioConfig.from_dict(config))
+    metrics = report.trials[0]
+    assert metrics["anchor_err_m"] < 1e-5
+    assert metrics["hausdorff_m"] < NLOS_HAUSDORFF_BOUND_M
+    assert sorted(artifacts.mapped_clouds) == [1, 2, 3]
+    for pid, mapped in artifacts.mapped_clouds.items():
+        assert metrics[f"path{pid}_hausdorff_m"] == hausdorff(mapped, artifacts.scene.tv_antennas)
+        assert metrics[f"path{pid}_hausdorff_m"] < NLOS_PATH_HAUSDORFF_BOUND_M
