@@ -34,7 +34,7 @@ class NoiseModel:
     received symbol power of the path (None disables it).
     """
 
-    phase_sigma: float = 0.224
+    phase_sigma: float = 1.0e-3
     snr_db: float | None = 10.0
     rng_seed: int = 0
 

@@ -10,7 +10,11 @@ volume whose magnitude peaks at the transmit antennas.
 The resampling interpolates between adjacent shells after each shell value
 has been multiplied by its own depth carrier exp(j*2*pi*z0*f_z,k/c), f_z,k =
 sqrt(f_k^2 - f_x^2 - f_y^2), so the phase turn over the range z0 of the box
-does not wash out the interpolated values.  Both transforms are evaluated
+does not wash out the interpolated values.  That geometry depends on
+(f_x^2, f_y^2) only, so it is tabulated once per distinct pair (about a
+quarter of the columns on symmetric FFT axes), in cache-sized slabs of
+distinct f_x^2 values that each fill the f_x rows, a row and its mirror,
+sharing them.  Both transforms are evaluated
 axis by axis as dense products with small (frequency x coordinate) phase
 matrices exp(+-j*(2*pi/c)*f*t): an aperture holds only a few samples per
 axis and a box a few hundred voxels, so the direct sums beat padded FFTs.
@@ -241,13 +245,18 @@ def forward_2d_spectrum(samples: ApertureSamples,
                       sample_area=dx * dy)
 
 
+# Geometry-table entries per slab of the sphere remap.  A slab tabulates a run
+# of distinct f_x^2 values and fills the f_x rows that have them; about 32k
+# entries keep its tables, and each row's temporaries, in a core's L2 cache.
+_SLAB_ENTRIES = 32768
+
+
 def remap_to_sphere(spec: Spectrum2D, f_z: np.ndarray, ref_depth: float = 0.0) -> Spectrum3D:
     """Resample the per-tone shells onto a uniform (f_x, f_y, f_z) grid.
 
     Each voxel reads the spectrum at f = ||(f_x, f_y, f_z)||, linearly
     interpolated between the two nearest tone shells; voxels outside the
-    measured band [f_1, f_K] are zero.  Both shells are read from one flat
-    index array with weights that already hold the in-band mask.
+    measured band [f_1, f_K] are zero.
 
     At range R the spectrum's phase turns by 2*pi*delta*R/c between adjacent
     shells, so interpolating the raw phasor washes out its magnitude far from
@@ -257,40 +266,64 @@ def remap_to_sphere(spec: Spectrum2D, f_z: np.ndarray, ref_depth: float = 0.0) -
     f_x^2 + f_y^2, and each interpolated voxel by exp(-j*2*pi*z0*f_z/c).
     Values at exact shell crossings are unchanged, and the default keeps the
     plain linear rule.
+
+    The geometry (lower shell, the two weights holding the in-band mask, and
+    the shell carrier) depends on (f_x^2, f_y^2) only, so it is computed once
+    per distinct pair: on FFT axes, which are symmetric about zero, that is
+    about a quarter of the columns.  The distinct f_x^2 values are taken in
+    slabs of about ``_SLAB_ENTRIES`` table entries, and each slab fills the
+    f_x rows that have its values, a row and its mirror sharing one table.
+    Per row it applies the shell carrier, gathers both shells through one
+    flat index array, blends them and applies the output carrier, so the
+    output is the only full-size array.
     """
     f_z = np.asarray(f_z, dtype=float)
     shells = spec.grid.frequencies
     tones = spec.grid.tones
-    nfx, nfy = len(spec.f_x), len(spec.f_y)
+    nfx, nfy, nfz = len(spec.f_x), len(spec.f_y), len(f_z)
 
-    rho2 = spec.f_x[:, None, None] ** 2 + spec.f_y[None, :, None] ** 2
-    f = np.sqrt(rho2 + f_z[None, None, :] ** 2)
-    in_band = (f >= shells[0]) & (f <= shells[-1])
-    pos = f - shells[0]
-    pos /= spec.grid.delta
-    idx = np.clip(np.floor(pos).astype(np.int64), 0, tones - 2)
-    frac = pos - idx
-    w_low = np.where(in_band, 1.0 - frac, 0.0)
-    w_high = np.where(in_band, frac, 0.0)
-    idx += (tones * np.arange(nfx * nfy)).reshape(nfx, nfy, 1)  # lower shell in the flat values
-
-    values = spec.values
+    fx2, ix = np.unique(spec.f_x**2, return_inverse=True)
+    fy2, iy = np.unique(spec.f_y**2, return_inverse=True)
     if ref_depth != 0.0:
         beta = 2.0 * math.pi / C * ref_depth
-        # FFT frequency axes are symmetric about zero, so each f_x^2 and f_y^2
-        # occurs about twice: evaluate each distinct carrier once.
-        fx2, ix = np.unique(spec.f_x**2, return_inverse=True)
-        fy2, iy = np.unique(spec.f_y**2, return_inverse=True)
-        fz_shell = np.sqrt(np.maximum(shells**2 - (fx2[:, None, None] + fy2[None, :, None]), 0.0))
-        values = values * np.exp(1j * beta * fz_shell)[ix[:, None], iy[None, :]]
-    flat = values.reshape(-1)
-    out = flat[idx]
-    out *= w_low
-    high = flat[idx + 1]
-    high *= w_high
-    out += high
-    if ref_depth != 0.0:
-        out *= np.exp(-1j * beta * f_z)[None, None, :]
+        out_carrier = np.exp(-1j * beta * f_z)
+
+    out = np.empty((nfx, nfy, nfz), dtype=complex)
+    offset = (tones * np.arange(nfy))[:, None]  # lower shell in the flat row
+    step = max(1, _SLAB_ENTRIES // (len(fy2) * nfz))
+    for u in range(0, len(fx2), step):
+        rho2 = (fx2[u:u + step, None] + fy2[None, :]).reshape(-1, 1)  # one table row per pair
+        f = np.sqrt(rho2 + f_z**2)
+        in_band = (f >= shells[0]) & (f <= shells[-1])
+        pos = (f - shells[0]) / spec.grid.delta
+        lower = np.clip(np.floor(pos), 0, tones - 2)
+        frac = pos - lower
+        w_low = np.where(in_band, 1.0 - frac, 0.0)
+        w_high = np.where(in_band, frac, 0.0)
+        lower = lower.astype(np.intp)
+        if ref_depth != 0.0:
+            shell_carrier = np.exp(1j * beta * np.sqrt(np.maximum(shells**2 - rho2, 0.0)))
+
+        for i in np.flatnonzero((ix >= u) & (ix < u + step)):
+            col = (ix[i] - u) * len(fy2) + iy  # table row of each f_y
+            shell = spec.values[i]
+            if ref_depth != 0.0:
+                # Keep carrier times value in this order: the vectorised
+                # complex product is not bitwise commutative, and the output
+                # is pinned bit for bit.
+                shell = np.multiply(shell_carrier[col], shell)
+            flat = shell.reshape(-1)
+            idx = lower[col]
+            idx += offset
+            row = out[i]
+            # Every index is in range; "clip" lets take write straight into the row.
+            np.take(flat, idx, out=row, mode="clip")
+            row *= w_low[col]
+            high = np.take(flat[1:], idx, mode="clip")
+            high *= w_high[col]
+            row += high
+            if ref_depth != 0.0:
+                row *= out_carrier
     return Spectrum3D(f_x=spec.f_x, f_y=spec.f_y, f_z=f_z, values=out,
                       shell_spacing=spec.grid.delta, sample_area=spec.sample_area)
 

@@ -7,6 +7,7 @@ from conftest import REF_DELTA, REF_GRID, REF_SIGNATURE, small_scene, square_arr
 from coposim.channel import NOISELESS, NoiseModel, resolve_paths, simulate_sfcw, simulate_signature
 from coposim.geometry import SPEED_OF_LIGHT as C
 from coposim.geometry import ReflectionSurface, Scene, path_length
+from coposim.scenario import ScenarioConfig
 from coposim.waveform import FrequencyGrid
 
 
@@ -132,3 +133,9 @@ class TestDeterminismAndPlumbing:
         assert all(groups[g].sig_a is not None and groups[g].sig_b is not None for g in groups)
         with pytest.raises(ValueError):
             resolve_paths(sig + [sig[0]])
+
+
+def test_noise_model_defaults_follow_the_scenario_defaults():
+    spec = ScenarioConfig().noise
+    model = NoiseModel()
+    assert (model.phase_sigma, model.snr_db) == (spec.phase_sigma_rad, spec.snr_db)

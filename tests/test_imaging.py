@@ -11,7 +11,7 @@ from coposim.geometry import Scene, path_length_matrix
 from coposim.imaging import (ApertureSamples, ImagingBox, PowerSpectrum, Spectrum2D,
                              Spectrum3D, backprojection, detect_peaks, forward_2d_spectrum,
                              inverse_3d_spectrum, reconstruct, remap_to_sphere,
-                             sample_aperture)
+                             sample_aperture, _SLAB_ENTRIES)
 from coposim.analysis import azimuth_resolution, range_resolution
 from coposim.waveform import FrequencyGrid
 from oracles import (direct_aperture_spectrum, direct_fourier_sum, local_maxima_26,
@@ -157,7 +157,6 @@ class TestRemap:
         grid = FrequencyGrid(57e9, 8, 100e6)
         rng = np.random.default_rng(1)
         vals = rng.normal(size=(4, 4, 8)) + 1j * rng.normal(size=(4, 4, 8))
-        fx = np.linspace(-1e9, 1e9, 4)
         return forward_2d_spectrum(ApertureSamples(np.linspace(0, 1, 4), np.linspace(0, 1, 4),
                                                    vals, grid))
 
@@ -209,6 +208,52 @@ class TestRemap:
         assert np.count_nonzero(ref) and np.count_nonzero(ref == 0.0)
         assert np.array_equal(out == 0.0, ref == 0.0)
         assert np.allclose(out, ref, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("ref_depth", [0.0, 7.5])
+    def test_slab_boundaries_match_two_exponential_oracle(self, ref_depth):
+        # Odd, asymmetric axes: no two columns share a squared frequency, and
+        # the 13 f_x rows fall into at least three slabs, the last one shorter.
+        grid = FrequencyGrid(57e9, 8, 100e6)
+        rng = np.random.default_rng(5)
+        f_x = np.linspace(-3.1e9, 2.3e9, 13)
+        f_y = np.linspace(-1.7e9, 4.4e9, 8)
+        f_z = np.linspace(56.6e9, 57.75e9, 701)
+        assert len(np.unique(f_x**2)) == len(f_x) and len(np.unique(f_y**2)) == len(f_y)
+        per_slab = _SLAB_ENTRIES // (len(f_y) * len(f_z))
+        assert 1 <= per_slab and len(f_x) > 2 * per_slab and len(f_x) % per_slab
+        vals = rng.normal(size=(13, 8, 8)) + 1j * rng.normal(size=(13, 8, 8))
+        spec = Spectrum2D(f_x=f_x, f_y=f_y, values=vals, grid=grid, sample_area=1e-4)
+        out = remap_to_sphere(spec, f_z, ref_depth=ref_depth).values
+        ref = two_exponential_remap(f_x, f_y, f_z, vals, grid.f1, grid.delta, ref_depth)
+        assert np.count_nonzero(ref) and np.count_nonzero(ref == 0.0)
+        assert np.array_equal(out == 0.0, ref == 0.0)
+        assert np.allclose(out, ref, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_reversed_frequency_axis_reverses_the_output(self, axis):
+        # On fftshift(fftfreq(even)) axes +f and -f share a squared frequency
+        # and the lone -Nyquist bin does not; reversing one axis of the
+        # spectrum must reverse the same axis of the remap exactly.  The 9
+        # distinct f_x^2 values span at least two slabs.
+        grid = FrequencyGrid(57e9, 8, 100e6)
+        rng = np.random.default_rng(6)
+        f_x = np.fft.fftshift(np.fft.fftfreq(16, d=0.1)) * C
+        f_y = np.fft.fftshift(np.fft.fftfreq(8, d=0.12)) * C
+        f_z = np.linspace(56.6e9, 57.75e9, 1500)
+        assert len(np.unique(f_x**2)) == 9 and len(np.unique(f_y**2)) == 5
+        assert 9 > _SLAB_ENTRIES // (5 * len(f_z))
+        vals = rng.normal(size=(16, 8, 8)) + 1j * rng.normal(size=(16, 8, 8))
+        spec = Spectrum2D(f_x=f_x, f_y=f_y, values=vals, grid=grid, sample_area=1e-4)
+        axes = [f_x, f_y]
+        axes[axis] = axes[axis][::-1]
+        flipped = Spectrum2D(f_x=axes[0], f_y=axes[1],
+                             values=np.ascontiguousarray(np.flip(vals, axis)),
+                             grid=grid, sample_area=1e-4)
+        for ref_depth in (0.0, 9.3):
+            out = remap_to_sphere(spec, f_z, ref_depth=ref_depth).values
+            assert np.all(np.any(out != 0.0, axis=2))
+            assert np.array_equal(remap_to_sphere(flipped, f_z, ref_depth=ref_depth).values,
+                                  np.flip(out, axis))
 
 
 class TestInverse:

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -57,12 +58,17 @@ def test_sweep_trials_do_not_depend_on_worker_count():
     assert json.dumps(serial.trials, sort_keys=True) == json.dumps(parallel.trials, sort_keys=True)
 
 
+def package_env(**extra) -> dict:
+    """Environment for a fresh interpreter that imports this ``coposim``."""
+    src = str(Path(coposim.__file__).resolve().parents[1])
+    return dict(os.environ, **extra,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def trial_with_blas_threads(threads: int) -> dict:
     """Metrics of one ``run_los`` trial in a fresh interpreter; BLAS reads its
     thread count when it loads, so the setting needs its own process."""
-    src = str(Path(coposim.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads),
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = package_env(OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
     script = ("import json, sys\n"
               "from coposim.pipeline import run_los\n"
               "from coposim.scenario import ScenarioConfig\n"
@@ -88,3 +94,25 @@ def test_noiseless_nlos_trial_fuses_the_reflections(seed):
     for pid, mapped in artifacts.mapped_clouds.items():
         assert metrics[f"path{pid}_hausdorff_m"] == hausdorff(mapped, artifacts.scene.tv_antennas)
         assert metrics[f"path{pid}_hausdorff_m"] < NLOS_PATH_HAUSDORFF_BOUND_M
+
+
+def test_cli_run_prints_the_report(tmp_path):
+    path = tmp_path / "los.json"
+    path.write_text(json.dumps(NOISELESS_LOS))
+    done = subprocess.run([sys.executable, "-m", "coposim.cli", "run", str(path)],
+                          env=package_env(), capture_output=True, text=True, timeout=300,
+                          check=True)
+    report = json.loads(done.stdout)
+    assert report["mode"] == "los"
+    assert report["aggregates"]["n_failed"] == 0
+    assert report["trials"][0]["anchor_err_m"] < 1e-6
+
+
+def test_console_scripts_import_to_callables():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts
+    for target in scripts.values():
+        module, _, attr = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), attr))
