@@ -12,9 +12,8 @@ from .combining import (CombineResult, VirtualDetection, combine_cluster, estima
                         fuse_clouds, group_by_clock, map_virtual_to_actual, search_theta_ref)
 from .geometry import (SPEED_OF_LIGHT, Point3, ReflectionSurface, Scene, directed_angle_xz,
                        mirror_point, path_length)
-from .imaging import (ApertureSamples, ImagingBox, PowerSpectrum, backprojection, detect_peaks,
-                      forward_2d_spectrum, inverse_3d_spectrum, reconstruct, remap_to_sphere,
-                      sample_aperture)
+from .imaging import (ApertureSamples, ImagingBox, PowerSpectrum, detect_peaks, forward_2d_spectrum,
+                      inverse_3d_spectrum, reconstruct, remap_to_sphere, sample_aperture)
 from .sync import PdoaMeasurement, SyncResult, estimate_clock, initial_guess, locate_anchor, measure_pdoa
 from .waveform import (FrequencyGrid, SignatureConfig, ValidationReport, max_unambiguous_range,
                        sync_spacing_bound, validate_scene)

@@ -4,6 +4,9 @@ Each propagation path (line of sight and/or one specular bounce per surface)
 yields, per receive antenna: two 2-vectors of signature symbols and one
 K-vector of SFCW symbols.  Channel fading is held constant and folded into the
 per-path reflection coefficient; Doppler is out of scope for a single snapshot.
+The SFCW symbols of a path sum, over transmit antennas, one phasor per tone;
+the comb is uniform, so they are built by a phase recurrence along the tones
+in short blocks rather than one complex exponential per (antenna pair, tone).
 
 Noise streams are derived from (seed, domain, path, antenna) counters, so
 observations are bit-identical no matter how generation is parallelised.
@@ -21,6 +24,9 @@ from .waveform import FrequencyGrid, SignatureConfig
 
 _DOMAIN_SIGNATURE = 1
 _DOMAIN_SFCW = 2
+# SFCW tones per recurrence block: one direct exponential per (TV, SV) antenna
+# pair and block, the rest from step powers computed once per path.
+_TONE_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -112,7 +118,6 @@ def simulate_signature(scene: Scene, sig: SignatureConfig, noise: NoiseModel) ->
 
 def simulate_sfcw(scene: Scene, grid: FrequencyGrid, noise: NoiseModel,
                   sigma_estimate: float | dict[int, float] = 0.0,
-                  rx_chunk: int = 4096,
                   path_ids: list[int] | None = None) -> list[PathObservation]:
     """Demodulated SFCW symbols y[m, k] for every propagation path.
 
@@ -121,9 +126,14 @@ def simulate_sfcw(scene: Scene, grid: FrequencyGrid, noise: NoiseModel,
     phases exactly as an uncorrected ranging bias would.  ``path_ids``
     restricts simulation to a subset of paths (noise streams are keyed by path
     and antenna, so a subset run reproduces the full run bit for bit).
+
+    The tones are uniform, so with phi = residual - tau per (TV, SV) antenna
+    pair, exp(j*2*pi*f_k*phi) = exp(j*2*pi*f_lo*phi) * exp(j*2*pi*delta*phi)^(k-lo).
+    The tones are taken in blocks of ``_TONE_BLOCK``: one direct exponential
+    at each block's first tone, times the step powers (computed once per
+    path), contracted over transmit antennas in one product per block.
     """
     sigma = scene.clock_offset
-    freqs = grid.frequencies
     out = []
     for path_id, surface in scene.path_surfaces():
         if path_ids is not None and path_id not in path_ids:
@@ -131,21 +141,22 @@ def simulate_sfcw(scene: Scene, grid: FrequencyGrid, noise: NoiseModel,
         gamma = 1.0 + 0.0j if surface is None else complex(surface.gamma)
         est = sigma_estimate.get(path_id, 0.0) if isinstance(sigma_estimate, dict) else float(sigma_estimate)
         tau = path_length_matrix(surface, scene.tv_antennas, scene.sv_antennas) / SPEED_OF_LIGHT
-        residual = sigma - est
+        phi = (sigma - est) - tau                                      # (N_t, N_r)
 
-        n_rx = scene.n_sv
-        y = np.empty((n_rx, grid.tones), dtype=complex)
-        for lo in range(0, n_rx, rx_chunk):
-            hi = min(lo + rx_chunk, n_rx)
-            # (N_t, chunk, K) phase tensor, summed coherently over transmit antennas
-            phase = (residual - tau[:, lo:hi, None]) * (2.0 * math.pi * freqs[None, None, :])
-            y[lo:hi] = gamma * np.exp(1j * phase).sum(axis=0)
+        block = min(_TONE_BLOCK, grid.tones)
+        steps = np.exp((2j * math.pi * grid.delta) * phi[:, :, None] * np.arange(block))
+        y = np.empty((scene.n_sv, grid.tones), dtype=complex)
+        for lo in range(0, grid.tones, block):
+            hi = min(lo + block, grid.tones)
+            base = np.exp((2j * math.pi * (grid.f1 + lo * grid.delta)) * phi)
+            y[:, lo:hi] = np.einsum("tr,trk->rk", base, steps[:, :, :hi - lo])
+        y *= gamma
 
         if noise.snr_db is not None and math.isfinite(noise.snr_db):
             mean_power = float(np.mean(np.abs(y) ** 2))
             var = mean_power * 10.0 ** (-noise.snr_db / 10.0)
             std = math.sqrt(var / 2.0)
-            for m in range(n_rx):
+            for m in range(scene.n_sv):
                 rng = _cell_rng(noise.rng_seed, _DOMAIN_SFCW, path_id, m)
                 draws = rng.standard_normal(2 * grid.tones)
                 y[m] += std * (draws[0::2] + 1j * draws[1::2])

@@ -370,7 +370,8 @@ def detect_peaks(spectrum: PowerSpectrum, nu: float = 0.5) -> np.ndarray:
     peak = float(mag.max()) if mag.size else 0.0
     if peak == 0.0:
         raise EmptySpectrumError("power spectrum is identically zero")
-    cand = np.nonzero(mag >= nu * peak)
+    # One flat scan, in the same C order as np.nonzero, which is slower on 3D masks.
+    cand = np.unravel_index(np.flatnonzero(mag >= nu * peak), mag.shape)
     mags = mag[cand]
     # Only threshold survivors are tested.  Magnitudes are non-negative, so a
     # zero outside the volume never wins; clipping a neighbour index onto the
@@ -405,9 +406,12 @@ def reconstruct(observation, sv_antennas, grid: FrequencyGrid, box: ImagingBox,
     """Full chain: resample aperture, transform, remap to the sphere, invert.
 
     ``pad_factor`` controls spectral bin density so the periodic image repeat
-    exceeds the box extent by that factor; ``fz_spacing`` is reduced below the
-    tone gap when the requested box is deep enough to need it.  ``deramp``
-    phase-references the resampling to the box center.
+    exceeds the box extent by that factor: each transverse axis gets
+    max(n, ceil(pad_factor * extent / spacing)) bins, the fewest that do so
+    (the phase-matrix transforms take any bin count, so none is rounded up to
+    an FFT size).  ``fz_spacing`` is reduced below the tone gap when the
+    requested box is deep enough to need it.  ``deramp`` phase-references the
+    resampling to the box center.
     """
     samples = sample_aperture(observation, sv_antennas, grid,
                               target_spacing=target_spacing, row_tol=row_tol,
@@ -418,8 +422,8 @@ def reconstruct(observation, sv_antennas, grid: FrequencyGrid, box: ImagingBox,
     extent = box.spacing * (np.array(box.shape) - 1)
     need_x = pad_factor * max(extent[0], 1e-6)
     need_y = pad_factor * max(extent[1], 1e-6)
-    px = max(nx, int(2 ** math.ceil(math.log2(max(need_x / dx, 2.0)))))
-    py = max(ny, int(2 ** math.ceil(math.log2(max(need_y / dy, 2.0)))))
+    px = max(nx, math.ceil(need_x / dx))
+    py = max(ny, math.ceil(need_y / dy))
     spec2d = forward_2d_spectrum(samples, pad=(px, py))
 
     if fz_spacing is None:
@@ -427,22 +431,3 @@ def reconstruct(observation, sv_antennas, grid: FrequencyGrid, box: ImagingBox,
     f_z = default_fz_axis(grid, spec2d.f_x, spec2d.f_y, spacing=fz_spacing)
     spec3d = remap_to_sphere(spec2d, f_z, ref_depth=float(box.center[2]))
     return inverse_3d_spectrum(spec3d, box)
-
-
-def backprojection(symbols: np.ndarray, sv_antennas, grid: FrequencyGrid,
-                   points) -> np.ndarray:
-    """Matched-filter reference: sum_{m,k} y[m,k] * exp(+j*2*pi*f_k*D(x,p_m)/c).
-
-    Independent of the Fourier chain; used as the accuracy and coherent-gain
-    oracle in tests.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    ants = np.asarray(sv_antennas, dtype=float)
-    freqs = grid.frequencies
-    out = np.zeros(len(pts), dtype=complex)
-    for chunk in range(0, len(pts), 2048):
-        p = pts[chunk:chunk + 2048]
-        d = np.linalg.norm(p[:, None, :] - ants[None, :, :], axis=2)
-        phase = 2.0 * math.pi / C * d[:, :, None] * freqs[None, None, :]
-        out[chunk:chunk + 2048] = (symbols[None, :, :] * np.exp(1j * phase)).sum(axis=(1, 2))
-    return out

@@ -233,3 +233,36 @@ def rowwise_linear_resample(row_x: list, row_vals: list, row_y: np.ndarray,
         for ix in range(len(gx)):
             out[ix, :, kk] = interp(gy, row_y, per_row[:, kk, ix])
     return out
+
+
+def backprojection(symbols: np.ndarray, sv_antennas, freqs, points) -> np.ndarray:
+    """Matched-filter reference: sum_{m,k} y[m,k] * exp(+j*2*pi*f_k*D(x,p_m)/c) per point.
+
+    Independent of the Fourier chain; the accuracy and coherent-gain oracle
+    of the imaging tests.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    ants = np.asarray(sv_antennas, dtype=float)
+    freqs = np.asarray(freqs, dtype=float)
+    out = np.zeros(len(pts), dtype=complex)
+    for chunk in range(0, len(pts), 2048):
+        p = pts[chunk:chunk + 2048]
+        d = np.linalg.norm(p[:, None, :] - ants[None, :, :], axis=2)
+        phase = 2.0 * math.pi / C * d[:, :, None] * freqs[None, None, :]
+        out[chunk:chunk + 2048] = (symbols[None, :, :] * np.exp(1j * phase)).sum(axis=(1, 2))
+    return out
+
+
+def direct_sfcw(tv, sv, freqs, residual: float, gamma: complex) -> np.ndarray:
+    """y[r, k] = gamma * sum_t exp(j*2*pi*f_k*(residual - |tv_t - sv_r|/c)), term by term.
+
+    ``tv`` are the (mirror-image, for a reflected path) transmit antennas.
+    """
+    out = np.zeros((len(sv), len(freqs)), dtype=complex)
+    for r, rx in enumerate(sv):
+        for k, f in enumerate(freqs):
+            total = 0j
+            for tx in tv:
+                total += cmath.exp(2j * math.pi * float(f) * (residual - math.dist(tx, rx) / C))
+            out[r, k] = gamma * total
+    return out

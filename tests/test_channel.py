@@ -9,6 +9,7 @@ from coposim.geometry import SPEED_OF_LIGHT as C
 from coposim.geometry import ReflectionSurface, Scene, path_length
 from coposim.scenario import ScenarioConfig
 from coposim.waveform import FrequencyGrid
+from oracles import direct_sfcw, mirror_across_line
 
 
 class TestSignature:
@@ -76,6 +77,23 @@ class TestSfcw:
         ramp = np.exp(2j * math.pi * grid.frequencies * 1e-10)
         assert np.allclose(off.sfcw, exact.sfcw * ramp[None, :], atol=1e-9)
 
+    @pytest.mark.parametrize("tones", [2, 15, 16, 17, 33])
+    def test_matches_direct_sum_over_blocks(self, tones):
+        # Tone counts below, at and around the recurrence block, and a
+        # partial last block; a direct and a reflected path with their own
+        # residual clock offsets.
+        surf = ReflectionSurface(slope=0.8, intercept=3.5, gamma=0.6 * np.exp(1j * 0.3))
+        scene = small_scene(surfaces=(surf,), has_los=True, clock_offset=12e-9)
+        grid = FrequencyGrid(f1=57e9, tones=tones, delta=3e9 / 32)
+        est = {0: 11.2e-9, 1: 12.9e-9}
+        obs = simulate_sfcw(scene, grid, NOISELESS, sigma_estimate=est)
+        images = (scene.tv_antennas, mirror_across_line(0.8, 3.5, scene.tv_antennas))
+        for o, tv in zip(obs, images):
+            ref = direct_sfcw(tv, scene.sv_antennas, grid.frequencies,
+                              scene.clock_offset - est[o.path_id], o.gamma)
+            assert o.sfcw.shape == ref.shape == (scene.n_sv, tones)
+            assert np.allclose(o.sfcw, ref, rtol=0.0, atol=1e-10 * np.abs(ref).max())
+
     def test_snr_calibration(self):
         # Empirical per-symbol SNR within 0.2 dB of the requested level.
         sv = square_array(10, 1.0)
@@ -115,13 +133,24 @@ class TestDeterminismAndPlumbing:
                 if fx is not None:
                     assert np.array_equal(fx, fy)
 
-    def test_chunking_does_not_change_output(self):
-        scene = small_scene()
-        grid = FrequencyGrid(f1=57e9, tones=16, delta=REF_DELTA)
-        noise = NoiseModel(0.0, 10.0, 99)
-        full = simulate_sfcw(scene, grid, noise, sigma_estimate=0.0, rx_chunk=4096)[0]
-        tiny = simulate_sfcw(scene, grid, noise, sigma_estimate=0.0, rx_chunk=1)[0]
-        assert np.array_equal(full.sfcw, tiny.sfcw)
+    def test_path_subset_reproduces_the_full_run(self):
+        # The pipeline simulates one path at a time with its own clock
+        # estimate; noise is keyed by (seed, domain, path, antenna), so each
+        # one-path run must equal that path of the full run bit for bit.
+        surf = (ReflectionSurface(slope=1.0, intercept=3.0, gamma=0.7j),
+                ReflectionSurface(slope=0.3, intercept=4.0, gamma=-0.5))
+        scene = small_scene(surfaces=surf, has_los=True)
+        grid = FrequencyGrid(f1=57e9, tones=40, delta=REF_DELTA)
+        noise = NoiseModel(0.05, 10.0, 4242)
+        est = {0: 11.9e-9, 1: 12.4e-9, 2: 10.7e-9}
+        full = simulate_sfcw(scene, grid, noise, sigma_estimate=est)
+        clean = simulate_sfcw(scene, grid, NOISELESS, sigma_estimate=est)
+        assert [o.path_id for o in full] == [0, 1, 2]
+        for p in est:
+            sub = simulate_sfcw(scene, grid, noise, sigma_estimate={p: est[p]}, path_ids=[p])
+            assert [o.path_id for o in sub] == [p]
+            assert np.array_equal(sub[0].sfcw, full[p].sfcw)
+            assert not np.allclose(full[p].sfcw, clean[p].sfcw)
 
     def test_resolve_paths_and_merge(self):
         surf = (ReflectionSurface(slope=1.0, intercept=3.0),

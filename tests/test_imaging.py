@@ -4,18 +4,19 @@ import numpy as np
 import pytest
 
 from conftest import REF_DELTA
+from coposim import imaging
 from coposim.channel import NOISELESS, simulate_sfcw
 from coposim.errors import EmptySpectrumError, InterpolationDegeneracyError
 from coposim.geometry import SPEED_OF_LIGHT as C
 from coposim.geometry import Scene, path_length_matrix
 from coposim.imaging import (ApertureSamples, ImagingBox, PowerSpectrum, Spectrum2D,
-                             Spectrum3D, backprojection, detect_peaks, forward_2d_spectrum,
+                             Spectrum3D, detect_peaks, forward_2d_spectrum,
                              inverse_3d_spectrum, reconstruct, remap_to_sphere,
                              sample_aperture, _SLAB_ENTRIES)
 from coposim.analysis import azimuth_resolution, range_resolution
 from coposim.waveform import FrequencyGrid
-from oracles import (direct_aperture_spectrum, direct_fourier_sum, local_maxima_26,
-                     rowwise_linear_resample, two_exponential_remap)
+from oracles import (backprojection, direct_aperture_spectrum, direct_fourier_sum,
+                     local_maxima_26, rowwise_linear_resample, two_exponential_remap)
 
 GRID64 = FrequencyGrid(f1=57e9, tones=64, delta=3e9 / 63)
 
@@ -293,7 +294,7 @@ class TestReconstruct:
         pos = peak_position(ps)
         assert np.all(np.abs(pos - target) <= np.array([dy, dy, dz]))
         # coherent gain within 10% of direct matched-filter back-projection
-        bp = abs(backprojection(sym, sv, GRID64, target[None, :])[0])
+        bp = abs(backprojection(sym, sv, GRID64.frequencies, target[None, :])[0])
         assert ps.magnitude().max() >= 0.9 * bp
         assert len(detect_peaks(ps, 0.5)) == 1
 
@@ -308,9 +309,37 @@ class TestReconstruct:
         pos = peak_position(ps)
         pts = np.stack(np.meshgrid(ps.axis(0), ps.axis(1), ps.axis(2), indexing="ij"),
                        axis=-1).reshape(-1, 3)
-        bp = np.abs(backprojection(sym, sv, grid, pts)).reshape(ps.voxels.shape)
+        bp = np.abs(backprojection(sym, sv, grid.frequencies, pts)).reshape(ps.voxels.shape)
         bp_pos = ps.origin + np.array(np.unravel_index(np.argmax(bp), bp.shape), float) * ps.spacing
         assert np.linalg.norm(pos - bp_pos) <= np.linalg.norm(ps.spacing) + 1e-12
+
+    def test_exact_odd_bin_counts_match_backprojection(self, monkeypatch):
+        # The box asks for 46.08 x 30.72 bins: exactly 47 x 31 are used,
+        # odd and not powers of two, and the image still peaks where
+        # back-projection does.
+        pads = []
+
+        def recording_forward(samples, pad=None):
+            pads.append(pad)
+            return forward_2d_spectrum(samples, pad=pad)
+
+        monkeypatch.setattr(imaging, "forward_2d_spectrum", recording_forward)
+        sv = grid_antennas(17, 0.4)
+        target = np.array([0.1, -0.05, 6.1])
+        grid = FrequencyGrid(57e9, 32, 3e9 / 31)
+        sym = point_target_symbols(target, sv, grid)
+        box = ImagingBox.centered([0.0, 0.0, 6.0], (0.72, 0.48, 1.2), (0.04, 0.04, 0.06))
+        ps = reconstruct(sym, sv, grid, box, pad_factor=1.6)
+
+        extent = box.spacing * (np.array(box.shape) - 1)
+        d = 0.4 / 16
+        expected = tuple(max(17, math.ceil(1.6 * e / d)) for e in extent[:2])
+        assert pads == [expected] == [(47, 31)]
+        pts = np.stack(np.meshgrid(ps.axis(0), ps.axis(1), ps.axis(2), indexing="ij"),
+                       axis=-1).reshape(-1, 3)
+        bp = np.abs(backprojection(sym, sv, grid.frequencies, pts)).reshape(ps.voxels.shape)
+        bp_pos = ps.origin + np.array(np.unravel_index(np.argmax(bp), bp.shape), float) * ps.spacing
+        assert np.linalg.norm(peak_position(ps) - bp_pos) <= np.linalg.norm(ps.spacing) + 1e-12
 
     def test_linearity(self):
         sv = grid_antennas(9, 0.6)
