@@ -7,7 +7,7 @@ sight, fusion of mirror images reflected off neighbouring vehicles.
 """
 
 from .analysis import LinkBudgetParams, azimuth_resolution, hausdorff, range_resolution, rcs, rx_power
-from .channel import NOISELESS, NoiseModel, PathObservation, resolve_paths, simulate_sfcw, simulate_signature
+from .channel import NOISELESS, NoiseModel, PathObservation, simulate_sfcw, simulate_signature
 from .combining import (CombineResult, VirtualDetection, combine_cluster, estimate_surface,
                         fuse_clouds, group_by_clock, map_virtual_to_actual, search_theta_ref)
 from .geometry import (SPEED_OF_LIGHT, Point3, ReflectionSurface, Scene, directed_angle_xz,

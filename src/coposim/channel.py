@@ -63,13 +63,12 @@ class PathObservation:
     """Demodulated symbols for one resolved propagation path.
 
     ``sig_a`` / ``sig_b`` have shape (N_r, 2): anchor tone and anchor tone
-    + delta.  ``sfcw`` has shape (N_r, K).  ``aoa_group`` is the ground-truth
-    arrival-direction label standing in for angular separation at the receiver.
+    + delta.  ``sfcw`` has shape (N_r, K).  Paths are told apart by their
+    true ``path_id``, standing in for angular separation at the receiver.
     """
 
     path_id: int
     gamma: complex
-    aoa_group: int
     sig_a: np.ndarray | None = None
     sig_b: np.ndarray | None = None
     sfcw: np.ndarray | None = None
@@ -111,8 +110,7 @@ def simulate_signature(scene: Scene, sig: SignatureConfig, noise: NoiseModel) ->
                                  noise, path_id, anchor_tag=0)
         sig_b = _signature_block(tau_b, (sig.f_b, sig.f_b + sig.delta), sigma, gamma,
                                  noise, path_id, anchor_tag=1)
-        out.append(PathObservation(path_id=path_id, gamma=gamma, aoa_group=path_id,
-                                   sig_a=sig_a, sig_b=sig_b))
+        out.append(PathObservation(path_id=path_id, gamma=gamma, sig_a=sig_a, sig_b=sig_b))
     return out
 
 
@@ -161,16 +159,5 @@ def simulate_sfcw(scene: Scene, grid: FrequencyGrid, noise: NoiseModel,
                 draws = rng.standard_normal(2 * grid.tones)
                 y[m] += std * (draws[0::2] + 1j * draws[1::2])
 
-        out.append(PathObservation(path_id=path_id, gamma=gamma, aoa_group=path_id, sfcw=y))
+        out.append(PathObservation(path_id=path_id, gamma=gamma, sfcw=y))
     return out
-
-
-def resolve_paths(observations: list[PathObservation]) -> dict[int, PathObservation]:
-    """Group observations by arrival-direction label; labels must be unique."""
-    groups: dict[int, PathObservation] = {}
-    for obs in observations:
-        if obs.aoa_group in groups:
-            raise ValueError(f"duplicate arrival-direction label {obs.aoa_group}")
-        groups[obs.aoa_group] = obs
-    return dict(sorted(groups.items()))
-

@@ -1,16 +1,15 @@
 """Command line: ``coposim run CONFIG`` and ``coposim sweep CONFIG``.
 
 Both load a scenario JSON file and print the run report as JSON.  ``run``
-takes the line-of-sight pipeline when the scene has a direct view and no
-reflecting surfaces, and the reflection pipeline otherwise; ``sweep`` runs
-the configured sweep.
+runs one trial of the scene (the report's ``mode`` says whether it imaged a
+direct view or fused reflections); ``sweep`` runs the configured sweep.
 """
 
 from __future__ import annotations
 
 import argparse
 
-from .pipeline import run_los, run_nlos, run_sweep
+from .pipeline import run, run_sweep
 from .scenario import ScenarioConfig
 
 
@@ -23,13 +22,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     config = ScenarioConfig.load(args.config)
-    if args.command == "sweep":
-        entry = run_sweep
-    elif config.scene.has_los and not config.scene.surfaces:
-        entry = run_los
-    else:
-        entry = run_nlos
-    report, _ = entry(config)
+    report, _ = (run_sweep if args.command == "sweep" else run)(config)
     print(report.to_json())
     return 0
 

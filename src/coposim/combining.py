@@ -29,6 +29,8 @@ from .errors import DegenerateGeometryError, FeasibilityError
 from .geometry import ReflectionSurface, as_xyz, mirror_point
 
 _PARALLEL_TOL = 1e-12
+# Golden-section refinement stops when the angle bracket is this narrow (rad).
+_REFINE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -60,15 +62,14 @@ class VirtualDetection:
 class CombineResult:
     """Fusion output.
 
-    ``thetas``, ``surfaces`` (None marks a direct path) and ``mapped_clouds``
-    (each path's cloud mirrored into the actual frame) align with ``path_ids``.
+    ``surfaces`` (None marks a direct path) and ``mapped_clouds`` (each
+    path's cloud mirrored into the actual frame) align with ``path_ids``.
     """
 
     theta_ref: float
     x_a_star: np.ndarray
     x_b_star: np.ndarray
     path_ids: tuple[int, ...]
-    thetas: tuple[float, ...]
     surfaces: tuple[ReflectionSurface | None, ...]
     mapped_clouds: tuple[np.ndarray, ...]
     actual_cloud: np.ndarray
@@ -168,12 +169,12 @@ def _golden_refine(fun, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (a + b)
 
 
-def search_theta_ref(cluster: list[VirtualDetection], grid_step: float = 1e-3,
-                     refine_tol: float = 1e-6) -> tuple[float, np.ndarray, np.ndarray]:
+def search_theta_ref(cluster: list[VirtualDetection],
+                     grid_step: float = 1e-3) -> tuple[float, np.ndarray, np.ndarray]:
     """1D search for the reference path angle minimising candidate scatter.
 
     Line angles are periodic in pi, so the grid covers (-pi/2, pi/2]; the best
-    grid cell is refined by golden section to ``refine_tol``.  Returns the
+    grid cell is refined by golden section to ``_REFINE_TOL``.  Returns the
     angle and the candidate means for the two anchors.
     """
     if len(cluster) < 3:
@@ -186,7 +187,7 @@ def search_theta_ref(cluster: list[VirtualDetection], grid_step: float = 1e-3,
         raise DegenerateGeometryError("every ray pair is parallel; geometry degenerate")
     best = int(np.argmin(values))
     theta = _golden_refine(lambda t: _scatter_objective(cluster, t),
-                           grid[best] - grid_step, grid[best] + grid_step, refine_tol)
+                           grid[best] - grid_step, grid[best] + grid_step, _REFINE_TOL)
     if not math.isfinite(_scatter_objective(cluster, theta)):
         theta = float(grid[best])
     ca, cb, ok = _candidates(cluster, theta)
@@ -253,24 +254,22 @@ def fuse_clouds(clouds: list[np.ndarray], merge_radius: float) -> np.ndarray:
 
 
 def combine_cluster(cluster: list[VirtualDetection], merge_radius: float,
-                    grid_step: float = 1e-3, refine_tol: float = 1e-6,
-                    direct_path_tol: float = 1e-3) -> CombineResult:
+                    grid_step: float = 1e-3, direct_path_tol: float = 1e-3) -> CombineResult:
     """Full fusion of one same-clock cluster of virtual detections.
 
     Detections whose virtual anchor already coincides with the fused anchor
     (within ``direct_path_tol``) are direct-view paths: their clouds are taken
     as-is, since the perpendicular-bisector surface degenerates there.
     """
-    theta_ref, x_a_star, x_b_star = search_theta_ref(cluster, grid_step, refine_tol)
-    thetas = tuple(_ray_angles(cluster, theta_ref)[0].tolist())
+    theta_ref, x_a_star, x_b_star = search_theta_ref(cluster, grid_step)
     surfaces, mapped = [], []
-    for det, theta in zip(cluster, thetas):
+    for det, theta in zip(cluster, _ray_angles(cluster, theta_ref)[0].tolist()):
         direct = float(np.linalg.norm(det.x_a_virtual - x_a_star)) <= direct_path_tol
         surface = None if direct else estimate_surface(x_a_star, det.x_a_virtual, theta)
         surfaces.append(surface)
         mapped.append(det.cloud.copy() if surface is None else mirror_point(surface, det.cloud))
     cloud = fuse_clouds(mapped, merge_radius) if any(len(m) for m in mapped) else np.empty((0, 3))
     return CombineResult(theta_ref=theta_ref, x_a_star=x_a_star, x_b_star=x_b_star,
-                         path_ids=tuple(det.path_id for det in cluster), thetas=thetas,
+                         path_ids=tuple(det.path_id for det in cluster),
                          surfaces=tuple(surfaces), mapped_clouds=tuple(mapped),
                          actual_cloud=cloud)

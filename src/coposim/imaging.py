@@ -389,10 +389,8 @@ def detect_peaks(spectrum: PowerSpectrum, nu: float = 0.5) -> np.ndarray:
 
 
 def default_fz_axis(grid: FrequencyGrid, f_x: np.ndarray, f_y: np.ndarray,
-                    spacing: float | None = None) -> np.ndarray:
-    """Uniform f_z axis covering the band over the available (f_x, f_y) grid."""
-    if spacing is None:
-        spacing = grid.delta
+                    spacing: float) -> np.ndarray:
+    """Uniform f_z axis, ``spacing`` apart, covering the band over the (f_x, f_y) grid."""
     fxy_max = max(float(np.abs(f_x).max()), float(np.abs(f_y).max()))
     lo = math.sqrt(max(grid.f1**2 - 2.0 * fxy_max**2, 0.0))
     n = max(2, int(math.ceil((grid.f_max - lo) / spacing)) + 1)
@@ -401,21 +399,20 @@ def default_fz_axis(grid: FrequencyGrid, f_x: np.ndarray, f_y: np.ndarray,
 
 def reconstruct(observation, sv_antennas, grid: FrequencyGrid, box: ImagingBox,
                 target_spacing: float | None = None, row_tol: float | None = None,
-                pad_factor: float = 1.6, fz_spacing: float | None = None,
-                deramp: bool = True) -> PowerSpectrum:
+                pad_factor: float = 1.6) -> PowerSpectrum:
     """Full chain: resample aperture, transform, remap to the sphere, invert.
 
     ``pad_factor`` controls spectral bin density so the periodic image repeat
     exceeds the box extent by that factor: each transverse axis gets
     max(n, ceil(pad_factor * extent / spacing)) bins, the fewest that do so
     (the phase-matrix transforms take any bin count, so none is rounded up to
-    an FFT size).  ``fz_spacing`` is reduced below the tone gap when the
-    requested box is deep enough to need it.  ``deramp`` phase-references the
-    resampling to the box center.
+    an FFT size).  The f_z spacing is the tone gap, reduced when the box is
+    deep enough to need it.  The resampling is phase-referenced to the box
+    center.
     """
     samples = sample_aperture(observation, sv_antennas, grid,
                               target_spacing=target_spacing, row_tol=row_tol,
-                              deramp_center=box.center if deramp else None)
+                              deramp_center=box.center)
     dx, dy = samples.spacing
     nx, ny, _ = samples.samples.shape
 
@@ -426,8 +423,7 @@ def reconstruct(observation, sv_antennas, grid: FrequencyGrid, box: ImagingBox,
     py = max(ny, math.ceil(need_y / dy))
     spec2d = forward_2d_spectrum(samples, pad=(px, py))
 
-    if fz_spacing is None:
-        fz_spacing = min(grid.delta, C / (pad_factor * max(extent[2], 1e-6)))
+    fz_spacing = min(grid.delta, C / (pad_factor * max(extent[2], 1e-6)))
     f_z = default_fz_axis(grid, spec2d.f_x, spec2d.f_y, spacing=fz_spacing)
     spec3d = remap_to_sphere(spec2d, f_z, ref_depth=float(box.center[2]))
     return inverse_3d_spectrum(spec3d, box)

@@ -1,9 +1,10 @@
-"""Run orchestration: direct-view runs, reflection runs and Monte Carlo sweeps.
+"""Run orchestration: one trial path, single runs and Monte Carlo sweeps.
 
-A trial simulates one snapshot, synchronises per path, images per path, and
-(without line of sight) fuses the virtual detections.  All randomness is
-derived from (config seed, trial index); per-path work is pure, so worker
-counts change wall time only, never results.
+A trial simulates one snapshot, synchronises and images each path, and
+fuses the virtual detections unless the scene has a line of sight and no
+reflecting surfaces, in which case the direct path's image is the estimate.
+All randomness is derived from (config seed, trial index), so results do not
+depend on how a sweep spreads its trials over worker processes.
 """
 
 from __future__ import annotations
@@ -30,18 +31,10 @@ SYNC_REGION = ((-25.0, -25.0, 0.0), (25.0, 25.0, 25.0))
 
 
 @dataclass
-class PathResult:
-    detection: VirtualDetection
-    anchor_converged: bool
-    sync_discrepancy_s: float
-
-
-@dataclass
 class TrialArtifacts:
     """Heavyweight per-trial outputs kept out of the serialisable report."""
 
     scene: Scene
-    detections: list[PathResult]
     cloud: np.ndarray
     mapped_clouds: dict[int, np.ndarray] = field(default_factory=dict)
 
@@ -95,10 +88,19 @@ def _bearing_rotation(direction: np.ndarray) -> np.ndarray:
     return np.array([[c, 0.0, -s], [0.0, 1.0, 0.0], [s, 0.0, c]])
 
 
-def _process_path(args) -> tuple[int, PathResult]:
-    (scene, sig_obs, config, noise_seed) = args
+def _mode(scene) -> str:
+    """"los" for a direct view and no surfaces, else "nlos"; ``scene`` is a Scene or SceneSpec."""
+    return "los" if scene.has_los and not scene.surfaces else "nlos"
+
+
+def _process_path(scene: Scene, sig_obs, config: ScenarioConfig,
+                  noise: NoiseModel) -> tuple[VirtualDetection, bool, float]:
+    """Sync, SFCW simulation and imaging of one path.
+
+    Returns the detection, whether both anchor solves converged, and the
+    disagreement of their clock estimates.
+    """
     grid = config.frequency_grid()
-    noise = NoiseModel(config.noise.phase_sigma_rad, config.noise.snr_db, noise_seed)
     pspec = config.pipeline
     delta = grid.delta
     f_std = _phase_noise_std_m(noise, delta)
@@ -115,10 +117,8 @@ def _process_path(args) -> tuple[int, PathResult]:
 
     center = 0.5 * (sync_a.x_anchor + sync_b.x_anchor)
     rng_to_center = max(float(np.linalg.norm(center)), 1.0)
-    aperture_w = max(config.scene.sv_aperture_m)
-    dy = azimuth_resolution(rng_to_center, aperture_w, grid.center)
-    dz = range_resolution(grid)
-    pitch = pspec.voxel_pitch_m if pspec.voxel_pitch_m is not None else [dy / 2, dy / 2, dz / 2]
+    dy = azimuth_resolution(rng_to_center, max(config.scene.sv_aperture_m), grid.center)
+    pitch = [dy / 2, dy / 2, range_resolution(grid) / 2]
 
     # Image in the path's own frame: rotate about Y so the arrival bearing
     # (known per path from the anchor estimates) faces broadside.  This keeps
@@ -127,21 +127,19 @@ def _process_path(args) -> tuple[int, PathResult]:
     rot = _bearing_rotation(center)
     row_tol = _row_tolerance(config, scene.n_sv)
     spectrum = reconstruct(sfcw_obs.sfcw, scene.sv_antennas @ rot.T, grid,
-                           ImagingBox.centered(rot @ center, config.pipeline.box_extent_m, pitch),
-                           target_spacing=2.0 * row_tol / max(pspec.resample_factor, 1e-9),
-                           row_tol=row_tol,
+                           ImagingBox.centered(rot @ center, pspec.box_extent_m, pitch),
+                           target_spacing=2.0 * row_tol, row_tol=row_tol,
                            pad_factor=pspec.pad_factor)
     cloud = detect_peaks(spectrum, pspec.nu) @ rot
     phi = directed_angle_xz(sync_a.x_anchor, sync_b.x_anchor)
     det = VirtualDetection(path_id=pid, x_a_virtual=sync_a.x_anchor,
                            x_b_virtual=sync_b.x_anchor, cloud=cloud,
                            sigma_hat=sigma_hat, baseline_angle=phi)
-    return pid, PathResult(detection=det,
-                           anchor_converged=sync_a.converged and sync_b.converged,
-                           sync_discrepancy_s=abs(sync_a.sigma_hat - sync_b.sigma_hat))
+    return (det, sync_a.converged and sync_b.converged,
+            abs(sync_a.sigma_hat - sync_b.sigma_hat))
 
 
-def _run_trial(config: ScenarioConfig, mode: str, trial: int = 0, workers: int = 1,
+def _run_trial(config: ScenarioConfig, trial: int = 0,
                distance=None, n_surfaces=None, n_rx=None):
     scene = build_scene(config, trial=trial, distance=distance,
                         n_surfaces=n_surfaces, n_rx=n_rx)
@@ -150,50 +148,40 @@ def _run_trial(config: ScenarioConfig, mode: str, trial: int = 0, workers: int =
     if not report.ok:
         raise ConfigError("; ".join(report.errors))
 
-    seed = trial_noise_seed(config, trial)
-    noise = NoiseModel(config.noise.phase_sigma_rad, config.noise.snr_db, seed)
-    sig_obs = simulate_signature(scene, config.signature(), noise)
-    tasks = [(scene, obs, config, seed) for obs in sig_obs]
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = dict(pool.map(_process_path, tasks))
-    else:
-        results = dict(_process_path(t) for t in tasks)
+    noise = NoiseModel(config.noise.phase_sigma_rad, config.noise.snr_db,
+                       trial_noise_seed(config, trial))
+    paths = [_process_path(scene, obs, config, noise)
+             for obs in simulate_signature(scene, config.signature(), noise)]
+    detections = [det for det, _, _ in paths]
 
-    detections = [results[pid].detection for pid in sorted(results)]
     metrics: dict = {"trial": trial}
-    sigma_true = scene.clock_offset
-    metrics["sync_sigma_err_s"] = max(abs(d.sigma_hat - sigma_true) for d in detections)
-    metrics["sync_discrepancy_s"] = max(results[p].sync_discrepancy_s for p in results)
+    metrics["sync_sigma_err_s"] = max(abs(d.sigma_hat - scene.clock_offset) for d in detections)
+    metrics["sync_discrepancy_s"] = max(discrepancy for _, _, discrepancy in paths)
 
-    for pid in sorted(results):
-        det = results[pid].detection
+    for det, converged, _ in paths:
+        pid = det.path_id
         surface = None if pid == 0 else scene.surfaces[pid - 1]
         true_virtual = scene.anchor_a if surface is None else mirror_point(surface, scene.anchor_a)
         metrics[f"path{pid}_anchor_err_m"] = float(np.linalg.norm(det.x_a_virtual - true_virtual))
         metrics[f"path{pid}_points"] = int(len(det.cloud))
+        metrics[f"path{pid}_sync_converged"] = converged
 
     truth = scene.tv_antennas
-    artifacts = TrialArtifacts(scene=scene, detections=[results[p] for p in sorted(results)],
-                               cloud=np.empty((0, 3)))
+    mapped_clouds = {}
 
-    if mode == "los":
-        det = results[0].detection
+    if _mode(scene) == "los":
+        det = detections[0]
         cloud = det.cloud
         metrics["anchor_err_m"] = float(np.linalg.norm(det.x_a_virtual - scene.anchor_a))
         metrics["anchor_b_err_m"] = float(np.linalg.norm(det.x_b_virtual - scene.anchor_b))
     else:
-        dz = range_resolution(grid)
-        merge = config.pipeline.merge_radius_m
-        merge = dz / 2 if merge is None else merge
         clusters = group_by_clock(detections, config.pipeline.clock_cluster_tol_s)
         clusters.sort(key=lambda c: (-len(c), min(d.path_id for d in c)))
         if not clusters or len(clusters[0]) < 3:
             raise CoposimError(
                 f"combining stage: no clock cluster with >= 3 paths "
                 f"(cluster sizes {[len(c) for c in clusters]})")
-        primary = clusters[0]
-        res = combine_cluster(primary, merge_radius=merge,
+        res = combine_cluster(clusters[0], merge_radius=range_resolution(grid) / 2,
                               grid_step=config.pipeline.theta_grid_step_rad,
                               direct_path_tol=config.pipeline.direct_path_tol_m)
         cloud = res.actual_cloud
@@ -202,7 +190,7 @@ def _run_trial(config: ScenarioConfig, mode: str, trial: int = 0, workers: int =
         metrics["anchor_b_err_m"] = float(np.linalg.norm(res.x_b_star - scene.anchor_b))
         metrics["clusters"] = len(clusters)
         for pid, est, mapped in zip(res.path_ids, res.surfaces, res.mapped_clouds):
-            artifacts.mapped_clouds[pid] = mapped
+            mapped_clouds[pid] = mapped
             if len(mapped):
                 metrics[f"path{pid}_hausdorff_m"] = hausdorff(mapped, truth)
             if est is not None and pid > 0:
@@ -217,17 +205,22 @@ def _run_trial(config: ScenarioConfig, mode: str, trial: int = 0, workers: int =
     metrics["hausdorff_m"] = hausdorff(cloud, truth)
     metrics["rmse_m"] = rmse_nearest(cloud, truth)
     metrics["detected_points"] = int(len(cloud))
-    artifacts.cloud = cloud
-    return metrics, artifacts, report.warnings
+    return metrics, TrialArtifacts(scene, cloud, mapped_clouds), report.warnings
+
+
+def _median_iqr(values) -> tuple[float, float]:
+    """Median and interquartile range of the values, NaN for none."""
+    if not len(values):
+        return math.nan, math.nan
+    q75, q25 = np.percentile(values, [75, 25])
+    return float(np.median(values)), float(q75 - q25)
 
 
 def _aggregate(trials: list[dict], failures: int) -> dict:
     vals = np.array([t["hausdorff_m"] for t in trials if "hausdorff_m" in t])
     agg = {"n_trials": len(trials) + failures, "n_failed": failures}
     if len(vals):
-        agg["hausdorff_median_m"] = float(np.median(vals))
-        q75, q25 = np.percentile(vals, [75, 25])
-        agg["hausdorff_iqr_m"] = float(q75 - q25)
+        agg["hausdorff_median_m"], agg["hausdorff_iqr_m"] = _median_iqr(vals)
     return agg
 
 
@@ -238,27 +231,39 @@ def _make_report(mode, config, warnings, trials, failures, sweep_rows=None) -> R
                      aggregates=_aggregate(trials, failures), sweep_rows=sweep_rows)
 
 
+def run(config: ScenarioConfig) -> tuple[RunReport, TrialArtifacts]:
+    """One trial of the configured scene; the report's ``mode`` says whether
+    it fused reflections ("nlos") or imaged a clear direct view ("los")."""
+    metrics, artifacts, warns = _run_trial(config)
+    return _make_report(_mode(artifacts.scene), config, warns, [metrics], 0), artifacts
+
+
+def _run_checked(mode: str, config: ScenarioConfig, workers: int):
+    if workers != 1:
+        raise ConfigError(f"run_{mode} runs one trial in this process; for trials on "
+                          f"{workers} workers use run_sweep(config, workers={workers})")
+    if _mode(config.scene) != mode:
+        raise ConfigError(f"run_{mode} got a {_mode(config.scene)} scene "
+                          f"(line of sight {config.scene.has_los}, "
+                          f"{len(config.scene.surfaces)} surfaces); use run(config)")
+    return run(config)
+
+
 def run_los(config: ScenarioConfig, workers: int = 1):
-    """Direct-view pipeline: sync, image, detect peaks, score."""
-    if not config.scene.has_los:
-        raise ConfigError("run_los needs scene.has_los = true")
-    metrics, artifacts, warns = _run_trial(config, "los", workers=workers)
-    return _make_report("los", config, warns, [metrics], 0), artifacts
+    """``run`` for a direct-view scene without surfaces; ``workers`` must be 1."""
+    return _run_checked("los", config, workers)
 
 
 def run_nlos(config: ScenarioConfig, workers: int = 1):
-    """Reflection pipeline: per-path sync + imaging, clock clustering, fusion."""
-    if not config.scene.has_los and len(config.scene.surfaces) < 3:
-        raise ConfigError("run_nlos needs at least 3 surfaces when there is no line of sight")
-    metrics, artifacts, warns = _run_trial(config, "nlos", workers=workers)
-    return _make_report("nlos", config, warns, [metrics], 0), artifacts
+    """``run`` for a scene with surfaces or no direct view; ``workers`` must be 1."""
+    return _run_checked("nlos", config, workers)
 
 
 def _sweep_task(packed):
-    config_dict, mode, point, trial = packed
+    config_dict, point, trial = packed
     config = ScenarioConfig.from_dict(config_dict)
     try:
-        metrics, _, _ = _run_trial(config, mode, trial=trial,
+        metrics, _, _ = _run_trial(config, trial=trial,
                                    distance=point.get("distance_m"),
                                    n_surfaces=point.get("surfaces"),
                                    n_rx=point.get("n_rx"))
@@ -267,15 +272,13 @@ def _sweep_task(packed):
         return point, trial, None, f"{type(exc).__name__}: {exc}"
 
 
-def run_sweep(config: ScenarioConfig, workers: int = 1, mode: str | None = None):
+def run_sweep(config: ScenarioConfig, workers: int = 1):
     """Cartesian sweep over distance / surface count / receive antennas.
 
     Per-trial failures are recorded in the fail rate instead of aborting the
     sweep.  Rows carry per-point medians and interquartile ranges.
     """
     sw = config.sweep
-    if mode is None:
-        mode = "los" if config.scene.has_los and not config.scene.surfaces else "nlos"
     distances = sw.distance_m or [config.scene.distance_m]
     counts = sw.surface_counts or [len(config.scene.surfaces)]
     rxs = sw.sv_antenna_counts or [config.scene.sv_antenna_count]
@@ -284,7 +287,7 @@ def run_sweep(config: ScenarioConfig, workers: int = 1, mode: str | None = None)
     if not points or sw.trials < 1:
         raise ConfigError("sweep needs at least one point and one trial")
 
-    tasks = [(config.to_dict(), mode, p, t) for p in points for t in range(sw.trials)]
+    tasks = [(config.to_dict(), p, t) for p in points for t in range(sw.trials)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_sweep_task, tasks))
@@ -297,16 +300,11 @@ def run_sweep(config: ScenarioConfig, workers: int = 1, mode: str | None = None)
     for point in points:
         ok = [m for p, t, m, e in outcomes if p == point and m is not None]
         bad = [e for p, t, m, e in outcomes if p == point and e is not None]
-        vals = np.array([m["hausdorff_m"] for m in ok])
         row = dict(point)
-        row["hausdorff_med_m"] = float(np.median(vals)) if len(vals) else math.nan
-        q = np.percentile(vals, [75, 25]) if len(vals) else (math.nan, math.nan)
-        row["hausdorff_iqr_m"] = float(q[0] - q[1]) if len(vals) else math.nan
+        row["hausdorff_med_m"], row["hausdorff_iqr_m"] = _median_iqr(
+            np.array([m["hausdorff_m"] for m in ok]))
         row["fail_rate"] = len(bad) / sw.trials
         rows.append(row)
-        for m in ok:
-            m = dict(m)
-            m.update(point)
-            all_trials.append(m)
+        all_trials.extend({**m, **point} for m in ok)
         total_failures += len(bad)
     return _make_report("sweep", config, [], all_trials, total_failures, sweep_rows=rows), None

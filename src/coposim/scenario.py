@@ -62,12 +62,9 @@ class NoiseSpec:
 class PipelineSpec:
     nu: float = 0.5
     box_extent_m: list = field(default_factory=lambda: [6.0, 4.0, 6.0])
-    voxel_pitch_m: list | None = None      # None: half the predicted resolutions
     theta_grid_step_rad: float = 1.0e-3
     clock_cluster_tol_s: float = 2.0e-9
-    merge_radius_m: float | None = None    # None: half the range resolution
     pad_factor: float = 1.6
-    resample_factor: float = 1.0
     direct_path_tol_m: float = 0.25
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -228,7 +228,8 @@ def locate_anchor(measurement: PdoaMeasurement, sv_antennas, guess,
             break
 
     x = _canonical_halfspace(x, sv)
-    gtg = _jacobian(x, sv).T @ _jacobian(x, sv)
+    G = _jacobian(x, sv)
+    gtg = G.T @ G
     if converged and np.linalg.cond(gtg) > 1e12:
         raise DegenerateGeometryError("rank-deficient array geometry in anchor solve")
     scale = noise_std_m**2 if noise_std_m is not None else 1.0
@@ -256,6 +257,4 @@ def locate_and_sync(observation, anchor: str, delta: float, sv_antennas,
     guess = initial_guess(meas, sv_antennas, region=region)
     result = locate_anchor(meas, sv_antennas, guess, noise_std_m=noise_std_m)
     sigma = estimate_clock(result.x_anchor, meas, sv_antennas)
-    return SyncResult(x_anchor=result.x_anchor, sigma_hat=sigma,
-                      covariance=result.covariance, iterations=result.iterations,
-                      converged=result.converged, residual_norm=result.residual_norm)
+    return replace(result, sigma_hat=sigma)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import SPEED_OF_LIGHT, Scene
+from .geometry import SPEED_OF_LIGHT, Scene, path_length_matrix
 
 
 @dataclass(frozen=True)
@@ -160,8 +160,6 @@ def validate_scene(scene: Scene, grid: FrequencyGrid) -> ValidationReport:
 
 
 def _scene_range_spread(scene: Scene) -> float:
-    from .geometry import path_length_matrix
-
     spread = 0.0
     for _, surface in scene.path_surfaces():
         d = path_length_matrix(surface, scene.tv_antennas, scene.sv_antennas)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import REF_DELTA, REF_GRID, REF_SIGNATURE, small_scene, square_array
-from coposim.channel import NOISELESS, NoiseModel, resolve_paths, simulate_sfcw, simulate_signature
+from coposim.channel import NOISELESS, NoiseModel, simulate_sfcw, simulate_signature
 from coposim.geometry import SPEED_OF_LIGHT as C
 from coposim.geometry import ReflectionSurface, Scene, path_length
 from coposim.scenario import ScenarioConfig
@@ -151,17 +151,6 @@ class TestDeterminismAndPlumbing:
             assert [o.path_id for o in sub] == [p]
             assert np.array_equal(sub[0].sfcw, full[p].sfcw)
             assert not np.allclose(full[p].sfcw, clean[p].sfcw)
-
-    def test_resolve_paths_and_merge(self):
-        surf = (ReflectionSurface(slope=1.0, intercept=3.0),
-                ReflectionSurface(slope=0.3, intercept=4.0))
-        scene = small_scene(surfaces=surf, has_los=True)
-        sig = simulate_signature(scene, REF_SIGNATURE, NOISELESS)
-        groups = resolve_paths(sig)
-        assert sorted(groups) == [0, 1, 2]
-        assert all(groups[g].sig_a is not None and groups[g].sig_b is not None for g in groups)
-        with pytest.raises(ValueError):
-            resolve_paths(sig + [sig[0]])
 
 
 def test_noise_model_defaults_follow_the_scenario_defaults():

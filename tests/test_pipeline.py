@@ -9,7 +9,8 @@ import pytest
 
 import coposim
 from coposim.analysis import hausdorff
-from coposim.pipeline import run_los, run_nlos, run_sweep
+from coposim.errors import ConfigError
+from coposim.pipeline import run, run_los, run_nlos, run_sweep
 from coposim.scenario import ScenarioConfig
 
 # Small noiseless line-of-sight scenario: 64 tones and a compact box keep a
@@ -43,9 +44,11 @@ NLOS_PATH_HAUSDORFF_BOUND_M = 1.15
 
 
 def test_noiseless_los_trial_recovers_the_anchor():
-    report, artifacts = run_los(ScenarioConfig.from_dict(NOISELESS_LOS))
+    report, artifacts = run(ScenarioConfig.from_dict(NOISELESS_LOS))
     metrics = report.trials[0]
+    assert report.mode == "los"
     assert metrics["anchor_err_m"] < 1e-6
+    assert metrics["path0_sync_converged"] is True
     assert metrics["detected_points"] == len(artifacts.cloud) > 0
     assert report.aggregates["n_failed"] == 0
 
@@ -66,13 +69,13 @@ def package_env(**extra) -> dict:
 
 
 def trial_with_blas_threads(threads: int) -> dict:
-    """Metrics of one ``run_los`` trial in a fresh interpreter; BLAS reads its
+    """Metrics of one ``run`` trial in a fresh interpreter; BLAS reads its
     thread count when it loads, so the setting needs its own process."""
     env = package_env(OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
     script = ("import json, sys\n"
-              "from coposim.pipeline import run_los\n"
+              "from coposim.pipeline import run\n"
               "from coposim.scenario import ScenarioConfig\n"
-              "report, _ = run_los(ScenarioConfig.from_dict(json.loads(sys.argv[1])))\n"
+              "report, _ = run(ScenarioConfig.from_dict(json.loads(sys.argv[1])))\n"
               "print(json.dumps(report.trials[0]))\n")
     done = subprocess.run([sys.executable, "-c", script, json.dumps(NOISELESS_LOS_8M)],
                           env=env, capture_output=True, text=True, timeout=300, check=True)
@@ -86,8 +89,9 @@ def test_los_trial_does_not_depend_on_blas_threads():
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_noiseless_nlos_trial_fuses_the_reflections(seed):
     config = dict(NOISELESS_NLOS, noise={**NOISELESS_NLOS["noise"], "seed": seed})
-    report, artifacts = run_nlos(ScenarioConfig.from_dict(config))
+    report, artifacts = run(ScenarioConfig.from_dict(config))
     metrics = report.trials[0]
+    assert report.mode == "nlos"
     assert metrics["anchor_err_m"] < 1e-5
     assert metrics["hausdorff_m"] < NLOS_HAUSDORFF_BOUND_M
     assert sorted(artifacts.mapped_clouds) == [1, 2, 3]
@@ -96,16 +100,55 @@ def test_noiseless_nlos_trial_fuses_the_reflections(seed):
         assert metrics[f"path{pid}_hausdorff_m"] < NLOS_PATH_HAUSDORFF_BOUND_M
 
 
-def test_cli_run_prints_the_report(tmp_path):
-    path = tmp_path / "los.json"
-    path.write_text(json.dumps(NOISELESS_LOS))
+def cli_run(tmp_path, scenario: dict) -> dict:
+    """The report that ``coposim run`` prints for the scenario."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
     done = subprocess.run([sys.executable, "-m", "coposim.cli", "run", str(path)],
                           env=package_env(), capture_output=True, text=True, timeout=300,
                           check=True)
-    report = json.loads(done.stdout)
+    return json.loads(done.stdout)
+
+
+def test_cli_run_prints_the_report(tmp_path):
+    report = cli_run(tmp_path, NOISELESS_LOS)
     assert report["mode"] == "los"
     assert report["aggregates"]["n_failed"] == 0
     assert report["trials"][0]["anchor_err_m"] < 1e-6
+
+
+def test_cli_run_fuses_a_scene_without_line_of_sight(tmp_path):
+    report = cli_run(tmp_path, NOISELESS_NLOS)
+    assert report["mode"] == "nlos"
+    assert report["aggregates"]["n_failed"] == 0
+    assert report["trials"][0]["anchor_err_m"] < 1e-5
+
+
+# A direct view that also has the three default reflecting surfaces: fused, so
+# of the "nlos" kind.
+LOS_WITH_SURFACES = {"scene": {"has_los": True}}
+
+
+@pytest.mark.parametrize("entry, scenario", [(run_los, NOISELESS_LOS), (run_nlos, NOISELESS_NLOS)])
+def test_named_entries_are_run_for_their_kind_of_scene(entry, scenario):
+    config = ScenarioConfig.from_dict(scenario)
+    named, _ = entry(config, workers=1)
+    plain, _ = run(config)
+    assert named.mode == plain.mode
+    assert named.trials[0] == plain.trials[0]
+
+
+@pytest.mark.parametrize("entry, other", [(run_los, NOISELESS_NLOS), (run_los, LOS_WITH_SURFACES),
+                                          (run_nlos, NOISELESS_LOS)])
+def test_named_entries_reject_the_other_kind_of_scene(entry, other):
+    with pytest.raises(ConfigError, match=r"use run\(config\)"):
+        entry(ScenarioConfig.from_dict(other), workers=1)
+
+
+@pytest.mark.parametrize("entry, scenario", [(run_los, NOISELESS_LOS), (run_nlos, NOISELESS_NLOS)])
+def test_named_entries_point_parallel_work_to_the_sweep(entry, scenario):
+    with pytest.raises(ConfigError, match="run_sweep"):
+        entry(ScenarioConfig.from_dict(scenario), workers=2)
 
 
 def test_console_scripts_import_to_callables():
