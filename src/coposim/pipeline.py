@@ -27,8 +27,6 @@ from .scenario import ScenarioConfig, build_scene, trial_noise_seed
 from .sync import locate_and_sync
 from .waveform import validate_scene
 
-SYNC_REGION = ((-25.0, -25.0, 0.0), (25.0, 25.0, 25.0))
-
 
 @dataclass
 class TrialArtifacts:
@@ -105,10 +103,8 @@ def _process_path(scene: Scene, sig_obs, config: ScenarioConfig,
     delta = grid.delta
     f_std = _phase_noise_std_m(noise, delta)
 
-    sync_a = locate_and_sync(sig_obs, "a", delta, scene.sv_antennas,
-                             region=SYNC_REGION, noise_std_m=f_std)
-    sync_b = locate_and_sync(sig_obs, "b", delta, scene.sv_antennas,
-                             region=SYNC_REGION, noise_std_m=f_std)
+    sync_a = locate_and_sync(sig_obs, "a", delta, scene.sv_antennas, noise_std_m=f_std)
+    sync_b = locate_and_sync(sig_obs, "b", delta, scene.sv_antennas, noise_std_m=f_std)
     sigma_hat = sync_a.sigma_hat
 
     pid = sig_obs.path_id

@@ -7,15 +7,16 @@ against antenna 1 cancels sigma and yields noisy range differences
 
     F_m = c * (eta_m - eta_1) / (2*pi*delta) = D(x, p_m) - D(x, p_1),
 
-a hyperbolic multilateration problem solved by damped Gauss-Newton iteration.
-With the anchor located, sigma is recovered by subtracting the recomputed
-flight times from the measured phases and averaging over antennas.
+a hyperbolic multilateration problem.  The start is closed-form, one linear
+least-squares solve of all the range-difference equations, and damped
+Gauss-Newton iteration then refines it.  With the anchor located, sigma is
+recovered by subtracting the recomputed flight times from the measured phases
+and averaging over antennas.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -129,62 +130,33 @@ def _canonical_halfspace(x: np.ndarray, sv: np.ndarray) -> np.ndarray:
     return x
 
 
-DEFAULT_REGION = ((-20.0, -20.0, 0.0), (20.0, 20.0, 20.0))
+def initial_guess(measurement: PdoaMeasurement, sv_antennas) -> np.ndarray:
+    """Closed-form starting point from all range-difference equations at once.
 
-
-def initial_guess(measurement: PdoaMeasurement, sv_antennas,
-                  region: tuple = DEFAULT_REGION,
-                  coarse: int = 13) -> np.ndarray:
-    """Starting point satisfying three of the range-difference equations.
-
-    A coarse grid over ``region`` seeds a small Gauss-Newton refinement on the
-    three most informative equations (largest spread of measured differences).
-    Falls back to the region centroid, with a warning, when the refinement
-    cannot find a consistent point.
-
-    The default region covers only z >= 0: the aperture faces the arrival
-    direction, and a purely planar array cannot distinguish a source from its
-    mirror image below the plane.
+    With q_m = p_m - p_1, u = x - p_1 and r = |u|, each range difference gives
+    one equation linear in (u, r): 2 q_m.u + 2 F_m r = |q_m|^2 - F_m^2 (Chan &
+    Ho, "A simple and efficient estimator for hyperbolic location", IEEE
+    Trans. SP 42(8), 1994).  It is solved in least squares over the span of the
+    array.  A planar array fixes only the in-plane part of u; the normal part
+    is sqrt(r^2 - |u|^2), on the side the aperture faces.  An array that spans
+    less than a plane raises ``DegenerateGeometryError``.
     """
     sv = as_xyz(sv_antennas)
     if len(sv) < _MIN_ANTENNAS:
         raise FeasibilityError(f"need at least {_MIN_ANTENNAS} antennas, got {len(sv)}")
     f = measurement.range_diffs
-    order = np.argsort(f)
-    picks = np.unique([order[0], order[len(order) // 2], order[-1]])
-    if len(picks) < 3:
-        picks = np.arange(min(3, len(f)))
-    sub_idx = np.concatenate(([0], picks + 1))
-    sub_sv = sv[sub_idx]
-    sub_f = f[picks]
-
-    lo, hi = (np.asarray(region[0], float), np.asarray(region[1], float))
-    axes = [np.linspace(lo[i], hi[i], coarse) for i in range(3)]
-    gx, gy, gz = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
-    d = np.linalg.norm(pts[:, None, :] - sub_sv[None, :, :], axis=2)
-    resid = (d[:, 1:] - d[:, :1]) - sub_f[None, :]
-    best = pts[int(np.argmin((resid**2).sum(axis=1)))]
-
-    x = best.copy()
-    ok = False
-    for _ in range(50):
-        r = sub_f - _range_diff_model(x, sub_sv)
-        G = _jacobian(x, sub_sv)
-        try:
-            h = _gn_step(G, r)
-        except np.linalg.LinAlgError:
-            break
-        x = x + h
-        if np.linalg.norm(h) < 1e-10:
-            ok = True
-            break
-    x = _canonical_halfspace(x, sv)
-    span = float(np.max(hi - lo))
-    if not ok or not np.isfinite(x).all() or np.any(x < lo - span) or np.any(x > hi + span):
-        warnings.warn("initial guess refinement failed; using search-region centroid")
-        return 0.5 * (lo + hi)
-    return x
+    q = sv[1:] - sv[0]
+    _, s, vt = np.linalg.svd(q)
+    rank = int(np.sum(s > 1e-9 * s[0]))
+    if rank < 2:
+        raise DegenerateGeometryError(f"antenna array spans {rank} dimension(s); need 2 or 3")
+    basis = vt[:rank]
+    lhs = np.column_stack([2.0 * q @ basis.T, 2.0 * f])
+    sol = np.linalg.lstsq(lhs, (q * q).sum(axis=1) - f * f, rcond=None)[0]
+    u = sol[:rank] @ basis
+    if rank == 2:
+        u = u + math.sqrt(max(sol[2] ** 2 - u @ u, 0.0)) * vt[2]
+    return _canonical_halfspace(sv[0] + u, sv)
 
 
 def locate_anchor(measurement: PdoaMeasurement, sv_antennas, guess,
@@ -250,11 +222,10 @@ def estimate_clock(x_anchor, measurement: PdoaMeasurement, sv_antennas) -> float
 
 
 def locate_and_sync(observation, anchor: str, delta: float, sv_antennas,
-                    region=DEFAULT_REGION,
                     noise_std_m: float | None = None) -> SyncResult:
     """Convenience chain: measure, guess, locate, then estimate the clock."""
     meas = measure_pdoa(observation, anchor, delta, sv_antennas=sv_antennas)
-    guess = initial_guess(meas, sv_antennas, region=region)
+    guess = initial_guess(meas, sv_antennas)
     result = locate_anchor(meas, sv_antennas, guess, noise_std_m=noise_std_m)
     sigma = estimate_clock(result.x_anchor, meas, sv_antennas)
     return replace(result, sigma_hat=sigma)

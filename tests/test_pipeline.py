@@ -53,6 +53,23 @@ def test_noiseless_los_trial_recovers_the_anchor():
     assert report.aggregates["n_failed"] == 0
 
 
+# Noiseless line of sight at 6 m, default waveform and box.  On these noise
+# seeds a start searched for on a grid over a fixed region sends the anchor
+# solve 4.6e6 m off or into a rank-deficient solve.
+NOISELESS_LOS_6M = {
+    "scene": {"has_los": True, "surfaces": [], "distance_m": 6.0},
+    "noise": {"phase_sigma_rad": 0.0, "snr_db": None},
+}
+
+
+@pytest.mark.parametrize("seed", [4008876094, 3983474997])
+def test_noiseless_los_start_needs_no_search_region(seed):
+    config = dict(NOISELESS_LOS_6M, noise={**NOISELESS_LOS_6M["noise"], "seed": seed})
+    metrics = run(ScenarioConfig.from_dict(config))[0].trials[0]
+    assert metrics["anchor_err_m"] < 1e-6
+    assert metrics["path0_sync_converged"] is True
+
+
 def test_sweep_trials_do_not_depend_on_worker_count():
     config = ScenarioConfig.from_dict(NOISELESS_LOS)
     serial, _ = run_sweep(config, workers=1)

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -9,8 +8,8 @@ from coposim.channel import NOISELESS, NoiseModel, simulate_signature
 from coposim.errors import DegenerateGeometryError, FeasibilityError, UnwrapAmbiguityError
 from coposim.geometry import SPEED_OF_LIGHT as C
 from coposim.geometry import Scene
-from coposim.sync import (estimate_clock, initial_guess, locate_anchor, locate_and_sync,
-                          measure_pdoa)
+from coposim.sync import (PdoaMeasurement, estimate_clock, initial_guess, locate_anchor,
+                          locate_and_sync, measure_pdoa)
 from oracles import grid_search_anchor, range_diff_ssq
 
 
@@ -91,7 +90,7 @@ class TestLocate:
             tv = np.vstack([anchor, anchor + [0.7, 0.1, 0.05]])
             scene = Scene(tv, (0, 1), sv, (), clock_offset=8e-9, has_los=True)
             meas = measure_pdoa(observed(scene, NoiseModel(1e-3, None, trial)), "a", REF_DELTA)
-            res = locate_anchor(meas, sv, initial_guess(meas, sv, region=((-2, -2, -2), (2, 2, 2))))
+            res = locate_anchor(meas, sv, initial_guess(meas, sv))
             ref = grid_search_anchor(meas.range_diffs, sv, center=anchor, half_span=2.0)
             assert np.linalg.norm(res.x_anchor - ref) <= math.sqrt(3) * 0.01 + 1e-9
 
@@ -146,18 +145,33 @@ class TestInitialGuess:
         scene = small_scene()
         meas = measure_pdoa(observed(scene), "a", REF_DELTA)
         guess = initial_guess(meas, scene.sv_antennas)
-        assert np.linalg.norm(guess - scene.anchor_a) < 1.0
+        assert np.linalg.norm(guess - scene.anchor_a) < 1e-6
 
-    def test_degenerate_measurement_falls_back(self):
+    def test_planar_array_off_the_origin(self):
+        # Rank-2 branch: the normal component comes from r^2 - |u|^2, on the
+        # side of the plane z = 3 that holds the source.
+        sv = square_array(4, 1.0, z=3.0)
+        tv = np.array([[-1.2, 0.7, 9.5], [0.4, -0.3, 9.0]])
+        scene = small_scene(sv=sv, tv=tv)
+        guess = initial_guess(measure_pdoa(observed(scene), "a", REF_DELTA), sv)
+        assert np.linalg.norm(guess - scene.anchor_a) < 1e-6
+
+    def test_non_planar_array(self):
+        # Rank-3 branch: (u, r) solved directly, for a source inside and one
+        # outside the enclosing array.
+        sv = sphere_array(16, 2.0)
+        for anchor in ([0.3, -0.5, 0.4], [4.0, 1.0, -6.0]):
+            tv = np.array([anchor, [1.0, 0.0, 0.0]])
+            scene = Scene(tv, (0, 1), sv, (), clock_offset=4e-9, has_los=True)
+            guess = initial_guess(measure_pdoa(observed(scene), "a", REF_DELTA), sv)
+            assert np.linalg.norm(guess - scene.anchor_a) < 1e-6
+
+    def test_collinear_array_raises(self):
         sv = np.stack([np.linspace(0, 1, 5), np.zeros(5), np.zeros(5)], axis=1)
-        from coposim.sync import PdoaMeasurement
         meas = PdoaMeasurement(phase_diffs=np.zeros(5), range_diffs=np.zeros(4),
                                anchor="a", delta=REF_DELTA)
-        with warnings.catch_warnings(record=True) as rec:
-            warnings.simplefilter("always")
-            guess = initial_guess(meas, sv)
-        assert any("centroid" in str(w.message) for w in rec)
-        assert np.allclose(guess, [0.0, 0.0, 10.0])
+        with pytest.raises(DegenerateGeometryError):
+            initial_guess(meas, sv)
 
 
 class TestClock:
