@@ -6,9 +6,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .geometry import SPEED_OF_LIGHT as C
+from .geometry import distance_matrix
 from .waveform import FrequencyGrid
 
 
@@ -103,9 +103,8 @@ def hausdorff(a, b) -> float:
     pb = np.asarray(b, dtype=float).reshape(-1, 3)
     if len(pa) == 0 or len(pb) == 0:
         raise ValueError("hausdorff distance needs non-empty point sets")
-    d_ab = cKDTree(pb).query(pa)[0].max()
-    d_ba = cKDTree(pa).query(pb)[0].max()
-    return float(max(d_ab, d_ba))
+    d = distance_matrix(pa, pb)
+    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
 
 def rmse_nearest(detected, truth) -> float:
@@ -114,5 +113,5 @@ def rmse_nearest(detected, truth) -> float:
     pt = np.asarray(truth, dtype=float).reshape(-1, 3)
     if len(pd) == 0 or len(pt) == 0:
         raise ValueError("rmse needs non-empty point sets")
-    d = cKDTree(pt).query(pd)[0]
+    d = distance_matrix(pd, pt).min(axis=1)
     return float(np.sqrt(np.mean(d * d)))

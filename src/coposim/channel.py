@@ -80,36 +80,29 @@ def _cell_rng(seed: int, domain: int, path_id: int, antenna: int) -> np.random.G
 
 
 def _signature_block(tau: np.ndarray, tones: tuple[float, float], sigma: float,
-                     gamma: complex, noise: NoiseModel, path_id: int,
-                     anchor_tag: int) -> np.ndarray:
-    """Symbols gamma * exp(j*2*pi*f*(sigma - tau)) for both tones, phase-jittered."""
-    n_rx = len(tau)
-    phases = np.empty((n_rx, 2))
+                     gamma: complex, jitter: np.ndarray) -> np.ndarray:
+    """Symbols gamma * exp(j*2*pi*f*(sigma - tau)) for both tones, plus (N_r, 2) phase jitter."""
+    phases = np.empty((len(tau), 2))
     for col, f in enumerate(tones):
         phases[:, col] = 2.0 * math.pi * f * (sigma - tau)
-    if noise.phase_sigma > 0:
-        jitter = np.empty((n_rx, 2))
-        tone_sigma = noise.phase_sigma / math.sqrt(2.0)
-        for m in range(n_rx):
-            rng = _cell_rng(noise.rng_seed, _DOMAIN_SIGNATURE, path_id, m)
-            draws = rng.standard_normal(4) * tone_sigma
-            jitter[m] = draws[0:2] if anchor_tag == 0 else draws[2:4]
-        phases += jitter
-    return gamma * np.exp(1j * phases)
+    return gamma * np.exp(1j * (phases + jitter))
 
 
 def simulate_signature(scene: Scene, sig: SignatureConfig, noise: NoiseModel) -> list[PathObservation]:
     """Demodulated signature symbols for every propagation path of the scene."""
     sigma = scene.clock_offset
+    tone_sigma = noise.phase_sigma / math.sqrt(2.0)
     out = []
     for path_id, surface in scene.path_surfaces():
         gamma = 1.0 + 0.0j if surface is None else complex(surface.gamma)
         tau_a = path_length_matrix(surface, scene.anchor_a[None, :], scene.sv_antennas)[0] / SPEED_OF_LIGHT
         tau_b = path_length_matrix(surface, scene.anchor_b[None, :], scene.sv_antennas)[0] / SPEED_OF_LIGHT
-        sig_a = _signature_block(tau_a, (sig.f_a, sig.f_a + sig.delta), sigma, gamma,
-                                 noise, path_id, anchor_tag=0)
-        sig_b = _signature_block(tau_b, (sig.f_b, sig.f_b + sig.delta), sigma, gamma,
-                                 noise, path_id, anchor_tag=1)
+        jitter = np.zeros((scene.n_sv, 4))
+        if noise.phase_sigma > 0:
+            jitter = np.array([_cell_rng(noise.rng_seed, _DOMAIN_SIGNATURE, path_id, m).standard_normal(4)
+                               for m in range(scene.n_sv)]) * tone_sigma
+        sig_a = _signature_block(tau_a, (sig.f_a, sig.f_a + sig.delta), sigma, gamma, jitter[:, 0:2])
+        sig_b = _signature_block(tau_b, (sig.f_b, sig.f_b + sig.delta), sigma, gamma, jitter[:, 2:4])
         out.append(PathObservation(path_id=path_id, gamma=gamma, sig_a=sig_a, sig_b=sig_b))
     return out
 

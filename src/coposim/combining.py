@@ -21,12 +21,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
-from scipy.spatial import cKDTree
 
 from .errors import DegenerateGeometryError, FeasibilityError
-from .geometry import ReflectionSurface, as_xyz, mirror_point
+from .geometry import ReflectionSurface, as_xyz, distance_matrix, mirror_point
 
 _PARALLEL_TOL = 1e-12
 # Golden-section refinement stops when the angle bracket is this narrow (rad).
@@ -229,9 +226,11 @@ def map_virtual_to_actual(cloud, theta: float, x_a_star, x_a_virtual) -> np.ndar
 def fuse_clouds(clouds: list[np.ndarray], merge_radius: float) -> np.ndarray:
     """Union of mapped clouds with agglomeration of near-duplicate points.
 
-    Points closer than ``merge_radius`` (transitively) collapse to their
-    centroid, so perfectly overlapping per-path detections merge while distinct
-    antennas survive.  Rows keep the order in which their points first appear.
+    Points within ``merge_radius`` (transitively) collapse to their centroid,
+    so overlapping per-path detections merge while distinct antennas survive.
+    Each point starts labelled with its own index and takes the smallest label
+    among its neighbours until no label changes; each then holds its
+    component's first index, so rows keep the order their points first appear.
     """
     pts = np.concatenate([np.empty((0, 3))]
                          + [np.asarray(c, dtype=float).reshape(-1, 3) for c in clouds])
@@ -239,18 +238,14 @@ def fuse_clouds(clouds: list[np.ndarray], merge_radius: float) -> np.ndarray:
         raise ValueError("no points to fuse")
     if merge_radius <= 0:
         return pts
-    pairs = cKDTree(pts).query_pairs(merge_radius, output_type="ndarray")
-    if len(pairs) == 0:
-        return pts
-    n = len(pts)
-    adj = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
-    n_comp, labels = connected_components(adj, directed=False)
-    fused = np.zeros((n_comp, 3))
-    counts = np.bincount(labels, minlength=n_comp).astype(float)
-    for dim in range(3):
-        fused[:, dim] = np.bincount(labels, weights=pts[:, dim], minlength=n_comp) / counts
-    first_index = np.unique(labels, return_index=True)[1]
-    return fused[np.argsort(first_index, kind="stable")]
+    near = distance_matrix(pts, pts) <= merge_radius
+    labels = np.arange(len(pts))
+    while ((smallest := np.where(near, labels[None, :], len(pts)).min(axis=1)) < labels).any():
+        labels = smallest
+    _, labels = np.unique(labels, return_inverse=True)
+    counts = np.bincount(labels).astype(float)
+    sums = [np.bincount(labels, weights=pts[:, dim]) for dim in range(3)]
+    return np.stack(sums, axis=1) / counts[:, None]
 
 
 def combine_cluster(cluster: list[VirtualDetection], merge_radius: float,

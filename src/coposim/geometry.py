@@ -114,13 +114,22 @@ def path_length(surface: ReflectionSurface | None, tx, rx) -> float:
     return float(np.linalg.norm(t - as_xyz(rx)))
 
 
+def distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pairwise Euclidean distances of two (N, 3) point arrays, shape (len(a), len(b)).
+
+    Summed one coordinate at a time: the same sums, in the same order, as
+    ``norm(a[:, None] - b[None], axis=2)``, without its strided reduction.
+    """
+    return np.sqrt(sum((a[:, None, k] - b[None, :, k]) ** 2 for k in range(3)))
+
+
 def path_length_matrix(surface: ReflectionSurface | None, tx_points, rx_points) -> np.ndarray:
     """Pairwise propagation distances, shape (len(tx_points), len(rx_points))."""
     t = np.atleast_2d(as_xyz(tx_points))
     r = np.atleast_2d(as_xyz(rx_points))
     if surface is not None:
         t = mirror_point(surface, t)
-    return np.linalg.norm(t[:, None, :] - r[None, :, :], axis=2)
+    return distance_matrix(t, r)
 
 
 def directed_angle_xz(p, q) -> float:

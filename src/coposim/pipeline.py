@@ -23,7 +23,7 @@ from .errors import ConfigError, CoposimError
 from .geometry import SPEED_OF_LIGHT as C
 from .geometry import Scene, directed_angle_xz, mirror_point
 from .imaging import ImagingBox, detect_peaks, reconstruct
-from .scenario import ScenarioConfig, build_scene, trial_noise_seed
+from .scenario import ScenarioConfig, build_scene, stratified_rows, trial_noise_seed
 from .sync import locate_and_sync
 from .waveform import validate_scene
 
@@ -75,8 +75,7 @@ def _phase_noise_std_m(noise: NoiseModel, delta: float) -> float | None:
 
 def _row_tolerance(config: ScenarioConfig, n_rx: int) -> float:
     w, h = config.scene.sv_aperture_m
-    rows = max(1, int(math.floor(math.sqrt(n_rx * h / max(w, 1e-9)))))
-    return 0.5 * h / rows
+    return 0.5 * h / stratified_rows(n_rx, w, h)
 
 
 def _bearing_rotation(direction: np.ndarray) -> np.ndarray:

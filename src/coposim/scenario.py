@@ -130,6 +130,11 @@ class ScenarioConfig:
         return SignatureConfig(f_a=fa, f_b=fb, delta=w.delta_hz)
 
 
+def stratified_rows(n: int, width: float, height: float) -> int:
+    """Row count of the near-square grid that holds n points on a width x height rectangle."""
+    return max(1, int(math.floor(math.sqrt(n * height / max(width, 1e-9)))))
+
+
 def _stratified_rect(n: int, width: float, height: float, jitter: float,
                      rng: np.random.Generator) -> np.ndarray:
     """n jittered points on a width x height rectangle centered at the origin.
@@ -137,7 +142,7 @@ def _stratified_rect(n: int, width: float, height: float, jitter: float,
     One point per cell of a near-square grid; jitter stays below half a cell
     so rows remain separable for the aperture resampler.
     """
-    rows = max(1, int(math.floor(math.sqrt(n * height / max(width, 1e-9)))))
+    rows = stratified_rows(n, width, height)
     cols = int(math.ceil(n / rows))
     pts = []
     cw, ch = width / cols, height / rows

@@ -266,3 +266,39 @@ def direct_sfcw(tv, sv, freqs, residual: float, gamma: complex) -> np.ndarray:
                 total += cmath.exp(2j * math.pi * float(f) * (residual - math.dist(tx, rx) / C))
             out[r, k] = gamma * total
     return out
+
+
+def brute_hausdorff(a, b) -> float:
+    """max(h(A, B), h(B, A)) with h the largest nearest-point gap, point by point."""
+
+    def directed(src, dst):
+        worst = 0.0
+        for p in src:
+            worst = max(worst, min(math.dist(p, q) for q in dst))
+        return worst
+
+    a, b = [tuple(map(float, p)) for p in a], [tuple(map(float, p)) for p in b]
+    return max(directed(a, b), directed(b, a))
+
+
+def transitive_merge(points, radius: float) -> np.ndarray:
+    """Centroids of the groups of points linked by gaps <= radius, by union-find.
+
+    Groups are listed in the order in which their first point appears.
+    """
+    parent = list(range(len(points)))
+
+    def root(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            if math.dist(points[i], points[j]) <= radius:
+                parent[max(root(i), root(j))] = min(root(i), root(j))
+    groups = {}
+    for i, p in enumerate(points):
+        groups.setdefault(root(i), []).append(p)
+    return np.array([[sum(p[d] for p in g) / len(g) for d in range(3)] for g in groups.values()])

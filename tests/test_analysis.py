@@ -7,6 +7,7 @@ from coposim.analysis import (LinkBudgetParams, azimuth_resolution, hausdorff, r
                               rcs, rmse_nearest, rx_power)
 from coposim.geometry import SPEED_OF_LIGHT as C
 from coposim.waveform import FrequencyGrid
+from oracles import brute_hausdorff
 
 
 class TestResolutions:
@@ -126,6 +127,12 @@ class TestHausdorff:
             assert hab >= 0.0
             assert hausdorff(a, a) == 0.0
             assert hab <= hausdorff(a, c) + hausdorff(c, b) + 1e-9
+
+    def test_matches_brute_force_on_random_clouds(self, rng):
+        for _ in range(50):
+            a = rng.uniform(-5, 5, size=(rng.integers(1, 30), 3))
+            b = rng.uniform(-5, 5, size=(rng.integers(1, 30), 3))
+            assert hausdorff(a, b) == pytest.approx(brute_hausdorff(a, b), rel=1e-12)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ from coposim.combining import (VirtualDetection, _candidates, _scatter_objective
                                map_virtual_to_actual, search_theta_ref)
 from coposim.errors import DegenerateGeometryError, FeasibilityError
 from coposim.geometry import ReflectionSurface, directed_angle_xz, mirror_point
-from oracles import mirror_across_line, pairwise_ray_scatter, tan_form_recovery_map
+from oracles import mirror_across_line, pairwise_ray_scatter, tan_form_recovery_map, transitive_merge
 
 
 def make_detection(path_id, surface, x_a, x_b, cloud, sigma=1e-8):
@@ -213,6 +213,35 @@ class TestFuseAndCluster:
         fused = fuse_clouds([a, b], merge_radius=0.05)
         assert fused.shape == (1, 3)
         assert fused[0, 0] == pytest.approx(0.01)
+
+    def test_chain_merges_transitively(self):
+        # A-B and B-C are within the radius, A-C is not: all three fuse.
+        chain = np.array([[0.0, 0.0, 0.0], [0.04, 0.0, 0.0], [0.08, 0.0, 0.0]])
+        fused = fuse_clouds([chain[[0, 2]], chain[[1]]], merge_radius=0.05)
+        assert fused.shape == (1, 3)
+        assert np.allclose(fused, [[0.04, 0.0, 0.0]])
+
+    def test_points_exactly_merge_radius_apart_merge(self):
+        fused = fuse_clouds([[[0.0, 0.0, 0.0]], [[0.5, 0.0, 0.0]]], merge_radius=0.5)
+        assert np.array_equal(fused, [[0.25, 0.0, 0.0]])
+
+    def test_interleaved_groups_keep_first_appearance_order(self):
+        p, q, r = np.eye(3) * 4.0
+        cloud_1 = np.array([q, p + 0.01])
+        cloud_2 = np.array([r, p, q + 0.01, r + 0.01])
+        fused = fuse_clouds([cloud_1, cloud_2], merge_radius=0.05)
+        assert np.allclose(fused, [q + 0.005, p + 0.005, r + 0.005])
+
+    def test_matches_union_find_on_random_clouds(self, rng):
+        for _ in range(30):
+            clouds = [rng.uniform(0, 1, size=(rng.integers(0, 25), 3)) for _ in range(3)]
+            if not any(len(c) for c in clouds):
+                continue
+            radius = float(rng.uniform(0.05, 0.3))
+            fused = fuse_clouds(clouds, merge_radius=radius)
+            expected = transitive_merge(np.concatenate(clouds), radius)
+            assert fused.shape == expected.shape
+            assert np.allclose(fused, expected, rtol=0, atol=1e-12)
 
     def test_group_by_clock(self):
         def det(pid, sig):

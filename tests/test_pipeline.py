@@ -176,3 +176,10 @@ def test_console_scripts_import_to_callables():
     for target in scripts.values():
         module, _, attr = target.partition(":")
         assert callable(getattr(importlib.import_module(module), attr))
+
+
+def test_pipeline_import_needs_no_scipy():
+    script = "import sys, coposim.pipeline\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run([sys.executable, "-c", script], env=package_env(),
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"
