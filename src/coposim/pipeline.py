@@ -10,6 +10,7 @@ depend on how a sweep spreads its trials over worker processes.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -211,9 +212,12 @@ def _median_iqr(values) -> tuple[float, float]:
     return float(np.median(values)), float(q75 - q25)
 
 
-def _aggregate(trials: list[dict], failures: int) -> dict:
+def _aggregate(trials: list[dict], failures: list[str]) -> dict:
+    """Counts and Hausdorff spread; ``failures`` holds one "Type: message" per failed trial."""
     vals = np.array([t["hausdorff_m"] for t in trials if "hausdorff_m" in t])
-    agg = {"n_trials": len(trials) + failures, "n_failed": failures}
+    by_type = Counter(f.split(":", 1)[0] for f in failures)
+    agg = {"n_trials": len(trials) + len(failures), "n_failed": len(failures),
+           "failures_by_type": dict(sorted(by_type.items()))}
     if len(vals):
         agg["hausdorff_median_m"], agg["hausdorff_iqr_m"] = _median_iqr(vals)
     return agg
@@ -230,7 +234,7 @@ def run(config: ScenarioConfig) -> tuple[RunReport, TrialArtifacts]:
     """One trial of the configured scene; the report's ``mode`` says whether
     it fused reflections ("nlos") or imaged a clear direct view ("los")."""
     metrics, artifacts, warns = _run_trial(config)
-    return _make_report(_mode(artifacts.scene), config, warns, [metrics], 0), artifacts
+    return _make_report(_mode(artifacts.scene), config, warns, [metrics], []), artifacts
 
 
 def _run_checked(mode: str, config: ScenarioConfig, workers: int):
@@ -271,7 +275,8 @@ def run_sweep(config: ScenarioConfig, workers: int = 1):
     """Cartesian sweep over distance / surface count / receive antennas.
 
     Per-trial failures are recorded in the fail rate instead of aborting the
-    sweep.  Rows carry per-point medians and interquartile ranges.
+    sweep, and counted by exception type in the aggregates.  Rows carry
+    per-point medians and interquartile ranges.
     """
     sw = config.sweep
     distances = sw.distance_m or [config.scene.distance_m]
@@ -291,7 +296,7 @@ def run_sweep(config: ScenarioConfig, workers: int = 1):
 
     rows = []
     all_trials = []
-    total_failures = 0
+    failures = []
     for point in points:
         ok = [m for p, t, m, e in outcomes if p == point and m is not None]
         bad = [e for p, t, m, e in outcomes if p == point and e is not None]
@@ -301,5 +306,5 @@ def run_sweep(config: ScenarioConfig, workers: int = 1):
         row["fail_rate"] = len(bad) / sw.trials
         rows.append(row)
         all_trials.extend({**m, **point} for m in ok)
-        total_failures += len(bad)
-    return _make_report("sweep", config, [], all_trials, total_failures, sweep_rows=rows), None
+        failures.extend(bad)
+    return _make_report("sweep", config, [], all_trials, failures, sweep_rows=rows), None

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from coposim.geometry import Scene, path_length_matrix
 from coposim.imaging import (ApertureSamples, ImagingBox, PowerSpectrum, Spectrum2D,
                              Spectrum3D, detect_peaks, forward_2d_spectrum,
                              inverse_3d_spectrum, reconstruct, remap_to_sphere,
-                             sample_aperture, _SLAB_ENTRIES)
+                             sample_aperture, _SLAB_ENTRIES, _SLAB_ROWS)
 from coposim.analysis import azimuth_resolution, range_resolution
 from coposim.waveform import FrequencyGrid
 from oracles import (backprojection, direct_aperture_spectrum, direct_fourier_sum,
@@ -33,7 +34,7 @@ def point_target_symbols(targets, sv, grid):
 
 
 def peak_position(ps: PowerSpectrum):
-    mag = ps.magnitude()
+    mag = np.abs(ps.voxels)
     idx = np.unravel_index(int(np.argmax(mag)), mag.shape)
     return ps.origin + np.array(idx, dtype=float) * ps.spacing
 
@@ -257,29 +258,71 @@ class TestRemap:
                                   np.flip(out, axis))
 
 
+def inverse_against_direct_sum(f_x, f_y, shape):
+    """inverse_3d_spectrum of random values and the direct sum, into a box well
+    off the origin at a pitch unrelated to the spectral bin spacings, so no
+    axis is an FFT-native grid."""
+    rng = np.random.default_rng(4)
+    f_z = 56.3e9 + 0.173e9 * np.arange(7)
+    size = (len(f_x), len(f_y), len(f_z))
+    vals = rng.normal(size=size) + 1j * rng.normal(size=size)
+    spec = Spectrum3D(f_x=f_x, f_y=f_y, f_z=f_z, values=vals,
+                      shell_spacing=0.15e9, sample_area=2.5e-3)
+    box = ImagingBox(origin=np.array([0.83, -0.41, 5.37]),
+                     spacing=np.array([0.037, 0.041, 0.029]), shape=shape)
+    out = inverse_3d_spectrum(spec, box).voxels
+
+    z_ref = abs(box.origin[2] + 0.029 * (shape[2] - 1) / 2)
+    weight = z_ref * C * 0.173e9 / (len(f_x) * len(f_y) * 2.5e-3 * 0.15e9 * f_z)
+    idx = np.stack(np.meshgrid(*[np.arange(n) for n in box.shape], indexing="ij"),
+                   axis=-1).reshape(-1, 3)
+    points = box.origin + idx * box.spacing
+    ref = direct_fourier_sum(vals * weight, f_x, f_y, f_z, points).reshape(box.shape)
+    assert out.shape == box.shape and out.dtype == complex
+    return out, ref
+
+
 class TestInverse:
     def test_matches_direct_sum_in_off_centre_box(self):
-        # Tiny spectrum into a box well off the origin, at a pitch unrelated to
-        # the spectral bin spacings, so no axis is an FFT-native grid.
-        rng = np.random.default_rng(4)
-        f_x = -2.0e9 + 0.61e9 * np.arange(6)
-        f_y = -1.1e9 + 0.47e9 * np.arange(5)
-        f_z = 56.3e9 + 0.173e9 * np.arange(7)
-        vals = rng.normal(size=(6, 5, 7)) + 1j * rng.normal(size=(6, 5, 7))
-        spec = Spectrum3D(f_x=f_x, f_y=f_y, f_z=f_z, values=vals,
-                          shell_spacing=0.15e9, sample_area=2.5e-3)
-        box = ImagingBox(origin=np.array([0.83, -0.41, 5.37]),
-                         spacing=np.array([0.037, 0.041, 0.029]), shape=(9, 4, 11))
-        out = inverse_3d_spectrum(spec, box).voxels
-
-        z_ref = abs(box.origin[2] + 0.029 * 5)
-        weight = z_ref * C * 0.173e9 / (6 * 5 * 2.5e-3 * 0.15e9 * f_z)
-        idx = np.stack(np.meshgrid(*[np.arange(n) for n in box.shape], indexing="ij"),
-                       axis=-1).reshape(-1, 3)
-        points = box.origin + idx * box.spacing
-        ref = direct_fourier_sum(vals * weight, f_x, f_y, f_z, points).reshape(box.shape)
-        assert out.shape == box.shape
+        # Asymmetric axes: no bin has its exact negative, so nothing is paired.
+        out, ref = inverse_against_direct_sum(-2.0e9 + 0.61e9 * np.arange(6),
+                                              -1.1e9 + 0.47e9 * np.arange(5), (9, 4, 11))
         assert np.allclose(out, ref, rtol=0.0, atol=1e-9 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("f_x, f_y, shape", [
+        # fftshift(fftfreq) axes of odd and even length: pairs, a zero bin and
+        # an unpaired Nyquist bin.
+        (np.fft.fftshift(np.fft.fftfreq(7)) * 4.4e9,
+         np.fft.fftshift(np.fft.fftfreq(6)) * 3.1e9, (9, 4, 11)),
+        # Unshifted fftfreq order along x, and an x extent of two full slabs
+        # and a partial one.
+        (np.fft.fftfreq(8) * 4.4e9, np.fft.fftshift(np.fft.fftfreq(5)) * 3.1e9,
+         (2 * _SLAB_ROWS + 5, 3, 4)),
+    ], ids=["fftfreq-odd-even", "slabs"])
+    def test_matches_direct_sum_on_paired_axes_and_slabs(self, f_x, f_y, shape):
+        out, ref = inverse_against_direct_sum(f_x, f_y, shape)
+        assert np.allclose(out, ref, rtol=0.0, atol=1e-9 * np.abs(ref).max())
+
+    def test_allocates_only_the_output_the_z_product_and_a_slab(self):
+        # Ten slabs along x.  The full-volume x product alone would be ten slabs.
+        n = 16
+        f_xy = np.fft.fftshift(np.fft.fftfreq(n)) * 4.0e9
+        f_z = 56.3e9 + 0.173e9 * np.arange(n)
+        vals = np.ones((n, n, n), dtype=complex)
+        spec = Spectrum3D(f_x=f_xy, f_y=f_xy, f_z=f_z, values=vals,
+                          shell_spacing=0.15e9, sample_area=2.5e-3)
+        box = ImagingBox(origin=np.array([-1.0, -0.5, 6.0]), spacing=np.full(3, 0.01),
+                         shape=(10 * _SLAB_ROWS, 48, n))
+        out_bytes = 16 * math.prod(box.shape)
+        z_product = 16 * n * n * box.shape[2]
+        slab = 16 * _SLAB_ROWS * n * box.shape[2]
+        tracemalloc.start()
+        try:
+            inverse_3d_spectrum(spec, box)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out_bytes + z_product + 3 * slab
 
 
 class TestReconstruct:
@@ -295,7 +338,7 @@ class TestReconstruct:
         assert np.all(np.abs(pos - target) <= np.array([dy, dy, dz]))
         # coherent gain within 10% of direct matched-filter back-projection
         bp = abs(backprojection(sym, sv, GRID64.frequencies, target[None, :])[0])
-        assert ps.magnitude().max() >= 0.9 * bp
+        assert np.abs(ps.voxels).max() >= 0.9 * bp
         assert len(detect_peaks(ps, 0.5)) == 1
 
     def test_matches_backprojection_argmax(self):
@@ -433,21 +476,57 @@ class TestDetectPeaks:
         assert np.allclose(peaks[0], [1.0, 1.0, 1.0])
         assert np.allclose(peaks[1], [5.0, 5.0, 5.0])
 
+    @staticmethod
+    def tie_volume(rng, nx):
+        # Few levels give plateaus and ties; peaks go on corners, edges and faces.
+        vol = rng.integers(0, 4, size=(nx, 6, 4)).astype(float)
+        vol[0, 0, 0] = vol[-1, -1, -1] = 6.0
+        vol[0, 3, -1] = 5.0
+        vol[2, 0, 2] = vol[2, 0, 3] = 5.0
+        vol[rng.integers(0, nx), rng.integers(0, 6), 0] = 6.0
+        vol[3, 2, 1:3] = 4.0
+        return vol
+
+    def assert_matches_brute_force(self, rng, vol, nu):
+        signs = rng.choice([-1.0, 1.0], size=vol.shape)
+        peaks = detect_peaks(self.make_ps(vol * signs), nu)
+        expected = np.array(local_maxima_26(vol, nu), dtype=float).reshape(-1, 3)
+        assert np.array_equal(peaks, expected)
+
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("nu", [0.2, 0.5, 1.0])
     def test_matches_brute_force_with_ties_and_border_peaks(self, seed, nu):
         rng = np.random.default_rng(seed)
-        shape = (5, 6, 4)
-        # Few levels give plateaus and ties; peaks go on corners, edges and faces.
-        vol = rng.integers(0, 4, size=shape).astype(float)
-        vol[0, 0, 0] = vol[-1, -1, -1] = 6.0
-        vol[0, 3, -1] = 5.0
-        vol[2, 0, 2] = vol[2, 0, 3] = 5.0
-        vol[rng.integers(0, 5), rng.integers(0, 6), 0] = 6.0
-        vol[3, 2, 1:3] = 4.0
-        peaks = detect_peaks(self.make_ps(vol * rng.choice([-1.0, 1.0], size=shape)), nu)
-        expected = np.array(local_maxima_26(vol, nu), dtype=float).reshape(-1, 3)
-        assert np.array_equal(peaks, expected)
+        self.assert_matches_brute_force(rng, self.tie_volume(rng, 5), nu)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("nu", [0.2, 0.5, 1.0])
+    def test_matches_brute_force_across_slabs(self, seed, nu):
+        # Three full slabs and a partial one: the second slab is below every
+        # threshold, and a tie and a dominating neighbour straddle the
+        # boundary of the last full slab and the partial one.
+        rng = np.random.default_rng(seed)
+        vol = self.tie_volume(rng, 3 * _SLAB_ROWS + 5)
+        vol[_SLAB_ROWS:2 * _SLAB_ROWS] *= 0.1
+        b = 3 * _SLAB_ROWS
+        vol[b - 1, 1, 1] = vol[b, 1, 1] = 6.0
+        vol[b - 1, 4, 2], vol[b, 5, 3] = 5.0, 5.5
+        self.assert_matches_brute_force(rng, vol, nu)
+
+    def test_magnitudes_are_taken_slab_by_slab(self):
+        # A sparse-peak volume of ten slabs: a full-size magnitude volume would
+        # be half the size of the complex voxels.
+        vol = np.full((10 * _SLAB_ROWS, 40, 30), 0.01 + 0.01j)
+        vol[17, 20, 15] = vol[250, 3, 29] = 1.0
+        ps = self.make_ps(vol)
+        tracemalloc.start()
+        try:
+            peaks = detect_peaks(ps, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(peaks, [[17.0, 20.0, 15.0], [250.0, 3.0, 29.0]])
+        assert peak < ps.voxels.nbytes / 4
 
     def test_all_zero_raises(self):
         with pytest.raises(EmptySpectrumError):

@@ -117,11 +117,11 @@ def test_noiseless_nlos_trial_fuses_the_reflections(seed):
         assert metrics[f"path{pid}_hausdorff_m"] < NLOS_PATH_HAUSDORFF_BOUND_M
 
 
-def cli_run(tmp_path, scenario: dict) -> dict:
-    """The report that ``coposim run`` prints for the scenario."""
+def cli_run(tmp_path, scenario: dict, command: str = "run") -> dict:
+    """The report that ``coposim COMMAND`` prints for the scenario."""
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(scenario))
-    done = subprocess.run([sys.executable, "-m", "coposim.cli", "run", str(path)],
+    done = subprocess.run([sys.executable, "-m", "coposim.cli", command, str(path)],
                           env=package_env(), capture_output=True, text=True, timeout=300,
                           check=True)
     return json.loads(done.stdout)
@@ -139,6 +139,16 @@ def test_cli_run_fuses_a_scene_without_line_of_sight(tmp_path):
     assert report["mode"] == "nlos"
     assert report["aggregates"]["n_failed"] == 0
     assert report["trials"][0]["anchor_err_m"] < 1e-5
+
+
+def test_cli_sweep_counts_failures_by_type(tmp_path):
+    # Scene validation rejects one receive antenna (sync needs at least 4), so
+    # that point fails and the other runs.
+    scenario = dict(NOISELESS_LOS, sweep={"trials": 1, "sv_antenna_counts": [1, 64]})
+    report = cli_run(tmp_path, scenario, "sweep")
+    assert report["aggregates"]["n_failed"] == 1
+    assert report["aggregates"]["failures_by_type"] == {"ConfigError": 1}
+    assert [row["fail_rate"] for row in report["sweep_rows"]] == [1.0, 0.0]
 
 
 # A direct view that also has the three default reflecting surfaces: fused, so
