@@ -209,20 +209,6 @@ def estimate_surface(x_a_star, x_a_virtual, theta: float) -> ReflectionSurface:
     return ReflectionSurface(slope=slope, intercept=mid_z - slope * mid_x)
 
 
-def map_virtual_to_actual(cloud, theta: float, x_a_star, x_a_virtual) -> np.ndarray:
-    """Mirror a virtual cloud across the surface implied by the anchor pair.
-
-    This is the pointwise recovery map: y is preserved and the map is an
-    involution, because it is exactly the specular reflection across the
-    estimated surface.
-    """
-    pts = np.asarray(cloud, dtype=float).reshape(-1, 3)
-    if len(pts) == 0:
-        return pts
-    surface = estimate_surface(x_a_star, x_a_virtual, theta)
-    return mirror_point(surface, pts)
-
-
 def fuse_clouds(clouds: list[np.ndarray], merge_radius: float) -> np.ndarray:
     """Union of mapped clouds with agglomeration of near-duplicate points.
 

@@ -26,4 +26,5 @@ class InterpolationDegeneracyError(CoposimError):
 
 
 class EmptySpectrumError(CoposimError):
-    """Peak detection invoked on an all-zero power spectrum."""
+    """Peak detection found no usable maximum: the power spectrum is all zero,
+    or holds a NaN or infinite magnitude."""

@@ -102,18 +102,6 @@ def mirror_point(surface: ReflectionSurface, p) -> np.ndarray:
     return pts[0] if single else pts
 
 
-def path_length(surface: ReflectionSurface | None, tx, rx) -> float:
-    """Propagation distance from ``tx`` to ``rx``.
-
-    Line of sight when ``surface`` is None; otherwise the specular path via the
-    surface, equal to the straight distance from the mirror image of ``tx``.
-    """
-    t = as_xyz(tx)
-    if surface is not None:
-        t = mirror_point(surface, t)
-    return float(np.linalg.norm(t - as_xyz(rx)))
-
-
 def distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise Euclidean distances of two (N, 3) point arrays, shape (len(a), len(b)).
 

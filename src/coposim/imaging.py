@@ -24,8 +24,9 @@ inverse ones at the voxel coordinates, so the voxel grid can sit anywhere
 1/f_z weights ride in the z matrix.  The inverse's transverse products are
 real: each spatial-frequency bin is paired with its exact negative, so cos
 and sin matrices act on pair sums and differences.  They run over slabs of
-voxel rows along x, as does the peak search, so the output volume is the
-only full-size array of the inverse and the search.  Amplitudes are
+voxel rows along x, computed only when the peak search asks for them, and
+the search keeps a few slabs of magnitudes at a time: no full-size volume is
+held unless a caller reads ``PowerSpectrum.voxels``.  Amplitudes are
 calibrated so that, for a Nyquist-sampled aperture, the peak of a single
 emitter matches the coherent gain of direct matched-filter back-projection
 over (antenna, tone) pairs.
@@ -108,16 +109,71 @@ class ImagingBox:
         return self.origin + self.spacing * (np.array(self.shape) - 1) / 2.0
 
 
-@dataclass(frozen=True)
 class PowerSpectrum:
-    """Complex reconstruction volume with voxel metadata."""
+    """Complex reconstruction volume with voxel metadata, read in slabs along x.
 
-    voxels: np.ndarray
-    origin: np.ndarray
-    spacing: np.ndarray
+    Built by hand, ``PowerSpectrum(voxels=..., origin=..., spacing=...)``
+    holds its volume, and ``slabs()`` yields slices of it.  The one that
+    ``inverse_3d_spectrum`` returns holds the factors of the inverse instead:
+    the folded z product and the x and y [cos | sin] matrices.  Its
+    ``slabs()`` computes each slab when it is asked for, into one reused
+    buffer, so a yielded slab is valid only until the next one.  ``voxels``
+    assembles the full volume on first access and keeps it; ``slabs()`` then
+    reads that volume.
+    """
+
+    def __init__(self, voxels: np.ndarray, origin: np.ndarray, spacing: np.ndarray):
+        self._volume = voxels
+        self._factors = None
+        self.shape = voxels.shape
+        self.origin = origin
+        self.spacing = spacing
+
+    @classmethod
+    def _factored(cls, folded: np.ndarray, mx: np.ndarray, my: np.ndarray,
+                  box: ImagingBox) -> PowerSpectrum:
+        spectrum = cls.__new__(cls)
+        spectrum._volume = None
+        spectrum._factors = (folded, mx, my)
+        spectrum.shape = box.shape
+        spectrum.origin = box.origin.copy()
+        spectrum.spacing = box.spacing.copy()
+        return spectrum
 
     def axis(self, i: int) -> np.ndarray:
-        return self.origin[i] + self.spacing[i] * np.arange(self.voxels.shape[i])
+        return self.origin[i] + self.spacing[i] * np.arange(self.shape[i])
+
+    @property
+    def voxels(self) -> np.ndarray:
+        """The full complex volume, assembled on first access."""
+        if self._volume is None:
+            volume = np.empty(self.shape, dtype=complex)
+            for _ in self._computed_slabs(volume):
+                pass
+            self._volume = volume
+        return self._volume
+
+    def slabs(self):
+        """(first row, complex slab) for each run of ``_SLAB_ROWS`` voxel rows along x."""
+        if self._volume is not None:
+            for start in range(0, self.shape[0], _SLAB_ROWS):
+                yield start, self._volume[start:start + _SLAB_ROWS]
+        else:
+            yield from self._computed_slabs()
+
+    def _computed_slabs(self, volume: np.ndarray | None = None):
+        """Each slab as two real products: into ``volume`` when given, else into one buffer."""
+        folded, mx, my = self._factors
+        x_part = np.empty((min(_SLAB_ROWS, len(mx)), folded.shape[1]))
+        slab = volume if volume is not None else np.empty((len(x_part), *self.shape[1:]),
+                                                          dtype=complex)
+        for start in range(0, len(mx), _SLAB_ROWS):
+            rows = mx[start:start + _SLAB_ROWS]
+            out = slab[start:start + len(rows)] if volume is not None else slab[:len(rows)]
+            np.matmul(rows, folded, out=x_part[:len(rows)])
+            np.matmul(my, x_part[:len(rows)].reshape(len(rows), my.shape[1], -1),
+                      out=out.view(float))
+            yield start, out
 
 
 def _cluster_rows(y_coords: np.ndarray, row_tol: float | None) -> list[np.ndarray]:
@@ -330,8 +386,9 @@ def remap_to_sphere(spec: Spectrum2D, f_z: np.ndarray, ref_depth: float = 0.0) -
                       shell_spacing=spec.grid.delta, sample_area=spec.sample_area)
 
 
-# Voxel rows along x per slab of the inverse and of the peak search.  A slab's
-# intermediates stay a few MB, so the output volume is the only full-size array.
+# Voxel rows along x per slab of the inverse and of the peak search.  A slab
+# and its intermediates stay a few MB; the pipeline holds a few slabs of a
+# path's volume at a time and never the whole volume.
 _SLAB_ROWS = 32
 
 
@@ -361,20 +418,19 @@ def _cos_sin_matrix(f: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.concatenate([np.cos(arg), np.sin(arg)], axis=1)
 
 
-def _fold(values: np.ndarray, lead: np.ndarray, lag: np.ndarray, axis: int) -> np.ndarray:
-    """Rows v_lead + v_lag, then j*(v_lead - v_lag), along ``axis`` (v_lag = 0 past ``lag``).
+def _fold(values: np.ndarray, lead: np.ndarray, lag: np.ndarray) -> np.ndarray:
+    """Rows v_lead + v_lag, then j*(v_lead - v_lag), along the first axis (v_lag = 0 past ``lag``).
 
     With them, sum_i exp(j*a*f_i*t) v_i = [cos | sin](a*f_lead*t) @ rows for
     a real matrix: a pair of bins +-f gives cos on their sum and sin on j times
     their difference, and an unpaired bin cos on v and sin on j*v.
     """
-    v = np.moveaxis(values, axis, 0)
-    rows = v[np.concatenate([lead, lead])]
+    rows = values[np.concatenate([lead, lead])]
     n, k = len(lead), len(lag)
-    rows[:k] += v[lag]
-    rows[n:n + k] -= v[lag]
+    rows[:k] += values[lag]
+    rows[n:n + k] -= values[lag]
     rows[n:] *= 1j
-    return np.moveaxis(rows, 0, axis)
+    return rows
 
 
 def inverse_3d_spectrum(spec: Spectrum3D, box: ImagingBox) -> PowerSpectrum:
@@ -391,11 +447,14 @@ def inverse_3d_spectrum(spec: Spectrum3D, box: ImagingBox) -> PowerSpectrum:
     The z product is complex.  The transverse products are real: each f_x and
     f_y bin is paired with its exact negative, the z product is folded once
     into pair sums and j-times pair differences (``_fold``), and cos and sin
-    matrices multiply the float view of the folded data.  On fftshift(fftfreq)
+    matrices multiply the float view of the folded data.  The z product is
+    taken one f_x row at a time and folded straight into place, so the folded
+    data is its only full-size array.  On fftshift(fftfreq)
     axes only the zero and Nyquist bins stay unpaired, so that halves the real
-    multiplies.  The x and y products then run over slabs of ``_SLAB_ROWS``
-    voxel rows along x, each writing its y product straight into the output,
-    so the output is the only full-size array.  Taking x before y is what
+    multiplies.  This function stops there: it returns a ``PowerSpectrum``
+    holding the folded data and the x and y matrices, and the x and y products
+    run later, per slab of ``_SLAB_ROWS`` voxel rows along x, when the
+    spectrum's ``slabs()`` or ``voxels`` is read.  Taking x before y is what
     lets a slab finish on its own, and it also costs 13-28% fewer multiplies
     than y before x on the pipeline's boxes, which are wider in x than in y.
     """
@@ -411,19 +470,41 @@ def inverse_3d_spectrum(spec: Spectrum3D, box: ImagingBox) -> PowerSpectrum:
     ez = _phase_matrix(spec.f_z, box.axis(2)) * scale[:, None]
     x_lead, x_lag = _paired_bins(spec.f_x)
     y_lead, y_lag = _paired_bins(spec.f_y)
-    folded = _fold(_fold(spec.values @ ez, y_lead, y_lag, axis=1), x_lead, x_lag, axis=0)
+    n, k = len(x_lead), len(x_lag)
+    folded = np.empty((2 * n, 2 * len(y_lead), ez.shape[1]), dtype=complex)
+    for r, i in enumerate(x_lead):
+        lead = _fold(spec.values[i] @ ez, y_lead, y_lag)
+        if r < k:
+            lag = _fold(spec.values[x_lag[r]] @ ez, y_lead, y_lag)
+            np.add(lead, lag, out=folded[r])
+            np.subtract(lead, lag, out=folded[n + r])
+        else:
+            folded[r] = folded[n + r] = lead
+    folded[n:] *= 1j
     folded = folded.view(float).reshape(len(folded), -1)   # (2 x leads, 2 y leads * 2 nz)
     mx = _cos_sin_matrix(spec.f_x[x_lead], box.axis(0))
     my = _cos_sin_matrix(spec.f_y[y_lead], box.axis(1))
+    return PowerSpectrum._factored(folded, mx, my, box)
 
-    out = np.empty(box.shape, dtype=complex)
-    out_real = out.view(float)                             # (nx, ny, 2 nz)
-    slab = np.empty((min(_SLAB_ROWS, box.shape[0]), folded.shape[1]))
-    for s in range(0, box.shape[0], _SLAB_ROWS):
-        rows = mx[s:s + _SLAB_ROWS]
-        x_part = np.matmul(rows, folded, out=slab[:len(rows)])
-        np.matmul(my, x_part.reshape(len(rows), my.shape[1], -1), out=out_real[s:s + _SLAB_ROWS])
-    return PowerSpectrum(voxels=out, origin=box.origin.copy(), spacing=box.spacing.copy())
+
+def _local_maxima(mag: np.ndarray, start: int, cand: np.ndarray, offsets: np.ndarray,
+                  threshold: float) -> tuple[np.ndarray, ...]:
+    """(x, y, z, magnitude) of the candidates that reach ``threshold`` and every neighbour.
+
+    ``mag`` is a padded magnitude slab whose first row is voxel row
+    ``start - 1``; ``cand`` holds flat indices into it, and ``offsets`` the
+    flat steps to the 26 neighbours.
+    """
+    flat = mag.reshape(-1)
+    m = flat[cand]
+    keep = m >= threshold
+    cand, m = cand[keep], m[keep]
+    for step in offsets:
+        keep = m >= flat[cand + step]
+        cand, m = cand[keep], m[keep]
+    x, rest = np.divmod(cand, mag.shape[1] * mag.shape[2])
+    y, z = np.divmod(rest, mag.shape[2])
+    return start + x - 1, y - 1, z - 1, m
 
 
 def detect_peaks(spectrum: PowerSpectrum, nu: float = 0.5) -> np.ndarray:
@@ -433,37 +514,55 @@ def detect_peaks(spectrum: PowerSpectrum, nu: float = 0.5) -> np.ndarray:
     26-voxel neighbourhood, with zero outside the volume; bare thresholding
     would return blobs instead of point detections.  Rows are ordered by
     descending magnitude (index order breaks ties) so output is deterministic.
+    A NaN or infinite magnitude, or an all-zero volume, raises
+    ``EmptySpectrumError``.
 
-    Magnitudes are taken in slabs of ``_SLAB_ROWS`` rows along x: one pass
-    finds each slab's maximum, and a second thresholds only the slabs that
-    reach nu times the largest.  The survivors and their neighbours are then
-    gathered from the complex volume, so no full-size magnitude volume is
-    built; ``np.abs`` gives the same values either way.
+    The spectrum is read once, through ``slabs()``.  Each slab's magnitudes go
+    into one of two alternating buffers with a halo row on each side and a
+    zero border in y and z (zero outside the volume); only a slab whose
+    maximum reaches nu times the running maximum is thresholded, against that
+    running maximum.  It never exceeds the final maximum, so the candidates
+    hold every survivor.  Once the next slab's first row is in the halo, the
+    26-neighbour test runs on the candidates through flat index offsets, and
+    the last filter is against the final maximum.  No full-size array is
+    built.
     """
     if not 0.0 < nu <= 1.0:
         raise ValueError("nu must lie in (0, 1]")
-    vox = spectrum.voxels
-    starts = range(0, vox.shape[0], _SLAB_ROWS)
-    slab_max = [float(np.abs(vox[s:s + _SLAB_ROWS]).max()) for s in starts] if vox.size else []
-    peak = max(slab_max, default=0.0)
+    _, ny, nz = spectrum.shape
+    padded = (min(_SLAB_ROWS, spectrum.shape[0]) + 2, ny + 2, nz + 2)
+    offsets = np.array([(dx * padded[1] + dy) * padded[2] + dz
+                        for dx, dy, dz in itertools.product((-1, 0, 1), repeat=3)
+                        if dx or dy or dz])
+    plane = padded[1] * padded[2]   # flat offset of a buffer's first voxel row
+    buffers = (np.zeros(padded), np.zeros(padded))
+    peak = 0.0
+    found = []
+    pending = None                  # (buffer, first row, rows, candidates) of the last slab
+    for k, (start, slab) in enumerate(spectrum.slabs()):
+        mag, rows = buffers[k % 2], len(slab)
+        np.abs(slab, out=mag[1:rows + 1, 1:-1, 1:-1])
+        top = float(mag[1:rows + 1].max())
+        if not math.isfinite(top):
+            raise EmptySpectrumError("power spectrum has a NaN or infinite magnitude")
+        peak = max(peak, top)
+        mag[rows + 1] = 0.0
+        if pending is None:
+            mag[0] = 0.0
+        else:
+            last, last_start, last_rows, cand = pending
+            mag[0] = last[last_rows]
+            last[last_rows + 1] = mag[1]
+            found.append(_local_maxima(last, last_start, cand, offsets, nu * peak))
+        cand = (np.flatnonzero(mag[1:rows + 1] >= nu * peak) + plane
+                if 0.0 < peak and nu * peak <= top else np.empty(0, dtype=np.intp))
+        pending = mag, start, rows, cand
     if peak == 0.0:
         raise EmptySpectrumError("power spectrum is identically zero")
-    # Flat scans in C order, as np.nonzero would give them, slab after slab.
-    row = vox[0].size
-    flat = np.concatenate([s * row + np.flatnonzero(np.abs(vox[s:s + _SLAB_ROWS]) >= nu * peak)
-                           for s, m in zip(starts, slab_max) if m >= nu * peak])
-    cand = np.unravel_index(flat, vox.shape)
-    mags = np.abs(vox[cand])
-    # Only threshold survivors are tested.  Magnitudes are non-negative, so a
-    # zero outside the volume never wins; clipping a neighbour index onto the
-    # edge instead reads a voxel of the same neighbourhood, which is equivalent.
-    shifted = [[np.clip(i + d, 0, n - 1) for d in (-1, 0, 1)]
-               for i, n in zip(cand, vox.shape)]
-    keep = np.ones(len(mags), dtype=bool)
-    for nbr in itertools.product(*shifted):
-        keep &= mags >= np.abs(vox[nbr])
-    ix, iy, iz = (i[keep] for i in cand)
-    mags = mags[keep]
+    found.append(_local_maxima(pending[0], pending[1], pending[3], offsets, nu * peak))
+    ix, iy, iz, mags = (np.concatenate(column) for column in zip(*found))
+    keep = mags >= nu * peak
+    ix, iy, iz, mags = ix[keep], iy[keep], iz[keep], mags[keep]
     order = np.lexsort((iz, iy, ix, -mags))
     idx = np.stack([ix[order], iy[order], iz[order]], axis=1).astype(float)
     return spectrum.origin[None, :] + idx * spectrum.spacing[None, :]
@@ -489,7 +588,8 @@ def reconstruct(observation, sv_antennas, grid: FrequencyGrid, box: ImagingBox,
     (the phase-matrix transforms take any bin count, so none is rounded up to
     an FFT size).  The f_z spacing is the tone gap, reduced when the box is
     deep enough to need it.  The resampling is phase-referenced to the box
-    center.
+    center.  The returned spectrum computes its voxels slab by slab when they
+    are read (see ``PowerSpectrum``).
     """
     samples = sample_aperture(observation, sv_antennas, grid,
                               target_spacing=target_spacing, row_tol=row_tol,
@@ -507,4 +607,5 @@ def reconstruct(observation, sv_antennas, grid: FrequencyGrid, box: ImagingBox,
     fz_spacing = min(grid.delta, C / (pad_factor * max(extent[2], 1e-6)))
     f_z = default_fz_axis(grid, spec2d.f_x, spec2d.f_y, spacing=fz_spacing)
     spec3d = remap_to_sphere(spec2d, f_z, ref_depth=float(box.center[2]))
+    del samples, spec2d   # not needed past here; the inverse's arrays can reuse their memory
     return inverse_3d_spectrum(spec3d, box)

@@ -55,20 +55,33 @@ def mirror_across_line(slope: float, intercept: float, points: np.ndarray) -> np
     return pts
 
 
+def mirror_across_surface(surface, point) -> np.ndarray:
+    """Mirror image of one point; ``surface`` needs only ``slope``,
+    ``intercept`` and ``vertical`` (then the trace is x = intercept)."""
+    p = np.asarray(point, dtype=float)
+    if surface.vertical:
+        return np.array([2.0 * surface.intercept - p[0], p[1], p[2]])
+    return mirror_across_line(surface.slope, surface.intercept, p)[0]
+
+
+def path_length(surface, tx, rx) -> float:
+    """Propagation distance: straight when ``surface`` is None, else from the
+    mirror image of ``tx`` to ``rx``."""
+    t = tx if surface is None else mirror_across_surface(surface, tx)
+    return math.dist(np.asarray(t, dtype=float), np.asarray(rx, dtype=float))
+
+
 def specular_point(surface, tx, rx) -> np.ndarray:
     """Where the segment mirror(tx) -> rx crosses the surface trace.
 
-    ``surface`` needs only ``slope``, ``intercept`` and ``vertical`` (then
-    the trace is x = intercept).  Raises ValueError when the segment runs
-    parallel to the trace.
+    ``surface`` is as in ``mirror_across_surface``.  Raises ValueError when
+    the segment runs parallel to the trace.
     """
-    tx = np.asarray(tx, dtype=float)
     rx = np.asarray(rx, dtype=float)
+    t = mirror_across_surface(surface, tx)
     if surface.vertical:
-        t = np.array([2.0 * surface.intercept - tx[0], tx[1], tx[2]])
         ft, fr = t[0] - surface.intercept, rx[0] - surface.intercept
     else:
-        t = mirror_across_line(surface.slope, surface.intercept, tx)[0]
         ft = t[2] - surface.slope * t[0] - surface.intercept
         fr = rx[2] - surface.slope * rx[0] - surface.intercept
     if ft == fr:
@@ -127,6 +140,17 @@ def tan_form_recovery_map(points: np.ndarray, theta: float, x_a_star: np.ndarray
     pts[:, 0] = x + dx
     pts[:, 2] = z + t * dx
     return pts
+
+
+def map_virtual_to_actual(points: np.ndarray, theta: float, x_a_star: np.ndarray,
+                          x_a_virtual: np.ndarray) -> np.ndarray:
+    """Virtual-to-actual map as a vector reflection: across the plane through
+    the anchor midpoint with unit normal (cos(theta), 0, sin(theta)).  Unlike
+    the tan() form it holds at every theta."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    normal = np.array([math.cos(theta), 0.0, math.sin(theta)])
+    mid = 0.5 * (np.asarray(x_a_star, dtype=float) + np.asarray(x_a_virtual, dtype=float))
+    return pts - 2.0 * ((pts - mid) @ normal)[:, None] * normal
 
 
 def indicator_transform(points: np.ndarray, f_vectors: np.ndarray) -> np.ndarray:

@@ -6,10 +6,10 @@ import pytest
 from conftest import REF_DELTA, REF_GRID, REF_SIGNATURE, small_scene, square_array
 from coposim.channel import NOISELESS, NoiseModel, simulate_sfcw, simulate_signature
 from coposim.geometry import SPEED_OF_LIGHT as C
-from coposim.geometry import ReflectionSurface, Scene, path_length
+from coposim.geometry import ReflectionSurface, Scene
 from coposim.scenario import ScenarioConfig
 from coposim.waveform import FrequencyGrid
-from oracles import direct_sfcw, mirror_across_line
+from oracles import direct_sfcw, mirror_across_line, path_length
 
 
 class TestSignature:

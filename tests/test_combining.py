@@ -6,11 +6,11 @@ import pytest
 from conftest import REF_SURFACES
 from coposim.analysis import hausdorff
 from coposim.combining import (VirtualDetection, _candidates, _scatter_objective, combine_cluster,
-                               estimate_surface, fuse_clouds, group_by_clock,
-                               map_virtual_to_actual, search_theta_ref)
+                               estimate_surface, fuse_clouds, group_by_clock, search_theta_ref)
 from coposim.errors import DegenerateGeometryError, FeasibilityError
 from coposim.geometry import ReflectionSurface, directed_angle_xz, mirror_point
-from oracles import mirror_across_line, pairwise_ray_scatter, tan_form_recovery_map, transitive_merge
+from oracles import (map_virtual_to_actual, mirror_across_line, pairwise_ray_scatter,
+                     tan_form_recovery_map, transitive_merge)
 
 
 def make_detection(path_id, surface, x_a, x_b, cloud, sigma=1e-8):
@@ -156,19 +156,20 @@ class TestSurfaceAndMapping:
             assert est.intercept == pytest.approx(planted.intercept, rel=1e-2)
 
     def test_mapping_matches_tan_form_oracle(self, rng):
-        # the mirror implementation must agree with the closed tan() expression
-        for _ in range(50):
-            theta = rng.uniform(-math.pi / 2, math.pi / 2)
-            if abs(math.sin(theta)) < 0.05 or abs(math.cos(theta)) < 0.05:
-                continue
+        # The mirror across the estimated surface, as combine_cluster maps a
+        # virtual cloud, must agree with the closed tan() expression where it
+        # is defined, and with the vector reflection at every angle.
+        for theta in [*rng.uniform(-math.pi / 2, math.pi / 2, 50), 0.0, math.pi / 2]:
             x_star = rng.uniform(-5, 5, 3)
             direction = np.array([math.cos(theta), 0.0, math.sin(theta)])
             x_virt = x_star + rng.uniform(0.5, 4.0) * direction
             pts = rng.uniform(-6, 6, (8, 3))
-            ours = map_virtual_to_actual(pts, theta, x_star, x_virt)
-            oracle = tan_form_recovery_map(pts, theta, x_star, x_virt)
-            assert np.allclose(ours, oracle, atol=1e-9)
+            ours = mirror_point(estimate_surface(x_star, x_virt, theta), pts)
+            assert np.allclose(ours, map_virtual_to_actual(pts, theta, x_star, x_virt), atol=1e-9)
             assert np.allclose(ours[:, 1], pts[:, 1])
+            if abs(math.sin(theta)) >= 0.05 and abs(math.cos(theta)) >= 0.05:
+                oracle = tan_form_recovery_map(pts, theta, x_star, x_virt)
+                assert np.allclose(ours, oracle, atol=1e-9)
 
     def test_mapping_is_involution_and_fixes_surface_points(self):
         theta = 0.7
@@ -177,11 +178,9 @@ class TestSurfaceAndMapping:
         surface = estimate_surface(x_star, x_virt, theta)
         on_surface = np.array([[0.0, 0.3, surface.height_at(0.0)],
                                [2.0, -0.1, surface.height_at(2.0)]])
-        assert np.allclose(map_virtual_to_actual(on_surface, theta, x_star, x_virt),
-                           on_surface, atol=1e-9)
+        assert np.allclose(mirror_point(surface, on_surface), on_surface, atol=1e-9)
         pts = np.array([[0.4, 0.2, 1.0], [-2.0, 0.0, 5.0]])
-        mapped = map_virtual_to_actual(pts, theta, x_star, x_virt)
-        assert np.allclose(map_virtual_to_actual(mapped, theta, x_star, x_virt), pts, atol=1e-9)
+        assert np.allclose(mirror_point(surface, mirror_point(surface, pts)), pts, atol=1e-9)
 
     def test_mirror_matches_textbook_reflection(self, rng):
         for _ in range(30):

@@ -5,8 +5,8 @@ import pytest
 
 from coposim.errors import DegenerateGeometryError
 from coposim.geometry import (Point3, ReflectionSurface, Scene, directed_angle_xz,
-                              mirror_point, path_length, path_length_matrix)
-from oracles import specular_point
+                              mirror_point, path_length_matrix)
+from oracles import path_length, specular_point
 
 
 def random_surface(rng) -> ReflectionSurface:
@@ -50,14 +50,19 @@ class TestMirrorPoint:
             assert np.allclose(batch[i], mirror_point(s, pts[i]))
 
 
+def one_path_length(surface, tx, rx) -> float:
+    """``path_length_matrix`` of one transmitter and one receiver."""
+    return float(path_length_matrix(surface, tx, rx)[0, 0])
+
+
 class TestPathLength:
     def test_los_zero_and_direct(self):
-        assert path_length(None, [0, 0, 8], [0, 0, 8]) == 0.0
-        assert path_length(None, [0, 0, 8], [0, 0, 0]) == pytest.approx(8.0)
+        assert one_path_length(None, [0, 0, 8], [0, 0, 8]) == 0.0
+        assert one_path_length(None, [0, 0, 8], [0, 0, 0]) == pytest.approx(8.0)
 
     def test_reflected_hand_example(self):
         s = ReflectionSurface(slope=0.0, intercept=3.0)
-        assert path_length(s, [1, 0, 0], [0, 0, 0]) == pytest.approx(math.sqrt(37.0))
+        assert one_path_length(s, [1, 0, 0], [0, 0, 0]) == pytest.approx(math.sqrt(37.0))
 
     def test_reflected_equals_two_segments(self, rng):
         # The mirror construction must equal tx -> specular point -> rx.
@@ -74,7 +79,7 @@ class TestPathLength:
             nx, nz, d = s.normal_form()
             same_side = (tx[0] * nx + tx[2] * nz - d) * (rx[0] * nx + rx[2] * nz - d) > 0
             if same_side:
-                assert path_length(s, tx, rx) == pytest.approx(two_leg, abs=1e-9)
+                assert one_path_length(s, tx, rx) == pytest.approx(two_leg, abs=1e-9)
 
     def test_reflected_at_least_direct_same_side(self, rng):
         for _ in range(100):
@@ -83,7 +88,7 @@ class TestPathLength:
             rx = rng.uniform(-8, 8, size=3)
             nx, nz, d = s.normal_form()
             if (tx[0] * nx + tx[2] * nz - d) * (rx[0] * nx + rx[2] * nz - d) > 0:
-                assert path_length(s, tx, rx) >= np.linalg.norm(tx - rx) - 1e-12
+                assert one_path_length(s, tx, rx) >= np.linalg.norm(tx - rx) - 1e-12
 
     def test_matrix_matches_scalar(self, rng):
         s = ReflectionSurface(slope=1.3, intercept=4.0)

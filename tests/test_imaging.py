@@ -303,8 +303,9 @@ class TestInverse:
         out, ref = inverse_against_direct_sum(f_x, f_y, shape)
         assert np.allclose(out, ref, rtol=0.0, atol=1e-9 * np.abs(ref).max())
 
-    def test_allocates_only_the_output_the_z_product_and_a_slab(self):
-        # Ten slabs along x.  The full-volume x product alone would be ten slabs.
+    def test_streamed_peak_search_allocates_a_quarter_of_the_volume(self):
+        # Twenty slabs along x: the inverse and the peak search together hold
+        # a few slabs of the volume, never the whole of it.
         n = 16
         f_xy = np.fft.fftshift(np.fft.fftfreq(n)) * 4.0e9
         f_z = 56.3e9 + 0.173e9 * np.arange(n)
@@ -312,17 +313,113 @@ class TestInverse:
         spec = Spectrum3D(f_x=f_xy, f_y=f_xy, f_z=f_z, values=vals,
                           shell_spacing=0.15e9, sample_area=2.5e-3)
         box = ImagingBox(origin=np.array([-1.0, -0.5, 6.0]), spacing=np.full(3, 0.01),
-                         shape=(10 * _SLAB_ROWS, 48, n))
-        out_bytes = 16 * math.prod(box.shape)
-        z_product = 16 * n * n * box.shape[2]
-        slab = 16 * _SLAB_ROWS * n * box.shape[2]
+                         shape=(20 * _SLAB_ROWS, 48, n))
         tracemalloc.start()
         try:
-            inverse_3d_spectrum(spec, box)
+            peaks = detect_peaks(inverse_3d_spectrum(spec, box), 0.5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= out_bytes + z_product + 3 * slab
+        assert len(peaks) and peak < 16 * math.prod(box.shape) / 4
+
+
+def point_spectrum(f_x, f_y, f_z, emitters):
+    """Spectrum of point emitters (amplitude, x, y, z): its image peaks at each point."""
+    vals = np.zeros((len(f_x), len(f_y), len(f_z)), dtype=complex)
+    for amp, x, y, z in emitters:
+        vals += amp * np.exp(-2j * math.pi / C * (f_x[:, None, None] * x + f_y[None, :, None] * y
+                                                  + f_z[None, None, :] * z))
+    return vals
+
+
+class TestStreamedScan:
+    F_X = np.fft.fftshift(np.fft.fftfreq(9)) * 4.4e9
+    F_Y = np.fft.fftshift(np.fft.fftfreq(5)) * 3.1e9
+    F_Z = 56.3e9 + 0.173e9 * np.arange(7)
+    ORIGIN = np.array([0.11, -0.05, 5.9])
+    SPACING = np.array([0.004, 0.02, 0.03])
+
+    def spectrum(self, values):
+        return Spectrum3D(f_x=self.F_X, f_y=self.F_Y, f_z=self.F_Z, values=values,
+                          shell_spacing=0.15e9, sample_area=2.5e-3)
+
+    def point(self, row, iy=2, iz=3):
+        return self.ORIGIN + self.SPACING * np.array([row, iy, iz])
+
+    def values(self, case, nx):
+        if case == "random":
+            rng = np.random.default_rng(nx)
+            size = (len(self.F_X), len(self.F_Y), len(self.F_Z))
+            return rng.normal(size=size) + 1j * rng.normal(size=size)
+        if case == "late-max":
+            # A weaker emitter in the first slab and the global maximum in the
+            # last row, so the running maximum only reaches it at the end.
+            return point_spectrum(self.F_X, self.F_Y, self.F_Z,
+                                  [(0.6, *self.point(1)), (1.0, *self.point(nx - 1))])
+        # "boundary-tie": all power in the f_y = 0 bin makes the image exactly
+        # constant along y, so the peak on the last row of the first slab ties
+        # with its y neighbours.
+        vals = point_spectrum(self.F_X, self.F_Y, self.F_Z,
+                              [(1.0, *self.point(min(_SLAB_ROWS, nx) - 1))])
+        vals[:, self.F_Y != 0.0] = 0.0
+        return vals
+
+    @pytest.mark.parametrize("nx", [_SLAB_ROWS - 12, 2 * _SLAB_ROWS, 2 * _SLAB_ROWS + 1])
+    @pytest.mark.parametrize("case", ["random", "late-max", "boundary-tie"])
+    @pytest.mark.parametrize("nu", [0.2, 0.5, 1.0])
+    def test_streamed_matches_the_assembled_volume(self, nx, case, nu):
+        box = ImagingBox(origin=self.ORIGIN, spacing=self.SPACING, shape=(nx, 6, 7))
+        spec = self.spectrum(self.values(case, nx))
+        streamed = detect_peaks(inverse_3d_spectrum(spec, box), nu)
+        vox = inverse_3d_spectrum(spec, box).voxels
+        held = detect_peaks(PowerSpectrum(voxels=vox, origin=box.origin, spacing=box.spacing), nu)
+        expected = box.origin + np.array(local_maxima_26(np.abs(vox), nu), dtype=float).reshape(
+            -1, 3) * box.spacing
+        assert np.array_equal(streamed, held)
+        assert np.array_equal(streamed, expected)
+        if case == "late-max":
+            last_slab = (nx - 1) // _SLAB_ROWS * _SLAB_ROWS
+            assert streamed[0][0] >= self.point(last_slab)[0]
+        if case == "boundary-tie" and nu == 1.0:
+            row = min(_SLAB_ROWS, nx) - 1
+            assert np.array_equal(streamed, [self.point(row, iy) for iy in range(6)])
+
+    def test_slabs_are_views_of_one_buffer_and_match_the_volume(self):
+        box = ImagingBox(origin=self.ORIGIN, spacing=self.SPACING, shape=(2 * _SLAB_ROWS + 1, 6, 7))
+        ps = inverse_3d_spectrum(self.spectrum(self.values("random", 3)), box)
+        vox = inverse_3d_spectrum(self.spectrum(self.values("random", 3)), box).voxels
+        bases = set()
+        for start, slab in ps.slabs():
+            assert np.array_equal(slab, vox[start:start + _SLAB_ROWS])
+            bases.add(id(slab.base))
+        assert start == 2 * _SLAB_ROWS and len(slab) == 1 and len(bases) == 1
+        assert ps.shape == box.shape and np.array_equal(ps.voxels, vox)
+
+    def test_all_zero_spectrum_raises(self):
+        box = ImagingBox(origin=self.ORIGIN, spacing=self.SPACING, shape=(2 * _SLAB_ROWS, 6, 7))
+        spec = self.spectrum(np.zeros((len(self.F_X), len(self.F_Y), len(self.F_Z)), complex))
+        with pytest.raises(EmptySpectrumError):
+            detect_peaks(inverse_3d_spectrum(spec, box), 0.5)
+
+    @pytest.mark.parametrize("first_bad_row", [0, _SLAB_ROWS])
+    def test_non_finite_rows_raise(self, first_bad_row):
+        # A NaN spectrum bin makes every voxel NaN.  Otherwise an x pitch near
+        # the float maximum overflows f_x * x to inf from row 32 on, so the x
+        # matrix, and the image, hold NaN rows only from the second slab on.
+        spacing = self.SPACING.copy()
+        vals = self.values("random", 3)
+        if first_bad_row:
+            spacing[0] = np.finfo(float).max / (np.abs(self.F_X).max() * (_SLAB_ROWS - 0.5))
+        else:
+            vals[4, 2, 3] = np.nan
+        box = ImagingBox(origin=np.array([0.0, 0.0, 5.9]), spacing=spacing,
+                         shape=(2 * _SLAB_ROWS, 6, 7))
+        with np.errstate(over="ignore", invalid="ignore"):
+            ps = inverse_3d_spectrum(self.spectrum(vals), box)
+            rows = np.isnan(inverse_3d_spectrum(self.spectrum(vals), box).voxels).any(axis=(1, 2))
+            assert np.flatnonzero(rows)[0] == first_bad_row
+            with pytest.raises(EmptySpectrumError):
+                detect_peaks(ps, 0.5)
 
 
 class TestReconstruct:
@@ -513,6 +610,17 @@ class TestDetectPeaks:
         vol[b - 1, 4, 2], vol[b, 5, 3] = 5.0, 5.5
         self.assert_matches_brute_force(rng, vol, nu)
 
+    @pytest.mark.parametrize("nu", [0.2, 0.5, 0.7, 1.0])
+    def test_running_max_rises_two_slabs_late(self, nu):
+        # Local maxima in the first slab clear nu times the running maximum
+        # there; the global maximum arrives two slabs later and must still
+        # filter them.
+        rng = np.random.default_rng(9)
+        vol = 0.05 * rng.random((2 * _SLAB_ROWS + 1, 5, 4))
+        vol[5, 2, 2], vol[20, 1, 3] = 0.6, 0.3
+        vol[2 * _SLAB_ROWS, 1, 1] = 1.0
+        self.assert_matches_brute_force(rng, vol, nu)
+
     def test_magnitudes_are_taken_slab_by_slab(self):
         # A sparse-peak volume of ten slabs: a full-size magnitude volume would
         # be half the size of the complex voxels.
@@ -527,6 +635,15 @@ class TestDetectPeaks:
             tracemalloc.stop()
         assert np.array_equal(peaks, [[17.0, 20.0, 15.0], [250.0, 3.0, 29.0]])
         assert peak < ps.voxels.nbytes / 4
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.inf, np.nan)])
+    @pytest.mark.parametrize("row", [0, _SLAB_ROWS + 3])
+    def test_non_finite_magnitude_raises(self, bad, row):
+        vol = np.zeros((2 * _SLAB_ROWS, 4, 4), dtype=complex)
+        vol[5, 1, 1] = 1.0
+        vol[row, 2, 3] = bad
+        with pytest.raises(EmptySpectrumError):
+            detect_peaks(self.make_ps(vol), 0.5)
 
     def test_all_zero_raises(self):
         with pytest.raises(EmptySpectrumError):

@@ -1,13 +1,16 @@
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import coposim
+from coposim import imaging
 from coposim.analysis import hausdorff
 from coposim.errors import ConfigError
 from coposim.pipeline import run, run_los, run_nlos, run_sweep
@@ -101,6 +104,28 @@ def trial_with_blas_threads(threads: int) -> dict:
 
 def test_los_trial_does_not_depend_on_blas_threads():
     assert trial_with_blas_threads(1) == trial_with_blas_threads(2)
+
+
+def test_los_trial_never_holds_its_full_volume(monkeypatch):
+    # The default 8 m box: its volume (54 MB) outweighs every other array of
+    # the trial, while the small box's 1.6 MB volume is below the spectra's.
+    shapes = []
+    inverse = imaging.inverse_3d_spectrum
+
+    def recording_inverse(spec, box):
+        shapes.append(box.shape)
+        return inverse(spec, box)
+
+    monkeypatch.setattr(imaging, "inverse_3d_spectrum", recording_inverse)
+    config = ScenarioConfig.from_dict(NOISELESS_LOS_8M)
+    tracemalloc.start()
+    try:
+        report, _ = run(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.trials[0]["detected_points"] > 0
+    assert len(shapes) == 1 and peak < 16 * math.prod(shapes[0])
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
