@@ -23,10 +23,15 @@ inverse ones at the voxel coordinates, so the voxel grid can sit anywhere
 (boxes are centered on the clock-sync anchor estimate) at any pitch; the
 1/f_z weights ride in the z matrix.  The inverse's transverse products are
 real: each spatial-frequency bin is paired with its exact negative, so cos
-and sin matrices act on pair sums and differences.  They run over slabs of
-voxel rows along x, computed only when the peak search asks for them, and
-the search keeps a few slabs of magnitudes at a time: no full-size volume is
-held unless a caller reads ``PowerSpectrum.voxels``.  Amplitudes are
+and sin matrices act on pair sums and differences.  The peak search bounds
+before it computes.  The x product, taken over slabs of voxel rows along x,
+bounds every voxel row: the y matrix holds cosines and sines, so no |voxel|
+of row i exceeds the largest, over z, of hypot(sum |Re x_i|, sum |Im x_i|)
+over the y bins.  Rows are then visited in descending bound, and a row gets
+its y product and magnitudes only while its bound reaches nu times the
+running peak; a row left out cannot hold a voxel above the threshold, so it
+counts as zero beside the peaks.  No full-size volume is held unless a
+caller reads ``PowerSpectrum.voxels``.  Amplitudes are
 calibrated so that, for a Nyquist-sampled aperture, the peak of a single
 emitter matches the coherent gain of direct matched-filter back-projection
 over (antenna, tone) pairs.
@@ -110,16 +115,25 @@ class ImagingBox:
 
 
 class PowerSpectrum:
-    """Complex reconstruction volume with voxel metadata, read in slabs along x.
+    """Complex reconstruction volume with voxel metadata, read by voxel rows along x.
 
     Built by hand, ``PowerSpectrum(voxels=..., origin=..., spacing=...)``
-    holds its volume, and ``slabs()`` yields slices of it.  The one that
-    ``inverse_3d_spectrum`` returns holds the factors of the inverse instead:
-    the folded z product and the x and y [cos | sin] matrices.  Its
-    ``slabs()`` computes each slab when it is asked for, into one reused
-    buffer, so a yielded slab is valid only until the next one.  ``voxels``
-    assembles the full volume on first access and keeps it; ``slabs()`` then
-    reads that volume.
+    holds its volume.  The one that ``inverse_3d_spectrum`` returns holds the
+    factors of the inverse instead: the folded z product and the x and y
+    [cos | sin] matrices.  A voxel row i along x is then the y product
+    my @ x_i of its block x_i of the x product, which is taken per slab of
+    ``_SLAB_ROWS`` rows.  ``voxels`` assembles the full volume on first access
+    and keeps it, and from then on the row methods read that volume.
+
+    The peak search reads the spectrum through two methods.  ``row_bounds()``
+    gives each row a bound that none of its |voxel| exceeds, and
+    ``row_magnitudes(start)`` writes |voxel| of single rows of the slab at
+    ``start``.  On a factored spectrum the bound costs the x product only:
+    every entry of my is a cosine or a sine, so for each z,
+    |phi(i, y, z)| <= hypot(sum_k |Re x_i[k, z]|, sum_k |Im x_i[k, z]|),
+    and the row bound is the largest of these over z, widened by
+    ``_BOUND_MARGIN`` to cover the rounding of the products.  On a held
+    volume the row bound is the row's exact maximum.
     """
 
     def __init__(self, voxels: np.ndarray, origin: np.ndarray, spacing: np.ndarray):
@@ -147,33 +161,61 @@ class PowerSpectrum:
     def voxels(self) -> np.ndarray:
         """The full complex volume, assembled on first access."""
         if self._volume is None:
+            folded, _, my = self._factors
             volume = np.empty(self.shape, dtype=complex)
-            for _ in self._computed_slabs(volume):
-                pass
+            x_part = np.empty((min(_SLAB_ROWS, self.shape[0]), folded.shape[1]))
+            for start in range(0, self.shape[0], _SLAB_ROWS):
+                x = self._x_slab(start, x_part)
+                np.matmul(my, x, out=volume[start:start + len(x)].view(float))
             self._volume = volume
         return self._volume
 
-    def slabs(self):
-        """(first row, complex slab) for each run of ``_SLAB_ROWS`` voxel rows along x."""
+    def row_bounds(self) -> np.ndarray:
+        """Per voxel row along x, a bound that no |voxel| of the row exceeds."""
+        nx, ny, nz = self.shape
+        bounds = np.empty(nx)
         if self._volume is not None:
-            for start in range(0, self.shape[0], _SLAB_ROWS):
-                yield start, self._volume[start:start + _SLAB_ROWS]
-        else:
-            yield from self._computed_slabs()
+            mag = np.empty((min(_SLAB_ROWS, nx), ny, nz))
+            for start in range(0, nx, _SLAB_ROWS):
+                block = self._volume[start:start + _SLAB_ROWS]
+                np.abs(block, out=mag[:len(block)])
+                bounds[start:start + len(block)] = mag[:len(block)].max(axis=(1, 2))
+            return bounds
+        x_part = np.empty((min(_SLAB_ROWS, nx), self._factors[0].shape[1]))
+        for start in range(0, nx, _SLAB_ROWS):
+            x = self._x_slab(start, x_part)
+            sums = np.abs(x, out=x).reshape(len(x), x.shape[1], nz, 2).sum(axis=1)
+            bounds[start:start + len(x)] = np.hypot(sums[..., 0], sums[..., 1]).max(axis=1)
+        return bounds * (1.0 + _BOUND_MARGIN)
 
-    def _computed_slabs(self, volume: np.ndarray | None = None):
-        """Each slab as two real products: into ``volume`` when given, else into one buffer."""
+    def row_magnitudes(self, start: int):
+        """Function ``(r, out)`` writing |voxel| of row ``start + r`` into ``out``.
+
+        ``start`` is the first row of a slab.  On a factored spectrum the
+        slab's x product is taken here, with the call that ``voxels`` makes,
+        and each call of the function takes the y product of one row.  That
+        is the GEMM the batched product over the slab makes for the row, so
+        its bits are those of the assembled volume.
+        """
+        if self._volume is not None:
+            block = self._volume[start:start + _SLAB_ROWS]
+            return lambda r, out: np.abs(block[r], out=out)
         folded, mx, my = self._factors
-        x_part = np.empty((min(_SLAB_ROWS, len(mx)), folded.shape[1]))
-        slab = volume if volume is not None else np.empty((len(x_part), *self.shape[1:]),
-                                                          dtype=complex)
-        for start in range(0, len(mx), _SLAB_ROWS):
-            rows = mx[start:start + _SLAB_ROWS]
-            out = slab[start:start + len(rows)] if volume is not None else slab[:len(rows)]
-            np.matmul(rows, folded, out=x_part[:len(rows)])
-            np.matmul(my, x_part[:len(rows)].reshape(len(rows), my.shape[1], -1),
-                      out=out.view(float))
-            yield start, out
+        x = self._x_slab(start, np.empty((min(_SLAB_ROWS, len(mx) - start), folded.shape[1])))
+        row = np.empty(self.shape[1:], dtype=complex)
+
+        def magnitudes(r: int, out: np.ndarray) -> None:
+            np.matmul(my, x[r], out=row.view(float))
+            np.abs(row, out=out)
+
+        return magnitudes
+
+    def _x_slab(self, start: int, out: np.ndarray) -> np.ndarray:
+        """x product of the slab at ``start`` into ``out``: (rows, 2 y leads, 2 nz) real."""
+        folded, mx, my = self._factors
+        rows = mx[start:start + _SLAB_ROWS]
+        np.matmul(rows, folded, out=out[:len(rows)])
+        return out[:len(rows)].reshape(len(rows), my.shape[1], -1)
 
 
 def _cluster_rows(y_coords: np.ndarray, row_tol: float | None) -> list[np.ndarray]:
@@ -386,10 +428,15 @@ def remap_to_sphere(spec: Spectrum2D, f_z: np.ndarray, ref_depth: float = 0.0) -
                       shell_spacing=spec.grid.delta, sample_area=spec.sample_area)
 
 
-# Voxel rows along x per slab of the inverse and of the peak search.  A slab
-# and its intermediates stay a few MB; the pipeline holds a few slabs of a
-# path's volume at a time and never the whole volume.
+# Voxel rows along x per slab of the inverse's x product.  A slab and its
+# intermediates stay a few MB; the pipeline holds one slab of a path's x
+# product at a time and never the whole volume.
 _SLAB_ROWS = 32
+
+# Relative widening of the row bounds of a factored spectrum.  It covers the
+# rounding of the products, which is below 1e-13 relative at the pipeline's
+# bin counts.
+_BOUND_MARGIN = 1e-9
 
 
 def _paired_bins(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -453,10 +500,11 @@ def inverse_3d_spectrum(spec: Spectrum3D, box: ImagingBox) -> PowerSpectrum:
     axes only the zero and Nyquist bins stay unpaired, so that halves the real
     multiplies.  This function stops there: it returns a ``PowerSpectrum``
     holding the folded data and the x and y matrices, and the x and y products
-    run later, per slab of ``_SLAB_ROWS`` voxel rows along x, when the
-    spectrum's ``slabs()`` or ``voxels`` is read.  Taking x before y is what
-    lets a slab finish on its own, and it also costs 13-28% fewer multiplies
-    than y before x on the pipeline's boxes, which are wider in x than in y.
+    run later, the x product per slab of ``_SLAB_ROWS`` voxel rows along x,
+    when the spectrum's rows or ``voxels`` are read.  Taking x before y is
+    what bounds a row before its y product (see ``PowerSpectrum``), and it
+    also costs 13-28% fewer multiplies than y before x on the pipeline's
+    boxes, which are wider in x than in y.
     """
     nfx, nfy, nfz = spec.values.shape
     if nfz < 2 or nfx < 2 or nfy < 2:
@@ -487,26 +535,6 @@ def inverse_3d_spectrum(spec: Spectrum3D, box: ImagingBox) -> PowerSpectrum:
     return PowerSpectrum._factored(folded, mx, my, box)
 
 
-def _local_maxima(mag: np.ndarray, start: int, cand: np.ndarray, offsets: np.ndarray,
-                  threshold: float) -> tuple[np.ndarray, ...]:
-    """(x, y, z, magnitude) of the candidates that reach ``threshold`` and every neighbour.
-
-    ``mag`` is a padded magnitude slab whose first row is voxel row
-    ``start - 1``; ``cand`` holds flat indices into it, and ``offsets`` the
-    flat steps to the 26 neighbours.
-    """
-    flat = mag.reshape(-1)
-    m = flat[cand]
-    keep = m >= threshold
-    cand, m = cand[keep], m[keep]
-    for step in offsets:
-        keep = m >= flat[cand + step]
-        cand, m = cand[keep], m[keep]
-    x, rest = np.divmod(cand, mag.shape[1] * mag.shape[2])
-    y, z = np.divmod(rest, mag.shape[2])
-    return start + x - 1, y - 1, z - 1, m
-
-
 def detect_peaks(spectrum: PowerSpectrum, nu: float = 0.5) -> np.ndarray:
     """Voxel centers that clear the relative threshold and are local maxima.
 
@@ -514,56 +542,76 @@ def detect_peaks(spectrum: PowerSpectrum, nu: float = 0.5) -> np.ndarray:
     26-voxel neighbourhood, with zero outside the volume; bare thresholding
     would return blobs instead of point detections.  Rows are ordered by
     descending magnitude (index order breaks ties) so output is deterministic.
-    A NaN or infinite magnitude, or an all-zero volume, raises
-    ``EmptySpectrumError``.
+    A NaN or infinite bound or magnitude, wherever it sits, or an all-zero
+    volume, raises ``EmptySpectrumError``.
 
-    The spectrum is read once, through ``slabs()``.  Each slab's magnitudes go
-    into one of two alternating buffers with a halo row on each side and a
-    zero border in y and z (zero outside the volume); only a slab whose
-    maximum reaches nu times the running maximum is thresholded, against that
-    running maximum.  It never exceeds the final maximum, so the candidates
-    hold every survivor.  Once the next slab's first row is in the halo, the
-    26-neighbour test runs on the candidates through flat index offsets, and
-    the last filter is against the final maximum.  No full-size array is
-    built.
+    The search bounds first and computes second.  ``row_bounds()`` gives
+    each voxel row along x a bound B_i on its magnitudes (see
+    ``PowerSpectrum``).  Slabs are then visited in descending order of their
+    largest B_i, and within a slab the rows in descending B_i, keeping a
+    running peak: a row's magnitudes are taken (``row_magnitudes``) only
+    while B_i >= nu * peak, and the search stops at the first slab whose
+    largest B_i is below that.  The running peak never exceeds the final one,
+    so a row left out has B_i < nu * max|phi|: it holds neither the maximum
+    nor a voxel above the threshold, and it counts as zero in the
+    26-neighbour test, which gives the same answer because every candidate
+    is at least nu * max|phi| > B_i.  The rows taken sit in visiting order in
+    one buffer with a zero border in y and z and a zero slot for rows left
+    out and rows outside the volume; the first row, which has the largest
+    bound, sizes that buffer, since no row with B_i below nu times its
+    maximum can be taken after it.  No full-size array is built.
     """
     if not 0.0 < nu <= 1.0:
         raise ValueError("nu must lie in (0, 1]")
-    _, ny, nz = spectrum.shape
-    padded = (min(_SLAB_ROWS, spectrum.shape[0]) + 2, ny + 2, nz + 2)
-    offsets = np.array([(dx * padded[1] + dy) * padded[2] + dz
-                        for dx, dy, dz in itertools.product((-1, 0, 1), repeat=3)
-                        if dx or dy or dz])
-    plane = padded[1] * padded[2]   # flat offset of a buffer's first voxel row
-    buffers = (np.zeros(padded), np.zeros(padded))
+    nx, ny, nz = spectrum.shape
+    bounds = spectrum.row_bounds()
+    if not np.isfinite(bounds).all():
+        raise EmptySpectrumError("power spectrum has a NaN or infinite magnitude")
+    if not bounds.max() > 0.0:
+        raise EmptySpectrumError("power spectrum is identically zero")
+    starts = np.arange(0, nx, _SLAB_ROWS)
+    tops = np.maximum.reduceat(bounds, starts)
+    slot = np.zeros(nx + 2, dtype=np.intp)    # slot of row i - 1 in ``mags``; slot 0 is zero
+    rows = []                                  # the row in each slot from 1 on
+    mags = None
     peak = 0.0
-    found = []
-    pending = None                  # (buffer, first row, rows, candidates) of the last slab
-    for k, (start, slab) in enumerate(spectrum.slabs()):
-        mag, rows = buffers[k % 2], len(slab)
-        np.abs(slab, out=mag[1:rows + 1, 1:-1, 1:-1])
-        top = float(mag[1:rows + 1].max())
-        if not math.isfinite(top):
-            raise EmptySpectrumError("power spectrum has a NaN or infinite magnitude")
-        peak = max(peak, top)
-        mag[rows + 1] = 0.0
-        if pending is None:
-            mag[0] = 0.0
-        else:
-            last, last_start, last_rows, cand = pending
-            mag[0] = last[last_rows]
-            last[last_rows + 1] = mag[1]
-            found.append(_local_maxima(last, last_start, cand, offsets, nu * peak))
-        cand = (np.flatnonzero(mag[1:rows + 1] >= nu * peak) + plane
-                if 0.0 < peak and nu * peak <= top else np.empty(0, dtype=np.intp))
-        pending = mag, start, rows, cand
+    for start in starts[np.argsort(-tops, kind="stable")]:
+        if tops[start // _SLAB_ROWS] < nu * peak:
+            break
+        magnitudes = spectrum.row_magnitudes(start)
+        block = bounds[start:start + _SLAB_ROWS]
+        for r in np.argsort(-block, kind="stable"):
+            if block[r] < nu * peak:
+                break
+            row = np.empty((ny, nz)) if mags is None else mags[len(rows) + 1, 1:-1, 1:-1]
+            magnitudes(r, row)
+            top = float(row.max())
+            if not math.isfinite(top):
+                raise EmptySpectrumError("power spectrum has a NaN or infinite magnitude")
+            peak = max(peak, top)
+            if mags is None:
+                mags = np.zeros((np.count_nonzero(bounds >= nu * peak) + 1, ny + 2, nz + 2))
+                mags[1, 1:-1, 1:-1] = row
+            rows.append(start + r)
+            slot[start + r + 1] = len(rows)
     if peak == 0.0:
         raise EmptySpectrumError("power spectrum is identically zero")
-    found.append(_local_maxima(pending[0], pending[1], pending[3], offsets, nu * peak))
-    ix, iy, iz, mags = (np.concatenate(column) for column in zip(*found))
-    keep = mags >= nu * peak
-    ix, iy, iz, mags = ix[keep], iy[keep], iz[keep], mags[keep]
-    order = np.lexsort((iz, iy, ix, -mags))
+
+    plane = (ny + 2) * (nz + 2)
+    flat = mags.reshape(-1)
+    cand = np.flatnonzero(mags[1:len(rows) + 1] >= nu * peak) + plane
+    m = flat[cand]
+    s, rest = np.divmod(cand, plane)
+    ix = np.array(rows)[s - 1]
+    for dx in (-1, 0, 1):
+        base = slot[ix + 1 + dx] * plane + rest
+        for dy, dz in itertools.product((-1, 0, 1), repeat=2):
+            if dx or dy or dz:
+                keep = m >= flat[base + dy * (nz + 2) + dz]
+                m, ix, rest, base = m[keep], ix[keep], rest[keep], base[keep]
+    iy, iz = np.divmod(rest, nz + 2)
+    iy, iz = iy - 1, iz - 1
+    order = np.lexsort((iz, iy, ix, -m))
     idx = np.stack([ix[order], iy[order], iz[order]], axis=1).astype(float)
     return spectrum.origin[None, :] + idx * spectrum.spacing[None, :]
 
@@ -588,8 +636,8 @@ def reconstruct(observation, sv_antennas, grid: FrequencyGrid, box: ImagingBox,
     (the phase-matrix transforms take any bin count, so none is rounded up to
     an FFT size).  The f_z spacing is the tone gap, reduced when the box is
     deep enough to need it.  The resampling is phase-referenced to the box
-    center.  The returned spectrum computes its voxels slab by slab when they
-    are read (see ``PowerSpectrum``).
+    center.  The returned spectrum computes its voxels when they are read
+    (see ``PowerSpectrum``).
     """
     samples = sample_aperture(observation, sv_antennas, grid,
                               target_spacing=target_spacing, row_tol=row_tol,

@@ -258,10 +258,10 @@ class TestRemap:
                                   np.flip(out, axis))
 
 
-def inverse_against_direct_sum(f_x, f_y, shape):
-    """inverse_3d_spectrum of random values and the direct sum, into a box well
-    off the origin at a pitch unrelated to the spectral bin spacings, so no
-    axis is an FFT-native grid."""
+def random_inverse_case(f_x, f_y, shape):
+    """Random spectrum, a box well off the origin at a pitch unrelated to the
+    spectral bin spacings (so no axis is an FFT-native grid), and the direct
+    sum on the box's voxels."""
     rng = np.random.default_rng(4)
     f_z = 56.3e9 + 0.173e9 * np.arange(7)
     size = (len(f_x), len(f_y), len(f_z))
@@ -270,7 +270,6 @@ def inverse_against_direct_sum(f_x, f_y, shape):
                       shell_spacing=0.15e9, sample_area=2.5e-3)
     box = ImagingBox(origin=np.array([0.83, -0.41, 5.37]),
                      spacing=np.array([0.037, 0.041, 0.029]), shape=shape)
-    out = inverse_3d_spectrum(spec, box).voxels
 
     z_ref = abs(box.origin[2] + 0.029 * (shape[2] - 1) / 2)
     weight = z_ref * C * 0.173e9 / (len(f_x) * len(f_y) * 2.5e-3 * 0.15e9 * f_z)
@@ -278,6 +277,13 @@ def inverse_against_direct_sum(f_x, f_y, shape):
                    axis=-1).reshape(-1, 3)
     points = box.origin + idx * box.spacing
     ref = direct_fourier_sum(vals * weight, f_x, f_y, f_z, points).reshape(box.shape)
+    return spec, box, ref
+
+
+def inverse_against_direct_sum(f_x, f_y, shape):
+    """inverse_3d_spectrum of random values and the direct sum on its voxels."""
+    spec, box, ref = random_inverse_case(f_x, f_y, shape)
+    out = inverse_3d_spectrum(spec, box).voxels
     assert out.shape == box.shape and out.dtype == complex
     return out, ref
 
@@ -384,15 +390,25 @@ class TestStreamedScan:
             row = min(_SLAB_ROWS, nx) - 1
             assert np.array_equal(streamed, [self.point(row, iy) for iy in range(6)])
 
-    def test_slabs_are_views_of_one_buffer_and_match_the_volume(self):
+    def test_row_api_matches_the_volume(self):
+        # Two full slabs and a one-row slab: each row's magnitudes equal the
+        # assembled volume's bit for bit, factored or held, and the bounds
+        # hold every row (exactly its maximum for a held volume).
         box = ImagingBox(origin=self.ORIGIN, spacing=self.SPACING, shape=(2 * _SLAB_ROWS + 1, 6, 7))
         ps = inverse_3d_spectrum(self.spectrum(self.values("random", 3)), box)
         vox = inverse_3d_spectrum(self.spectrum(self.values("random", 3)), box).voxels
-        bases = set()
-        for start, slab in ps.slabs():
-            assert np.array_equal(slab, vox[start:start + _SLAB_ROWS])
-            bases.add(id(slab.base))
-        assert start == 2 * _SLAB_ROWS and len(slab) == 1 and len(bases) == 1
+        held = PowerSpectrum(voxels=vox, origin=box.origin, spacing=box.spacing)
+        mag = np.abs(vox)
+        assert np.all(mag.max(axis=(1, 2)) <= ps.row_bounds())
+        assert np.array_equal(held.row_bounds(), mag.max(axis=(1, 2)))
+        out = np.empty(box.shape[1:])
+        for spectrum in (ps, held):
+            for start in range(0, box.shape[0], _SLAB_ROWS):
+                magnitudes = spectrum.row_magnitudes(start)
+                for r in range(len(mag[start:start + _SLAB_ROWS])):
+                    magnitudes(r, out)
+                    assert np.array_equal(out, mag[start + r])
+        assert ps._volume is None
         assert ps.shape == box.shape and np.array_equal(ps.voxels, vox)
 
     def test_all_zero_spectrum_raises(self):
@@ -420,6 +436,111 @@ class TestStreamedScan:
             assert np.flatnonzero(rows)[0] == first_bad_row
             with pytest.raises(EmptySpectrumError):
                 detect_peaks(ps, 0.5)
+
+
+def spy_on_rows(ps: PowerSpectrum) -> list:
+    """Rows whose magnitudes ``ps`` computes from now on, in call order."""
+    rows = []
+    row_magnitudes = ps.row_magnitudes
+
+    def spied(start):
+        magnitudes = row_magnitudes(start)
+
+        def counted(r, out):
+            rows.append(start + r)
+            magnitudes(r, out)
+
+        return counted
+
+    ps.row_magnitudes = spied
+    return rows
+
+
+class TestRowBounds:
+    F_X = np.fft.fftshift(np.fft.fftfreq(32)) * 8.0e9
+    F_Y = np.fft.fftshift(np.fft.fftfreq(6)) * 3.1e9
+    F_Z = 56.3e9 + 0.173e9 * np.arange(7)
+    ORIGIN = np.array([-0.5, -0.05, 5.9])
+    SPACING = np.array([0.0035, 0.02, 0.03])
+    BOX = ImagingBox(origin=ORIGIN, spacing=SPACING, shape=(10 * _SLAB_ROWS, 6, 7))
+
+    def point(self, row, iy, iz):
+        return self.ORIGIN + self.SPACING * np.array([row, iy, iz])
+
+    def emitters(self) -> PowerSpectrum:
+        """Ten slabs along x imaging two point emitters, at rows 70 and 230."""
+        vals = point_spectrum(self.F_X, self.F_Y, self.F_Z,
+                              [(1.0, *self.point(70, 2, 3)), (0.7, *self.point(230, 4, 1))])
+        return inverse_3d_spectrum(Spectrum3D(f_x=self.F_X, f_y=self.F_Y, f_z=self.F_Z,
+                                              values=vals, shell_spacing=0.15e9,
+                                              sample_area=2.5e-3), self.BOX)
+
+    @pytest.mark.parametrize("f_x, f_y", [
+        (np.fft.fftshift(np.fft.fftfreq(7)) * 4.4e9, np.fft.fftshift(np.fft.fftfreq(6)) * 3.1e9),
+        (-2.0e9 + 0.61e9 * np.arange(6), -1.1e9 + 0.47e9 * np.arange(5)),
+    ], ids=["paired-odd-even", "unpaired"])
+    def test_no_direct_sum_voxel_exceeds_its_row_bound(self, f_x, f_y):
+        # Two full slabs and a partial one.
+        spec, box, ref = random_inverse_case(f_x, f_y, (2 * _SLAB_ROWS + 5, 3, 4))
+        bounds = inverse_3d_spectrum(spec, box).row_bounds()
+        assert bounds.shape == (box.shape[0],) and np.isfinite(bounds).all()
+        assert np.all(np.abs(ref) <= bounds[:, None, None])
+
+    @pytest.mark.parametrize("nu", [0.2, 0.5, 1.0])
+    def test_search_takes_few_rows_and_matches_the_volume(self, nu):
+        ps = self.emitters()
+        rows = spy_on_rows(ps)
+        peaks = detect_peaks(ps, nu)
+        assert ps._volume is None
+        assert len(rows) == len(set(rows)) and len(rows) < self.BOX.shape[0] / 4
+        expected = np.array(local_maxima_26(np.abs(ps.voxels), nu), dtype=float).reshape(-1, 3)
+        assert np.array_equal(peaks, self.BOX.origin + expected * self.BOX.spacing)
+        assert np.array_equal(peaks[0], self.point(70, 2, 3))
+
+    def test_skipped_row_next_to_peaks_counts_as_zero(self):
+        # Row 41 stays below the threshold, so it is never computed; the peaks
+        # in rows 40 and 42 beside it still dominate its real values.
+        vol = np.full((3 * _SLAB_ROWS, 5, 4), 0.01 + 0.0j)
+        vol[40, 2, 2] = 1.0
+        vol[39, 2, 3] = 0.6          # shoulder of the row-40 peak
+        vol[41, 2, 2] = vol[41, 1, 1] = 0.45
+        vol[42, 1, 1] = 0.55
+        ps = PowerSpectrum(voxels=vol, origin=np.zeros(3), spacing=np.ones(3))
+        rows = spy_on_rows(ps)
+        peaks = detect_peaks(ps, 0.5)
+        assert 41 not in rows and {39, 40, 42} <= set(rows)
+        assert np.array_equal(peaks, [[40.0, 2.0, 2.0], [42.0, 1.0, 1.0]])
+        assert np.array_equal(peaks, local_maxima_26(np.abs(vol), 0.5))
+
+    @pytest.mark.parametrize("kind", ["held", "factored"])
+    def test_non_finite_value_in_a_skipped_row_raises(self, kind):
+        # Row 300 is far from both emitters: the search never computes it.
+        ps = self.emitters()
+        rows = spy_on_rows(ps)
+        detect_peaks(ps, 0.5)
+        assert 300 not in rows
+        folded, mx, my = ps._factors
+        if kind == "held":
+            vox = ps.voxels.copy()
+            vox[300, 3, 2] = np.nan
+            bad = PowerSpectrum(voxels=vox, origin=self.BOX.origin, spacing=self.BOX.spacing)
+        else:
+            mx = mx.copy()
+            mx[300, 5] = np.nan
+            bad = PowerSpectrum._factored(folded, mx, my, self.BOX)
+        with pytest.raises(EmptySpectrumError, match="NaN or infinite"):
+            detect_peaks(bad, 0.5)
+
+    def test_non_finite_y_matrix_raises(self):
+        # The row bounds take no y matrix: a NaN there shows up only in the
+        # magnitudes of the first row taken.
+        folded, mx, my = self.emitters()._factors
+        my = my.copy()
+        my[4, 1] = np.nan
+        bad = PowerSpectrum._factored(folded, mx, my, self.BOX)
+        assert np.isfinite(bad.row_bounds()).all()
+        with pytest.raises(EmptySpectrumError, match="NaN or infinite"):
+            detect_peaks(bad, 0.5)
 
 
 class TestReconstruct:

@@ -7,10 +7,11 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import coposim
-from coposim import imaging
+from coposim import imaging, pipeline
 from coposim.analysis import hausdorff
 from coposim.errors import ConfigError
 from coposim.pipeline import run, run_los, run_nlos, run_sweep
@@ -126,6 +127,28 @@ def test_los_trial_never_holds_its_full_volume(monkeypatch):
         tracemalloc.stop()
     assert report.trials[0]["detected_points"] > 0
     assert len(shapes) == 1 and peak < 16 * math.prod(shapes[0])
+
+
+@pytest.mark.parametrize("config, paths", [(NOISELESS_LOS, 1), (NOISELESS_NLOS, 3)],
+                         ids=["los", "nlos"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_peak_search_on_factored_spectra_matches_the_assembled_volume(monkeypatch, config,
+                                                                      paths, seed):
+    # Every spectrum the trial images: the bound-pruned search on the factored
+    # spectrum gives the rows of the search on its assembled volume.
+    search = pipeline.detect_peaks
+    compared = []
+
+    def checked(spectrum, nu):
+        found = {v: search(spectrum, v) for v in (0.2, nu, 1.0)}
+        held = imaging.PowerSpectrum(voxels=spectrum.voxels, origin=spectrum.origin,
+                                     spacing=spectrum.spacing)
+        compared.extend(np.array_equal(rows, search(held, v)) for v, rows in found.items())
+        return found[nu]
+
+    monkeypatch.setattr(pipeline, "detect_peaks", checked)
+    run(ScenarioConfig.from_dict(dict(config, noise={**config["noise"], "seed": seed})))
+    assert len(compared) == 3 * paths and all(compared)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
