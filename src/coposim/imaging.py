@@ -30,15 +30,17 @@ of row i exceeds the largest, over z, of hypot(sum |Re x_i|, sum |Im x_i|)
 over the y bins.  Rows are then visited in descending bound, and a row gets
 its y product and magnitudes only while its bound reaches nu times the
 running peak; a row left out cannot hold a voxel above the threshold, so it
-counts as zero beside the peaks.  No full-size volume is held unless a
-caller reads ``PowerSpectrum.voxels``.  Amplitudes are
-calibrated so that, for a Nyquist-sampled aperture, the peak of a single
-emitter matches the coherent gain of direct matched-filter back-projection
-over (antenna, tone) pairs.
+counts as zero beside the peaks.  The inverse is held as its factors, the
+folded z product and the x and y matrices, and never as a volume:
+``PowerSpectrum.voxels`` assembles the full volume for a caller that asks,
+and the search does not read it.  Amplitudes are calibrated so that, for a
+Nyquist-sampled aperture, the peak of a single emitter matches the coherent
+gain of direct matched-filter back-projection over (antenna, tone) pairs.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -115,73 +117,46 @@ class ImagingBox:
 
 
 class PowerSpectrum:
-    """Complex reconstruction volume with voxel metadata, read by voxel rows along x.
+    """Complex reconstruction volume on ``box``, held as the factors of the inverse.
 
-    Built by hand, ``PowerSpectrum(voxels=..., origin=..., spacing=...)``
-    holds its volume.  The one that ``inverse_3d_spectrum`` returns holds the
-    factors of the inverse instead: the folded z product and the x and y
-    [cos | sin] matrices.  A voxel row i along x is then the y product
-    my @ x_i of its block x_i of the x product, which is taken per slab of
-    ``_SLAB_ROWS`` rows.  ``voxels`` assembles the full volume on first access
-    and keeps it, and from then on the row methods read that volume.
+    ``inverse_3d_spectrum`` stops before the x and y products: it keeps the
+    folded z product and the x and y [cos | sin] matrices, and voxel row i
+    along x is the y product my @ x_i of its block x_i of the x product,
+    which is taken per slab of ``_SLAB_ROWS`` rows.  ``voxels`` assembles
+    the full volume the same way; it is kept once read, and no row method
+    reads it.
 
     The peak search reads the spectrum through two methods.  ``row_bounds()``
     gives each row a bound that none of its |voxel| exceeds, and
     ``row_magnitudes(start)`` writes |voxel| of single rows of the slab at
-    ``start``.  On a factored spectrum the bound costs the x product only:
-    every entry of my is a cosine or a sine, so for each z,
+    ``start``.  The bound costs the x product only: every entry of my is a
+    cosine or a sine, so for each z,
     |phi(i, y, z)| <= hypot(sum_k |Re x_i[k, z]|, sum_k |Im x_i[k, z]|),
     and the row bound is the largest of these over z, widened by
-    ``_BOUND_MARGIN`` to cover the rounding of the products.  On a held
-    volume the row bound is the row's exact maximum.
+    ``_BOUND_MARGIN`` to cover the rounding of the products.
     """
 
-    def __init__(self, voxels: np.ndarray, origin: np.ndarray, spacing: np.ndarray):
-        self._volume = voxels
-        self._factors = None
-        self.shape = voxels.shape
-        self.origin = origin
-        self.spacing = spacing
+    def __init__(self, folded: np.ndarray, mx: np.ndarray, my: np.ndarray, box: ImagingBox):
+        self.folded = folded
+        self.mx = mx
+        self.my = my
+        self.box = box
 
-    @classmethod
-    def _factored(cls, folded: np.ndarray, mx: np.ndarray, my: np.ndarray,
-                  box: ImagingBox) -> PowerSpectrum:
-        spectrum = cls.__new__(cls)
-        spectrum._volume = None
-        spectrum._factors = (folded, mx, my)
-        spectrum.shape = box.shape
-        spectrum.origin = box.origin.copy()
-        spectrum.spacing = box.spacing.copy()
-        return spectrum
-
-    def axis(self, i: int) -> np.ndarray:
-        return self.origin[i] + self.spacing[i] * np.arange(self.shape[i])
-
-    @property
+    @functools.cached_property
     def voxels(self) -> np.ndarray:
         """The full complex volume, assembled on first access."""
-        if self._volume is None:
-            folded, _, my = self._factors
-            volume = np.empty(self.shape, dtype=complex)
-            x_part = np.empty((min(_SLAB_ROWS, self.shape[0]), folded.shape[1]))
-            for start in range(0, self.shape[0], _SLAB_ROWS):
-                x = self._x_slab(start, x_part)
-                np.matmul(my, x, out=volume[start:start + len(x)].view(float))
-            self._volume = volume
-        return self._volume
+        volume = np.empty(self.box.shape, dtype=complex)
+        x_part = np.empty((min(_SLAB_ROWS, len(self.mx)), self.folded.shape[1]))
+        for start in range(0, len(self.mx), _SLAB_ROWS):
+            x = self._x_slab(start, x_part)
+            np.matmul(self.my, x, out=volume[start:start + len(x)].view(float))
+        return volume
 
     def row_bounds(self) -> np.ndarray:
         """Per voxel row along x, a bound that no |voxel| of the row exceeds."""
-        nx, ny, nz = self.shape
+        nx, _, nz = self.box.shape
         bounds = np.empty(nx)
-        if self._volume is not None:
-            mag = np.empty((min(_SLAB_ROWS, nx), ny, nz))
-            for start in range(0, nx, _SLAB_ROWS):
-                block = self._volume[start:start + _SLAB_ROWS]
-                np.abs(block, out=mag[:len(block)])
-                bounds[start:start + len(block)] = mag[:len(block)].max(axis=(1, 2))
-            return bounds
-        x_part = np.empty((min(_SLAB_ROWS, nx), self._factors[0].shape[1]))
+        x_part = np.empty((min(_SLAB_ROWS, nx), self.folded.shape[1]))
         for start in range(0, nx, _SLAB_ROWS):
             x = self._x_slab(start, x_part)
             sums = np.abs(x, out=x).reshape(len(x), x.shape[1], nz, 2).sum(axis=1)
@@ -191,31 +166,27 @@ class PowerSpectrum:
     def row_magnitudes(self, start: int):
         """Function ``(r, out)`` writing |voxel| of row ``start + r`` into ``out``.
 
-        ``start`` is the first row of a slab.  On a factored spectrum the
-        slab's x product is taken here, with the call that ``voxels`` makes,
-        and each call of the function takes the y product of one row.  That
-        is the GEMM the batched product over the slab makes for the row, so
-        its bits are those of the assembled volume.
+        ``start`` is the first row of a slab.  The slab's x product is taken
+        here, with the call that ``voxels`` makes, and each call of the
+        function takes the y product of one row.  That is the GEMM the
+        batched product over the slab makes for the row, so its bits are
+        those of the assembled volume.
         """
-        if self._volume is not None:
-            block = self._volume[start:start + _SLAB_ROWS]
-            return lambda r, out: np.abs(block[r], out=out)
-        folded, mx, my = self._factors
-        x = self._x_slab(start, np.empty((min(_SLAB_ROWS, len(mx) - start), folded.shape[1])))
-        row = np.empty(self.shape[1:], dtype=complex)
+        x = self._x_slab(start, np.empty((min(_SLAB_ROWS, len(self.mx) - start),
+                                          self.folded.shape[1])))
+        row = np.empty(self.box.shape[1:], dtype=complex)
 
         def magnitudes(r: int, out: np.ndarray) -> None:
-            np.matmul(my, x[r], out=row.view(float))
+            np.matmul(self.my, x[r], out=row.view(float))
             np.abs(row, out=out)
 
         return magnitudes
 
     def _x_slab(self, start: int, out: np.ndarray) -> np.ndarray:
         """x product of the slab at ``start`` into ``out``: (rows, 2 y leads, 2 nz) real."""
-        folded, mx, my = self._factors
-        rows = mx[start:start + _SLAB_ROWS]
-        np.matmul(rows, folded, out=out[:len(rows)])
-        return out[:len(rows)].reshape(len(rows), my.shape[1], -1)
+        rows = self.mx[start:start + _SLAB_ROWS]
+        np.matmul(rows, self.folded, out=out[:len(rows)])
+        return out[:len(rows)].reshape(len(rows), self.my.shape[1], -1)
 
 
 def _cluster_rows(y_coords: np.ndarray, row_tol: float | None) -> list[np.ndarray]:
@@ -243,11 +214,14 @@ def _interp_weights(x: np.ndarray, xp: np.ndarray) -> np.ndarray:
     return w
 
 
-def sample_aperture(observation, sv_antennas, grid: FrequencyGrid,
+def sample_aperture(symbols, sv_antennas, grid: FrequencyGrid,
                     target_spacing: float | None = None,
                     row_tol: float | None = None,
                     deramp_center=None) -> ApertureSamples:
     """Project antenna symbols onto z = 0 and resample onto a uniform grid.
+
+    ``symbols`` holds the SFCW symbols, one row per antenna of
+    ``sv_antennas`` and one column per tone of ``grid``.
 
     Antennas off the plane are phase-shifted by exp(-j*2*pi*f_k*p_z/c), which
     is tight while the target distance is large against the array size.  The
@@ -261,9 +235,6 @@ def sample_aperture(observation, sv_antennas, grid: FrequencyGrid,
     out before interpolation and restored afterwards, making interpolated
     values phase-faithful for content near the reference point.
     """
-    symbols = observation.sfcw if hasattr(observation, "sfcw") else np.asarray(observation)
-    if symbols is None:
-        raise ValueError("observation carries no SFCW symbols")
     symbols = np.asarray(symbols, dtype=complex)
     ants = np.asarray(sv_antennas, dtype=float)
     if symbols.shape[0] != ants.shape[0]:
@@ -364,8 +335,8 @@ def remap_to_sphere(spec: Spectrum2D, f_z: np.ndarray, ref_depth: float = 0.0) -
     interpolating and restores it afterwards: each shell value is multiplied
     once by its own carrier exp(j*2*pi*z0*sqrt(f_k^2 - rho^2)/c), rho^2 =
     f_x^2 + f_y^2, and each interpolated voxel by exp(-j*2*pi*z0*f_z/c).
-    Values at exact shell crossings are unchanged, and the default keeps the
-    plain linear rule.
+    Values at exact shell crossings are unchanged; at the default z0 = 0 both
+    carriers are 1, the plain linear rule.
 
     The geometry (lower shell, the two weights holding the in-band mask, and
     the shell carrier) depends on (f_x^2, f_y^2) only, so it is computed once
@@ -384,9 +355,8 @@ def remap_to_sphere(spec: Spectrum2D, f_z: np.ndarray, ref_depth: float = 0.0) -
 
     fx2, ix = np.unique(spec.f_x**2, return_inverse=True)
     fy2, iy = np.unique(spec.f_y**2, return_inverse=True)
-    if ref_depth != 0.0:
-        beta = 2.0 * math.pi / C * ref_depth
-        out_carrier = np.exp(-1j * beta * f_z)
+    beta = 2.0 * math.pi / C * ref_depth
+    out_carrier = np.exp(-1j * beta * f_z)
 
     out = np.empty((nfx, nfy, nfz), dtype=complex)
     offset = (tones * np.arange(nfy))[:, None]  # lower shell in the flat row
@@ -401,18 +371,14 @@ def remap_to_sphere(spec: Spectrum2D, f_z: np.ndarray, ref_depth: float = 0.0) -
         w_low = np.where(in_band, 1.0 - frac, 0.0)
         w_high = np.where(in_band, frac, 0.0)
         lower = lower.astype(np.intp)
-        if ref_depth != 0.0:
-            shell_carrier = np.exp(1j * beta * np.sqrt(np.maximum(shells**2 - rho2, 0.0)))
+        shell_carrier = np.exp(1j * beta * np.sqrt(np.maximum(shells**2 - rho2, 0.0)))
 
         for i in np.flatnonzero((ix >= u) & (ix < u + step)):
             col = (ix[i] - u) * len(fy2) + iy  # table row of each f_y
-            shell = spec.values[i]
-            if ref_depth != 0.0:
-                # Keep carrier times value in this order: the vectorised
-                # complex product is not bitwise commutative, and the output
-                # is pinned bit for bit.
-                shell = np.multiply(shell_carrier[col], shell)
-            flat = shell.reshape(-1)
+            # Keep carrier times value in this order: the vectorised complex
+            # product is not bitwise commutative, and the output is pinned
+            # bit for bit.
+            flat = np.multiply(shell_carrier[col], spec.values[i]).reshape(-1)
             idx = lower[col]
             idx += offset
             row = out[i]
@@ -422,8 +388,7 @@ def remap_to_sphere(spec: Spectrum2D, f_z: np.ndarray, ref_depth: float = 0.0) -
             high = np.take(flat[1:], idx, mode="clip")
             high *= w_high[col]
             row += high
-            if ref_depth != 0.0:
-                row *= out_carrier
+            row *= out_carrier
     return Spectrum3D(f_x=spec.f_x, f_y=spec.f_y, f_z=f_z, values=out,
                       shell_spacing=spec.grid.delta, sample_area=spec.sample_area)
 
@@ -498,10 +463,10 @@ def inverse_3d_spectrum(spec: Spectrum3D, box: ImagingBox) -> PowerSpectrum:
     taken one f_x row at a time and folded straight into place, so the folded
     data is its only full-size array.  On fftshift(fftfreq)
     axes only the zero and Nyquist bins stay unpaired, so that halves the real
-    multiplies.  This function stops there: it returns a ``PowerSpectrum``
-    holding the folded data and the x and y matrices, and the x and y products
-    run later, the x product per slab of ``_SLAB_ROWS`` voxel rows along x,
-    when the spectrum's rows or ``voxels`` are read.  Taking x before y is
+    multiplies.  This function stops there: the ``PowerSpectrum`` it returns
+    is the folded data and the x and y matrices, and the x and y products run
+    later, the x product per slab of ``_SLAB_ROWS`` voxel rows along x, when
+    the spectrum's rows or ``voxels`` are read.  Taking x before y is
     what bounds a row before its y product (see ``PowerSpectrum``), and it
     also costs 13-28% fewer multiplies than y before x on the pipeline's
     boxes, which are wider in x than in y.
@@ -532,7 +497,7 @@ def inverse_3d_spectrum(spec: Spectrum3D, box: ImagingBox) -> PowerSpectrum:
     folded = folded.view(float).reshape(len(folded), -1)   # (2 x leads, 2 y leads * 2 nz)
     mx = _cos_sin_matrix(spec.f_x[x_lead], box.axis(0))
     my = _cos_sin_matrix(spec.f_y[y_lead], box.axis(1))
-    return PowerSpectrum._factored(folded, mx, my, box)
+    return PowerSpectrum(folded, mx, my, box)
 
 
 def detect_peaks(spectrum: PowerSpectrum, nu: float = 0.5) -> np.ndarray:
@@ -563,7 +528,8 @@ def detect_peaks(spectrum: PowerSpectrum, nu: float = 0.5) -> np.ndarray:
     """
     if not 0.0 < nu <= 1.0:
         raise ValueError("nu must lie in (0, 1]")
-    nx, ny, nz = spectrum.shape
+    box = spectrum.box
+    nx, ny, nz = box.shape
     bounds = spectrum.row_bounds()
     if not np.isfinite(bounds).all():
         raise EmptySpectrumError("power spectrum has a NaN or infinite magnitude")
@@ -613,7 +579,7 @@ def detect_peaks(spectrum: PowerSpectrum, nu: float = 0.5) -> np.ndarray:
     iy, iz = iy - 1, iz - 1
     order = np.lexsort((iz, iy, ix, -m))
     idx = np.stack([ix[order], iy[order], iz[order]], axis=1).astype(float)
-    return spectrum.origin[None, :] + idx * spectrum.spacing[None, :]
+    return box.origin[None, :] + idx * box.spacing[None, :]
 
 
 def default_fz_axis(grid: FrequencyGrid, f_x: np.ndarray, f_y: np.ndarray,
@@ -625,7 +591,7 @@ def default_fz_axis(grid: FrequencyGrid, f_x: np.ndarray, f_y: np.ndarray,
     return lo + spacing * np.arange(n)
 
 
-def reconstruct(observation, sv_antennas, grid: FrequencyGrid, box: ImagingBox,
+def reconstruct(symbols, sv_antennas, grid: FrequencyGrid, box: ImagingBox,
                 target_spacing: float | None = None, row_tol: float | None = None,
                 pad_factor: float = 1.6) -> PowerSpectrum:
     """Full chain: resample aperture, transform, remap to the sphere, invert.
@@ -636,10 +602,11 @@ def reconstruct(observation, sv_antennas, grid: FrequencyGrid, box: ImagingBox,
     (the phase-matrix transforms take any bin count, so none is rounded up to
     an FFT size).  The f_z spacing is the tone gap, reduced when the box is
     deep enough to need it.  The resampling is phase-referenced to the box
-    center.  The returned spectrum computes its voxels when they are read
-    (see ``PowerSpectrum``).
+    center.  ``symbols`` holds the SFCW symbols, one row per antenna.  The
+    returned spectrum is the factored inverse and computes its voxels when
+    they are read (see ``PowerSpectrum``).
     """
-    samples = sample_aperture(observation, sv_antennas, grid,
+    samples = sample_aperture(symbols, sv_antennas, grid,
                               target_spacing=target_spacing, row_tol=row_tol,
                               deramp_center=box.center)
     dx, dy = samples.spacing

@@ -101,10 +101,6 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.errors
 
-    def __str__(self) -> str:
-        lines = [f"error: {e}" for e in self.errors] + [f"warning: {w}" for w in self.warnings]
-        return "\n".join(lines) if lines else "ok"
-
 
 def _max_adjacent_spacing(points: np.ndarray) -> float:
     """Largest nearest-neighbour distance among the antennas."""

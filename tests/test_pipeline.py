@@ -16,6 +16,7 @@ from coposim.analysis import hausdorff
 from coposim.errors import ConfigError
 from coposim.pipeline import run, run_los, run_nlos, run_sweep
 from coposim.scenario import ScenarioConfig
+from oracles import local_maxima_26
 
 # Small noiseless line-of-sight scenario: 64 tones and a compact box keep a
 # trial well under a second.
@@ -135,15 +136,16 @@ def test_los_trial_never_holds_its_full_volume(monkeypatch):
 def test_peak_search_on_factored_spectra_matches_the_assembled_volume(monkeypatch, config,
                                                                       paths, seed):
     # Every spectrum the trial images: the bound-pruned search on the factored
-    # spectrum gives the rows of the search on its assembled volume.
+    # spectrum gives the local maxima of its assembled volume.
     search = pipeline.detect_peaks
     compared = []
 
     def checked(spectrum, nu):
         found = {v: search(spectrum, v) for v in (0.2, nu, 1.0)}
-        held = imaging.PowerSpectrum(voxels=spectrum.voxels, origin=spectrum.origin,
-                                     spacing=spectrum.spacing)
-        compared.extend(np.array_equal(rows, search(held, v)) for v, rows in found.items())
+        box, mag = spectrum.box, np.abs(spectrum.voxels)
+        for v, rows in found.items():
+            idx = np.array(local_maxima_26(mag, v), dtype=float).reshape(-1, 3)
+            compared.append(np.array_equal(rows, box.origin + idx * box.spacing))
         return found[nu]
 
     monkeypatch.setattr(pipeline, "detect_peaks", checked)
