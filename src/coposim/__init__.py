@@ -10,7 +10,7 @@ from .analysis import LinkBudgetParams, azimuth_resolution, hausdorff, range_res
 from .channel import NOISELESS, NoiseModel, PathObservation, simulate_sfcw, simulate_signature
 from .combining import (CombineResult, VirtualDetection, combine_cluster, estimate_surface,
                         fuse_clouds, group_by_clock, search_theta_ref)
-from .geometry import (SPEED_OF_LIGHT, Point3, ReflectionSurface, Scene, directed_angle_xz,
+from .geometry import (SPEED_OF_LIGHT, ReflectionSurface, Scene, directed_angle_xz,
                        mirror_point)
 from .imaging import (ApertureSamples, ImagingBox, PowerSpectrum, detect_peaks, forward_2d_spectrum,
                       inverse_3d_spectrum, reconstruct, remap_to_sphere, sample_aperture)

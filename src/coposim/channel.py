@@ -1,12 +1,15 @@
 """Forward channel simulation producing demodulated per-path symbol blocks.
 
 Each propagation path (line of sight and/or one specular bounce per surface)
-yields, per receive antenna: two 2-vectors of signature symbols and one
-K-vector of SFCW symbols.  Channel fading is held constant and folded into the
-per-path reflection coefficient; Doppler is out of scope for a single snapshot.
-The SFCW symbols of a path sum, over transmit antennas, one phasor per tone;
-the comb is uniform, so they are built by a phase recurrence along the tones
-in short blocks rather than one complex exponential per (antenna pair, tone).
+yields, per receive antenna, two 2-vectors of signature symbols and one
+K-vector of SFCW symbols.  The signatures of every path are simulated at once;
+the SFCW symbols one path per call, demodulated with the receiver's clock
+estimate for that path, since the receiver syncs on a path before it images
+it.  Channel fading is held constant and folded into the per-path reflection
+coefficient; Doppler is out of scope for a single snapshot.  The SFCW symbols
+of a path sum, over transmit antennas, one phasor per tone; the comb is
+uniform, so they are built by a phase recurrence along the tones in short
+blocks rather than one complex exponential per (antenna pair, tone).
 
 Noise streams are derived from (seed, domain, path, antenna) counters, so
 observations are bit-identical no matter how generation is parallelised.
@@ -50,28 +53,22 @@ class NoiseModel:
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be >= 0")
 
-    @property
-    def noiseless(self) -> bool:
-        return self.phase_sigma == 0.0 and self.snr_db is None
-
 
 NOISELESS = NoiseModel(phase_sigma=0.0, snr_db=None, rng_seed=0)
 
 
 @dataclass(frozen=True)
 class PathObservation:
-    """Demodulated symbols for one resolved propagation path.
+    """Demodulated signature symbols for one resolved propagation path.
 
     ``sig_a`` / ``sig_b`` have shape (N_r, 2): anchor tone and anchor tone
-    + delta.  ``sfcw`` has shape (N_r, K).  Paths are told apart by their
-    true ``path_id``, standing in for angular separation at the receiver.
+    + delta.  Paths are told apart by their true ``path_id``, standing in for
+    angular separation at the receiver.
     """
 
     path_id: int
-    gamma: complex
-    sig_a: np.ndarray | None = None
-    sig_b: np.ndarray | None = None
-    sfcw: np.ndarray | None = None
+    sig_a: np.ndarray
+    sig_b: np.ndarray
 
 
 def _cell_rng(seed: int, domain: int, path_id: int, antenna: int) -> np.random.Generator:
@@ -103,20 +100,19 @@ def simulate_signature(scene: Scene, sig: SignatureConfig, noise: NoiseModel) ->
                                for m in range(scene.n_sv)]) * tone_sigma
         sig_a = _signature_block(tau_a, (sig.f_a, sig.f_a + sig.delta), sigma, gamma, jitter[:, 0:2])
         sig_b = _signature_block(tau_b, (sig.f_b, sig.f_b + sig.delta), sigma, gamma, jitter[:, 2:4])
-        out.append(PathObservation(path_id=path_id, gamma=gamma, sig_a=sig_a, sig_b=sig_b))
+        out.append(PathObservation(path_id=path_id, sig_a=sig_a, sig_b=sig_b))
     return out
 
 
-def simulate_sfcw(scene: Scene, grid: FrequencyGrid, noise: NoiseModel,
-                  sigma_estimate: float | dict[int, float] = 0.0,
-                  path_ids: list[int] | None = None) -> list[PathObservation]:
-    """Demodulated SFCW symbols y[m, k] for every propagation path.
+def simulate_sfcw(scene: Scene, grid: FrequencyGrid, noise: NoiseModel, path_id: int,
+                  sigma_estimate: float) -> np.ndarray:
+    """Demodulated SFCW symbols y[m, k] of path ``path_id``, shape (N_r, K).
 
-    The receiver demodulates with its clock-difference estimate; for path
-    ``p`` the residual offset (sigma - sigma_estimate[p]) stays in the symbol
-    phases exactly as an uncorrected ranging bias would.  ``path_ids``
-    restricts simulation to a subset of paths (noise streams are keyed by path
-    and antenna, so a subset run reproduces the full run bit for bit).
+    The receiver demodulates with its clock-difference estimate for this
+    path; the residual offset (sigma - sigma_estimate) stays in the symbol
+    phases exactly as an uncorrected ranging bias would.  Noise streams are
+    keyed by path and antenna, so a path's symbols do not depend on the other
+    paths of the scene.
 
     The tones are uniform, so with phi = residual - tau per (TV, SV) antenna
     pair, exp(j*2*pi*f_k*phi) = exp(j*2*pi*f_lo*phi) * exp(j*2*pi*delta*phi)^(k-lo).
@@ -125,32 +121,26 @@ def simulate_sfcw(scene: Scene, grid: FrequencyGrid, noise: NoiseModel,
     path), contracted over transmit antennas in one product per block.
     """
     sigma = scene.clock_offset
-    out = []
-    for path_id, surface in scene.path_surfaces():
-        if path_ids is not None and path_id not in path_ids:
-            continue
-        gamma = 1.0 + 0.0j if surface is None else complex(surface.gamma)
-        est = sigma_estimate.get(path_id, 0.0) if isinstance(sigma_estimate, dict) else float(sigma_estimate)
-        tau = path_length_matrix(surface, scene.tv_antennas, scene.sv_antennas) / SPEED_OF_LIGHT
-        phi = (sigma - est) - tau                                      # (N_t, N_r)
+    surface = dict(scene.path_surfaces())[path_id]
+    gamma = 1.0 + 0.0j if surface is None else complex(surface.gamma)
+    tau = path_length_matrix(surface, scene.tv_antennas, scene.sv_antennas) / SPEED_OF_LIGHT
+    phi = (sigma - sigma_estimate) - tau                                # (N_t, N_r)
 
-        block = min(_TONE_BLOCK, grid.tones)
-        steps = np.exp((2j * math.pi * grid.delta) * phi[:, :, None] * np.arange(block))
-        y = np.empty((scene.n_sv, grid.tones), dtype=complex)
-        for lo in range(0, grid.tones, block):
-            hi = min(lo + block, grid.tones)
-            base = np.exp((2j * math.pi * (grid.f1 + lo * grid.delta)) * phi)
-            y[:, lo:hi] = np.einsum("tr,trk->rk", base, steps[:, :, :hi - lo])
-        y *= gamma
+    block = min(_TONE_BLOCK, grid.tones)
+    steps = np.exp((2j * math.pi * grid.delta) * phi[:, :, None] * np.arange(block))
+    y = np.empty((scene.n_sv, grid.tones), dtype=complex)
+    for lo in range(0, grid.tones, block):
+        hi = min(lo + block, grid.tones)
+        base = np.exp((2j * math.pi * (grid.f1 + lo * grid.delta)) * phi)
+        y[:, lo:hi] = np.einsum("tr,trk->rk", base, steps[:, :, :hi - lo])
+    y *= gamma
 
-        if noise.snr_db is not None and math.isfinite(noise.snr_db):
-            mean_power = float(np.mean(np.abs(y) ** 2))
-            var = mean_power * 10.0 ** (-noise.snr_db / 10.0)
-            std = math.sqrt(var / 2.0)
-            for m in range(scene.n_sv):
-                rng = _cell_rng(noise.rng_seed, _DOMAIN_SFCW, path_id, m)
-                draws = rng.standard_normal(2 * grid.tones)
-                y[m] += std * (draws[0::2] + 1j * draws[1::2])
-
-        out.append(PathObservation(path_id=path_id, gamma=gamma, sfcw=y))
-    return out
+    if noise.snr_db is not None and math.isfinite(noise.snr_db):
+        mean_power = float(np.mean(np.abs(y) ** 2))
+        var = mean_power * 10.0 ** (-noise.snr_db / 10.0)
+        std = math.sqrt(var / 2.0)
+        for m in range(scene.n_sv):
+            rng = _cell_rng(noise.rng_seed, _DOMAIN_SFCW, path_id, m)
+            draws = rng.standard_normal(2 * grid.tones)
+            y[m] += std * (draws[0::2] + 1j * draws[1::2])
+    return y

@@ -167,7 +167,7 @@ def _golden_refine(fun, lo: float, hi: float, tol: float) -> float:
 
 
 def search_theta_ref(cluster: list[VirtualDetection],
-                     grid_step: float = 1e-3) -> tuple[float, np.ndarray, np.ndarray]:
+                     grid_step: float) -> tuple[float, np.ndarray, np.ndarray]:
     """1D search for the reference path angle minimising candidate scatter.
 
     Line angles are periodic in pi, so the grid covers (-pi/2, pi/2]; the best
@@ -235,7 +235,7 @@ def fuse_clouds(clouds: list[np.ndarray], merge_radius: float) -> np.ndarray:
 
 
 def combine_cluster(cluster: list[VirtualDetection], merge_radius: float,
-                    grid_step: float = 1e-3, direct_path_tol: float = 1e-3) -> CombineResult:
+                    grid_step: float, direct_path_tol: float) -> CombineResult:
     """Full fusion of one same-clock cluster of virtual detections.
 
     Detections whose virtual anchor already coincides with the fused anchor

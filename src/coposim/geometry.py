@@ -19,34 +19,11 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
 
 def as_xyz(p) -> np.ndarray:
-    """Coerce a Point3 / sequence / array to a float array of shape (3,) or (N, 3)."""
-    if isinstance(p, Point3):
-        return p.as_array()
+    """Coerce a sequence / array to a float array of shape (3,) or (N, 3)."""
     a = np.asarray(p, dtype=float)
     if a.shape == (3,) or (a.ndim == 2 and a.shape[1] == 3):
         return a
     raise ValueError(f"expected a 3D point or an (N, 3) array, got shape {a.shape}")
-
-
-@dataclass(frozen=True)
-class Point3:
-    """A point in meters in the SV-centered frame."""
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.x, self.y, self.z)):
-            raise ValueError("point coordinates must be finite")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=float)
-
-    @classmethod
-    def from_array(cls, a) -> "Point3":
-        a = np.asarray(a, dtype=float)
-        return cls(float(a[0]), float(a[1]), float(a[2]))
 
 
 @dataclass(frozen=True)
@@ -79,11 +56,6 @@ class ReflectionSurface:
             return 1.0, 0.0, self.intercept
         norm = math.hypot(self.slope, 1.0)
         return -self.slope / norm, 1.0 / norm, self.intercept / norm
-
-    def height_at(self, x: float) -> float:
-        if self.vertical:
-            raise DegenerateGeometryError("surface is vertical in X-Z; z is unconstrained")
-        return self.slope * x + self.intercept
 
 
 def mirror_point(surface: ReflectionSurface, p) -> np.ndarray:

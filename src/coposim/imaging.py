@@ -189,15 +189,11 @@ class PowerSpectrum:
         return out[:len(rows)].reshape(len(rows), self.my.shape[1], -1)
 
 
-def _cluster_rows(y_coords: np.ndarray, row_tol: float | None) -> list[np.ndarray]:
-    """Group antenna indices into rows of near-constant y."""
+def _cluster_rows(y_coords: np.ndarray, row_tol: float) -> list[np.ndarray]:
+    """Group antenna indices into rows: a gap in sorted y wider than ``row_tol`` starts a row."""
     order = np.argsort(y_coords, kind="stable")
     ys = y_coords[order]
     gaps = np.diff(ys)
-    if row_tol is None:
-        if len(gaps) == 0 or gaps.max() == 0.0:
-            return [order]
-        row_tol = 0.5 * float(gaps.max())
     breaks = np.nonzero(gaps > row_tol)[0]
     return [seg for seg in np.split(order, breaks + 1)]
 
@@ -214,20 +210,21 @@ def _interp_weights(x: np.ndarray, xp: np.ndarray) -> np.ndarray:
     return w
 
 
-def sample_aperture(symbols, sv_antennas, grid: FrequencyGrid,
-                    target_spacing: float | None = None,
-                    row_tol: float | None = None,
+def sample_aperture(symbols, sv_antennas, grid: FrequencyGrid, pitch: float,
                     deramp_center=None) -> ApertureSamples:
     """Project antenna symbols onto z = 0 and resample onto a uniform grid.
 
     ``symbols`` holds the SFCW symbols, one row per antenna of
-    ``sv_antennas`` and one column per tone of ``grid``.
+    ``sv_antennas`` and one column per tone of ``grid``.  ``pitch`` is the
+    row pitch of the array: a new row starts wherever the sorted antenna y
+    values jump by more than ``pitch/2``, and the uniform grid has spacing
+    ``pitch`` on both axes.
 
     Antennas off the plane are phase-shifted by exp(-j*2*pi*f_k*p_z/c), which
     is tight while the target distance is large against the array size.  The
-    scattered samples are then interpolated linearly along X within rows of
-    near-constant y, and linearly along Y across rows; grid points outside the
-    sampled region are zero.
+    scattered samples are then interpolated linearly along X within rows, and
+    linearly along Y across rows; grid points outside the sampled region are
+    zero.
 
     The raw field's phase turns by radians per millimetre, so interpolating it
     between antennas spaced many wavelengths apart scrambles the phase.  With
@@ -247,7 +244,7 @@ def sample_aperture(symbols, sv_antennas, grid: FrequencyGrid,
         r_ant = np.sqrt((ants[:, 0] - ref[0]) ** 2 + (ants[:, 1] - ref[1]) ** 2 + ref[2] ** 2)
         projected = projected * np.exp(2j * math.pi * np.outer(r_ant, freqs) / C)
 
-    rows = _cluster_rows(ants[:, 1], row_tol)
+    rows = _cluster_rows(ants[:, 1], pitch / 2)
     if len(rows) < 2:
         raise InterpolationDegeneracyError("need at least two antenna rows for resampling")
     if max(len(r) for r in rows) < 2:
@@ -263,11 +260,8 @@ def sample_aperture(symbols, sv_antennas, grid: FrequencyGrid,
 
     x_lo = min(ants[r, 0].min() for r in rows)
     x_hi = max(ants[r, 0].max() for r in rows)
-    if target_spacing is None:
-        pitch = np.median(np.diff(row_y)) if len(row_y) > 1 else (x_hi - x_lo)
-        target_spacing = float(pitch)
-    nx = max(2, int(round((x_hi - x_lo) / target_spacing)) + 1)
-    ny = max(2, int(round((row_y[-1] - row_y[0]) / target_spacing)) + 1)
+    nx = max(2, int(round((x_hi - x_lo) / pitch)) + 1)
+    ny = max(2, int(round((row_y[-1] - row_y[0]) / pitch)) + 1)
     gx = np.linspace(x_lo, x_hi, nx)
     gy = np.linspace(row_y[0], row_y[-1], ny)
 
@@ -291,8 +285,7 @@ def _phase_matrix(f: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.exp(2j * math.pi / C * np.multiply.outer(f, t))
 
 
-def forward_2d_spectrum(samples: ApertureSamples,
-                        pad: tuple[int, int] | None = None) -> Spectrum2D:
+def forward_2d_spectrum(samples: ApertureSamples, pad: tuple[int, int]) -> Spectrum2D:
     """Per-tone 2D transform with kernel exp(-j*(2*pi/c)*(f_x*x + f_y*y)).
 
     Spatial frequencies are in Hz, ascending, and span +-c/(2*spacing) in
@@ -303,8 +296,7 @@ def forward_2d_spectrum(samples: ApertureSamples,
     """
     dx, dy = samples.spacing
     nx, ny, tones = samples.samples.shape
-    px = pad[0] if pad else nx
-    py = pad[1] if pad else ny
+    px, py = pad
     if px < nx or py < ny:
         raise ValueError("pad must be at least the sample count per axis")
 
@@ -592,23 +584,22 @@ def default_fz_axis(grid: FrequencyGrid, f_x: np.ndarray, f_y: np.ndarray,
 
 
 def reconstruct(symbols, sv_antennas, grid: FrequencyGrid, box: ImagingBox,
-                target_spacing: float | None = None, row_tol: float | None = None,
-                pad_factor: float = 1.6) -> PowerSpectrum:
+                pitch: float, pad_factor: float) -> PowerSpectrum:
     """Full chain: resample aperture, transform, remap to the sphere, invert.
 
-    ``pad_factor`` controls spectral bin density so the periodic image repeat
-    exceeds the box extent by that factor: each transverse axis gets
-    max(n, ceil(pad_factor * extent / spacing)) bins, the fewest that do so
-    (the phase-matrix transforms take any bin count, so none is rounded up to
-    an FFT size).  The f_z spacing is the tone gap, reduced when the box is
-    deep enough to need it.  The resampling is phase-referenced to the box
-    center.  ``symbols`` holds the SFCW symbols, one row per antenna.  The
-    returned spectrum is the factored inverse and computes its voxels when
-    they are read (see ``PowerSpectrum``).
+    ``symbols`` holds the SFCW symbols, one row per antenna, and ``pitch`` is
+    the antenna row pitch, which also spaces the resampled aperture grid (see
+    ``sample_aperture``).  ``pad_factor`` controls spectral bin density so the
+    periodic image repeat exceeds the box extent by that factor: each
+    transverse axis gets max(n, ceil(pad_factor * extent / spacing)) bins,
+    the fewest that do so (the phase-matrix transforms take any bin count, so
+    none is rounded up to an FFT size).  The f_z spacing is the tone gap,
+    reduced when the box is deep enough to need it.  The resampling is
+    phase-referenced to the box center.  The returned spectrum is the
+    factored inverse and computes its voxels when they are read (see
+    ``PowerSpectrum``).
     """
-    samples = sample_aperture(symbols, sv_antennas, grid,
-                              target_spacing=target_spacing, row_tol=row_tol,
-                              deramp_center=box.center)
+    samples = sample_aperture(symbols, sv_antennas, grid, pitch, deramp_center=box.center)
     dx, dy = samples.spacing
     nx, ny, _ = samples.samples.shape
 

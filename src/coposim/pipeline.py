@@ -74,9 +74,10 @@ def _phase_noise_std_m(noise: NoiseModel, delta: float) -> float | None:
     return math.sqrt(2.0) * C * noise.phase_sigma / (2.0 * math.pi * delta)
 
 
-def _row_tolerance(config: ScenarioConfig, n_rx: int) -> float:
+def _row_pitch(config: ScenarioConfig, n_rx: int) -> float:
+    """Row pitch of the scene's stratified receive array (see ``aperture_antennas``)."""
     w, h = config.scene.sv_aperture_m
-    return 0.5 * h / stratified_rows(n_rx, w, h)
+    return h / stratified_rows(n_rx, w, h)
 
 
 def _bearing_rotation(direction: np.ndarray) -> np.ndarray:
@@ -108,8 +109,7 @@ def _process_path(scene: Scene, sig_obs, config: ScenarioConfig,
     sigma_hat = sync_a.sigma_hat
 
     pid = sig_obs.path_id
-    sfcw_obs = simulate_sfcw(scene, grid, noise, sigma_estimate={pid: sigma_hat},
-                             path_ids=[pid])[0]
+    sfcw = simulate_sfcw(scene, grid, noise, pid, sigma_hat)
 
     center = 0.5 * (sync_a.x_anchor + sync_b.x_anchor)
     rng_to_center = max(float(np.linalg.norm(center)), 1.0)
@@ -121,11 +121,9 @@ def _process_path(scene: Scene, sig_obs, config: ScenarioConfig,
     # aperture rows intact and the virtual transmitter near zero spatial
     # frequency, where the sparse aperture is usable.
     rot = _bearing_rotation(center)
-    row_tol = _row_tolerance(config, scene.n_sv)
-    spectrum = reconstruct(sfcw_obs.sfcw, scene.sv_antennas @ rot.T, grid,
+    spectrum = reconstruct(sfcw, scene.sv_antennas @ rot.T, grid,
                            ImagingBox.centered(rot @ center, pspec.box_extent_m, pitch),
-                           target_spacing=2.0 * row_tol, row_tol=row_tol,
-                           pad_factor=pspec.pad_factor)
+                           _row_pitch(config, scene.n_sv), pspec.pad_factor)
     cloud = detect_peaks(spectrum, pspec.nu) @ rot
     phi = directed_angle_xz(sync_a.x_anchor, sync_b.x_anchor)
     det = VirtualDetection(path_id=pid, x_a_virtual=sync_a.x_anchor,

@@ -26,6 +26,8 @@ from .geometry import SPEED_OF_LIGHT, as_xyz
 from .waveform import sync_spacing_bound
 
 _MIN_ANTENNAS = 4
+# Gauss-Newton stops once a step moves the anchor less than this (m).
+_STEP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -61,25 +63,22 @@ class SyncResult:
 
 
 def measure_pdoa(observation, anchor: str, delta: float,
-                 sv_antennas: np.ndarray | None = None) -> PdoaMeasurement:
+                 sv_antennas: np.ndarray) -> PdoaMeasurement:
     """Extract range differences from one path's signature symbols.
 
-    Phases are unwrapped sequentially in antenna-index order, valid while
-    adjacent antennas sit closer than c/(2*delta); pass ``sv_antennas`` to
-    enforce that bound.
+    Phases are unwrapped sequentially in antenna-index order, which is valid
+    while adjacent antennas of ``sv_antennas`` sit closer than c/(2*delta);
+    a wider step raises ``UnwrapAmbiguityError``.
     """
     symbols = observation.sig_a if anchor == "a" else observation.sig_b
-    if symbols is None:
-        raise ValueError(f"observation carries no signature symbols for anchor {anchor!r}")
-    if sv_antennas is not None:
-        sv = as_xyz(sv_antennas)
-        step = np.linalg.norm(np.diff(sv, axis=0), axis=1)
-        bound = sync_spacing_bound(delta)
-        if len(step) and float(step.max()) > bound:
-            raise UnwrapAmbiguityError(
-                f"consecutive antenna spacing {step.max():.3g} m exceeds the "
-                f"unambiguous bound {bound:.3g} m"
-            )
+    sv = as_xyz(sv_antennas)
+    step = np.linalg.norm(np.diff(sv, axis=0), axis=1)
+    bound = sync_spacing_bound(delta)
+    if len(step) and float(step.max()) > bound:
+        raise UnwrapAmbiguityError(
+            f"consecutive antenna spacing {step.max():.3g} m exceeds the "
+            f"unambiguous bound {bound:.3g} m"
+        )
     raw = np.angle(symbols[:, 0] * np.conj(symbols[:, 1]))
     eta = np.unwrap(raw)
     scale = SPEED_OF_LIGHT / (2.0 * math.pi * delta)
@@ -160,8 +159,7 @@ def initial_guess(measurement: PdoaMeasurement, sv_antennas) -> np.ndarray:
 
 
 def locate_anchor(measurement: PdoaMeasurement, sv_antennas, guess,
-                  noise_std_m: float | None = None,
-                  step_tol: float = 1e-9, max_iter: int = 100) -> SyncResult:
+                  noise_std_m: float | None = None, max_iter: int = 100) -> SyncResult:
     """Gauss-Newton minimisation of the squared range-difference misfit.
 
     Steps h = (G^T G)^{-1} G^T b are halved (up to 20 times) whenever they
@@ -195,7 +193,7 @@ def locate_anchor(measurement: PdoaMeasurement, sv_antennas, guess,
             halvings += 1
         x = x + step
         cost = new_cost
-        if np.linalg.norm(step) < step_tol:
+        if np.linalg.norm(step) < _STEP_TOL:
             converged = True
             break
 

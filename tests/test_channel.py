@@ -58,24 +58,27 @@ class TestSfcw:
         sv = np.array([[0.0, 0.0, 0.0], [0.0, 0.5, 0.0], [0.5, 0.0, 0.0], [0.0, -0.5, 0.0]])
         scene = Scene(tv, (0, 1), sv, (), clock_offset=5e-9, has_los=True)
         grid = FrequencyGrid(f1=57e9, tones=8, delta=REF_DELTA)
-        obs = simulate_sfcw(scene, grid, NOISELESS, sigma_estimate=scene.clock_offset)[0]
-        tau = path_length(None, tv[0], sv[0]) / C
-        expected = 2.0 * np.exp(-2j * math.pi * grid.frequencies * tau)
-        assert np.allclose(obs.sfcw[0], expected, atol=1e-9)
+        for pid, _ in scene.path_surfaces():
+            sfcw = simulate_sfcw(scene, grid, NOISELESS, pid, scene.clock_offset)
+            tau = path_length(None, tv[0], sv[0]) / C
+            expected = 2.0 * np.exp(-2j * math.pi * grid.frequencies * tau)
+            assert np.allclose(sfcw[0], expected, atol=1e-9)
 
     def test_magnitude_bounded_by_antenna_count(self):
         scene = small_scene()
         grid = FrequencyGrid(f1=57e9, tones=16, delta=REF_DELTA)
-        obs = simulate_sfcw(scene, grid, NOISELESS, sigma_estimate=scene.clock_offset)[0]
-        assert np.all(np.abs(obs.sfcw) <= scene.n_tv + 1e-9)
+        for pid, _ in scene.path_surfaces():
+            sfcw = simulate_sfcw(scene, grid, NOISELESS, pid, scene.clock_offset)
+            assert np.all(np.abs(sfcw) <= scene.n_tv + 1e-9)
 
     def test_residual_clock_shifts_phases(self):
         scene = small_scene()
         grid = FrequencyGrid(f1=57e9, tones=4, delta=REF_DELTA)
-        exact = simulate_sfcw(scene, grid, NOISELESS, sigma_estimate=scene.clock_offset)[0]
-        off = simulate_sfcw(scene, grid, NOISELESS, sigma_estimate=scene.clock_offset - 1e-10)[0]
-        ramp = np.exp(2j * math.pi * grid.frequencies * 1e-10)
-        assert np.allclose(off.sfcw, exact.sfcw * ramp[None, :], atol=1e-9)
+        for pid, _ in scene.path_surfaces():
+            exact = simulate_sfcw(scene, grid, NOISELESS, pid, scene.clock_offset)
+            off = simulate_sfcw(scene, grid, NOISELESS, pid, scene.clock_offset - 1e-10)
+            ramp = np.exp(2j * math.pi * grid.frequencies * 1e-10)
+            assert np.allclose(off, exact * ramp[None, :], atol=1e-9)
 
     @pytest.mark.parametrize("tones", [2, 15, 16, 17, 33])
     def test_matches_direct_sum_over_blocks(self, tones):
@@ -86,13 +89,14 @@ class TestSfcw:
         scene = small_scene(surfaces=(surf,), has_los=True, clock_offset=12e-9)
         grid = FrequencyGrid(f1=57e9, tones=tones, delta=3e9 / 32)
         est = {0: 11.2e-9, 1: 12.9e-9}
-        obs = simulate_sfcw(scene, grid, NOISELESS, sigma_estimate=est)
         images = (scene.tv_antennas, mirror_across_line(0.8, 3.5, scene.tv_antennas))
-        for o, tv in zip(obs, images):
+        for (pid, surface), tv in zip(scene.path_surfaces(), images):
+            sfcw = simulate_sfcw(scene, grid, NOISELESS, pid, est[pid])
+            gamma = 1.0 if surface is None else surface.gamma
             ref = direct_sfcw(tv, scene.sv_antennas, grid.frequencies,
-                              scene.clock_offset - est[o.path_id], o.gamma)
-            assert o.sfcw.shape == ref.shape == (scene.n_sv, tones)
-            assert np.allclose(o.sfcw, ref, rtol=0.0, atol=1e-10 * np.abs(ref).max())
+                              scene.clock_offset - est[pid], gamma)
+            assert sfcw.shape == ref.shape == (scene.n_sv, tones)
+            assert np.allclose(sfcw, ref, rtol=0.0, atol=1e-10 * np.abs(ref).max())
 
     def test_snr_calibration(self):
         # Empirical per-symbol SNR within 0.2 dB of the requested level.
@@ -100,10 +104,11 @@ class TestSfcw:
         tv = np.array([[0.3, 0.1, 8.0], [-0.4, 0.0, 7.9], [0.0, 0.2, 8.2]])
         scene = Scene(tv, (0, 1), sv, (), clock_offset=0.0, has_los=True)
         grid = FrequencyGrid(f1=57e9, tones=100, delta=REF_DELTA)
-        clean = simulate_sfcw(scene, grid, NOISELESS, sigma_estimate=0.0)[0].sfcw
-        noisy = simulate_sfcw(scene, grid, NoiseModel(0.0, 10.0, 7), sigma_estimate=0.0)[0].sfcw
-        snr = np.mean(np.abs(clean) ** 2) / np.mean(np.abs(noisy - clean) ** 2)
-        assert abs(10 * math.log10(snr) - 10.0) < 0.2
+        for pid, _ in scene.path_surfaces():
+            clean = simulate_sfcw(scene, grid, NOISELESS, pid, 0.0)
+            noisy = simulate_sfcw(scene, grid, NoiseModel(0.0, 10.0, 7), pid, 0.0)
+            snr = np.mean(np.abs(clean) ** 2) / np.mean(np.abs(noisy - clean) ** 2)
+            assert abs(10 * math.log10(snr) - 10.0) < 0.2
 
     def test_phase_noise_statistics(self):
         # Per-antenna inter-tone phase error should have std phase_sigma.
@@ -126,31 +131,33 @@ class TestDeterminismAndPlumbing:
         noise = NoiseModel(0.1, 10.0, 12345)
         a1 = simulate_signature(scene, REF_SIGNATURE, noise)
         a2 = simulate_signature(scene, REF_SIGNATURE, noise)
-        s1 = simulate_sfcw(scene, grid, noise, sigma_estimate=1e-9)
-        s2 = simulate_sfcw(scene, grid, noise, sigma_estimate=1e-9)
-        for x, y in zip(a1 + s1, a2 + s2):
-            for fx, fy in ((x.sig_a, y.sig_a), (x.sig_b, y.sig_b), (x.sfcw, y.sfcw)):
-                if fx is not None:
-                    assert np.array_equal(fx, fy)
+        for x, y in zip(a1, a2):
+            for fx, fy in ((x.sig_a, y.sig_a), (x.sig_b, y.sig_b)):
+                assert np.array_equal(fx, fy)
+        for pid, _ in scene.path_surfaces():
+            assert np.array_equal(simulate_sfcw(scene, grid, noise, pid, 1e-9),
+                                  simulate_sfcw(scene, grid, noise, pid, 1e-9))
 
-    def test_path_subset_reproduces_the_full_run(self):
+    def test_adding_a_surface_leaves_the_other_paths_unchanged(self):
         # The pipeline simulates one path at a time with its own clock
-        # estimate; noise is keyed by (seed, domain, path, antenna), so each
-        # one-path run must equal that path of the full run bit for bit.
+        # estimate; noise is keyed by (seed, domain, path, antenna), so a
+        # path's symbols must not change, bit for bit, when the scene gains
+        # another path.
         surf = (ReflectionSurface(slope=1.0, intercept=3.0, gamma=0.7j),
                 ReflectionSurface(slope=0.3, intercept=4.0, gamma=-0.5))
         scene = small_scene(surfaces=surf, has_los=True)
+        wider = small_scene(surfaces=surf + (ReflectionSurface(slope=-0.6, intercept=3.5),),
+                            has_los=True)
         grid = FrequencyGrid(f1=57e9, tones=40, delta=REF_DELTA)
         noise = NoiseModel(0.05, 10.0, 4242)
         est = {0: 11.9e-9, 1: 12.4e-9, 2: 10.7e-9}
-        full = simulate_sfcw(scene, grid, noise, sigma_estimate=est)
-        clean = simulate_sfcw(scene, grid, NOISELESS, sigma_estimate=est)
-        assert [o.path_id for o in full] == [0, 1, 2]
+        assert [p for p, _ in scene.path_surfaces()] == [0, 1, 2]
         for p in est:
-            sub = simulate_sfcw(scene, grid, noise, sigma_estimate={p: est[p]}, path_ids=[p])
-            assert [o.path_id for o in sub] == [p]
-            assert np.array_equal(sub[0].sfcw, full[p].sfcw)
-            assert not np.allclose(full[p].sfcw, clean[p].sfcw)
+            for model in (noise, NOISELESS):
+                assert np.array_equal(simulate_sfcw(wider, grid, model, p, est[p]),
+                                      simulate_sfcw(scene, grid, model, p, est[p]))
+            assert not np.allclose(simulate_sfcw(scene, grid, noise, p, est[p]),
+                                   simulate_sfcw(scene, grid, NOISELESS, p, est[p]))
 
 
 def test_noise_model_defaults_follow_the_scenario_defaults():

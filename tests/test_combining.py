@@ -12,6 +12,10 @@ from coposim.geometry import ReflectionSurface, directed_angle_xz, mirror_point
 from oracles import (map_virtual_to_actual, mirror_across_line, pairwise_ray_scatter,
                      tan_form_recovery_map, transitive_merge)
 
+# The theta grid step and the direct-path rule these tests were written for.
+GRID_STEP = 1e-3
+DIRECT_PATH_TOL = 1e-3
+
 
 def make_detection(path_id, surface, x_a, x_b, cloud, sigma=1e-8):
     va = mirror_point(surface, x_a)
@@ -64,7 +68,7 @@ class TestCandidateAnchor:
 class TestSearchTheta:
     def test_reference_topology_noiseless(self):
         dets, x_a, x_b, _ = reference_cluster()
-        theta, xa, xb = search_theta_ref(dets)
+        theta, xa, xb = search_theta_ref(dets, GRID_STEP)
         assert np.linalg.norm(xa - x_a) < 1e-4
         assert np.linalg.norm(xb - x_b) < 1e-4
 
@@ -82,7 +86,7 @@ class TestSearchTheta:
     def test_objective_zero_at_truth(self):
         dets, x_a, _, _ = reference_cluster()
         theta_true = directed_angle_xz(dets[0].x_a_virtual, x_a)
-        theta_found, _, _ = search_theta_ref(dets)
+        theta_found, _, _ = search_theta_ref(dets, GRID_STEP)
         assert _scatter_objective(dets, theta_true) < 1e-9
         # V-shaped objective: a 1e-6 rad refinement leaves slope * 1e-6 residual
         assert _scatter_objective(dets, theta_found) <= _scatter_objective(dets, theta_true) + 1e-3
@@ -118,21 +122,21 @@ class TestSearchTheta:
         dets, x_a, x_b, _ = reference_cluster()
         twin = VirtualDetection(9, dets[1].x_a_virtual, dets[1].x_b_virtual, np.empty((0, 3)),
                                 dets[1].sigma_hat, dets[1].baseline_angle)
-        _, xa, xb = search_theta_ref(dets + [twin])
+        _, xa, xb = search_theta_ref(dets + [twin], GRID_STEP)
         assert np.linalg.norm(xa - x_a) < 1e-4
         assert np.linalg.norm(xb - x_b) < 1e-4
 
     def test_two_paths_infeasible(self):
         dets, _, _, _ = reference_cluster()
         with pytest.raises(FeasibilityError):
-            search_theta_ref(dets[:2])
+            search_theta_ref(dets[:2], GRID_STEP)
 
     def test_all_parallel_degenerate(self):
         # identical baseline angles at every detection make all ray pairs parallel
         dets = [VirtualDetection(i, [float(i), 0.0, 0.0], [float(i) + 1, 0.0, 0.0],
                                  np.empty((0, 3)), 0.0, 0.0) for i in range(3)]
         with pytest.raises(DegenerateGeometryError):
-            search_theta_ref(dets)
+            search_theta_ref(dets, GRID_STEP)
 
 
 class TestSurfaceAndMapping:
@@ -149,7 +153,8 @@ class TestSurfaceAndMapping:
 
     def test_recovered_reference_surfaces(self):
         dets, x_a, _, _ = reference_cluster()
-        res = combine_cluster(dets, merge_radius=0.05)
+        res = combine_cluster(dets, merge_radius=0.05,
+                              grid_step=GRID_STEP, direct_path_tol=DIRECT_PATH_TOL)
         for det, planted, est in zip(dets, REF_SURFACES, res.surfaces):
             assert est is not None
             assert est.slope == pytest.approx(planted.slope, rel=1e-2)
@@ -176,8 +181,8 @@ class TestSurfaceAndMapping:
         x_star = np.array([1.0, 0.0, 2.0])
         x_virt = x_star + 3.0 * np.array([math.cos(theta), 0.0, math.sin(theta)])
         surface = estimate_surface(x_star, x_virt, theta)
-        on_surface = np.array([[0.0, 0.3, surface.height_at(0.0)],
-                               [2.0, -0.1, surface.height_at(2.0)]])
+        on_surface = np.array([[0.0, 0.3, surface.slope * 0.0 + surface.intercept],
+                               [2.0, -0.1, surface.slope * 2.0 + surface.intercept]])
         assert np.allclose(mirror_point(surface, on_surface), on_surface, atol=1e-9)
         pts = np.array([[0.4, 0.2, 1.0], [-2.0, 0.0, 5.0]])
         assert np.allclose(mirror_point(surface, mirror_point(surface, pts)), pts, atol=1e-9)
@@ -257,14 +262,16 @@ class TestFuseAndCluster:
 class TestFullCombine:
     def test_noiseless_roundtrip(self):
         dets, x_a, x_b, cloud = reference_cluster()
-        res = combine_cluster(dets, merge_radius=0.05)
+        res = combine_cluster(dets, merge_radius=0.05,
+                              grid_step=GRID_STEP, direct_path_tol=DIRECT_PATH_TOL)
         assert np.linalg.norm(res.x_a_star - x_a) < 1e-4
         assert hausdorff(res.actual_cloud, cloud) < 1e-3
 
     def test_fourth_surface_still_exact(self):
         surfaces = REF_SURFACES + (ReflectionSurface(-0.6, 3.5),)
         dets, x_a, _, cloud = reference_cluster(surfaces=surfaces)
-        res = combine_cluster(dets, merge_radius=0.05)
+        res = combine_cluster(dets, merge_radius=0.05,
+                              grid_step=GRID_STEP, direct_path_tol=DIRECT_PATH_TOL)
         assert np.linalg.norm(res.x_a_star - x_a) < 1e-4
         assert hausdorff(res.actual_cloud, cloud) < 1e-3
 
@@ -274,7 +281,8 @@ class TestFullCombine:
         direct = VirtualDetection(path_id=0, x_a_virtual=x_a, x_b_virtual=x_b,
                                   cloud=cloud.copy(), sigma_hat=1e-8,
                                   baseline_angle=directed_angle_xz(x_a, x_b))
-        res = combine_cluster([direct] + dets, merge_radius=0.05)
+        res = combine_cluster([direct] + dets, merge_radius=0.05,
+                              grid_step=GRID_STEP, direct_path_tol=DIRECT_PATH_TOL)
         assert np.linalg.norm(res.x_a_star - x_a) < 1e-4
         assert res.surfaces[0] is None
         assert hausdorff(res.actual_cloud, cloud) < 1e-3

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from coposim.errors import DegenerateGeometryError
-from coposim.geometry import (Point3, ReflectionSurface, Scene, directed_angle_xz,
-                              mirror_point, path_length_matrix)
+from coposim.geometry import (ReflectionSurface, Scene, directed_angle_xz, mirror_point,
+                              path_length_matrix)
 from oracles import path_length, specular_point
 
 
@@ -123,14 +123,6 @@ class TestDirectedAngle:
 
 
 class TestSceneAndPoint:
-    def test_point_roundtrip(self):
-        p = Point3(1.0, -2.0, 3.5)
-        assert Point3.from_array(p.as_array()) == p
-
-    def test_point_rejects_nan(self):
-        with pytest.raises(ValueError):
-            Point3(float("nan"), 0.0, 0.0)
-
     def test_scene_validations(self):
         tv = np.array([[0, 0, 8], [1, 0, 8]], dtype=float)
         sv = np.array([[0, 0, 0], [1, 0, 0]], dtype=float)

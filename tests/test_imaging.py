@@ -6,7 +6,6 @@ import pytest
 
 from conftest import REF_DELTA
 from coposim import imaging
-from coposim.channel import NOISELESS, simulate_sfcw
 from coposim.errors import EmptySpectrumError, InterpolationDegeneracyError
 from coposim.geometry import SPEED_OF_LIGHT as C
 from coposim.geometry import Scene, path_length_matrix
@@ -54,16 +53,14 @@ class TestSampleAperture:
         sv = grid_antennas(9, 0.5)
         rng = np.random.default_rng(0)
         sym = rng.normal(size=(81, 4)) + 1j * rng.normal(size=(81, 4))
-        out = sample_aperture(sym, sv, FrequencyGrid(57e9, 4, REF_DELTA),
-                              target_spacing=0.5 / 8)
+        out = sample_aperture(sym, sv, FrequencyGrid(57e9, 4, REF_DELTA), 0.5 / 8)
         assert out.samples.shape == (9, 9, 4)
         assert np.allclose(out.samples, sym.reshape(9, 9, 4), atol=1e-12)
 
     def test_midpoints_average_neighbours(self):
         sv = grid_antennas(5, 0.4)
         sym = (np.arange(25, dtype=float)[:, None] + 0j) * np.ones((1, 2))
-        out = sample_aperture(sym, sv, FrequencyGrid(57e9, 2, REF_DELTA),
-                              target_spacing=0.05)
+        out = sample_aperture(sym, sv, FrequencyGrid(57e9, 2, REF_DELTA), 0.05)
         vals = sym.reshape(5, 5, 2)
         # doubled grid: even indices hit antennas, odd indices are midpoints
         assert np.allclose(out.samples[::2, ::2], vals, atol=1e-12)
@@ -75,7 +72,7 @@ class TestSampleAperture:
         sv = grid_antennas(3, 0.2, z=0.01)
         sym = np.ones((9, 2), dtype=complex)
         grid = FrequencyGrid(57e9, 2, REF_DELTA)
-        out = sample_aperture(sym, sv, grid, target_spacing=0.1)
+        out = sample_aperture(sym, sv, grid, 0.1)
         expected = np.exp(-2j * math.pi * grid.frequencies * 0.01 / C)
         assert np.allclose(out.samples[0, 0], expected, atol=1e-12)
 
@@ -91,8 +88,7 @@ class TestSampleAperture:
         order = rng.permutation(len(sv))
         sv = sv[order]
         sym = rng.normal(size=(len(sv), 3)) + 1j * rng.normal(size=(len(sv), 3))
-        out = sample_aperture(sym, sv, FrequencyGrid(57e9, 3, REF_DELTA),
-                              target_spacing=0.03, row_tol=0.05)
+        out = sample_aperture(sym, sv, FrequencyGrid(57e9, 3, REF_DELTA), 0.03)
 
         rows = []
         for y in row_y:
@@ -107,7 +103,7 @@ class TestSampleAperture:
     def test_degenerate_rows_raise(self):
         sv = np.stack([np.linspace(0, 1, 8), np.zeros(8), np.zeros(8)], axis=1)
         with pytest.raises(InterpolationDegeneracyError):
-            sample_aperture(np.ones((8, 2), complex), sv, FrequencyGrid(57e9, 2, REF_DELTA))
+            sample_aperture(np.ones((8, 2), complex), sv, FrequencyGrid(57e9, 2, REF_DELTA), 1 / 7)
 
 
 class TestForwardSpectrum:
@@ -115,7 +111,7 @@ class TestForwardSpectrum:
         sv_samples = np.ones((8, 8, 1), dtype=complex)
         ap = ApertureSamples(np.linspace(-0.5, 0.5, 8), np.linspace(-0.5, 0.5, 8),
                              sv_samples, FrequencyGrid(57e9, 2, REF_DELTA))
-        spec = forward_2d_spectrum(ap)
+        spec = forward_2d_spectrum(ap, pad=ap.samples.shape[:2])
         mag = np.abs(spec.values[:, :, 0])
         i0 = np.argmin(np.abs(spec.f_x))
         j0 = np.argmin(np.abs(spec.f_y))
@@ -129,7 +125,7 @@ class TestForwardSpectrum:
         vals[3, 4, 0] = 2.0
         ap = ApertureSamples(np.linspace(0, 0.7, 8), np.linspace(0, 0.7, 8), vals,
                              FrequencyGrid(57e9, 2, REF_DELTA))
-        spec = forward_2d_spectrum(ap)
+        spec = forward_2d_spectrum(ap, pad=ap.samples.shape[:2])
         assert np.allclose(np.abs(spec.values[:, :, 0]), 2.0, atol=1e-9)
 
     def test_round_trip(self):
@@ -138,7 +134,7 @@ class TestForwardSpectrum:
         gx = np.linspace(-0.4, 0.4, 16)
         gy = np.linspace(-0.3, 0.3, 12)
         ap = ApertureSamples(gx, gy, vals, FrequencyGrid(57e9, 2, REF_DELTA))
-        spec = forward_2d_spectrum(ap)
+        spec = forward_2d_spectrum(ap, pad=ap.samples.shape[:2])
         # undo the origin phasing, then invert the plain FFT
         work = spec.values / np.exp(-2j * math.pi * spec.f_x * gx[0] / C)[:, None, None]
         work = work / np.exp(-2j * math.pi * spec.f_y * gy[0] / C)[None, :, None]
@@ -170,7 +166,7 @@ class TestRemap:
         rng = np.random.default_rng(1)
         vals = rng.normal(size=(4, 4, 8)) + 1j * rng.normal(size=(4, 4, 8))
         return forward_2d_spectrum(ApertureSamples(np.linspace(0, 1, 4), np.linspace(0, 1, 4),
-                                                   vals, grid))
+                                                   vals, grid), pad=(4, 4))
 
     def test_exact_shell_at_broadside(self):
         spec = self.make_spec()
@@ -568,7 +564,7 @@ class TestReconstruct:
         dy = azimuth_resolution(8.0, 1.0, GRID64.center)
         dz = range_resolution(GRID64)
         box = ImagingBox.centered(target, (1.2, 1.2, 2.0), (dy / 2, dy / 2, dz / 2))
-        ps = reconstruct(sym, sv, GRID64, box)
+        ps = reconstruct(sym, sv, GRID64, box, 1.0 / 32, 1.6)
         pos = peak_position(ps)
         assert np.all(np.abs(pos - target) <= np.array([dy, dy, dz]))
         # coherent gain within 10% of direct matched-filter back-projection
@@ -583,7 +579,7 @@ class TestReconstruct:
         grid = FrequencyGrid(57e9, 32, 3e9 / 31)
         sym = point_target_symbols(target, sv, grid)
         box = ImagingBox.centered([0.0, 0.0, 6.0], (0.8, 0.8, 1.2), (0.04, 0.04, 0.06))
-        ps = reconstruct(sym, sv, grid, box)
+        ps = reconstruct(sym, sv, grid, box, 0.4 / 16, 1.6)
         pos = peak_position(ps)
         pts = np.stack(np.meshgrid(ps.box.axis(0), ps.box.axis(1), ps.box.axis(2), indexing="ij"),
                        axis=-1).reshape(-1, 3)
@@ -607,7 +603,7 @@ class TestReconstruct:
         grid = FrequencyGrid(57e9, 32, 3e9 / 31)
         sym = point_target_symbols(target, sv, grid)
         box = ImagingBox.centered([0.0, 0.0, 6.0], (0.72, 0.48, 1.2), (0.04, 0.04, 0.06))
-        ps = reconstruct(sym, sv, grid, box, pad_factor=1.6)
+        ps = reconstruct(sym, sv, grid, box, 0.4 / 16, pad_factor=1.6)
 
         extent = box.spacing * (np.array(box.shape) - 1)
         d = 0.4 / 16
@@ -625,9 +621,9 @@ class TestReconstruct:
         s1 = point_target_symbols([0.0, 0.0, 5.0], sv, grid)
         s2 = point_target_symbols([0.2, 0.1, 5.4], sv, grid)
         box = ImagingBox.centered([0.0, 0.0, 5.2], (0.8, 0.8, 1.2), (0.05, 0.05, 0.1))
-        p1 = reconstruct(s1, sv, grid, box).voxels
-        p2 = reconstruct(s2, sv, grid, box).voxels
-        p12 = reconstruct(s1 + s2, sv, grid, box).voxels
+        p1 = reconstruct(s1, sv, grid, box, 0.6 / 8, 1.6).voxels
+        p2 = reconstruct(s2, sv, grid, box, 0.6 / 8, 1.6).voxels
+        p12 = reconstruct(s1 + s2, sv, grid, box, 0.6 / 8, 1.6).voxels
         assert np.allclose(p12, p1 + p2, atol=1e-10 * np.abs(p12).max())
 
     def test_two_antennas_resolve_at_three_delta(self):
@@ -638,7 +634,7 @@ class TestReconstruct:
         targets = np.array([[0.0, -sep / 2, 8.0], [0.0, sep / 2, 8.0]])
         sym = point_target_symbols(targets, sv, GRID64)
         box = ImagingBox.centered([0.0, 0.0, 8.0], (0.8, 0.8, 1.2), (dy / 2, dy / 2, dz / 2))
-        peaks = detect_peaks(reconstruct(sym, sv, GRID64, box), 0.5)
+        peaks = detect_peaks(reconstruct(sym, sv, GRID64, box, 1.0 / 32, 1.6), 0.5)
         assert len(peaks) == 2
         found_y = np.sort(peaks[:, 1])
         assert np.allclose(found_y, [-sep / 2, sep / 2], atol=dy)
@@ -651,7 +647,7 @@ class TestReconstruct:
         targets = np.array([[0.0, -sep / 2, 8.0], [0.0, sep / 2, 8.0]])
         sym = point_target_symbols(targets, sv, GRID64)
         box = ImagingBox.centered([0.0, 0.0, 8.0], (0.8, 0.8, 1.2), (dy / 2, dy / 2, dz / 2))
-        peaks = detect_peaks(reconstruct(sym, sv, GRID64, box), 0.5)
+        peaks = detect_peaks(reconstruct(sym, sv, GRID64, box, 1.0 / 32, 1.6), 0.5)
         assert len(peaks) == 1
 
     def test_shift_covariance_one_voxel_in_z(self):
@@ -660,8 +656,8 @@ class TestReconstruct:
         box = ImagingBox.centered([0.0, 0.0, 6.0], (0.6, 0.6, 1.2), (0.04, 0.04, 0.05))
         s_a = point_target_symbols([0.0, 0.0, 6.0], sv, grid)
         s_b = point_target_symbols([0.0, 0.0, 6.0 + box.spacing[2]], sv, grid)
-        pa = peak_position(reconstruct(s_a, sv, grid, box))
-        pb = peak_position(reconstruct(s_b, sv, grid, box))
+        pa = peak_position(reconstruct(s_a, sv, grid, box, 0.8 / 16, 1.6))
+        pb = peak_position(reconstruct(s_b, sv, grid, box, 0.8 / 16, 1.6))
         assert pb[2] - pa[2] == pytest.approx(box.spacing[2], abs=1e-12)
         assert np.allclose(pa[:2], pb[:2], atol=1e-12)
 
@@ -675,8 +671,10 @@ class TestReconstruct:
         dy = azimuth_resolution(8.0, 1.0, GRID64.center)
         dz = range_resolution(GRID64)
         box = ImagingBox.centered(target, (0.6, 0.6, 1.0), (dy / 2, dy / 2, dz / 2))
-        p_ref = peak_position(reconstruct(point_target_symbols(target, sv, GRID64), sv, GRID64, box))
-        p_jit = peak_position(reconstruct(point_target_symbols(target, jit, GRID64), jit, GRID64, box))
+        p_ref = peak_position(reconstruct(point_target_symbols(target, sv, GRID64), sv, GRID64, box,
+                                          spacing, 1.6))
+        p_jit = peak_position(reconstruct(point_target_symbols(target, jit, GRID64), jit, GRID64, box,
+                                          spacing, 1.6))
         assert np.all(np.abs(p_jit - p_ref) <= box.spacing + 1e-12)
 
 

@@ -15,7 +15,7 @@ from coposim import imaging, pipeline
 from coposim.analysis import hausdorff
 from coposim.errors import ConfigError
 from coposim.pipeline import run, run_los, run_nlos, run_sweep
-from coposim.scenario import ScenarioConfig
+from coposim.scenario import ScenarioConfig, aperture_antennas, stratified_rows
 from oracles import local_maxima_26
 
 # Small noiseless line-of-sight scenario: 64 tones and a compact box keep a
@@ -165,6 +165,35 @@ def test_noiseless_nlos_trial_fuses_the_reflections(seed):
     for pid, mapped in artifacts.mapped_clouds.items():
         assert metrics[f"path{pid}_hausdorff_m"] == hausdorff(mapped, artifacts.scene.tv_antennas)
         assert metrics[f"path{pid}_hausdorff_m"] < NLOS_PATH_HAUSDORFF_BOUND_M
+
+
+@pytest.mark.parametrize("aperture", [(1.0, 1.0), (1.2, 0.6)])
+@pytest.mark.parametrize("n_rx", [16, 36, 64, 100])
+def test_rows_within_half_a_pitch_are_the_layout_rows(n_rx, aperture):
+    # The trial images with one row pitch per layout: the antennas whose y
+    # lies within half of it of each other must be exactly one stratified row.
+    config = ScenarioConfig.from_dict({"scene": {"sv_aperture_m": list(aperture)}})
+    pitch = pipeline._row_pitch(config, n_rx)
+    cols = math.ceil(n_rx / stratified_rows(n_rx, *aperture))
+    layout = {tuple(range(lo, min(lo + cols, n_rx))) for lo in range(0, n_rx, cols)}
+    for seed in range(1, 21):
+        sv = aperture_antennas(n_rx, aperture, np.random.default_rng(seed))
+        rows = imaging._cluster_rows(sv[:, 1], pitch / 2)
+        assert {tuple(sorted(r.tolist())) for r in rows} == layout
+
+
+def test_every_traced_stage_runs_in_a_fused_trial(monkeypatch):
+    # The benchmark's tracer wraps its stage functions by name; each must
+    # still be called by a trial, whatever its signature.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from tracing import LAYERS, Tracer
+
+    config = dict(NOISELESS_NLOS, noise={**NOISELESS_NLOS["noise"], "seed": 1})
+    tracer = Tracer()
+    with tracer.installed():
+        run(ScenarioConfig.from_dict(config))
+    names = [f"{module}.{fn}" for module, fns in LAYERS.items() for fn in fns]
+    assert [n for n in names if tracer.calls[n] < 1] == []
 
 
 def cli_run(tmp_path, scenario: dict, command: str = "run") -> dict:
