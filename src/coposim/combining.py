@@ -10,9 +10,10 @@ the meeting point then fixes each reflecting surface (the perpendicular
 bisector plane), and mirroring each virtual cloud across its surface recovers
 the actual cloud.
 
-The search is array code: every grid angle is scored in one pass that
-intersects all C(L, 2) ray pairs at once, masks the parallel pairs, and takes
-the mean pairwise distance of the surviving anchor candidates.
+The search is array code: the grid angles are scored in fixed blocks, each in
+one pass that intersects all C(L, 2) ray pairs at once, masks the parallel
+pairs, and takes the mean pairwise distance of the surviving anchor
+candidates.
 """
 
 from __future__ import annotations
@@ -28,6 +29,10 @@ from .geometry import ReflectionSurface, as_xyz, distance_matrix, mirror_point
 _PARALLEL_TOL = 1e-12
 # Golden-section refinement stops when the angle bracket is this narrow (rad).
 _REFINE_TOL = 1e-6
+# Grid angles scored per pass of the search.  Each angle is scored on its
+# own, so blocks change no value; they bound the (angles, pairs, 3)
+# temporaries, which for the whole grid of a 5-path cluster reach about 13 MB.
+_GRID_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -170,16 +175,18 @@ def search_theta_ref(cluster: list[VirtualDetection],
                      grid_step: float) -> tuple[float, np.ndarray, np.ndarray]:
     """1D search for the reference path angle minimising candidate scatter.
 
-    Line angles are periodic in pi, so the grid covers (-pi/2, pi/2]; the best
-    grid cell is refined by golden section to ``_REFINE_TOL``.  Returns the
-    angle and the candidate means for the two anchors.
+    Line angles are periodic in pi, so the grid covers (-pi/2, pi/2], scored
+    ``_GRID_BLOCK`` angles at a time; the best grid cell is refined by golden
+    section to ``_REFINE_TOL``.  Returns the angle and the candidate means for
+    the two anchors.
     """
     if len(cluster) < 3:
         raise FeasibilityError(
             f"combining needs at least 3 paths from the same transmitter, got {len(cluster)}"
         )
     grid = np.arange(-math.pi / 2 + grid_step, math.pi / 2 + 0.5 * grid_step, grid_step)
-    values = _scatter_objective(cluster, grid)
+    values = np.concatenate([_scatter_objective(cluster, grid[s:s + _GRID_BLOCK])
+                             for s in range(0, len(grid), _GRID_BLOCK)])
     if not np.isfinite(values).any():
         raise DegenerateGeometryError("every ray pair is parallel; geometry degenerate")
     best = int(np.argmin(values))

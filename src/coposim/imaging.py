@@ -23,7 +23,11 @@ inverse ones at the voxel coordinates, so the voxel grid can sit anywhere
 (boxes are centered on the clock-sync anchor estimate) at any pitch; the
 1/f_z weights ride in the z matrix.  The inverse's transverse products are
 real: each spatial-frequency bin is paired with its exact negative, so cos
-and sin matrices act on pair sums and differences.  The peak search bounds
+and sin matrices act on pair sums and differences.  Neither spectrum is
+held whole: the forward transform keeps its x product, and the inverse
+streams one f_x row at a time through the forward y product, the sphere
+remap, its own z product and the fold into pair sums and differences, which
+it adds into the folded data in any row order.  The peak search bounds
 before it computes.  The x product, taken over slabs of voxel rows along x,
 bounds every voxel row: the y matrix holds cosines and sines, so no |voxel|
 of row i exceeds the largest, over z, of hypot(sum |Re x_i|, sum |Im x_i|)
@@ -43,6 +47,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,25 +75,60 @@ class ApertureSamples:
 
 @dataclass(frozen=True)
 class Spectrum2D:
-    """Per-tone spatial spectrum S(f_x, f_y, f_k); frequencies in Hz."""
+    """Per-tone spatial spectrum S(f_x, f_y, f_k); frequencies in Hz.
+
+    Held as the factors of the forward transform: ``xprod`` (nfx, ny, K) is
+    the x product of the aperture samples and ``ey`` (nfy, ny) the y phase
+    matrix.  ``row(i, out)`` writes row i, the (nfy, K) spectrum at f_x[i],
+    as ey @ xprod[i].  ``values`` assembles the full (nfx, nfy, K) spectrum
+    from the rows on first access; it is kept once read, and no row reads it.
+    """
 
     f_x: np.ndarray
     f_y: np.ndarray
-    values: np.ndarray  # (nfx, nfy, K)
+    xprod: np.ndarray  # (nfx, ny, K)
+    ey: np.ndarray     # (nfy, ny)
     grid: FrequencyGrid
     sample_area: float
+
+    def row(self, i: int, out: np.ndarray) -> np.ndarray:
+        """Row i, the spectrum at f_x[i], written into ``out`` (nfy, K)."""
+        return np.matmul(self.ey, self.xprod[i], out=out)
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        """The full (nfx, nfy, K) spectrum, assembled on first access."""
+        out = np.empty((len(self.f_x), len(self.f_y), self.xprod.shape[2]), dtype=complex)
+        for i in range(len(out)):
+            self.row(i, out[i])
+        return out
 
 
 @dataclass(frozen=True)
 class Spectrum3D:
-    """Spectrum on a uniform (f_x, f_y, f_z) grid after sphere resampling."""
+    """Spectrum on a uniform (f_x, f_y, f_z) grid after sphere resampling.
+
+    Read one f_x row at a time: ``rows()`` yields ``(i, row)`` once for each
+    f_x bin i, in an order of the producer's choosing, where ``row`` is the
+    (nfy, nfz) spectrum at f_x[i] and may be a buffer that the next row
+    overwrites.  ``values`` assembles the full volume from ``rows()`` on first
+    access; it is kept once read, and ``rows()`` never reads it.
+    """
 
     f_x: np.ndarray
     f_y: np.ndarray
     f_z: np.ndarray
-    values: np.ndarray  # (nfx, nfy, nfz)
+    rows: Callable[[], Iterator[tuple[int, np.ndarray]]]
     shell_spacing: float
     sample_area: float
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        """The full (nfx, nfy, nfz) spectrum, assembled on first access."""
+        out = np.empty((len(self.f_x), len(self.f_y), len(self.f_z)), dtype=complex)
+        for i, row in self.rows():
+            out[i] = row
+        return out
 
 
 @dataclass(frozen=True)
@@ -292,7 +332,9 @@ def forward_2d_spectrum(samples: ApertureSamples, pad: tuple[int, int]) -> Spect
     ``pad`` bins per axis (the bins of a zero-padded DFT); more bins give a
     denser spectrum and a longer periodicity of the reconstructed image.
     Each axis is one product with a (bins x samples) phase matrix taken at
-    the physical grid coordinates.
+    the physical grid coordinates.  Only the x product is taken here; the
+    y product of each f_x row is taken when the row is read (see
+    ``Spectrum2D``), so the spectrum is never held whole.
     """
     dx, dy = samples.spacing
     nx, ny, tones = samples.samples.shape
@@ -302,9 +344,9 @@ def forward_2d_spectrum(samples: ApertureSamples, pad: tuple[int, int]) -> Spect
 
     f_x = np.fft.fftshift(np.fft.fftfreq(px, d=dx)) * C
     f_y = np.fft.fftshift(np.fft.fftfreq(py, d=dy)) * C
-    spec = _phase_matrix(-f_x, samples.grid_x) @ samples.samples.reshape(nx, -1)
-    spec = _phase_matrix(-f_y, samples.grid_y) @ spec.reshape(px, ny, tones)
-    return Spectrum2D(f_x=f_x, f_y=f_y, values=spec, grid=samples.grid,
+    xprod = _phase_matrix(-f_x, samples.grid_x) @ samples.samples.reshape(nx, -1)
+    return Spectrum2D(f_x=f_x, f_y=f_y, xprod=xprod.reshape(px, ny, tones),
+                      ey=_phase_matrix(-f_y, samples.grid_y), grid=samples.grid,
                       sample_area=dx * dy)
 
 
@@ -336,52 +378,59 @@ def remap_to_sphere(spec: Spectrum2D, f_z: np.ndarray, ref_depth: float = 0.0) -
     about a quarter of the columns.  The distinct f_x^2 values are taken in
     slabs of about ``_SLAB_ENTRIES`` table entries, and each slab fills the
     f_x rows that have its values, a row and its mirror sharing one table.
-    Per row it applies the shell carrier, gathers both shells through one
-    flat index array, blends them and applies the output carrier, so the
-    output is the only full-size array.
+
+    The resampling runs when the rows are read: the returned spectrum's
+    ``rows()`` runs the slabs, and per row it takes the forward transform's y product
+    (``Spectrum2D.row``), applies the shell carrier, gathers both shells
+    through one flat index array, blends them and applies the output carrier,
+    into one (nfy, nfz) buffer that the next row reuses.  No full-size array
+    is built.
     """
     f_z = np.asarray(f_z, dtype=float)
     shells = spec.grid.frequencies
     tones = spec.grid.tones
-    nfx, nfy, nfz = len(spec.f_x), len(spec.f_y), len(f_z)
-
-    fx2, ix = np.unique(spec.f_x**2, return_inverse=True)
-    fy2, iy = np.unique(spec.f_y**2, return_inverse=True)
+    nfy, nfz = len(spec.f_y), len(f_z)
     beta = 2.0 * math.pi / C * ref_depth
     out_carrier = np.exp(-1j * beta * f_z)
 
-    out = np.empty((nfx, nfy, nfz), dtype=complex)
-    offset = (tones * np.arange(nfy))[:, None]  # lower shell in the flat row
-    step = max(1, _SLAB_ENTRIES // (len(fy2) * nfz))
-    for u in range(0, len(fx2), step):
-        rho2 = (fx2[u:u + step, None] + fy2[None, :]).reshape(-1, 1)  # one table row per pair
-        f = np.sqrt(rho2 + f_z**2)
-        in_band = (f >= shells[0]) & (f <= shells[-1])
-        pos = (f - shells[0]) / spec.grid.delta
-        lower = np.clip(np.floor(pos), 0, tones - 2)
-        frac = pos - lower
-        w_low = np.where(in_band, 1.0 - frac, 0.0)
-        w_high = np.where(in_band, frac, 0.0)
-        lower = lower.astype(np.intp)
-        shell_carrier = np.exp(1j * beta * np.sqrt(np.maximum(shells**2 - rho2, 0.0)))
+    def rows() -> Iterator[tuple[int, np.ndarray]]:
+        fx2, ix = np.unique(spec.f_x**2, return_inverse=True)
+        fy2, iy = np.unique(spec.f_y**2, return_inverse=True)
+        offset = (tones * np.arange(nfy))[:, None]  # lower shell in the flat row
+        shell_row = np.empty((nfy, tones), dtype=complex)
+        row = np.empty((nfy, nfz), dtype=complex)
+        step = max(1, _SLAB_ENTRIES // (len(fy2) * nfz))
+        for u in range(0, len(fx2), step):
+            rho2 = (fx2[u:u + step, None] + fy2[None, :]).reshape(-1, 1)  # one table row per pair
+            f = np.sqrt(rho2 + f_z**2)
+            in_band = (f >= shells[0]) & (f <= shells[-1])
+            pos = (f - shells[0]) / spec.grid.delta
+            lower = np.clip(np.floor(pos), 0, tones - 2)
+            frac = pos - lower
+            w_low = np.where(in_band, 1.0 - frac, 0.0)
+            w_high = np.where(in_band, frac, 0.0)
+            lower = lower.astype(np.intp)
+            shell_carrier = np.exp(1j * beta * np.sqrt(np.maximum(shells**2 - rho2, 0.0)))
 
-        for i in np.flatnonzero((ix >= u) & (ix < u + step)):
-            col = (ix[i] - u) * len(fy2) + iy  # table row of each f_y
-            # Keep carrier times value in this order: the vectorised complex
-            # product is not bitwise commutative, and the output is pinned
-            # bit for bit.
-            flat = np.multiply(shell_carrier[col], spec.values[i]).reshape(-1)
-            idx = lower[col]
-            idx += offset
-            row = out[i]
-            # Every index is in range; "clip" lets take write straight into the row.
-            np.take(flat, idx, out=row, mode="clip")
-            row *= w_low[col]
-            high = np.take(flat[1:], idx, mode="clip")
-            high *= w_high[col]
-            row += high
-            row *= out_carrier
-    return Spectrum3D(f_x=spec.f_x, f_y=spec.f_y, f_z=f_z, values=out,
+            for i in np.flatnonzero((ix >= u) & (ix < u + step)):
+                col = (ix[i] - u) * len(fy2) + iy  # table row of each f_y
+                # Keep carrier times value in this order: the vectorised complex
+                # product is not bitwise commutative, and the output is pinned
+                # bit for bit.
+                flat = np.multiply(shell_carrier[col], spec.row(i, shell_row),
+                                   out=shell_row).reshape(-1)
+                idx = lower[col]
+                idx += offset
+                # Every index is in range; "clip" lets take write straight into the row.
+                np.take(flat, idx, out=row, mode="clip")
+                row *= w_low[col]
+                high = np.take(flat[1:], idx, mode="clip")
+                high *= w_high[col]
+                row += high
+                row *= out_carrier
+                yield i, row
+
+    return Spectrum3D(f_x=spec.f_x, f_y=spec.f_y, f_z=f_z, rows=rows,
                       shell_spacing=spec.grid.delta, sample_area=spec.sample_area)
 
 
@@ -451,19 +500,25 @@ def inverse_3d_spectrum(spec: Spectrum3D, box: ImagingBox) -> PowerSpectrum:
     The z product is complex.  The transverse products are real: each f_x and
     f_y bin is paired with its exact negative, the z product is folded once
     into pair sums and j-times pair differences (``_fold``), and cos and sin
-    matrices multiply the float view of the folded data.  The z product is
-    taken one f_x row at a time and folded straight into place, so the folded
-    data is its only full-size array.  On fftshift(fftfreq)
+    matrices multiply the float view of the folded data.  On fftshift(fftfreq)
     axes only the zero and Nyquist bins stay unpaired, so that halves the real
-    multiplies.  This function stops there: the ``PowerSpectrum`` it returns
-    is the folded data and the x and y matrices, and the x and y products run
-    later, the x product per slab of ``_SLAB_ROWS`` voxel rows along x, when
-    the spectrum's rows or ``voxels`` are read.  Taking x before y is
-    what bounds a row before its y product (see ``PowerSpectrum``), and it
-    also costs 13-28% fewer multiplies than y before x on the pipeline's
+    multiplies.
+
+    The spectrum is read one f_x row at a time (``Spectrum3D.rows()``), and
+    each row's z product is folded along y and added into the zeroed folded
+    data at once: into the pair sum of its x pair, and into the pair
+    difference, or subtracted there when the row is the lag of its pair.
+    IEEE addition is commutative and 0 + a is a, so the folded data does not
+    depend on the order the rows come in, and it is the only full-size array
+    the inverse builds.  This function stops there: the ``PowerSpectrum`` it
+    returns is the folded data and the x and y matrices, and the x and y
+    products run later, the x product per slab of ``_SLAB_ROWS`` voxel rows
+    along x, when the spectrum's rows or ``voxels`` are read.  Taking x before
+    y is what bounds a row before its y product (see ``PowerSpectrum``), and
+    it also costs 13-28% fewer multiplies than y before x on the pipeline's
     boxes, which are wider in x than in y.
     """
-    nfx, nfy, nfz = spec.values.shape
+    nfx, nfy, nfz = len(spec.f_x), len(spec.f_y), len(spec.f_z)
     if nfz < 2 or nfx < 2 or nfy < 2:
         raise ValueError("spectrum must have at least two samples per axis")
     dfz = float(spec.f_z[1] - spec.f_z[0])
@@ -475,16 +530,20 @@ def inverse_3d_spectrum(spec: Spectrum3D, box: ImagingBox) -> PowerSpectrum:
     ez = _phase_matrix(spec.f_z, box.axis(2)) * scale[:, None]
     x_lead, x_lag = _paired_bins(spec.f_x)
     y_lead, y_lag = _paired_bins(spec.f_y)
-    n, k = len(x_lead), len(x_lag)
-    folded = np.empty((2 * n, 2 * len(y_lead), ez.shape[1]), dtype=complex)
-    for r, i in enumerate(x_lead):
-        lead = _fold(spec.values[i] @ ez, y_lead, y_lag)
-        if r < k:
-            lag = _fold(spec.values[x_lag[r]] @ ez, y_lead, y_lag)
-            np.add(lead, lag, out=folded[r])
-            np.subtract(lead, lag, out=folded[n + r])
+    n = len(x_lead)
+    pair = np.empty(nfx, dtype=np.intp)   # the folded row of each f_x bin's pair
+    pair[x_lead] = np.arange(n)
+    pair[x_lag] = np.arange(len(x_lag))
+    is_lag = np.zeros(nfx, dtype=bool)
+    is_lag[x_lag] = True
+    folded = np.zeros((2 * n, 2 * len(y_lead), ez.shape[1]), dtype=complex)
+    for i, row in spec.rows():
+        part = _fold(row @ ez, y_lead, y_lag)
+        folded[pair[i]] += part
+        if is_lag[i]:
+            folded[n + pair[i]] -= part
         else:
-            folded[r] = folded[n + r] = lead
+            folded[n + pair[i]] += part
     folded[n:] *= 1j
     folded = folded.view(float).reshape(len(folded), -1)   # (2 x leads, 2 y leads * 2 nz)
     mx = _cos_sin_matrix(spec.f_x[x_lead], box.axis(0))
@@ -595,8 +654,14 @@ def reconstruct(symbols, sv_antennas, grid: FrequencyGrid, box: ImagingBox,
     the fewest that do so (the phase-matrix transforms take any bin count, so
     none is rounded up to an FFT size).  The f_z spacing is the tone gap,
     reduced when the box is deep enough to need it.  The resampling is
-    phase-referenced to the box center.  The returned spectrum is the
-    factored inverse and computes its voxels when they are read (see
+    phase-referenced to the box center.
+
+    No spectrum is held whole: the forward transform keeps its x product,
+    and the inverse streams each f_x row from it through the y product, the
+    sphere remap, the z product and the fold (see ``remap_to_sphere`` and
+    ``inverse_3d_spectrum``), so the x product and the folded data are the
+    only full-size arrays of a path.  The returned spectrum is the factored
+    inverse and computes its voxels when they are read (see
     ``PowerSpectrum``).
     """
     samples = sample_aperture(symbols, sv_antennas, grid, pitch, deramp_center=box.center)
@@ -609,9 +674,9 @@ def reconstruct(symbols, sv_antennas, grid: FrequencyGrid, box: ImagingBox,
     px = max(nx, math.ceil(need_x / dx))
     py = max(ny, math.ceil(need_y / dy))
     spec2d = forward_2d_spectrum(samples, pad=(px, py))
+    del samples   # the x product holds all that the rows read of the samples
 
     fz_spacing = min(grid.delta, C / (pad_factor * max(extent[2], 1e-6)))
     f_z = default_fz_axis(grid, spec2d.f_x, spec2d.f_y, spacing=fz_spacing)
     spec3d = remap_to_sphere(spec2d, f_z, ref_depth=float(box.center[2]))
-    del samples, spec2d   # not needed past here; the inverse's arrays can reuse their memory
     return inverse_3d_spectrum(spec3d, box)

@@ -48,6 +48,16 @@ def factored_volume(vol, box: ImagingBox | None = None) -> PowerSpectrum:
     return PowerSpectrum(vol.view(float).reshape(nx, -1), np.eye(nx), np.eye(ny), box)
 
 
+def held_spectrum2d(values, **fields) -> Spectrum2D:
+    """A hand-built per-tone spectrum, factored exactly by an identity y matrix."""
+    return Spectrum2D(xprod=values, ey=np.eye(values.shape[1], dtype=complex), **fields)
+
+
+def held_spectrum3d(values, **fields) -> Spectrum3D:
+    """A hand-built spectrum whose rows are those of ``values``, in index order."""
+    return Spectrum3D(rows=lambda: enumerate(values), **fields)
+
+
 class TestSampleAperture:
     def test_identity_on_exact_grid(self):
         sv = grid_antennas(9, 0.5)
@@ -209,7 +219,7 @@ class TestRemap:
         f_x = np.linspace(-3.1e9, 2.3e9, 5)
         f_y = np.linspace(-1.7e9, 4.4e9, 4)
         vals = rng.normal(size=(5, 4, 8)) + 1j * rng.normal(size=(5, 4, 8))
-        spec = Spectrum2D(f_x=f_x, f_y=f_y, values=vals, grid=grid, sample_area=1e-4)
+        spec = held_spectrum2d(f_x=f_x, f_y=f_y, values=vals, grid=grid, sample_area=1e-4)
         f_z = np.linspace(56.6e9, 57.75e9, 23)
         out = remap_to_sphere(spec, f_z, ref_depth=ref_depth).values
         ref = two_exponential_remap(f_x, f_y, f_z, vals, grid.f1, grid.delta, ref_depth)
@@ -230,7 +240,7 @@ class TestRemap:
         per_slab = _SLAB_ENTRIES // (len(f_y) * len(f_z))
         assert 1 <= per_slab and len(f_x) > 2 * per_slab and len(f_x) % per_slab
         vals = rng.normal(size=(13, 8, 8)) + 1j * rng.normal(size=(13, 8, 8))
-        spec = Spectrum2D(f_x=f_x, f_y=f_y, values=vals, grid=grid, sample_area=1e-4)
+        spec = held_spectrum2d(f_x=f_x, f_y=f_y, values=vals, grid=grid, sample_area=1e-4)
         out = remap_to_sphere(spec, f_z, ref_depth=ref_depth).values
         ref = two_exponential_remap(f_x, f_y, f_z, vals, grid.f1, grid.delta, ref_depth)
         assert np.count_nonzero(ref) and np.count_nonzero(ref == 0.0)
@@ -251,12 +261,12 @@ class TestRemap:
         assert len(np.unique(f_x**2)) == 9 and len(np.unique(f_y**2)) == 5
         assert 9 > _SLAB_ENTRIES // (5 * len(f_z))
         vals = rng.normal(size=(16, 8, 8)) + 1j * rng.normal(size=(16, 8, 8))
-        spec = Spectrum2D(f_x=f_x, f_y=f_y, values=vals, grid=grid, sample_area=1e-4)
+        spec = held_spectrum2d(f_x=f_x, f_y=f_y, values=vals, grid=grid, sample_area=1e-4)
         axes = [f_x, f_y]
         axes[axis] = axes[axis][::-1]
-        flipped = Spectrum2D(f_x=axes[0], f_y=axes[1],
-                             values=np.ascontiguousarray(np.flip(vals, axis)),
-                             grid=grid, sample_area=1e-4)
+        flipped = held_spectrum2d(f_x=axes[0], f_y=axes[1],
+                                  values=np.ascontiguousarray(np.flip(vals, axis)),
+                                  grid=grid, sample_area=1e-4)
         for ref_depth in (0.0, 9.3):
             out = remap_to_sphere(spec, f_z, ref_depth=ref_depth).values
             assert np.all(np.any(out != 0.0, axis=2))
@@ -272,8 +282,8 @@ def random_inverse_case(f_x, f_y, shape):
     f_z = 56.3e9 + 0.173e9 * np.arange(7)
     size = (len(f_x), len(f_y), len(f_z))
     vals = rng.normal(size=size) + 1j * rng.normal(size=size)
-    spec = Spectrum3D(f_x=f_x, f_y=f_y, f_z=f_z, values=vals,
-                      shell_spacing=0.15e9, sample_area=2.5e-3)
+    spec = held_spectrum3d(f_x=f_x, f_y=f_y, f_z=f_z, values=vals,
+                           shell_spacing=0.15e9, sample_area=2.5e-3)
     box = ImagingBox(origin=np.array([0.83, -0.41, 5.37]),
                      spacing=np.array([0.037, 0.041, 0.029]), shape=shape)
 
@@ -315,6 +325,61 @@ class TestInverse:
         out, ref = inverse_against_direct_sum(f_x, f_y, shape)
         assert np.allclose(out, ref, rtol=0.0, atol=1e-9 * np.abs(ref).max())
 
+    STREAM_BOX = ImagingBox(origin=np.array([0.31, -0.22, 6.4]),
+                            spacing=np.array([0.037, 0.041, 0.029]), shape=(9, 4, 11))
+
+    @staticmethod
+    def streamed_spectrum(f_x, f_y) -> Spectrum3D:
+        """A random per-tone spectrum remapped over several slabs of distinct f_x^2."""
+        grid = FrequencyGrid(57e9, 8, 100e6)
+        rng = np.random.default_rng(8)
+        size = (len(f_x), len(f_y), 8)
+        vals = rng.normal(size=size) + 1j * rng.normal(size=size)
+        spec = held_spectrum2d(f_x=f_x, f_y=f_y, values=vals, grid=grid, sample_area=1e-4)
+        f_z = np.linspace(56.6e9, 57.75e9, 1500)
+        assert len(np.unique(f_x**2)) > _SLAB_ENTRIES // (len(np.unique(f_y**2)) * len(f_z))
+        return remap_to_sphere(spec, f_z, ref_depth=6.4)
+
+    @pytest.mark.parametrize("f_x, f_y", [
+        # The zero bins are unpaired.
+        (np.fft.fftshift(np.fft.fftfreq(15, d=0.1)) * C,
+         np.fft.fftshift(np.fft.fftfreq(7, d=0.12)) * C),
+        # The zero and Nyquist bins are unpaired.
+        (np.fft.fftshift(np.fft.fftfreq(16, d=0.1)) * C,
+         np.fft.fftshift(np.fft.fftfreq(8, d=0.12)) * C),
+        # No bin has its exact negative.
+        (-1.3e9 + 0.23e9 * np.arange(13), -0.9e9 + 0.31e9 * np.arange(8)),
+    ], ids=["fftfreq-odd", "fftfreq-even", "unpaired"])
+    def test_fold_does_not_depend_on_the_row_order(self, f_x, f_y):
+        # The remap yields rows slab by slab, not in index order; the held
+        # copy yields them in index order and reversed, so a pair's lag comes
+        # before its lead and after it.
+        spec = self.streamed_spectrum(f_x, f_y)
+        order = [i for i, _ in spec.rows()]
+        assert sorted(order) == list(range(len(f_x))) and order != sorted(order)
+        folded = inverse_3d_spectrum(spec, self.STREAM_BOX).folded
+        fields = dict(f_x=f_x, f_y=f_y, f_z=spec.f_z, shell_spacing=spec.shell_spacing,
+                      sample_area=spec.sample_area)
+        held = held_spectrum3d(values=spec.values.copy(), **fields)
+        backwards = Spectrum3D(rows=lambda: reversed(list(held.rows())), **fields)
+        for other in (held, backwards):
+            assert np.array_equal(inverse_3d_spectrum(other, self.STREAM_BOX).folded, folded)
+
+    def test_reading_values_changes_no_row_and_no_fold(self):
+        # The assembled spectrum is kept once read, yet the rows stay those
+        # the remap computes from the per-tone rows.
+        f_xy = np.fft.fftshift(np.fft.fftfreq(16, d=0.1)) * C
+        spec = self.streamed_spectrum(f_xy, f_xy[4:12])
+        rows = [(i, row.copy()) for i, row in spec.rows()]
+        folded = inverse_3d_spectrum(spec, self.STREAM_BOX).folded
+        assert "values" not in vars(spec)
+        values = spec.values
+        assert [i for i, _ in spec.rows()] == [i for i, _ in rows]
+        for (_, row), (i, again) in zip(rows, spec.rows()):
+            assert np.array_equal(again, row) and np.array_equal(values[i], row)
+        assert spec.values is values
+        assert np.array_equal(inverse_3d_spectrum(spec, self.STREAM_BOX).folded, folded)
+
     def test_streamed_peak_search_allocates_a_quarter_of_the_volume(self):
         # Twenty slabs along x: the inverse and the peak search together hold
         # a few slabs of the volume, never the whole of it.
@@ -322,8 +387,8 @@ class TestInverse:
         f_xy = np.fft.fftshift(np.fft.fftfreq(n)) * 4.0e9
         f_z = 56.3e9 + 0.173e9 * np.arange(n)
         vals = np.ones((n, n, n), dtype=complex)
-        spec = Spectrum3D(f_x=f_xy, f_y=f_xy, f_z=f_z, values=vals,
-                          shell_spacing=0.15e9, sample_area=2.5e-3)
+        spec = held_spectrum3d(f_x=f_xy, f_y=f_xy, f_z=f_z, values=vals,
+                               shell_spacing=0.15e9, sample_area=2.5e-3)
         box = ImagingBox(origin=np.array([-1.0, -0.5, 6.0]), spacing=np.full(3, 0.01),
                          shape=(20 * _SLAB_ROWS, 48, n))
         tracemalloc.start()
@@ -352,8 +417,8 @@ class TestStreamedScan:
     SPACING = np.array([0.004, 0.02, 0.03])
 
     def spectrum(self, values):
-        return Spectrum3D(f_x=self.F_X, f_y=self.F_Y, f_z=self.F_Z, values=values,
-                          shell_spacing=0.15e9, sample_area=2.5e-3)
+        return held_spectrum3d(f_x=self.F_X, f_y=self.F_Y, f_z=self.F_Z, values=values,
+                               shell_spacing=0.15e9, sample_area=2.5e-3)
 
     def point(self, row, iy=2, iz=3):
         return self.ORIGIN + self.SPACING * np.array([row, iy, iz])
@@ -477,9 +542,9 @@ class TestRowBounds:
         """Ten slabs along x imaging two point emitters, at rows 70 and 230."""
         vals = point_spectrum(self.F_X, self.F_Y, self.F_Z,
                               [(1.0, *self.point(70, 2, 3)), (0.7, *self.point(230, 4, 1))])
-        return inverse_3d_spectrum(Spectrum3D(f_x=self.F_X, f_y=self.F_Y, f_z=self.F_Z,
-                                              values=vals, shell_spacing=0.15e9,
-                                              sample_area=2.5e-3), self.BOX)
+        return inverse_3d_spectrum(held_spectrum3d(f_x=self.F_X, f_y=self.F_Y, f_z=self.F_Z,
+                                                   values=vals, shell_spacing=0.15e9,
+                                                   sample_area=2.5e-3), self.BOX)
 
     @pytest.mark.parametrize("f_x, f_y", [
         (np.fft.fftshift(np.fft.fftfreq(7)) * 4.4e9, np.fft.fftshift(np.fft.fftfreq(6)) * 3.1e9),

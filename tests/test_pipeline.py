@@ -130,6 +130,37 @@ def test_los_trial_never_holds_its_full_volume(monkeypatch):
     assert len(shapes) == 1 and peak < 16 * math.prod(shapes[0])
 
 
+def test_reconstruct_holds_about_one_spectrum_volume(monkeypatch):
+    # The spectrum is streamed row by row from the 2-D transform into the
+    # folded inverse, so beside the x product and the folded data no
+    # (nfx, nfy, K) or (nfx, nfy, nfz) spectrum is held.  Holding both of
+    # them at once peaks at about 2.4 volumes.
+    bins, peaks = [], []
+    remap = imaging.remap_to_sphere
+
+    def recording_remap(spec, f_z, ref_depth):
+        bins.append((len(spec.f_x), len(spec.f_y), len(f_z)))
+        return remap(spec, f_z, ref_depth)
+
+    def measured_reconstruct(*args, **kwargs):
+        tracemalloc.reset_peak()
+        live = tracemalloc.get_traced_memory()[0]
+        out = imaging.reconstruct(*args, **kwargs)
+        peaks.append(tracemalloc.get_traced_memory()[1] - live)
+        return out
+
+    monkeypatch.setattr(imaging, "remap_to_sphere", recording_remap)
+    monkeypatch.setattr(pipeline, "reconstruct", measured_reconstruct)
+    tracemalloc.start()
+    try:
+        report, _ = run(ScenarioConfig.from_dict(NOISELESS_LOS_8M))
+    finally:
+        tracemalloc.stop()
+    assert report.trials[0]["detected_points"] > 0
+    assert len(bins) == len(peaks) == 1
+    assert peaks[0] < 1.5 * 16 * math.prod(bins[0])
+
+
 @pytest.mark.parametrize("config, paths", [(NOISELESS_LOS, 1), (NOISELESS_NLOS, 3)],
                          ids=["los", "nlos"])
 @pytest.mark.parametrize("seed", [1, 2, 3])
