@@ -1,8 +1,14 @@
 """Command line: ``coposim run CONFIG`` and ``coposim sweep CONFIG``.
 
 Both load a scenario JSON file and print the run report as JSON.  ``run``
-runs one trial of the scene (the report's ``mode`` says whether it imaged a
-direct view or fused reflections); ``sweep`` runs the configured sweep.
+runs trial 0 of the scene (the report's ``mode`` says whether it imaged a
+direct view or fused reflections); ``sweep`` runs the configured sweep, each
+point a configuration of its own.  A configuration plus a trial index fix a
+trial, so the same file gives the same report.  The file sets what a study
+varies; a field it does not know, such as the pipeline tuning fixed as
+constants in ``coposim.pipeline`` (``NU``, ``PAD_FACTOR``,
+``THETA_GRID_STEP_RAD``, ``CLOCK_CLUSTER_TOL_S``, ``DIRECT_PATH_TOL_M``),
+is a ``ConfigError``.
 """
 
 from __future__ import annotations

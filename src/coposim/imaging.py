@@ -611,6 +611,7 @@ def detect_peaks(spectrum: PowerSpectrum, nu: float = 0.5) -> np.ndarray:
                 mags[1, 1:-1, 1:-1] = row
             rows.append(start + r)
             slot[start + r + 1] = len(rows)
+        del magnitudes   # frees this slab's x product before the next slab takes its own
     if peak == 0.0:
         raise EmptySpectrumError("power spectrum is identically zero")
 

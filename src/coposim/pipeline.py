@@ -3,8 +3,15 @@
 A trial simulates one snapshot, synchronises and images each path, and
 fuses the virtual detections unless the scene has a line of sight and no
 reflecting surfaces, in which case the direct path's image is the estimate.
-All randomness is derived from (config seed, trial index), so results do not
-depend on how a sweep spreads its trials over worker processes.
+A configuration plus a trial index fix a trial: all randomness is derived
+from (config seed, trial index), and a sweep point is written into the
+configuration before its trials run, so results do not depend on how a
+sweep spreads its trials over worker processes.
+
+The tuning no study varies is fixed here: the peak threshold ``NU``, the
+spectral padding ``PAD_FACTOR``, the theta grid step
+``THETA_GRID_STEP_RAD``, the clock clustering tolerance
+``CLOCK_CLUSTER_TOL_S`` and the direct-path tolerance ``DIRECT_PATH_TOL_M``.
 """
 
 from __future__ import annotations
@@ -24,9 +31,16 @@ from .errors import ConfigError, CoposimError
 from .geometry import SPEED_OF_LIGHT as C
 from .geometry import Scene, directed_angle_xz, mirror_point
 from .imaging import ImagingBox, detect_peaks, reconstruct
-from .scenario import ScenarioConfig, build_scene, stratified_rows, trial_noise_seed
+from .scenario import (DEFAULT_SURFACE_POOL, ScenarioConfig, build_scene, stratified_rows,
+                       trial_noise_seed)
 from .sync import locate_and_sync
 from .waveform import validate_scene
+
+NU = 0.5                       # peak threshold, relative to the image maximum
+PAD_FACTOR = 1.6               # periodic image repeat over the box extent
+THETA_GRID_STEP_RAD = 1.0e-3   # coarse grid of the reference-angle search
+CLOCK_CLUSTER_TOL_S = 2.0e-9   # clock estimates closer than this share a cluster
+DIRECT_PATH_TOL_M = 0.25       # virtual anchor this close to the fused one: direct path
 
 
 @dataclass
@@ -74,10 +88,10 @@ def _phase_noise_std_m(noise: NoiseModel, delta: float) -> float | None:
     return math.sqrt(2.0) * C * noise.phase_sigma / (2.0 * math.pi * delta)
 
 
-def _row_pitch(config: ScenarioConfig, n_rx: int) -> float:
+def _row_pitch(config: ScenarioConfig) -> float:
     """Row pitch of the scene's stratified receive array (see ``aperture_antennas``)."""
     w, h = config.scene.sv_aperture_m
-    return h / stratified_rows(n_rx, w, h)
+    return h / stratified_rows(config.scene.sv_antenna_count, w, h)
 
 
 def _bearing_rotation(direction: np.ndarray) -> np.ndarray:
@@ -100,7 +114,6 @@ def _process_path(scene: Scene, sig_obs, config: ScenarioConfig,
     disagreement of their clock estimates.
     """
     grid = config.frequency_grid()
-    pspec = config.pipeline
     delta = grid.delta
     f_std = _phase_noise_std_m(noise, delta)
 
@@ -122,9 +135,9 @@ def _process_path(scene: Scene, sig_obs, config: ScenarioConfig,
     # frequency, where the sparse aperture is usable.
     rot = _bearing_rotation(center)
     spectrum = reconstruct(sfcw, scene.sv_antennas @ rot.T, grid,
-                           ImagingBox.centered(rot @ center, pspec.box_extent_m, pitch),
-                           _row_pitch(config, scene.n_sv), pspec.pad_factor)
-    cloud = detect_peaks(spectrum, pspec.nu) @ rot
+                           ImagingBox.centered(rot @ center, config.pipeline.box_extent_m, pitch),
+                           _row_pitch(config), PAD_FACTOR)
+    cloud = detect_peaks(spectrum, NU) @ rot
     phi = directed_angle_xz(sync_a.x_anchor, sync_b.x_anchor)
     det = VirtualDetection(path_id=pid, x_a_virtual=sync_a.x_anchor,
                            x_b_virtual=sync_b.x_anchor, cloud=cloud,
@@ -133,10 +146,8 @@ def _process_path(scene: Scene, sig_obs, config: ScenarioConfig,
             abs(sync_a.sigma_hat - sync_b.sigma_hat))
 
 
-def _run_trial(config: ScenarioConfig, trial: int = 0,
-               distance=None, n_surfaces=None, n_rx=None):
-    scene = build_scene(config, trial=trial, distance=distance,
-                        n_surfaces=n_surfaces, n_rx=n_rx)
+def _run_trial(config: ScenarioConfig, trial: int = 0):
+    scene = build_scene(config, trial)
     grid = config.frequency_grid()
     report = validate_scene(scene, grid)
     if not report.ok:
@@ -169,15 +180,14 @@ def _run_trial(config: ScenarioConfig, trial: int = 0,
         metrics["anchor_err_m"] = float(np.linalg.norm(det.x_a_virtual - scene.anchor_a))
         metrics["anchor_b_err_m"] = float(np.linalg.norm(det.x_b_virtual - scene.anchor_b))
     else:
-        clusters = group_by_clock(detections, config.pipeline.clock_cluster_tol_s)
+        clusters = group_by_clock(detections, CLOCK_CLUSTER_TOL_S)
         clusters.sort(key=lambda c: (-len(c), min(d.path_id for d in c)))
         if not clusters or len(clusters[0]) < 3:
             raise CoposimError(
                 f"combining stage: no clock cluster with >= 3 paths "
                 f"(cluster sizes {[len(c) for c in clusters]})")
         res = combine_cluster(clusters[0], merge_radius=range_resolution(grid) / 2,
-                              grid_step=config.pipeline.theta_grid_step_rad,
-                              direct_path_tol=config.pipeline.direct_path_tol_m)
+                              grid_step=THETA_GRID_STEP_RAD, direct_path_tol=DIRECT_PATH_TOL_M)
         cloud = res.actual_cloud
         metrics["theta_ref_rad"] = float(res.theta_ref)
         metrics["anchor_err_m"] = float(np.linalg.norm(res.x_a_star - scene.anchor_a))
@@ -257,13 +267,25 @@ def run_nlos(config: ScenarioConfig, workers: int = 1):
 
 
 def _sweep_task(packed):
+    """One trial of a sweep point, run on the configuration the point makes.
+
+    The point sets the distance and the receive antenna count, and its
+    surface count cuts the configured surfaces or extends them with the
+    ``DEFAULT_SURFACE_POOL`` surfaces they do not already hold.
+    """
     config_dict, point, trial = packed
-    config = ScenarioConfig.from_dict(config_dict)
     try:
-        metrics, _, _ = _run_trial(config, trial=trial,
-                                   distance=point.get("distance_m"),
-                                   n_surfaces=point.get("surfaces"),
-                                   n_rx=point.get("n_rx"))
+        scene, count = config_dict["scene"], point["surfaces"]
+        held = scene["surfaces"]
+        pool = held + [dict(s) for s in DEFAULT_SURFACE_POOL
+                       if not any(abs(s["slope"] - t["slope"]) < 1e-12
+                                  and abs(s["intercept_m"] - t["intercept_m"]) < 1e-12
+                                  for t in held)]
+        if count > len(pool):
+            raise ConfigError(f"requested {count} surfaces but only {len(pool)} available")
+        scene.update(distance_m=point["distance_m"], sv_antenna_count=point["n_rx"],
+                     surfaces=pool[:count])
+        metrics, _, _ = _run_trial(ScenarioConfig.from_dict(config_dict), trial)
         return point, trial, metrics, None
     except (CoposimError, np.linalg.LinAlgError) as exc:
         return point, trial, None, f"{type(exc).__name__}: {exc}"
@@ -271,6 +293,10 @@ def _sweep_task(packed):
 
 def run_sweep(config: ScenarioConfig, workers: int = 1):
     """Cartesian sweep over distance / surface count / receive antennas.
+
+    Each point is written into the configuration (see ``_sweep_task``), so a
+    point's trial is the trial of that configuration; a point the scene
+    cannot take fails each of its trials.
 
     Per-trial failures are recorded in the fail rate instead of aborting the
     sweep, and counted by exception type in the aggregates.  Rows carry

@@ -1,5 +1,13 @@
 """Scenario configuration (JSON) and deterministic scene synthesis.
 
+A configuration plus a trial index fix a trial: ``build_scene(config,
+trial)`` places the antennas from (seed, trial) alone, and a sweep point is
+itself a configuration (see ``pipeline.run_sweep``).  The configuration
+holds what a study varies.  The tuning no study varies is module constants
+in ``pipeline`` (``NU``, ``PAD_FACTOR``, ``THETA_GRID_STEP_RAD``,
+``CLOCK_CLUSTER_TOL_S``, ``DIRECT_PATH_TOL_M``), and the signature tones sit
+at f1 - 2*delta and f1 - 4*delta.
+
 All physical quantities carry SI units in their field names.  Antenna
 placement is a seeded stratified jitter: receive antennas on the planar
 aperture, transmit antennas over the cuboid shell of the vehicle body, so the
@@ -47,8 +55,6 @@ class WaveformSpec:
     f1_hz: float = 57.0e9
     tones: int = 128
     delta_hz: float = 11.72e6
-    signature_fa_hz: float | None = None   # defaults to f1 - 2*delta
-    signature_fb_hz: float | None = None   # defaults to f1 - 4*delta
 
 
 @dataclass
@@ -60,12 +66,7 @@ class NoiseSpec:
 
 @dataclass
 class PipelineSpec:
-    nu: float = 0.5
     box_extent_m: list = field(default_factory=lambda: [6.0, 4.0, 6.0])
-    theta_grid_step_rad: float = 1.0e-3
-    clock_cluster_tol_s: float = 2.0e-9
-    pad_factor: float = 1.6
-    direct_path_tol_m: float = 0.25
 
 
 @dataclass
@@ -124,10 +125,10 @@ class ScenarioConfig:
         return FrequencyGrid(f1=w.f1_hz, tones=w.tones, delta=w.delta_hz)
 
     def signature(self) -> SignatureConfig:
+        """Anchor tone pairs just below the comb, at f1 - 2*delta and f1 - 4*delta."""
         w = self.waveform
-        fa = w.signature_fa_hz if w.signature_fa_hz is not None else w.f1_hz - 2 * w.delta_hz
-        fb = w.signature_fb_hz if w.signature_fb_hz is not None else w.f1_hz - 4 * w.delta_hz
-        return SignatureConfig(f_a=fa, f_b=fb, delta=w.delta_hz)
+        return SignatureConfig(f_a=w.f1_hz - 2 * w.delta_hz, f_b=w.f1_hz - 4 * w.delta_hz,
+                               delta=w.delta_hz)
 
 
 def stratified_rows(n: int, width: float, height: float) -> int:
@@ -144,15 +145,10 @@ def _stratified_rect(n: int, width: float, height: float, jitter: float,
     """
     rows = stratified_rows(n, width, height)
     cols = int(math.ceil(n / rows))
-    pts = []
     cw, ch = width / cols, height / rows
-    for i in range(n):
-        r, c = divmod(i, cols)
-        cx = -width / 2 + (c + 0.5) * cw
-        cy = -height / 2 + (r + 0.5) * ch
-        pts.append([cx + rng.uniform(-jitter, jitter) * cw,
-                    cy + rng.uniform(-jitter, jitter) * ch])
-    return np.array(pts)
+    r, c = np.divmod(np.arange(n), cols)
+    centers = np.stack([-width / 2 + (c + 0.5) * cw, -height / 2 + (r + 0.5) * ch], axis=1)
+    return centers + rng.uniform(-jitter, jitter, size=(n, 2)) * [cw, ch]
 
 
 def aperture_antennas(n: int, aperture: tuple[float, float],
@@ -198,14 +194,11 @@ def _pick_anchors(points: np.ndarray) -> tuple[int, int]:
     return (int(min(i, j)), int(max(i, j)))
 
 
-def build_scene(config: ScenarioConfig, trial: int = 0,
-                distance: float | None = None, n_surfaces: int | None = None,
-                n_rx: int | None = None) -> Scene:
+def build_scene(config: ScenarioConfig, trial: int = 0) -> Scene:
     """Instantiate the ground-truth scene for one trial.
 
     Placement randomness is derived from (seed, trial) alone, so a report is
-    reproducible from its configuration.  ``distance``, ``n_surfaces`` and
-    ``n_rx`` override the scene spec for sweep points.
+    reproducible from its configuration.
     """
     sc = config.scene
     rng = np.random.default_rng(np.random.SeedSequence(config.noise.seed, spawn_key=(3, trial)))
@@ -215,27 +208,15 @@ def build_scene(config: ScenarioConfig, trial: int = 0,
     if norm == 0:
         raise ConfigError("tv_direction must be a nonzero vector")
     direction = direction / norm
-    center = direction * (distance if distance is not None else sc.distance_m)
+    center = direction * sc.distance_m
 
     tv = body_shell_antennas(sc.tv_antenna_count, tuple(sc.tv_size_m), rng) + center[None, :]
-    sv = aperture_antennas(n_rx if n_rx is not None else sc.sv_antenna_count,
-                           tuple(sc.sv_aperture_m), rng)
-
-    surface_specs = list(sc.surfaces)
-    count = n_surfaces if n_surfaces is not None else len(surface_specs)
-    if count > len(surface_specs):
-        extra = [s for s in DEFAULT_SURFACE_POOL
-                 if not any(abs(s["slope"] - t["slope"]) < 1e-12
-                            and abs(s["intercept_m"] - t["intercept_m"]) < 1e-12
-                            for t in surface_specs)]
-        surface_specs.extend(extra[:count - len(surface_specs)])
-    if count > len(surface_specs):
-        raise ConfigError(f"requested {count} surfaces but only {len(surface_specs)} available")
+    sv = aperture_antennas(sc.sv_antenna_count, tuple(sc.sv_aperture_m), rng)
     surfaces = tuple(
         ReflectionSurface(slope=float(s["slope"]), intercept=float(s["intercept_m"]),
                           vertical=bool(s.get("vertical", False)),
                           gamma=complex(s.get("gamma_re", 1.0), s.get("gamma_im", 0.0)))
-        for s in surface_specs[:count])
+        for s in sc.surfaces)
 
     return Scene(tv_antennas=tv, anchor_indices=_pick_anchors(tv), sv_antennas=sv,
                  surfaces=surfaces, clock_offset=sc.clock_offset_s, has_los=sc.has_los)

@@ -65,9 +65,6 @@ class SignatureConfig:
     def tones(self) -> tuple[float, float, float, float]:
         return (self.f_a, self.f_a + self.delta, self.f_b, self.f_b + self.delta)
 
-    def overlaps_band(self, grid: FrequencyGrid) -> bool:
-        return any(grid.f1 <= f <= grid.f_max for f in self.tones())
-
 
 def max_unambiguous_range(delta: float) -> float:
     """Largest range spread the comb can represent without phase wrap, c/delta."""

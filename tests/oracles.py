@@ -159,6 +159,20 @@ def indicator_transform(points: np.ndarray, f_vectors: np.ndarray) -> np.ndarray
     return np.exp(-2j * math.pi / C * phases).sum(axis=1)
 
 
+def stratified_rect(n: int, width: float, height: float, jitter: float,
+                    rng: np.random.Generator) -> np.ndarray:
+    """Jittered cell centres of a near-square grid, point by point: x draw, then y draw."""
+    rows = max(1, int(math.floor(math.sqrt(n * height / max(width, 1e-9)))))
+    cols = int(math.ceil(n / rows))
+    cw, ch = width / cols, height / rows
+    pts = []
+    for i in range(n):
+        r, c = divmod(i, cols)
+        pts.append([-width / 2 + (c + 0.5) * cw + rng.uniform(-jitter, jitter) * cw,
+                    -height / 2 + (r + 0.5) * ch + rng.uniform(-jitter, jitter) * ch])
+    return np.array(pts)
+
+
 def local_maxima_26(mag: np.ndarray, nu: float) -> list[tuple[int, int, int]]:
     """Voxels >= nu*max that no in-volume 26-neighbour exceeds, loop by loop.
 

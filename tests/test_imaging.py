@@ -836,3 +836,21 @@ class TestDetectPeaks:
         with pytest.raises(ValueError):
             detect_peaks(factored_volume(np.ones((2, 2, 2))), 0.0)
 
+    def test_search_holds_one_x_slab_at_a_time(self):
+        # One strong row in each of four slabs, so the search takes the x
+        # product of every slab; each is freed before the next is taken.
+        # Holding two at once peaks at about twice one slab.
+        vol = 1e-3 * np.random.default_rng(4).random((4 * _SLAB_ROWS, 16, 16))
+        for k in range(4):
+            vol[k * _SLAB_ROWS + 7, 3 + k, 5] = 1.0 - 0.1 * k
+        ps = factored_volume(vol)
+        slab_bytes = _SLAB_ROWS * ps.folded.shape[1] * ps.folded.itemsize
+        tracemalloc.start()
+        try:
+            peaks = detect_peaks(ps, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(peaks, np.array(local_maxima_26(vol, 0.5), dtype=float))
+        assert len(peaks) == 4 and peak < 1.5 * slab_bytes
+

@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 
 import coposim
-from coposim import imaging, pipeline
+from coposim import cli, imaging, pipeline
 from coposim.analysis import hausdorff
 from coposim.errors import ConfigError
 from coposim.pipeline import run, run_los, run_nlos, run_sweep
-from coposim.scenario import ScenarioConfig, aperture_antennas, stratified_rows
-from oracles import local_maxima_26
+from coposim.scenario import (DEFAULT_SURFACE_POOL, ScenarioConfig, _stratified_rect,
+                              aperture_antennas, stratified_rows)
+from oracles import local_maxima_26, stratified_rect
 
 # Small noiseless line-of-sight scenario: 64 tones and a compact box keep a
 # trial well under a second.
@@ -81,6 +82,24 @@ def test_sweep_trials_do_not_depend_on_worker_count():
     parallel, _ = run_sweep(config, workers=2)
     assert len(serial.trials) == 2
     assert json.dumps(serial.trials, sort_keys=True) == json.dumps(parallel.trials, sort_keys=True)
+
+
+def test_sweep_points_are_the_trials_of_their_configurations():
+    # Each point's trial is run() on the configuration written out by hand;
+    # six surfaces exceed the pool of five, so that point fails its trial.
+    sweep = {"trials": 1, "distance_m": [10.0], "surface_counts": [3, 5, 6],
+             "sv_antenna_counts": [49]}
+    report, _ = run_sweep(ScenarioConfig.from_dict(dict(NOISELESS_NLOS, sweep=sweep)))
+    points = [(10.0, s, 49) for s in (3, 5, 6)]
+    assert [(r["distance_m"], r["surfaces"], r["n_rx"]) for r in report.sweep_rows] == points
+    assert [r["fail_rate"] for r in report.sweep_rows] == [0.0, 0.0, 1.0]
+    assert report.aggregates["failures_by_type"] == {"ConfigError": 1}
+    assert len(report.trials) == 2
+    for trial, (d, s, r) in zip(report.trials, points):
+        scene = {"distance_m": d, "sv_antenna_count": r,
+                 "surfaces": [dict(x) for x in DEFAULT_SURFACE_POOL[:s]]}
+        expected = run(ScenarioConfig.from_dict(dict(NOISELESS_NLOS, scene=scene)))[0].trials[0]
+        assert trial == {**expected, "distance_m": d, "surfaces": s, "n_rx": r}
 
 
 def package_env(**extra) -> dict:
@@ -203,14 +222,28 @@ def test_noiseless_nlos_trial_fuses_the_reflections(seed):
 def test_rows_within_half_a_pitch_are_the_layout_rows(n_rx, aperture):
     # The trial images with one row pitch per layout: the antennas whose y
     # lies within half of it of each other must be exactly one stratified row.
-    config = ScenarioConfig.from_dict({"scene": {"sv_aperture_m": list(aperture)}})
-    pitch = pipeline._row_pitch(config, n_rx)
+    config = ScenarioConfig.from_dict({"scene": {"sv_aperture_m": list(aperture),
+                                                 "sv_antenna_count": n_rx}})
+    pitch = pipeline._row_pitch(config)
     cols = math.ceil(n_rx / stratified_rows(n_rx, *aperture))
     layout = {tuple(range(lo, min(lo + cols, n_rx))) for lo in range(0, n_rx, cols)}
     for seed in range(1, 21):
         sv = aperture_antennas(n_rx, aperture, np.random.default_rng(seed))
         rows = imaging._cluster_rows(sv[:, 1], pitch / 2)
         assert {tuple(sorted(r.tolist())) for r in rows} == layout
+
+
+def test_stratified_placement_matches_the_pointwise_loop():
+    # The vectorised placement draws in the loop's order, so its points are
+    # the loop's bit for bit.
+    cases = np.random.default_rng(7)
+    for k in range(200):
+        n = int(cases.integers(1, 130))
+        width, height = cases.uniform(0.2, 3.0, size=2)
+        jitter = cases.uniform(0.0, 0.45)
+        got = _stratified_rect(n, width, height, jitter, np.random.default_rng(k))
+        assert np.array_equal(got, stratified_rect(n, width, height, jitter,
+                                                   np.random.default_rng(k)))
 
 
 def test_every_traced_stage_runs_in_a_fused_trial(monkeypatch):
@@ -259,6 +292,26 @@ def test_cli_sweep_counts_failures_by_type(tmp_path):
     assert report["aggregates"]["n_failed"] == 1
     assert report["aggregates"]["failures_by_type"] == {"ConfigError": 1}
     assert [row["fail_rate"] for row in report["sweep_rows"]] == [1.0, 0.0]
+
+
+# Pipeline tuning held as module constants, which a scenario file cannot set.
+REMOVED_FIELDS = [("pipeline", "nu", 0.5), ("pipeline", "pad_factor", 1.6),
+                  ("pipeline", "theta_grid_step_rad", 1e-3),
+                  ("pipeline", "clock_cluster_tol_s", 2e-9),
+                  ("pipeline", "direct_path_tol_m", 0.25),
+                  ("waveform", "signature_fa_hz", 57e9 - 2 * 11.72e6),
+                  ("waveform", "signature_fb_hz", 57e9 - 4 * 11.72e6)]
+
+
+@pytest.mark.parametrize("section, name, value", REMOVED_FIELDS)
+def test_fixed_tuning_is_not_a_configuration_field(tmp_path, section, name, value):
+    scenario = dict(NOISELESS_LOS, **{section: {**NOISELESS_LOS.get(section, {}), name: value}})
+    with pytest.raises(ConfigError, match="unrecognised configuration field"):
+        ScenarioConfig.from_dict(scenario)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    with pytest.raises(ConfigError, match="unrecognised configuration field"):
+        cli.main(["run", str(path)])
 
 
 # A direct view that also has the three default reflecting surfaces: fused, so

@@ -5,8 +5,8 @@ from conftest import REF_DELTA, REF_GRID, small_scene, square_array
 from coposim.errors import ConfigError
 from coposim.geometry import SPEED_OF_LIGHT as C
 from coposim.geometry import ReflectionSurface
-from coposim.waveform import (FrequencyGrid, SignatureConfig, aperture_spacing_bound,
-                              max_unambiguous_range, sync_spacing_bound, validate_scene)
+from coposim.waveform import (FrequencyGrid, aperture_spacing_bound, max_unambiguous_range,
+                              sync_spacing_bound, validate_scene)
 
 
 class TestFrequencyGrid:
@@ -23,13 +23,6 @@ class TestFrequencyGrid:
             FrequencyGrid(f1=0.0, tones=4, delta=1e6)
         with pytest.raises(ConfigError):
             FrequencyGrid(f1=1e9, tones=1, delta=1e6)
-
-    def test_signature_disjointness(self):
-        g = FrequencyGrid(f1=57e9, tones=16, delta=11.72e6)
-        ok = SignatureConfig(f_a=57e9 - 2 * 11.72e6, f_b=57e9 - 4 * 11.72e6, delta=11.72e6)
-        assert not ok.overlaps_band(g)
-        bad = SignatureConfig(f_a=57e9 + 11.72e6, f_b=57e9 - 4 * 11.72e6, delta=11.72e6)
-        assert bad.overlaps_band(g)
 
 
 class TestBounds:
