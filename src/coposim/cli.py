@@ -8,13 +8,17 @@ trial, so the same file gives the same report.  The file sets what a study
 varies; a field it does not know, such as the pipeline tuning fixed as
 constants in ``coposim.pipeline`` (``NU``, ``PAD_FACTOR``,
 ``THETA_GRID_STEP_RAD``, ``CLOCK_CLUSTER_TOL_S``, ``DIRECT_PATH_TOL_M``),
-is a ``ConfigError``.
+is a ``ConfigError``.  A ``ConfigError``, whether the file or the scene it
+builds is at fault, prints ``coposim: error: <message>`` to standard error
+and exits with status 2, the status argparse gives a bad command line.
 """
 
 from __future__ import annotations
 
 import argparse
+import sys
 
+from .errors import ConfigError
 from .pipeline import run, run_sweep
 from .scenario import ScenarioConfig
 
@@ -27,8 +31,12 @@ def main(argv=None) -> int:
     parser.add_argument("config", help="scenario configuration JSON file")
     args = parser.parse_args(argv)
 
-    config = ScenarioConfig.load(args.config)
-    report, _ = (run_sweep if args.command == "sweep" else run)(config)
+    try:
+        config = ScenarioConfig.load(args.config)
+        report, _ = (run_sweep if args.command == "sweep" else run)(config)
+    except ConfigError as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
     print(report.to_json())
     return 0
 

@@ -4,16 +4,13 @@ Each specular path produces a mirror image ("virtual TV") of the transmitter.
 For vertical reflecting surfaces the displacement from a virtual point to its
 actual counterpart is a ray in the X-Z plane at a path angle theta_l, and the
 path angles are locked together by the measured orientations of the virtual
-anchor baselines: theta_i - theta_j = (phi_i - phi_j) / 2.  A 1D search over
-the reference angle makes all back-projection rays meet at the actual anchor;
-the meeting point then fixes each reflecting surface (the perpendicular
-bisector plane), and mirroring each virtual cloud across its surface recovers
-the actual cloud.
-
-The search is array code: the grid angles are scored in fixed blocks, each in
-one pass that intersects all C(L, 2) ray pairs at once, masks the parallel
-pairs, and takes the mean pairwise distance of the surviving anchor
-candidates.
+anchor baselines: theta_i - theta_j = (phi_i - phi_j) / 2.  At the right
+reference angle all rays from the virtual anchors meet at the actual anchor.
+For any reference angle the anchor is a linear least-squares fit to the L
+rays, so a 1D search over the angle minimises the fit's misfit; the fitted
+anchor then fixes each reflecting surface (the perpendicular bisector plane),
+and mirroring each virtual cloud across its surface recovers the actual
+cloud.  The fit's RMS ray distance is reported as the fusion residual.
 """
 
 from __future__ import annotations
@@ -26,13 +23,11 @@ import numpy as np
 from .errors import DegenerateGeometryError, FeasibilityError
 from .geometry import ReflectionSurface, as_xyz, distance_matrix, mirror_point
 
+# The rays count as all parallel when the normal-matrix determinant, the sum of
+# sin^2 over their pair angle gaps, is below this squared.
 _PARALLEL_TOL = 1e-12
 # Golden-section refinement stops when the angle bracket is this narrow (rad).
-_REFINE_TOL = 1e-6
-# Grid angles scored per pass of the search.  Each angle is scored on its
-# own, so blocks change no value; they bound the (angles, pairs, 3)
-# temporaries, which for the whole grid of a 5-path cluster reach about 13 MB.
-_GRID_BLOCK = 512
+_REFINE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -64,6 +59,9 @@ class VirtualDetection:
 class CombineResult:
     """Fusion output.
 
+    ``x_a_star`` and ``x_b_star`` are the least-squares anchors of the rays at
+    ``theta_ref``, and ``residual_m`` is the RMS perpendicular distance of the
+    2L rays from them: near zero when the paths agree on one transmitter.
     ``surfaces`` (None marks a direct path) and ``mapped_clouds`` (each
     path's cloud mirrored into the actual frame) align with ``path_ids``.
     """
@@ -71,6 +69,7 @@ class CombineResult:
     theta_ref: float
     x_a_star: np.ndarray
     x_b_star: np.ndarray
+    residual_m: float
     path_ids: tuple[int, ...]
     surfaces: tuple[ReflectionSurface | None, ...]
     mapped_clouds: tuple[np.ndarray, ...]
@@ -101,56 +100,37 @@ def _ray_angles(cluster: list[VirtualDetection], theta_ref) -> np.ndarray:
     return np.reshape(theta_ref, (-1, 1)) + 0.5 * (phi - phi[0])
 
 
-def _candidates(cluster: list[VirtualDetection], theta_ref):
-    """Anchor candidates from every detection pair at each hypothesised angle.
+def _ray_fit(cluster: list[VirtualDetection], theta_ref):
+    """Least-squares anchors of the cluster's rays at each of T reference angles.
 
-    ``theta_ref`` is a scalar or an array of T angles.  The pair relation holds
-    for any two paths, so all P = C(L, 2) pairs are used rather than only those
-    containing the reference path: with noisy inputs a spurious angle is
-    unlikely to cluster every pairwise intersection at once.  Each pair's two
-    X-Z rays are intersected parametrically, so vertical rays need no special
-    casing, and y is the mean of the two virtual y values.  Returns the a- and
-    b-anchor candidates, each (T, P, 3), and a (T, P) mask that is False where
-    the pair's rays are parallel (|sin(theta_j - theta_i)| below tolerance);
-    masked candidates hold finite filler values.
+    Path l's ray leaves its virtual anchor p_l in X-Z with normal
+    n_l = (-sin theta_l, cos theta_l); the fitted anchor minimises
+    sum_l (n_l . x - n_l . p_l)^2 through the 2x2 normal equations, solved for
+    the a- and the b-anchors, and y is the mean virtual y.  The normal matrix
+    has determinant sum_{i<j} sin^2((phi_j - phi_i) / 2), the same at every
+    angle, which is used in that closed form; when it vanishes every ray pair
+    is parallel and the geometry is degenerate.  Returns the a- and b-anchors,
+    each (T, 3), and the summed squared perpendicular misfit of all 2L rays,
+    (T,).
     """
-    thetas = _ray_angles(cluster, theta_ref)
-    cos, sin = np.cos(thetas), np.sin(thetas)
+    phi = np.array([d.baseline_angle for d in cluster])
     i, j = np.triu_indices(len(cluster), k=1)
-    det = np.sin(thetas[:, j] - thetas[:, i])
-    ok = np.abs(det) >= _PARALLEL_TOL
-    det = np.where(ok, det, 1.0)
-
-    def meet(virtuals: np.ndarray) -> np.ndarray:
-        # Solve p_i + t*(cos_i, sin_i) = p_j + s*(cos_j, sin_j) in (x, z).
-        p_i, p_j = virtuals[i], virtuals[j]
-        r = p_j - p_i
-        t = (r[:, 0] * sin[:, j] - r[:, 2] * cos[:, j]) / det
-        return np.stack([p_i[:, 0] + t * cos[:, i],
-                         np.broadcast_to(0.5 * (p_i[:, 1] + p_j[:, 1]), t.shape),
-                         p_i[:, 2] + t * sin[:, i]], axis=-1)
-
-    return (meet(np.array([d.x_a_virtual for d in cluster])),
-            meet(np.array([d.x_b_virtual for d in cluster])), ok)
-
-
-def _scatter_objective(cluster: list[VirtualDetection], theta_ref):
-    """Mean pairwise spread of the anchor candidates; zero iff they coincide.
-
-    For each angle, the mean over pairs of surviving (non-parallel) candidates
-    of |ca_i - ca_j| + |cb_i - cb_j|.  Angles that lose candidates to parallel
-    pairs are not rewarded, and an angle with fewer than two candidates scores
-    inf.  Returns a float for a scalar angle, else an array of T values.
-    """
-    ca, cb, ok = _candidates(cluster, theta_ref)
-    i, j = np.triu_indices(ok.shape[1], k=1)
-    spread = (np.linalg.norm(ca[:, i] - ca[:, j], axis=-1)
-              + np.linalg.norm(cb[:, i] - cb[:, j], axis=-1))
-    kept = ok[:, i] & ok[:, j]
-    terms = kept.sum(axis=1)
-    total = np.where(kept, spread, 0.0).sum(axis=1)
-    values = np.where(terms > 0, total / np.maximum(terms, 1), np.inf)
-    return values if np.ndim(theta_ref) else float(values[0])
+    det = (np.sin(0.5 * (phi[j] - phi[i])) ** 2).sum()
+    if det < _PARALLEL_TOL ** 2:
+        raise DegenerateGeometryError("every ray pair is parallel; geometry degenerate")
+    thetas = _ray_angles(cluster, theta_ref)
+    nx, nz = -np.sin(thetas), np.cos(thetas)
+    mxx, mxz, mzz = (nx * nx).sum(axis=1), (nx * nz).sum(axis=1), (nz * nz).sum(axis=1)
+    anchors, misfit = [], 0.0
+    for virtuals in (np.array([d.x_a_virtual for d in cluster]),
+                     np.array([d.x_b_virtual for d in cluster])):
+        offset = nx * virtuals[:, 0] + nz * virtuals[:, 2]
+        rx, rz = (nx * offset).sum(axis=1), (nz * offset).sum(axis=1)
+        x = (mzz * rx - mxz * rz) / det
+        z = (mxx * rz - mxz * rx) / det
+        misfit = misfit + ((nx * x[:, None] + nz * z[:, None] - offset) ** 2).sum(axis=1)
+        anchors.append(np.stack([x, np.full_like(x, virtuals[:, 1].mean()), z], axis=-1))
+    return anchors[0], anchors[1], misfit
 
 
 def _golden_refine(fun, lo: float, hi: float, tol: float) -> float:
@@ -172,30 +152,26 @@ def _golden_refine(fun, lo: float, hi: float, tol: float) -> float:
 
 
 def search_theta_ref(cluster: list[VirtualDetection],
-                     grid_step: float) -> tuple[float, np.ndarray, np.ndarray]:
-    """1D search for the reference path angle minimising candidate scatter.
+                     grid_step: float) -> tuple[float, np.ndarray, np.ndarray, float]:
+    """1D search for the reference path angle whose rays best meet in one point.
 
-    Line angles are periodic in pi, so the grid covers (-pi/2, pi/2], scored
-    ``_GRID_BLOCK`` angles at a time; the best grid cell is refined by golden
-    section to ``_REFINE_TOL``.  Returns the angle and the candidate means for
-    the two anchors.
+    Line angles are periodic in pi, so the grid covers (-pi/2, pi/2]; every
+    grid angle is scored by the misfit of its least-squares ray fit
+    (``_ray_fit``, which rejects a cluster whose rays are all parallel), and
+    the best grid cell is refined by golden section to ``_REFINE_TOL`` on that
+    smooth misfit.  Returns the angle, the fitted a- and b-anchors, and the
+    RMS perpendicular distance of the 2L rays from them.
     """
     if len(cluster) < 3:
         raise FeasibilityError(
             f"combining needs at least 3 paths from the same transmitter, got {len(cluster)}"
         )
     grid = np.arange(-math.pi / 2 + grid_step, math.pi / 2 + 0.5 * grid_step, grid_step)
-    values = np.concatenate([_scatter_objective(cluster, grid[s:s + _GRID_BLOCK])
-                             for s in range(0, len(grid), _GRID_BLOCK)])
-    if not np.isfinite(values).any():
-        raise DegenerateGeometryError("every ray pair is parallel; geometry degenerate")
-    best = int(np.argmin(values))
-    theta = _golden_refine(lambda t: _scatter_objective(cluster, t),
+    best = int(np.argmin(_ray_fit(cluster, grid)[2]))
+    theta = _golden_refine(lambda t: _ray_fit(cluster, t)[2][0],
                            grid[best] - grid_step, grid[best] + grid_step, _REFINE_TOL)
-    if not math.isfinite(_scatter_objective(cluster, theta)):
-        theta = float(grid[best])
-    ca, cb, ok = _candidates(cluster, theta)
-    return theta, ca[ok].mean(axis=0), cb[ok].mean(axis=0)
+    x_a, x_b, misfit = _ray_fit(cluster, theta)
+    return theta, x_a[0], x_b[0], math.sqrt(misfit[0] / (2 * len(cluster)))
 
 
 def estimate_surface(x_a_star, x_a_virtual, theta: float) -> ReflectionSurface:
@@ -249,7 +225,7 @@ def combine_cluster(cluster: list[VirtualDetection], merge_radius: float,
     (within ``direct_path_tol``) are direct-view paths: their clouds are taken
     as-is, since the perpendicular-bisector surface degenerates there.
     """
-    theta_ref, x_a_star, x_b_star = search_theta_ref(cluster, grid_step)
+    theta_ref, x_a_star, x_b_star, residual = search_theta_ref(cluster, grid_step)
     surfaces, mapped = [], []
     for det, theta in zip(cluster, _ray_angles(cluster, theta_ref)[0].tolist()):
         direct = float(np.linalg.norm(det.x_a_virtual - x_a_star)) <= direct_path_tol
@@ -258,6 +234,7 @@ def combine_cluster(cluster: list[VirtualDetection], merge_radius: float,
         mapped.append(det.cloud.copy() if surface is None else mirror_point(surface, det.cloud))
     cloud = fuse_clouds(mapped, merge_radius) if any(len(m) for m in mapped) else np.empty((0, 3))
     return CombineResult(theta_ref=theta_ref, x_a_star=x_a_star, x_b_star=x_b_star,
+                         residual_m=residual,
                          path_ids=tuple(det.path_id for det in cluster),
                          surfaces=tuple(surfaces), mapped_clouds=tuple(mapped),
                          actual_cloud=cloud)

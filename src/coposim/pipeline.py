@@ -192,6 +192,7 @@ def _run_trial(config: ScenarioConfig, trial: int = 0):
         metrics["theta_ref_rad"] = float(res.theta_ref)
         metrics["anchor_err_m"] = float(np.linalg.norm(res.x_a_star - scene.anchor_a))
         metrics["anchor_b_err_m"] = float(np.linalg.norm(res.x_b_star - scene.anchor_b))
+        metrics["fusion_residual_m"] = float(res.residual_m)
         metrics["clusters"] = len(clusters)
         for pid, est, mapped in zip(res.path_ids, res.surfaces, res.mapped_clouds):
             mapped_clouds[pid] = mapped

@@ -62,9 +62,6 @@ class SignatureConfig:
         if self.f_a == self.f_b:
             raise ConfigError("the two anchors need distinct signature tones")
 
-    def tones(self) -> tuple[float, float, float, float]:
-        return (self.f_a, self.f_a + self.delta, self.f_b, self.f_b + self.delta)
-
 
 def max_unambiguous_range(delta: float) -> float:
     """Largest range spread the comb can represent without phase wrap, c/delta."""

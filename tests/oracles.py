@@ -90,39 +90,30 @@ def specular_point(surface, tx, rx) -> np.ndarray:
     return t + lam * (rx - t)
 
 
-def pairwise_ray_scatter(a_virtuals, b_virtuals, baseline_angles, theta_ref: float) -> float:
-    """Mean pairwise spread of the anchor candidates at one reference angle.
+def least_squares_ray_fit(a_virtuals, b_virtuals, baseline_angles, theta_ref: float):
+    """Anchors that fit the rays best at one reference angle, and their misfit.
 
     Path l's ray leaves its virtual anchor at theta_ref + (phi_l - phi_0)/2 in
-    X-Z.  Every pair of paths whose rays are not parallel (|sin| of the angle
-    gap >= 1e-12) gives one a- and one b-candidate: the rays' meeting point,
-    with y the mean of the two virtual y values.  Returns the mean over pairs
-    of candidates of |ca_i - ca_j| + |cb_i - cb_j|, or inf with fewer than two.
+    X-Z.  For each of the a- and b-anchor sets, the X-Z point closest in the
+    least-squares sense to all L lines is solved from the stacked system
+    [-sin, cos] . (x, z) = [-sin, cos] . p_l, with y the mean virtual y.
+    Returns the a-anchor, the b-anchor and the sum over all 2L rays of the
+    squared perpendicular distance from the fitted point.
     """
     n = len(baseline_angles)
     thetas = [theta_ref + 0.5 * (baseline_angles[l] - baseline_angles[0]) for l in range(n)]
-
-    def meet(p, q, ti, tj):
-        det = math.sin(tj - ti)
-        t = ((q[0] - p[0]) * math.sin(tj) - (q[2] - p[2]) * math.cos(tj)) / det
-        return [p[0] + t * math.cos(ti), 0.5 * (p[1] + q[1]), p[2] + t * math.sin(ti)]
-
-    cands = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(math.sin(thetas[j] - thetas[i])) < 1e-12:
-                continue
-            cands.append((meet(a_virtuals[i], a_virtuals[j], thetas[i], thetas[j]),
-                          meet(b_virtuals[i], b_virtuals[j], thetas[i], thetas[j])))
-    if len(cands) < 2:
-        return math.inf
-    total, terms = 0.0, 0
-    for i in range(len(cands)):
-        for j in range(i + 1, len(cands)):
-            for k in (0, 1):
-                total += math.dist(cands[i][k], cands[j][k])
-            terms += 1
-    return total / terms
+    anchors, misfit = [], 0.0
+    for virtuals in (a_virtuals, b_virtuals):
+        rows, rhs = [], []
+        for l in range(n):
+            normal = (-math.sin(thetas[l]), math.cos(thetas[l]))
+            rows.append(normal)
+            rhs.append(normal[0] * virtuals[l][0] + normal[1] * virtuals[l][2])
+        (x, z), *_ = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)
+        for l in range(n):
+            misfit += (rows[l][0] * x + rows[l][1] * z - rhs[l]) ** 2
+        anchors.append([x, sum(v[1] for v in virtuals) / n, z])
+    return anchors[0], anchors[1], misfit
 
 
 def tan_form_recovery_map(points: np.ndarray, theta: float, x_a_star: np.ndarray,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,11 +6,11 @@ import pytest
 
 from conftest import REF_SURFACES
 from coposim.analysis import hausdorff
-from coposim.combining import (VirtualDetection, _candidates, _scatter_objective, combine_cluster,
-                               estimate_surface, fuse_clouds, group_by_clock, search_theta_ref)
+from coposim.combining import (VirtualDetection, _ray_fit, combine_cluster, estimate_surface,
+                               fuse_clouds, group_by_clock, search_theta_ref)
 from coposim.errors import DegenerateGeometryError, FeasibilityError
 from coposim.geometry import ReflectionSurface, directed_angle_xz, mirror_point
-from oracles import (map_virtual_to_actual, mirror_across_line, pairwise_ray_scatter,
+from oracles import (least_squares_ray_fit, map_virtual_to_actual, mirror_across_line,
                      tan_form_recovery_map, transitive_merge)
 
 # The theta grid step and the direct-path rule these tests were written for.
@@ -44,31 +45,24 @@ class TestCandidateAnchor:
                               np.empty((0, 3)), 0.0, baseline_angle=math.pi / 2)
         # baseline gap pi/2 halves to a ray-angle gap of pi/4: with theta_ref =
         # pi/2 the second ray runs at 3*pi/4, the same line as -pi/4.
-        ca, cb, ok = _candidates([da, db], math.pi / 2)
-        assert ca.shape == cb.shape == (1, 1, 3) and ok.shape == (1, 1)
-        assert ok[0, 0]
-        assert np.allclose(ca[0, 0], [1.0, 0.0, 6.0], atol=1e-9)
-
-    def test_parallel_rays_masked(self):
-        # equal baseline angles give parallel rays: the pair is masked out
-        da = VirtualDetection(1, [0.0, 0.0, 0.0], [1.0, 0.0, 0.0], np.empty((0, 3)), 0.0, 0.3)
-        db = VirtualDetection(2, [2.0, 0.0, 1.0], [3.0, 0.0, 1.0], np.empty((0, 3)), 0.0, 0.3)
-        _, _, ok = _candidates([da, db], np.array([0.7, -0.2]))
-        assert ok.shape == (2, 1)
-        assert not ok.any()
+        ca, cb, misfit = _ray_fit([da, db], math.pi / 2)
+        assert ca.shape == cb.shape == (1, 3) and misfit.shape == (1,)
+        assert np.allclose(ca[0], [1.0, 0.0, 6.0], atol=1e-9)
+        assert np.allclose(cb[0], [1.5, 0.0, 6.0], atol=1e-9)
+        assert misfit[0] < 1e-18
 
     def test_y_is_mean_of_virtual_y(self):
         da = VirtualDetection(1, [1.0, 0.4, 0.0], [1.5, 0.4, 0.0], np.empty((0, 3)), 0.0, 0.0)
         db = VirtualDetection(2, [-4.0, 0.8, 11.0], [-4.0, 0.8, 11.5],
                               np.empty((0, 3)), 0.0, math.pi / 2)
-        ca, _, _ = _candidates([da, db], math.pi / 2)
-        assert ca[0, 0, 1] == pytest.approx(0.6)
+        ca, _, _ = _ray_fit([da, db], math.pi / 2)
+        assert ca[0, 1] == pytest.approx(0.6)
 
 
 class TestSearchTheta:
     def test_reference_topology_noiseless(self):
         dets, x_a, x_b, _ = reference_cluster()
-        theta, xa, xb = search_theta_ref(dets, GRID_STEP)
+        theta, xa, xb, _ = search_theta_ref(dets, GRID_STEP)
         assert np.linalg.norm(xa - x_a) < 1e-4
         assert np.linalg.norm(xb - x_b) < 1e-4
 
@@ -86,43 +80,39 @@ class TestSearchTheta:
     def test_objective_zero_at_truth(self):
         dets, x_a, _, _ = reference_cluster()
         theta_true = directed_angle_xz(dets[0].x_a_virtual, x_a)
-        theta_found, _, _ = search_theta_ref(dets, GRID_STEP)
-        assert _scatter_objective(dets, theta_true) < 1e-9
-        # V-shaped objective: a 1e-6 rad refinement leaves slope * 1e-6 residual
-        assert _scatter_objective(dets, theta_found) <= _scatter_objective(dets, theta_true) + 1e-3
-        assert abs((theta_found - theta_true + math.pi / 2) % math.pi - math.pi / 2) < 2e-6
+        theta_found, _, _, _ = search_theta_ref(dets, GRID_STEP)
+        misfit_true = _ray_fit(dets, theta_true)[2][0]
+        assert misfit_true < 1e-18
+        # the misfit is smooth, so the refinement ends within its 1e-9 rad bracket
+        assert _ray_fit(dets, theta_found)[2][0] <= misfit_true + 1e-15
+        assert abs((theta_found - theta_true + math.pi / 2) % math.pi - math.pi / 2) < 1e-8
 
-    def test_objective_matches_pairwise_oracle(self, rng):
+    def test_ray_fit_matches_loop_oracle(self, rng):
         grid = np.linspace(-math.pi / 2, math.pi / 2, 181)[1:]
-        clusters = []
-        for n in (3, 3, 4, 4, 5, 5, 6, 6):
+        for case, n in enumerate((3, 3, 4, 4, 5, 5, 6, 6)):
             phi = rng.uniform(-math.pi, math.pi, n)
-            if len(clusters) % 2:
+            if case % 2:
                 phi[rng.integers(1, n)] = phi[0]  # one pair parallel at every angle
-            clusters.append([VirtualDetection(l, rng.uniform(-8, 8, 3), rng.uniform(-8, 8, 3),
-                                              np.empty((0, 3)), 0.0, phi[l]) for l in range(n)])
-        # every pair parallel: no candidate survives at any angle
-        clusters.append([VirtualDetection(l, rng.uniform(-8, 8, 3), rng.uniform(-8, 8, 3),
-                                          np.empty((0, 3)), 0.0, 0.4) for l in range(3)])
-        for cluster in clusters:
-            ours = _scatter_objective(cluster, grid)
-            oracle = np.array([pairwise_ray_scatter([d.x_a_virtual for d in cluster],
-                                                    [d.x_b_virtual for d in cluster],
-                                                    [d.baseline_angle for d in cluster], t)
-                               for t in grid])
-            assert ours.shape == grid.shape
-            assert np.array_equal(np.isinf(ours), np.isinf(oracle))
-            finite = np.isfinite(oracle)
-            assert np.allclose(ours[finite], oracle[finite], rtol=1e-12, atol=0.0)
-            assert _scatter_objective(cluster, float(grid[7])) == pytest.approx(ours[7], rel=1e-12)
-        assert np.isinf(ours).all()
+            cluster = [VirtualDetection(l, rng.uniform(-8, 8, 3), rng.uniform(-8, 8, 3),
+                                        np.empty((0, 3)), 0.0, phi[l]) for l in range(n)]
+            ca, cb, misfit = _ray_fit(cluster, grid)
+            assert ca.shape == cb.shape == (len(grid), 3) and misfit.shape == grid.shape
+            for k, theta in enumerate(grid):
+                oa, ob, om = least_squares_ray_fit([d.x_a_virtual for d in cluster],
+                                                   [d.x_b_virtual for d in cluster], phi, theta)
+                assert np.allclose(ca[k], oa, rtol=1e-9, atol=1e-9)
+                assert np.allclose(cb[k], ob, rtol=1e-9, atol=1e-9)
+                assert misfit[k] == pytest.approx(om, rel=1e-9, abs=1e-12)
+            one = _ray_fit(cluster, float(grid[7]))
+            assert np.allclose(one[0][0], ca[7], rtol=1e-12, atol=0.0)
+            assert one[2][0] == pytest.approx(misfit[7], rel=1e-12)
 
-    def test_parallel_pair_left_out_of_the_anchor_means(self):
+    def test_parallel_pair_keeps_the_fitted_anchors(self):
         # a repeated detection is parallel to its twin at every angle
         dets, x_a, x_b, _ = reference_cluster()
         twin = VirtualDetection(9, dets[1].x_a_virtual, dets[1].x_b_virtual, np.empty((0, 3)),
                                 dets[1].sigma_hat, dets[1].baseline_angle)
-        _, xa, xb = search_theta_ref(dets + [twin], GRID_STEP)
+        _, xa, xb, _ = search_theta_ref(dets + [twin], GRID_STEP)
         assert np.linalg.norm(xa - x_a) < 1e-4
         assert np.linalg.norm(xb - x_b) < 1e-4
 
@@ -286,3 +276,17 @@ class TestFullCombine:
         assert np.linalg.norm(res.x_a_star - x_a) < 1e-4
         assert res.surfaces[0] is None
         assert hausdorff(res.actual_cloud, cloud) < 1e-3
+
+    def test_residual_reads_the_ray_spread(self):
+        # Noiseless rays meet in one point; a spoiled baseline angle turns one
+        # path's rays off it, and the residual says so.
+        dets, x_a, x_b, _ = reference_cluster()
+        res = combine_cluster(dets, merge_radius=0.05,
+                              grid_step=GRID_STEP, direct_path_tol=DIRECT_PATH_TOL)
+        assert res.residual_m < 1e-8
+        assert np.linalg.norm(res.x_a_star - x_a) < 1e-7
+        assert np.linalg.norm(res.x_b_star - x_b) < 1e-7
+        spoiled = dataclasses.replace(dets[1], baseline_angle=dets[1].baseline_angle + 0.05)
+        res = combine_cluster([dets[0], spoiled, dets[2]], merge_radius=0.05,
+                              grid_step=GRID_STEP, direct_path_tol=DIRECT_PATH_TOL)
+        assert res.residual_m >= 1e3 * 1e-8
