@@ -35,8 +35,8 @@ class VirtualDetection:
     """One path's sync and imaging output.
 
     ``baseline_angle`` is the directed X-Z angle of the virtual a->b anchor
-    segment.  ``cloud`` may be empty for paths whose imaging failed; such
-    detections still constrain the angle search but contribute no points.
+    segment.  ``cloud`` is empty between sync and imaging; clock clustering
+    reads only ``sigma_hat``, so it runs before any path is imaged.
     """
 
     path_id: int

@@ -1,8 +1,10 @@
 """Run orchestration: one trial path, single runs and Monte Carlo sweeps.
 
-A trial simulates one snapshot, synchronises and images each path, and
-fuses the virtual detections unless the scene has a line of sight and no
-reflecting surfaces, in which case the direct path's image is the estimate.
+A trial simulates one snapshot and works in four steps: it synchronises
+every path, clusters the paths by clock estimate, fails if no cluster holds
+3 or more paths, and otherwise images every path and fuses the largest
+cluster.  A scene with a line of sight and no reflecting surfaces skips the
+clustering and the fusion: the direct path's image is the estimate.
 A configuration plus a trial index fix a trial: all randomness is derived
 from (config seed, trial index), and a sweep point is written into the
 configuration before its trials run, so results do not depend on how a
@@ -19,7 +21,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -106,25 +108,29 @@ def _mode(scene) -> str:
     return "los" if scene.has_los and not scene.surfaces else "nlos"
 
 
-def _process_path(scene: Scene, sig_obs, config: ScenarioConfig,
-                  noise: NoiseModel) -> tuple[VirtualDetection, bool, float]:
-    """Sync, SFCW simulation and imaging of one path.
+def _sync_path(scene: Scene, sig_obs, delta: float,
+               f_std: float | None) -> tuple[VirtualDetection, bool, float]:
+    """Both anchor solves of one path.
 
-    Returns the detection, whether both anchor solves converged, and the
-    disagreement of their clock estimates.
+    Returns the detection with an empty cloud, whether both solves
+    converged, and the disagreement of their clock estimates.
     """
-    grid = config.frequency_grid()
-    delta = grid.delta
-    f_std = _phase_noise_std_m(noise, delta)
-
     sync_a = locate_and_sync(sig_obs, "a", delta, scene.sv_antennas, noise_std_m=f_std)
     sync_b = locate_and_sync(sig_obs, "b", delta, scene.sv_antennas, noise_std_m=f_std)
-    sigma_hat = sync_a.sigma_hat
+    det = VirtualDetection(path_id=sig_obs.path_id, x_a_virtual=sync_a.x_anchor,
+                           x_b_virtual=sync_b.x_anchor, cloud=np.empty((0, 3)),
+                           sigma_hat=sync_a.sigma_hat,
+                           baseline_angle=directed_angle_xz(sync_a.x_anchor, sync_b.x_anchor))
+    return (det, sync_a.converged and sync_b.converged,
+            abs(sync_a.sigma_hat - sync_b.sigma_hat))
 
-    pid = sig_obs.path_id
-    sfcw = simulate_sfcw(scene, grid, noise, pid, sigma_hat)
 
-    center = 0.5 * (sync_a.x_anchor + sync_b.x_anchor)
+def _image_path(det: VirtualDetection, scene: Scene, grid, noise: NoiseModel,
+                config: ScenarioConfig, row_pitch: float) -> VirtualDetection:
+    """SFCW simulation and imaging of one synced path: ``det`` with its cloud set."""
+    sfcw = simulate_sfcw(scene, grid, noise, det.path_id, det.sigma_hat)
+
+    center = 0.5 * (det.x_a_virtual + det.x_b_virtual)
     rng_to_center = max(float(np.linalg.norm(center)), 1.0)
     dy = azimuth_resolution(rng_to_center, max(config.scene.sv_aperture_m), grid.center)
     pitch = [dy / 2, dy / 2, range_resolution(grid) / 2]
@@ -136,17 +142,18 @@ def _process_path(scene: Scene, sig_obs, config: ScenarioConfig,
     rot = _bearing_rotation(center)
     spectrum = reconstruct(sfcw, scene.sv_antennas @ rot.T, grid,
                            ImagingBox.centered(rot @ center, config.pipeline.box_extent_m, pitch),
-                           _row_pitch(config), PAD_FACTOR)
-    cloud = detect_peaks(spectrum, NU) @ rot
-    phi = directed_angle_xz(sync_a.x_anchor, sync_b.x_anchor)
-    det = VirtualDetection(path_id=pid, x_a_virtual=sync_a.x_anchor,
-                           x_b_virtual=sync_b.x_anchor, cloud=cloud,
-                           sigma_hat=sigma_hat, baseline_angle=phi)
-    return (det, sync_a.converged and sync_b.converged,
-            abs(sync_a.sigma_hat - sync_b.sigma_hat))
+                           row_pitch, PAD_FACTOR)
+    return replace(det, cloud=detect_peaks(spectrum, NU) @ rot)
 
 
 def _run_trial(config: ScenarioConfig, trial: int = 0):
+    """One trial: sync every path, cluster the clocks, then fail or image and fuse.
+
+    A scene that needs fusion is clustered by clock right after sync, and a
+    trial with no cluster of 3 or more paths fails there, before any path is
+    imaged.  Otherwise every path is imaged, so each reports its peak count,
+    and the largest cluster is fused.
+    """
     scene = build_scene(config, trial)
     grid = config.frequency_grid()
     report = validate_scene(scene, grid)
@@ -155,15 +162,28 @@ def _run_trial(config: ScenarioConfig, trial: int = 0):
 
     noise = NoiseModel(config.noise.phase_sigma_rad, config.noise.snr_db,
                        trial_noise_seed(config, trial))
-    paths = [_process_path(scene, obs, config, noise)
-             for obs in simulate_signature(scene, config.signature(), noise)]
-    detections = [det for det, _, _ in paths]
+    f_std = _phase_noise_std_m(noise, grid.delta)
+    synced = [_sync_path(scene, obs, grid.delta, f_std)
+              for obs in simulate_signature(scene, config.signature(), noise)]
+
+    fuse = _mode(scene) == "nlos"
+    if fuse:
+        clusters = group_by_clock([det for det, _, _ in synced], CLOCK_CLUSTER_TOL_S)
+        clusters.sort(key=lambda c: (-len(c), min(d.path_id for d in c)))
+        if not clusters or len(clusters[0]) < 3:
+            raise CoposimError(
+                f"combining stage: no clock cluster with >= 3 paths "
+                f"(cluster sizes {[len(c) for c in clusters]})")
+
+    row_pitch = _row_pitch(config)
+    detections = [_image_path(det, scene, grid, noise, config, row_pitch)
+                  for det, _, _ in synced]
 
     metrics: dict = {"trial": trial}
     metrics["sync_sigma_err_s"] = max(abs(d.sigma_hat - scene.clock_offset) for d in detections)
-    metrics["sync_discrepancy_s"] = max(discrepancy for _, _, discrepancy in paths)
+    metrics["sync_discrepancy_s"] = max(discrepancy for _, _, discrepancy in synced)
 
-    for det, converged, _ in paths:
+    for det, (_, converged, _) in zip(detections, synced):
         pid = det.path_id
         surface = None if pid == 0 else scene.surfaces[pid - 1]
         true_virtual = scene.anchor_a if surface is None else mirror_point(surface, scene.anchor_a)
@@ -174,19 +194,15 @@ def _run_trial(config: ScenarioConfig, trial: int = 0):
     truth = scene.tv_antennas
     mapped_clouds = {}
 
-    if _mode(scene) == "los":
+    if not fuse:
         det = detections[0]
         cloud = det.cloud
         metrics["anchor_err_m"] = float(np.linalg.norm(det.x_a_virtual - scene.anchor_a))
         metrics["anchor_b_err_m"] = float(np.linalg.norm(det.x_b_virtual - scene.anchor_b))
     else:
-        clusters = group_by_clock(detections, CLOCK_CLUSTER_TOL_S)
-        clusters.sort(key=lambda c: (-len(c), min(d.path_id for d in c)))
-        if not clusters or len(clusters[0]) < 3:
-            raise CoposimError(
-                f"combining stage: no clock cluster with >= 3 paths "
-                f"(cluster sizes {[len(c) for c in clusters]})")
-        res = combine_cluster(clusters[0], merge_radius=range_resolution(grid) / 2,
+        imaged = {det.path_id: det for det in detections}
+        primary = [imaged[det.path_id] for det in clusters[0]]
+        res = combine_cluster(primary, merge_radius=range_resolution(grid) / 2,
                               grid_step=THETA_GRID_STEP_RAD, direct_path_tol=DIRECT_PATH_TOL_M)
         cloud = res.actual_cloud
         metrics["theta_ref_rad"] = float(res.theta_ref)

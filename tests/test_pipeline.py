@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import json
 import math
@@ -13,7 +14,7 @@ import pytest
 import coposim
 from coposim import cli, imaging, pipeline
 from coposim.analysis import hausdorff
-from coposim.errors import ConfigError
+from coposim.errors import ConfigError, CoposimError
 from coposim.pipeline import run, run_los, run_nlos, run_sweep
 from coposim.scenario import (DEFAULT_SURFACE_POOL, ScenarioConfig, _stratified_rect,
                               aperture_antennas, stratified_rows)
@@ -215,6 +216,74 @@ def test_noiseless_nlos_trial_fuses_the_reflections(seed):
     for pid, mapped in artifacts.mapped_clouds.items():
         assert metrics[f"path{pid}_hausdorff_m"] == hausdorff(mapped, artifacts.scene.tv_antennas)
         assert metrics[f"path{pid}_hausdorff_m"] < NLOS_PATH_HAUSDORFF_BOUND_M
+
+
+CLOCK_SPLIT_S = 10e-9   # five times the clustering tolerance
+
+
+def split_clock_of_path_two(monkeypatch) -> dict:
+    """Shift path 2's clock estimate off the others and count the trial's calls
+    to the clustering and to each per-path SFCW and imaging stage."""
+    calls = dict.fromkeys(["group_by_clock", "simulate_sfcw", "reconstruct", "detect_peaks"], 0)
+    sync = pipeline.locate_and_sync
+
+    def shifted(observation, *args, **kwargs):
+        result = sync(observation, *args, **kwargs)
+        if observation.path_id == 2:
+            result = dataclasses.replace(result, sigma_hat=result.sigma_hat + CLOCK_SPLIT_S)
+        return result
+
+    def counted(name):
+        original = getattr(pipeline, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(pipeline, "locate_and_sync", shifted)
+    for name in calls:
+        monkeypatch.setattr(pipeline, name, counted(name))
+    return calls
+
+
+def test_trial_without_a_clock_cluster_fails_before_imaging(monkeypatch):
+    calls = split_clock_of_path_two(monkeypatch)
+    with pytest.raises(CoposimError) as raised:
+        run(ScenarioConfig.from_dict(NOISELESS_NLOS))
+    assert str(raised.value) == ("combining stage: no clock cluster with >= 3 paths "
+                                 "(cluster sizes [2, 1])")
+    assert calls == {"group_by_clock": 1, "simulate_sfcw": 0, "reconstruct": 0,
+                     "detect_peaks": 0}
+
+
+def test_fused_trial_clusters_once_and_images_every_path(monkeypatch):
+    # Five surfaces: path 2 leaves a cluster of four, which is fused, and path 2
+    # is imaged and reported all the same.
+    calls = split_clock_of_path_two(monkeypatch)
+    scene = {"surfaces": [dict(s) for s in DEFAULT_SURFACE_POOL[:5]]}
+    report, artifacts = run(ScenarioConfig.from_dict(dict(NOISELESS_NLOS, scene=scene)))
+    metrics = report.trials[0]
+    assert calls == {"group_by_clock": 1, "simulate_sfcw": 5, "reconstruct": 5,
+                     "detect_peaks": 5}
+    assert metrics["clusters"] == 2
+    assert sorted(artifacts.mapped_clouds) == [1, 3, 4, 5]
+    assert all(metrics[f"path{pid}_points"] > 0 for pid in range(1, 6))
+    assert metrics["anchor_err_m"] < 1e-7
+
+
+def test_sweep_counts_a_trial_without_a_clock_cluster(monkeypatch):
+    # The 3-surface point cannot cluster 3 paths and fails each trial; the
+    # 5-surface point runs after it.
+    calls = split_clock_of_path_two(monkeypatch)
+    sweep = {"trials": 2, "surface_counts": [3, 5]}
+    report, _ = run_sweep(ScenarioConfig.from_dict(dict(NOISELESS_NLOS, sweep=sweep)),
+                          workers=1)
+    assert report.aggregates["failures_by_type"] == {"CoposimError": 2}
+    assert report.aggregates["n_trials"] == 4
+    assert [row["fail_rate"] for row in report.sweep_rows] == [1.0, 0.0]
+    assert [t["surfaces"] for t in report.trials] == [5, 5]
+    assert calls["group_by_clock"] == 4 and calls["simulate_sfcw"] == 2 * 5
 
 
 @pytest.mark.parametrize("aperture", [(1.0, 1.0), (1.2, 0.6)])
