@@ -7,10 +7,11 @@ point a configuration of its own.  A configuration plus a trial index fix a
 trial, so the same file gives the same report.  The file sets what a study
 varies; a field it does not know, such as the pipeline tuning fixed as
 constants in ``coposim.pipeline`` (``NU``, ``PAD_FACTOR``,
-``THETA_GRID_STEP_RAD``, ``CLOCK_CLUSTER_TOL_S``, ``DIRECT_PATH_TOL_M``),
-is a ``ConfigError``.  A ``ConfigError``, whether the file or the scene it
-builds is at fault, prints ``coposim: error: <message>`` to standard error
-and exits with status 2, the status argparse gives a bad command line.
+``CLOCK_CLUSTER_TOL_S``, ``DIRECT_PATH_TOL_M``), is a ``ConfigError``.
+A ``ConfigError`` from the file or the scene it builds exits with status 2,
+as argparse does for a bad command line, and any other failure of ``run``'s
+trial with status 1 (``sweep`` counts failed trials); both print one line,
+``coposim: error: <message>``, to standard error.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import ConfigError
+from .errors import ConfigError, CoposimError
 from .pipeline import run, run_sweep
 from .scenario import ScenarioConfig
 
@@ -34,9 +35,9 @@ def main(argv=None) -> int:
     try:
         config = ScenarioConfig.load(args.config)
         report, _ = (run_sweep if args.command == "sweep" else run)(config)
-    except ConfigError as exc:
+    except CoposimError as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, ConfigError) else 1
     print(report.to_json())
     return 0
 

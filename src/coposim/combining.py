@@ -7,7 +7,8 @@ path angles are locked together by the measured orientations of the virtual
 anchor baselines: theta_i - theta_j = (phi_i - phi_j) / 2.  At the right
 reference angle all rays from the virtual anchors meet at the actual anchor.
 For any reference angle the anchor is a linear least-squares fit to the L
-rays, so a 1D search over the angle minimises the fit's misfit; the fitted
+rays, and the fit's misfit is a trigonometric polynomial of degree 3 in twice
+the angle, so its global minimum is solved for in closed form; the fitted
 anchor then fixes each reflecting surface (the perpendicular bisector plane),
 and mirroring each virtual cloud across its surface recovers the actual
 cloud.  The fit's RMS ray distance is reported as the fusion residual.
@@ -26,8 +27,6 @@ from .geometry import ReflectionSurface, as_xyz, distance_matrix, mirror_point
 # The rays count as all parallel when the normal-matrix determinant, the sum of
 # sin^2 over their pair angle gaps, is below this squared.
 _PARALLEL_TOL = 1e-12
-# Golden-section refinement stops when the angle bracket is this narrow (rad).
-_REFINE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -76,21 +75,34 @@ class CombineResult:
     actual_cloud: np.ndarray
 
 
-def group_by_clock(detections: list[VirtualDetection], tolerance: float) -> list[list[VirtualDetection]]:
-    """Single-linkage clusters of detections by clock estimate.
+def clock_distance(sigma, other, period: float):
+    """Distance from ``sigma - other`` to the nearest multiple of ``period``:
+    sync reads a clock only modulo the period of its beat, 1/delta."""
+    gap = np.abs(np.subtract(sigma, other)) % period
+    return np.minimum(gap, period - gap)
+
+
+def group_by_clock(detections: list[VirtualDetection], tolerance: float,
+                   period: float) -> list[list[VirtualDetection]]:
+    """Single-linkage clusters of detections by clock estimate modulo ``period``.
 
     Paths bounced off different transmitters carry different clock offsets, so
-    clusters separate transmitters without any position knowledge.
+    clusters separate transmitters without any position knowledge.  Estimates
+    are linked in the order of ``sigma_hat mod period``, and the last cluster
+    joins the first when the gap across the wrap is within ``tolerance``.
     """
     if not detections:
         return []
-    order = sorted(detections, key=lambda d: (d.sigma_hat, d.path_id))
+    order = sorted(detections, key=lambda d: (d.sigma_hat % period, d.path_id))
     clusters = [[order[0]]]
-    for det in order[1:]:
-        if det.sigma_hat - clusters[-1][-1].sigma_hat <= tolerance:
+    for prev, det in zip(order, order[1:]):
+        if clock_distance(det.sigma_hat, prev.sigma_hat, period) <= tolerance:
             clusters[-1].append(det)
         else:
             clusters.append([det])
+    if (len(clusters) > 1
+            and clock_distance(order[0].sigma_hat, order[-1].sigma_hat, period) <= tolerance):
+        clusters[0] = clusters.pop() + clusters[0]
     return clusters
 
 
@@ -133,45 +145,31 @@ def _ray_fit(cluster: list[VirtualDetection], theta_ref):
     return anchors[0], anchors[1], misfit
 
 
-def _golden_refine(fun, lo: float, hi: float, tol: float) -> float:
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = fun(c), fun(d)
-    while (b - a) > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = fun(d)
-    return 0.5 * (a + b)
+def search_theta_ref(cluster: list[VirtualDetection]) -> tuple[float, np.ndarray, np.ndarray, float]:
+    """Reference path angle whose rays best meet in one point, in closed form.
 
-
-def search_theta_ref(cluster: list[VirtualDetection],
-                     grid_step: float) -> tuple[float, np.ndarray, np.ndarray, float]:
-    """1D search for the reference path angle whose rays best meet in one point.
-
-    Line angles are periodic in pi, so the grid covers (-pi/2, pi/2]; every
-    grid angle is scored by the misfit of its least-squares ray fit
-    (``_ray_fit``, which rejects a cluster whose rays are all parallel), and
-    the best grid cell is refined by golden section to ``_REFINE_TOL`` on that
-    smooth misfit.  Returns the angle, the fitted a- and b-anchors, and the
-    RMS perpendicular distance of the 2L rays from them.
+    The misfit of ``_ray_fit`` is sum_l (n_l . p_l)^2 - r^T adj(M) r / det M,
+    where det M is constant and r, adj(M) and each (n_l . p_l)^2 hold only
+    harmonics 0 and 1 of 2 theta: a trigonometric polynomial of degree 3 in
+    2 theta.  Its coefficients c_k are the ``rfft`` of seven samples
+    theta_n = n pi / 7, and with z = e^{2j theta} its stationary angles are the
+    roots of sum_k k (c_k z^(3+k) - conj(c_k) z^(3-k)).  The best of those and
+    the samples, in (-pi/2, pi/2], is returned with the fitted a- and b-anchors
+    and the RMS perpendicular distance of the 2L rays from them.
     """
     if len(cluster) < 3:
         raise FeasibilityError(
             f"combining needs at least 3 paths from the same transmitter, got {len(cluster)}"
         )
-    grid = np.arange(-math.pi / 2 + grid_step, math.pi / 2 + 0.5 * grid_step, grid_step)
-    best = int(np.argmin(_ray_fit(cluster, grid)[2]))
-    theta = _golden_refine(lambda t: _ray_fit(cluster, t)[2][0],
-                           grid[best] - grid_step, grid[best] + grid_step, _REFINE_TOL)
-    x_a, x_b, misfit = _ray_fit(cluster, theta)
-    return theta, x_a[0], x_b[0], math.sqrt(misfit[0] / (2 * len(cluster)))
+    samples = np.arange(7) * (math.pi / 7)
+    kc = np.arange(1, 4) * np.fft.rfft(_ray_fit(cluster, samples)[2])[1:]
+    stationary = np.roots(np.concatenate([kc[::-1], [0.0], -kc.conj()]))
+    thetas = np.concatenate([samples, 0.5 * np.angle(stationary)])
+    thetas = math.pi / 2 - (math.pi / 2 - thetas) % math.pi
+    x_a, x_b, misfit = _ray_fit(cluster, thetas)
+    best = int(np.argmin(misfit))
+    return (float(thetas[best]), x_a[best], x_b[best],
+            math.sqrt(misfit[best] / (2 * len(cluster))))
 
 
 def estimate_surface(x_a_star, x_a_virtual, theta: float) -> ReflectionSurface:
@@ -218,14 +216,14 @@ def fuse_clouds(clouds: list[np.ndarray], merge_radius: float) -> np.ndarray:
 
 
 def combine_cluster(cluster: list[VirtualDetection], merge_radius: float,
-                    grid_step: float, direct_path_tol: float) -> CombineResult:
+                    direct_path_tol: float) -> CombineResult:
     """Full fusion of one same-clock cluster of virtual detections.
 
     Detections whose virtual anchor already coincides with the fused anchor
     (within ``direct_path_tol``) are direct-view paths: their clouds are taken
     as-is, since the perpendicular-bisector surface degenerates there.
     """
-    theta_ref, x_a_star, x_b_star, residual = search_theta_ref(cluster, grid_step)
+    theta_ref, x_a_star, x_b_star, residual = search_theta_ref(cluster)
     surfaces, mapped = [], []
     for det, theta in zip(cluster, _ray_angles(cluster, theta_ref)[0].tolist()):
         direct = float(np.linalg.norm(det.x_a_virtual - x_a_star)) <= direct_path_tol

@@ -11,8 +11,7 @@ configuration before its trials run, so results do not depend on how a
 sweep spreads its trials over worker processes.
 
 The tuning no study varies is fixed here: the peak threshold ``NU``, the
-spectral padding ``PAD_FACTOR``, the theta grid step
-``THETA_GRID_STEP_RAD``, the clock clustering tolerance
+spectral padding ``PAD_FACTOR``, the clock clustering tolerance
 ``CLOCK_CLUSTER_TOL_S`` and the direct-path tolerance ``DIRECT_PATH_TOL_M``.
 """
 
@@ -28,7 +27,7 @@ import numpy as np
 from . import __version__
 from .analysis import azimuth_resolution, hausdorff, range_resolution, rmse_nearest
 from .channel import NoiseModel, simulate_sfcw, simulate_signature
-from .combining import VirtualDetection, combine_cluster, group_by_clock
+from .combining import VirtualDetection, clock_distance, combine_cluster, group_by_clock
 from .errors import ConfigError, CoposimError
 from .geometry import SPEED_OF_LIGHT as C
 from .geometry import Scene, directed_angle_xz, mirror_point
@@ -40,7 +39,6 @@ from .waveform import validate_scene
 
 NU = 0.5                       # peak threshold, relative to the image maximum
 PAD_FACTOR = 1.6               # periodic image repeat over the box extent
-THETA_GRID_STEP_RAD = 1.0e-3   # coarse grid of the reference-angle search
 CLOCK_CLUSTER_TOL_S = 2.0e-9   # clock estimates closer than this share a cluster
 DIRECT_PATH_TOL_M = 0.25       # virtual anchor this close to the fused one: direct path
 
@@ -113,7 +111,7 @@ def _sync_path(scene: Scene, sig_obs, delta: float,
     """Both anchor solves of one path.
 
     Returns the detection with an empty cloud, whether both solves
-    converged, and the disagreement of their clock estimates.
+    converged, and the disagreement of their clock estimates modulo 1/delta.
     """
     sync_a = locate_and_sync(sig_obs, "a", delta, scene.sv_antennas, noise_std_m=f_std)
     sync_b = locate_and_sync(sig_obs, "b", delta, scene.sv_antennas, noise_std_m=f_std)
@@ -122,7 +120,7 @@ def _sync_path(scene: Scene, sig_obs, delta: float,
                            sigma_hat=sync_a.sigma_hat,
                            baseline_angle=directed_angle_xz(sync_a.x_anchor, sync_b.x_anchor))
     return (det, sync_a.converged and sync_b.converged,
-            abs(sync_a.sigma_hat - sync_b.sigma_hat))
+            float(clock_distance(sync_a.sigma_hat, sync_b.sigma_hat, 1.0 / delta)))
 
 
 def _image_path(det: VirtualDetection, scene: Scene, grid, noise: NoiseModel,
@@ -163,12 +161,13 @@ def _run_trial(config: ScenarioConfig, trial: int = 0):
     noise = NoiseModel(config.noise.phase_sigma_rad, config.noise.snr_db,
                        trial_noise_seed(config, trial))
     f_std = _phase_noise_std_m(noise, grid.delta)
+    period = 1.0 / grid.delta   # sync reads clocks modulo this period
     synced = [_sync_path(scene, obs, grid.delta, f_std)
               for obs in simulate_signature(scene, config.signature(), noise)]
 
     fuse = _mode(scene) == "nlos"
     if fuse:
-        clusters = group_by_clock([det for det, _, _ in synced], CLOCK_CLUSTER_TOL_S)
+        clusters = group_by_clock([det for det, _, _ in synced], CLOCK_CLUSTER_TOL_S, period)
         clusters.sort(key=lambda c: (-len(c), min(d.path_id for d in c)))
         if not clusters or len(clusters[0]) < 3:
             raise CoposimError(
@@ -180,7 +179,8 @@ def _run_trial(config: ScenarioConfig, trial: int = 0):
                   for det, _, _ in synced]
 
     metrics: dict = {"trial": trial}
-    metrics["sync_sigma_err_s"] = max(abs(d.sigma_hat - scene.clock_offset) for d in detections)
+    metrics["sync_sigma_err_s"] = float(max(
+        clock_distance(d.sigma_hat, scene.clock_offset, period) for d in detections))
     metrics["sync_discrepancy_s"] = max(discrepancy for _, _, discrepancy in synced)
 
     for det, (_, converged, _) in zip(detections, synced):
@@ -203,7 +203,7 @@ def _run_trial(config: ScenarioConfig, trial: int = 0):
         imaged = {det.path_id: det for det in detections}
         primary = [imaged[det.path_id] for det in clusters[0]]
         res = combine_cluster(primary, merge_radius=range_resolution(grid) / 2,
-                              grid_step=THETA_GRID_STEP_RAD, direct_path_tol=DIRECT_PATH_TOL_M)
+                              direct_path_tol=DIRECT_PATH_TOL_M)
         cloud = res.actual_cloud
         metrics["theta_ref_rad"] = float(res.theta_ref)
         metrics["anchor_err_m"] = float(np.linalg.norm(res.x_a_star - scene.anchor_a))

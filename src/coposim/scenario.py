@@ -4,9 +4,9 @@ A configuration plus a trial index fix a trial: ``build_scene(config,
 trial)`` places the antennas from (seed, trial) alone, and a sweep point is
 itself a configuration (see ``pipeline.run_sweep``).  The configuration
 holds what a study varies.  The tuning no study varies is module constants
-in ``pipeline`` (``NU``, ``PAD_FACTOR``, ``THETA_GRID_STEP_RAD``,
-``CLOCK_CLUSTER_TOL_S``, ``DIRECT_PATH_TOL_M``), and the signature tones sit
-at f1 - 2*delta and f1 - 4*delta.
+in ``pipeline`` (``NU``, ``PAD_FACTOR``, ``CLOCK_CLUSTER_TOL_S``,
+``DIRECT_PATH_TOL_M``), and the signature tones sit at f1 - 2*delta and
+f1 - 4*delta.
 
 All physical quantities carry SI units in their field names.  Antenna
 placement is a seeded stratified jitter: receive antennas on the planar

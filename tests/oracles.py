@@ -116,6 +116,25 @@ def least_squares_ray_fit(a_virtuals, b_virtuals, baseline_angles, theta_ref: fl
     return anchors[0], anchors[1], misfit
 
 
+def ray_fit_misfits(a_virtuals, b_virtuals, baseline_angles, thetas) -> np.ndarray:
+    """``least_squares_ray_fit``'s misfit at each of many reference angles.
+
+    The same stacked least-squares systems, one per angle, each solved through
+    its pseudo-inverse; vectorised over the angles for dense scans.
+    """
+    phi = np.asarray(baseline_angles, dtype=float)
+    angles = np.asarray(thetas, dtype=float)[:, None] + 0.5 * (phi - phi[0])
+    rows = np.stack([-np.sin(angles), np.cos(angles)], axis=-1)
+    pinv = np.linalg.pinv(rows)
+    misfit = np.zeros(len(angles))
+    for virtuals in (a_virtuals, b_virtuals):
+        v = np.asarray(virtuals, dtype=float)
+        rhs = rows[..., 0] * v[:, 0] + rows[..., 1] * v[:, 2]
+        xz = np.einsum("tkl,tl->tk", pinv, rhs)
+        misfit += ((np.einsum("tlk,tk->tl", rows, xz) - rhs) ** 2).sum(axis=1)
+    return misfit
+
+
 def tan_form_recovery_map(points: np.ndarray, theta: float, x_a_star: np.ndarray,
                           x_a_virtual: np.ndarray) -> np.ndarray:
     """Closed-form virtual-to-actual map in its tan() form.

@@ -4,18 +4,19 @@ import math
 import numpy as np
 import pytest
 
-from conftest import REF_SURFACES
+from conftest import REF_DELTA, REF_SURFACES
 from coposim.analysis import hausdorff
-from coposim.combining import (VirtualDetection, _ray_fit, combine_cluster, estimate_surface,
-                               fuse_clouds, group_by_clock, search_theta_ref)
+from coposim.combining import (VirtualDetection, _ray_fit, clock_distance, combine_cluster,
+                               estimate_surface, fuse_clouds, group_by_clock, search_theta_ref)
 from coposim.errors import DegenerateGeometryError, FeasibilityError
 from coposim.geometry import ReflectionSurface, directed_angle_xz, mirror_point
 from oracles import (least_squares_ray_fit, map_virtual_to_actual, mirror_across_line,
-                     tan_form_recovery_map, transitive_merge)
+                     ray_fit_misfits, tan_form_recovery_map, transitive_merge)
 
-# The theta grid step and the direct-path rule these tests were written for.
-GRID_STEP = 1e-3
+# The direct-path rule these tests were written for.
 DIRECT_PATH_TOL = 1e-3
+# A clock estimate is known modulo this period, 1/delta.
+CLOCK_PERIOD = 1.0 / REF_DELTA
 
 
 def make_detection(path_id, surface, x_a, x_b, cloud, sigma=1e-8):
@@ -62,9 +63,9 @@ class TestCandidateAnchor:
 class TestSearchTheta:
     def test_reference_topology_noiseless(self):
         dets, x_a, x_b, _ = reference_cluster()
-        theta, xa, xb, _ = search_theta_ref(dets, GRID_STEP)
-        assert np.linalg.norm(xa - x_a) < 1e-4
-        assert np.linalg.norm(xb - x_b) < 1e-4
+        theta, xa, xb, _ = search_theta_ref(dets)
+        assert np.linalg.norm(xa - x_a) < 1e-10
+        assert np.linalg.norm(xb - x_b) < 1e-10
 
     def test_angle_lock_identity(self):
         # theta_i - theta_j == (phi_i - phi_j)/2 for planted mirror geometry.
@@ -80,12 +81,56 @@ class TestSearchTheta:
     def test_objective_zero_at_truth(self):
         dets, x_a, _, _ = reference_cluster()
         theta_true = directed_angle_xz(dets[0].x_a_virtual, x_a)
-        theta_found, _, _, _ = search_theta_ref(dets, GRID_STEP)
+        theta_found, _, _, _ = search_theta_ref(dets)
         misfit_true = _ray_fit(dets, theta_true)[2][0]
         assert misfit_true < 1e-18
-        # the misfit is smooth, so the refinement ends within its 1e-9 rad bracket
+        # the minimum is a simple root of the misfit's derivative, so the
+        # closed form lands on it to within rounding
         assert _ray_fit(dets, theta_found)[2][0] <= misfit_true + 1e-15
-        assert abs((theta_found - theta_true + math.pi / 2) % math.pi - math.pi / 2) < 1e-8
+        assert abs((theta_found - theta_true + math.pi / 2) % math.pi - math.pi / 2) < 1e-11
+
+    def test_misfit_is_a_degree_three_polynomial_in_twice_the_angle(self, rng):
+        # Seven samples theta_n = n pi / 7 fix harmonics 0-3 of 2 theta; the
+        # polynomial they fix must give the loop oracle's misfit at any angle.
+        samples = np.arange(7) * math.pi / 7
+        for n in (3, 4, 5, 6, 3, 4, 5, 6):
+            a, b = rng.uniform(-8, 8, (n, 3)), rng.uniform(-8, 8, (n, 3))
+            phi = rng.uniform(-math.pi, math.pi, n)
+            c = np.fft.rfft([least_squares_ray_fit(a, b, phi, t)[2] for t in samples])
+            for theta in rng.uniform(-math.pi, math.pi, 50):
+                harmonics = np.exp(2j * np.arange(1, 4) * theta)
+                rebuilt = (c[0].real + 2 * (c[1:] * harmonics).real.sum()) / 7
+                assert rebuilt == pytest.approx(least_squares_ray_fit(a, b, phi, theta)[2],
+                                                rel=1e-9)
+
+    def test_search_is_global(self, rng):
+        # Noisy virtual anchors: no angle makes the rays meet, and the misfit
+        # can have several local minima; the closed form must find the lowest.
+        dense = np.arange(-math.pi / 2, math.pi / 2, 1e-4)
+        for case in range(12):
+            n = 3 + case % 4
+            x_a, x_b = rng.uniform(-3, 3, 3), rng.uniform(-3, 3, 3)
+            noise = rng.uniform(0.0, 0.5)
+            cluster = []
+            for l in range(n):
+                surface = ReflectionSurface(rng.uniform(-3, 3), rng.uniform(-6, 6))
+                va = mirror_point(surface, x_a) + rng.normal(0.0, noise, 3)
+                vb = mirror_point(surface, x_b) + rng.normal(0.0, noise, 3)
+                cluster.append(VirtualDetection(l, va, vb, np.empty((0, 3)), 0.0,
+                                                directed_angle_xz(va, vb)))
+            a = [d.x_a_virtual for d in cluster]
+            b = [d.x_b_virtual for d in cluster]
+            phi = [d.baseline_angle for d in cluster]
+            scan = ray_fit_misfits(a, b, phi, dense)
+            for k in (0, 7919, 22222):
+                assert scan[k] == pytest.approx(least_squares_ray_fit(a, b, phi, dense[k])[2],
+                                                rel=1e-9, abs=1e-12)
+            theta, xa, xb, residual = search_theta_ref(cluster)
+            assert -math.pi / 2 < theta <= math.pi / 2
+            found = least_squares_ray_fit(a, b, phi, theta)
+            assert found[2] <= scan.min() * (1 + 1e-12) + 1e-12
+            assert np.allclose(xa, found[0], atol=1e-9) and np.allclose(xb, found[1], atol=1e-9)
+            assert residual == pytest.approx(math.sqrt(found[2] / (2 * n)), rel=1e-9, abs=1e-12)
 
     def test_ray_fit_matches_loop_oracle(self, rng):
         grid = np.linspace(-math.pi / 2, math.pi / 2, 181)[1:]
@@ -112,21 +157,21 @@ class TestSearchTheta:
         dets, x_a, x_b, _ = reference_cluster()
         twin = VirtualDetection(9, dets[1].x_a_virtual, dets[1].x_b_virtual, np.empty((0, 3)),
                                 dets[1].sigma_hat, dets[1].baseline_angle)
-        _, xa, xb, _ = search_theta_ref(dets + [twin], GRID_STEP)
+        _, xa, xb, _ = search_theta_ref(dets + [twin])
         assert np.linalg.norm(xa - x_a) < 1e-4
         assert np.linalg.norm(xb - x_b) < 1e-4
 
     def test_two_paths_infeasible(self):
         dets, _, _, _ = reference_cluster()
         with pytest.raises(FeasibilityError):
-            search_theta_ref(dets[:2], GRID_STEP)
+            search_theta_ref(dets[:2])
 
     def test_all_parallel_degenerate(self):
         # identical baseline angles at every detection make all ray pairs parallel
         dets = [VirtualDetection(i, [float(i), 0.0, 0.0], [float(i) + 1, 0.0, 0.0],
                                  np.empty((0, 3)), 0.0, 0.0) for i in range(3)]
         with pytest.raises(DegenerateGeometryError):
-            search_theta_ref(dets, GRID_STEP)
+            search_theta_ref(dets)
 
 
 class TestSurfaceAndMapping:
@@ -144,7 +189,7 @@ class TestSurfaceAndMapping:
     def test_recovered_reference_surfaces(self):
         dets, x_a, _, _ = reference_cluster()
         res = combine_cluster(dets, merge_radius=0.05,
-                              grid_step=GRID_STEP, direct_path_tol=DIRECT_PATH_TOL)
+                              direct_path_tol=DIRECT_PATH_TOL)
         for det, planted, est in zip(dets, REF_SURFACES, res.surfaces):
             assert est is not None
             assert est.slope == pytest.approx(planted.slope, rel=1e-2)
@@ -242,18 +287,37 @@ class TestFuseAndCluster:
             return VirtualDetection(pid, [0.0, 0.0, 1.0], [1.0, 0.0, 1.0],
                                     np.empty((0, 3)), sig, 0.0)
         same = [det(1, 1.00e-8), det(2, 1.01e-8), det(3, 0.99e-8)]
-        clusters = group_by_clock(same, tolerance=5e-10)
+        clusters = group_by_clock(same, tolerance=5e-10, period=CLOCK_PERIOD)
         assert len(clusters) == 1 and len(clusters[0]) == 3
         other = same + [det(4, 2.0e-8), det(5, 2.005e-8)]
-        clusters = group_by_clock(other, tolerance=5e-10)
+        clusters = group_by_clock(other, tolerance=5e-10, period=CLOCK_PERIOD)
         assert [len(c) for c in clusters] == [3, 2]
+        # A clock is known only modulo 1/delta: estimates a period apart, and
+        # estimates on either side of a period boundary, are the same clock.
+        shifted = [det(1, 2.0e-8 + CLOCK_PERIOD), det(2, 2.0e-8), det(3, 2.01e-8 + CLOCK_PERIOD),
+                   det(4, 5.0e-8)]
+        clusters = group_by_clock(shifted, tolerance=5e-10, period=CLOCK_PERIOD)
+        assert [[d.path_id for d in c] for c in clusters] == [[1, 2, 3], [4]]
+        straddling = [det(1, 1e-10), det(2, CLOCK_PERIOD - 2e-10), det(3, 4e-8),
+                      det(4, -1e-10)]
+        clusters = group_by_clock(straddling, tolerance=5e-10, period=CLOCK_PERIOD)
+        assert [[d.path_id for d in c] for c in clusters] == [[2, 4, 1], [3]]
+        pair = [det(1, 1e-10), det(2, CLOCK_PERIOD - 1e-10)]
+        assert [len(c) for c in group_by_clock(pair, 5e-10, CLOCK_PERIOD)] == [2]
+
+    def test_clock_distance_is_the_gap_to_the_nearest_period(self):
+        assert clock_distance(2e-8 + 3 * CLOCK_PERIOD, 2e-8, CLOCK_PERIOD) < 1e-20
+        assert clock_distance(1e-10, CLOCK_PERIOD - 1e-10, CLOCK_PERIOD) == pytest.approx(2e-10)
+        assert clock_distance(-3e-9, 4e-9, CLOCK_PERIOD) == pytest.approx(7e-9)
+        gaps = clock_distance(np.array([0.0, 0.5, 1.0]) * CLOCK_PERIOD, 0.0, CLOCK_PERIOD)
+        assert np.allclose(gaps, [0.0, 0.5 * CLOCK_PERIOD, 0.0], rtol=0, atol=1e-22)
 
 
 class TestFullCombine:
     def test_noiseless_roundtrip(self):
         dets, x_a, x_b, cloud = reference_cluster()
         res = combine_cluster(dets, merge_radius=0.05,
-                              grid_step=GRID_STEP, direct_path_tol=DIRECT_PATH_TOL)
+                              direct_path_tol=DIRECT_PATH_TOL)
         assert np.linalg.norm(res.x_a_star - x_a) < 1e-4
         assert hausdorff(res.actual_cloud, cloud) < 1e-3
 
@@ -261,7 +325,7 @@ class TestFullCombine:
         surfaces = REF_SURFACES + (ReflectionSurface(-0.6, 3.5),)
         dets, x_a, _, cloud = reference_cluster(surfaces=surfaces)
         res = combine_cluster(dets, merge_radius=0.05,
-                              grid_step=GRID_STEP, direct_path_tol=DIRECT_PATH_TOL)
+                              direct_path_tol=DIRECT_PATH_TOL)
         assert np.linalg.norm(res.x_a_star - x_a) < 1e-4
         assert hausdorff(res.actual_cloud, cloud) < 1e-3
 
@@ -272,7 +336,7 @@ class TestFullCombine:
                                   cloud=cloud.copy(), sigma_hat=1e-8,
                                   baseline_angle=directed_angle_xz(x_a, x_b))
         res = combine_cluster([direct] + dets, merge_radius=0.05,
-                              grid_step=GRID_STEP, direct_path_tol=DIRECT_PATH_TOL)
+                              direct_path_tol=DIRECT_PATH_TOL)
         assert np.linalg.norm(res.x_a_star - x_a) < 1e-4
         assert res.surfaces[0] is None
         assert hausdorff(res.actual_cloud, cloud) < 1e-3
@@ -282,11 +346,11 @@ class TestFullCombine:
         # path's rays off it, and the residual says so.
         dets, x_a, x_b, _ = reference_cluster()
         res = combine_cluster(dets, merge_radius=0.05,
-                              grid_step=GRID_STEP, direct_path_tol=DIRECT_PATH_TOL)
+                              direct_path_tol=DIRECT_PATH_TOL)
         assert res.residual_m < 1e-8
         assert np.linalg.norm(res.x_a_star - x_a) < 1e-7
         assert np.linalg.norm(res.x_b_star - x_b) < 1e-7
         spoiled = dataclasses.replace(dets[1], baseline_angle=dets[1].baseline_angle + 0.05)
         res = combine_cluster([dets[0], spoiled, dets[2]], merge_radius=0.05,
-                              grid_step=GRID_STEP, direct_path_tol=DIRECT_PATH_TOL)
+                              direct_path_tol=DIRECT_PATH_TOL)
         assert res.residual_m >= 1e3 * 1e-8

@@ -218,6 +218,31 @@ def test_noiseless_nlos_trial_fuses_the_reflections(seed):
         assert metrics[f"path{pid}_hausdorff_m"] < NLOS_PATH_HAUSDORFF_BOUND_M
 
 
+# The default scene without noise at 16 m: sync reads paths 1 and 3 one clock
+# period (1/delta, about 85.3 ns) above the 20 ns offset and path 2 at it.
+NOISELESS_NLOS_16M = {"scene": {"distance_m": 16.0},
+                      "noise": {"phase_sigma_rad": 0.0, "snr_db": None}}
+
+
+def test_clock_estimates_a_period_apart_share_a_cluster():
+    report, artifacts = run(ScenarioConfig.from_dict(NOISELESS_NLOS_16M))
+    metrics = report.trials[0]
+    assert metrics["clusters"] == 1
+    assert sorted(artifacts.mapped_clouds) == [1, 2, 3]
+    assert metrics["anchor_err_m"] < 1e-6
+    assert metrics["hausdorff_m"] < NLOS_HAUSDORFF_BOUND_M
+    assert metrics["sync_sigma_err_s"] < 1e-15
+
+
+def test_clock_metrics_are_read_modulo_the_clock_period():
+    # An offset of -30 ns is read as 1/delta - 30 ns: the same clock.
+    scenario = {"scene": {"clock_offset_s": -3e-8},
+                "noise": {"phase_sigma_rad": 0.0, "snr_db": None}}
+    metrics = run(ScenarioConfig.from_dict(scenario))[0].trials[0]
+    assert metrics["sync_sigma_err_s"] < 1e-15
+    assert metrics["sync_discrepancy_s"] < 1e-15
+
+
 CLOCK_SPLIT_S = 10e-9   # five times the clustering tolerance
 
 
@@ -396,6 +421,17 @@ def test_cli_reports_a_scene_the_pipeline_rejects(tmp_path, capsys):
     assert out == ""
     assert err.startswith("coposim: error: ") and err.count("\n") == 1
     assert "at least 4 receive antennas, got 1" in err
+
+
+def test_cli_reports_a_failed_trial_in_one_line(tmp_path, capsys):
+    # The default scene is noisy, and its trial 0 finds no clock cluster of 3.
+    path = tmp_path / "scenario.json"
+    path.write_text("{}")
+    assert cli.main(["run", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("coposim: error: combining stage: no clock cluster with >= 3 paths "
+                   "(cluster sizes [1, 1, 1])\n")
 
 
 # A direct view that also has the three default reflecting surfaces: fused, so
