@@ -6,7 +6,7 @@ by clock-difference estimation, Fourier aperture imaging and, without line of
 sight, fusion of mirror images reflected off neighbouring vehicles.
 """
 
-from .analysis import LinkBudgetParams, azimuth_resolution, hausdorff, range_resolution, rcs, rx_power
+from .analysis import azimuth_resolution, hausdorff, range_resolution
 from .channel import NOISELESS, NoiseModel, PathObservation, simulate_sfcw, simulate_signature
 from .combining import (CombineResult, VirtualDetection, combine_cluster, estimate_surface,
                         fuse_clouds, group_by_clock, search_theta_ref)

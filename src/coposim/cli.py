@@ -5,9 +5,9 @@ runs trial 0 of the scene (the report's ``mode`` says whether it imaged a
 direct view or fused reflections); ``sweep`` runs the configured sweep, each
 point a configuration of its own.  A configuration plus a trial index fix a
 trial, so the same file gives the same report.  The file sets what a study
-varies; a field it does not know, such as the pipeline tuning fixed as
-constants in ``coposim.pipeline`` (``NU``, ``PAD_FACTOR``,
-``CLOCK_CLUSTER_TOL_S``, ``DIRECT_PATH_TOL_M``), is a ``ConfigError``.
+varies.  A field it does not know, such as the pipeline tuning fixed as
+constants in ``coposim.pipeline`` (``NU``, ``PAD_FACTOR``, ...), or a value
+not of its ``coposim.scenario.FIELD_TYPES`` type is a ``ConfigError``.
 A ``ConfigError`` from the file or the scene it builds exits with status 2,
 as argparse does for a bad command line, and any other failure of ``run``'s
 trial with status 1 (``sweep`` counts failed trials); both print one line,

@@ -144,10 +144,6 @@ class Scene:
         object.__setattr__(self, "surfaces", tuple(self.surfaces))
 
     @property
-    def n_tv(self) -> int:
-        return self.tv_antennas.shape[0]
-
-    @property
     def n_sv(self) -> int:
         return self.sv_antennas.shape[0]
 

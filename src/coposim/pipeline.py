@@ -17,6 +17,7 @@ spectral padding ``PAD_FACTOR``, the clock clustering tolerance
 
 from __future__ import annotations
 
+import json
 import math
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -65,20 +66,7 @@ class RunReport:
     sweep_rows: list[dict] | None = None
 
     def to_json(self) -> str:
-        import json
-        return json.dumps(_plain(self.__dict__), indent=2, sort_keys=True)
-
-
-def _plain(obj):
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    return obj
+        return json.dumps(self.__dict__, indent=2, sort_keys=True)
 
 
 def _phase_noise_std_m(noise: NoiseModel, delta: float) -> float | None:
@@ -229,10 +217,10 @@ def _run_trial(config: ScenarioConfig, trial: int = 0):
     return metrics, TrialArtifacts(scene, cloud, mapped_clouds), report.warnings
 
 
-def _median_iqr(values) -> tuple[float, float]:
-    """Median and interquartile range of the values, NaN for none."""
+def _median_iqr(values) -> tuple[float | None, float | None]:
+    """Median and interquartile range of the values, None (JSON null) for none."""
     if not len(values):
-        return math.nan, math.nan
+        return None, None
     q75, q25 = np.percentile(values, [75, 25])
     return float(np.median(values)), float(q75 - q25)
 

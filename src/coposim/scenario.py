@@ -77,6 +77,37 @@ class SweepSpec:
     trials: int = 100
 
 
+# The JSON type of each configuration field: "float" (an int passes too),
+# "int", "bool", or "surface" (an object with float slope and intercept_m).
+# "[n]" makes a list of n ("[]": any length), "?" allows null, ">=0" bars negatives.
+FIELD_TYPES = {
+    "scene": {"distance_m": "float", "tv_direction": "float[3]", "tv_size_m": "float[3]",
+              "tv_antenna_count": "int", "sv_aperture_m": "float[2]", "sv_antenna_count": "int",
+              "surfaces": "surface[]", "clock_offset_s": "float", "has_los": "bool"},
+    "waveform": {"f1_hz": "float", "tones": "int", "delta_hz": "float"},
+    "noise": {"snr_db": "float?", "phase_sigma_rad": "float>=0", "seed": "int>=0"},
+    "pipeline": {"box_extent_m": "float[3]"},
+    "sweep": {"distance_m": "float[]?", "surface_counts": "int[]?",
+              "sv_antenna_counts": "int[]?", "trials": "int"},
+}
+
+
+def _is(kind: str, value) -> bool:
+    """Whether ``value`` has the ``FIELD_TYPES`` type ``kind``."""
+    if kind.endswith("?"):
+        return value is None or _is(kind[:-1], value)
+    if kind.endswith(">=0"):
+        return _is(kind[:-3], value) and value >= 0
+    if kind.endswith("]"):
+        item, n = kind[:-1].split("[")
+        return (isinstance(value, (list, tuple)) and len(value) == int(n or len(value))
+                and all(_is(item, v) for v in value))
+    if kind == "surface":
+        return isinstance(value, dict) and _is("float[]", [value.get("slope"),
+                                                           value.get("intercept_m")])
+    return type(value) in {"float": (int, float), "int": (int,), "bool": (bool,)}[kind]
+
+
 @dataclass
 class ScenarioConfig:
     scene: SceneSpec = field(default_factory=SceneSpec)
@@ -93,14 +124,21 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
-        try:
-            return cls(scene=SceneSpec(**data.get("scene", {})),
-                       waveform=WaveformSpec(**data.get("waveform", {})),
-                       noise=NoiseSpec(**data.get("noise", {})),
-                       pipeline=PipelineSpec(**data.get("pipeline", {})),
-                       sweep=SweepSpec(**data.get("sweep", {})))
-        except TypeError as exc:
-            raise ConfigError(f"unrecognised configuration field: {exc}") from exc
+        for section, values in data.items():
+            if section not in FIELD_TYPES or not isinstance(values, dict):
+                raise ConfigError(f"configuration sections are objects named "
+                                  f"{', '.join(FIELD_TYPES)}; got {section!r}: {values!r}")
+            for name, value in values.items():
+                kind = FIELD_TYPES[section].get(name)
+                if kind is None:
+                    raise ConfigError(f"unrecognised configuration field: {section}.{name}")
+                if not _is(kind, value):
+                    raise ConfigError(f"{section}.{name} must be {kind}, got {value!r}")
+        return cls(scene=SceneSpec(**data.get("scene", {})),
+                   waveform=WaveformSpec(**data.get("waveform", {})),
+                   noise=NoiseSpec(**data.get("noise", {})),
+                   pipeline=PipelineSpec(**data.get("pipeline", {})),
+                   sweep=SweepSpec(**data.get("sweep", {})))
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioConfig":

@@ -40,7 +40,6 @@ class PdoaMeasurement:
 
     phase_diffs: np.ndarray
     range_diffs: np.ndarray
-    anchor: str
     delta: float
 
     def __post_init__(self):
@@ -82,8 +81,7 @@ def measure_pdoa(observation, anchor: str, delta: float,
     raw = np.angle(symbols[:, 0] * np.conj(symbols[:, 1]))
     eta = np.unwrap(raw)
     scale = SPEED_OF_LIGHT / (2.0 * math.pi * delta)
-    return PdoaMeasurement(phase_diffs=eta, range_diffs=scale * (eta[1:] - eta[0]),
-                           anchor=anchor, delta=delta)
+    return PdoaMeasurement(phase_diffs=eta, range_diffs=scale * (eta[1:] - eta[0]), delta=delta)
 
 
 def _range_diff_model(x: np.ndarray, sv: np.ndarray) -> np.ndarray:

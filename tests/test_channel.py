@@ -69,7 +69,7 @@ class TestSfcw:
         grid = FrequencyGrid(f1=57e9, tones=16, delta=REF_DELTA)
         for pid, _ in scene.path_surfaces():
             sfcw = simulate_sfcw(scene, grid, NOISELESS, pid, scene.clock_offset)
-            assert np.all(np.abs(sfcw) <= scene.n_tv + 1e-9)
+            assert np.all(np.abs(sfcw) <= len(scene.tv_antennas) + 1e-9)
 
     def test_residual_clock_shifts_phases(self):
         scene = small_scene()

@@ -127,7 +127,7 @@ class TestSceneAndPoint:
         tv = np.array([[0, 0, 8], [1, 0, 8]], dtype=float)
         sv = np.array([[0, 0, 0], [1, 0, 0]], dtype=float)
         scene = Scene(tv, (0, 1), sv, (), 1e-9, True)
-        assert scene.n_tv == 2 and scene.n_sv == 2
+        assert len(scene.tv_antennas) == 2 and scene.n_sv == 2
         with pytest.raises(ValueError):
             Scene(tv[:1], (0, 1), sv, (), 0.0, True)
         with pytest.raises(ValueError):

@@ -16,8 +16,8 @@ from coposim import cli, imaging, pipeline
 from coposim.analysis import hausdorff
 from coposim.errors import ConfigError, CoposimError
 from coposim.pipeline import run, run_los, run_nlos, run_sweep
-from coposim.scenario import (DEFAULT_SURFACE_POOL, ScenarioConfig, _stratified_rect,
-                              aperture_antennas, stratified_rows)
+from coposim.scenario import (DEFAULT_SURFACE_POOL, FIELD_TYPES, ScenarioConfig,
+                              _stratified_rect, aperture_antennas, stratified_rows)
 from oracles import local_maxima_26, stratified_rect
 
 # Small noiseless line-of-sight scenario: 64 tones and a compact box keep a
@@ -361,7 +361,11 @@ def cli_run(tmp_path, scenario: dict, command: str = "run") -> dict:
     done = subprocess.run([sys.executable, "-m", "coposim.cli", command, str(path)],
                           env=package_env(), capture_output=True, text=True, timeout=300,
                           check=True)
-    return json.loads(done.stdout)
+    return json.loads(done.stdout, parse_constant=reject_constant)
+
+
+def reject_constant(token: str):
+    raise ValueError(f"{token} is not valid JSON")
 
 
 def test_cli_run_prints_the_report(tmp_path):
@@ -386,6 +390,8 @@ def test_cli_sweep_counts_failures_by_type(tmp_path):
     assert report["aggregates"]["n_failed"] == 1
     assert report["aggregates"]["failures_by_type"] == {"ConfigError": 1}
     assert [row["fail_rate"] for row in report["sweep_rows"]] == [1.0, 0.0]
+    # A point with no successful trial has no Hausdorff spread: null, not NaN.
+    assert report["sweep_rows"][0]["hausdorff_med_m"] is None
 
 
 # Pipeline tuning held as module constants, which a scenario file cannot set.
@@ -408,6 +414,46 @@ def test_fixed_tuning_is_not_a_configuration_field(tmp_path, capsys, section, na
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("coposim: error: unrecognised configuration field")
+
+
+# Values of the wrong type or range, each of which once escaped as a traceback.
+BAD_VALUES = [("scene", "distance_m", "far"), ("scene", "surfaces", 5),
+              ("scene", "surfaces", [{"slope": 1.0}]), ("scene", "tv_direction", [1, 0]),
+              ("scene", "has_los", "yes"), ("scene", "sv_antenna_count", 64.0),
+              ("noise", "seed", -1), ("noise", "phase_sigma_rad", -1.0),
+              ("waveform", "tones", 64.5), ("pipeline", "box_extent_m", [4.0, 2.0, "4"]),
+              ("sweep", "sv_antenna_counts", [1.5]), ("sweep", "trials", None)]
+
+
+@pytest.mark.parametrize("section, name, value", BAD_VALUES)
+def test_a_value_of_the_wrong_type_is_a_one_line_error(tmp_path, capsys, section, name, value):
+    scenario = dict(NOISELESS_LOS, **{section: {**NOISELESS_LOS.get(section, {}), name: value}})
+    with pytest.raises(ConfigError, match=rf"^{section}\.{name} must be "):
+        ScenarioConfig.from_dict(scenario)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    for command in ("run", "sweep"):
+        assert cli.main([command, str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"coposim: error: {section}.{name} must be ")
+        assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("scenario", [{"scen": {}}, {"scene": 5}, {"noise": None}])
+def test_a_section_must_be_a_known_object(scenario):
+    with pytest.raises(ConfigError, match="configuration sections are objects named"):
+        ScenarioConfig.from_dict(scenario)
+
+
+def test_field_types_cover_every_configuration_field():
+    config = ScenarioConfig()
+    assert {section: set(fields) for section, fields in config.to_dict().items()} == {
+        section: set(fields) for section, fields in FIELD_TYPES.items()}
+    # Ints pass where floats are asked for, and the defaults load as they are.
+    assert ScenarioConfig.from_dict({"scene": {"distance_m": 8, "tv_direction": [1, 0, 0]},
+                                     "noise": {"snr_db": None, "seed": 0}}).scene.distance_m == 8
+    assert ScenarioConfig.from_dict(config.to_dict()) == config
 
 
 def test_cli_reports_a_scene_the_pipeline_rejects(tmp_path, capsys):

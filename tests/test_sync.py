@@ -169,8 +169,7 @@ class TestInitialGuess:
 
     def test_collinear_array_raises(self):
         sv = np.stack([np.linspace(0, 1, 5), np.zeros(5), np.zeros(5)], axis=1)
-        meas = PdoaMeasurement(phase_diffs=np.zeros(5), range_diffs=np.zeros(4),
-                               anchor="a", delta=REF_DELTA)
+        meas = PdoaMeasurement(phase_diffs=np.zeros(5), range_diffs=np.zeros(4), delta=REF_DELTA)
         with pytest.raises(DegenerateGeometryError):
             initial_guess(meas, sv)
 
