@@ -8,8 +8,9 @@ estimate for that path, since the receiver syncs on a path before it images
 it.  Channel fading is held constant and folded into the per-path reflection
 coefficient; Doppler is out of scope for a single snapshot.  The SFCW symbols
 of a path sum, over transmit antennas, one phasor per tone; the comb is
-uniform, so they are built by a phase recurrence along the tones in short
-blocks rather than one complex exponential per (antenna pair, tone).
+uniform, so each antenna pair's phasors follow from two complex exponentials
+by a recurrence along the tones rather than one exponential per (antenna
+pair, tone).
 
 Noise streams are derived from (seed, domain, path, antenna) counters, so
 observations are bit-identical no matter how generation is parallelised.
@@ -27,9 +28,6 @@ from .waveform import FrequencyGrid, SignatureConfig
 
 _DOMAIN_SIGNATURE = 1
 _DOMAIN_SFCW = 2
-# SFCW tones per recurrence block: one direct exponential per (TV, SV) antenna
-# pair and block, the rest from step powers computed once per path.
-_TONE_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -115,10 +113,12 @@ def simulate_sfcw(scene: Scene, grid: FrequencyGrid, noise: NoiseModel, path_id:
     paths of the scene.
 
     The tones are uniform, so with phi = residual - tau per (TV, SV) antenna
-    pair, exp(j*2*pi*f_k*phi) = exp(j*2*pi*f_lo*phi) * exp(j*2*pi*delta*phi)^(k-lo).
-    The tones are taken in blocks of ``_TONE_BLOCK``: one direct exponential
-    at each block's first tone, times the step powers (computed once per
-    path), contracted over transmit antennas in one product per block.
+    pair, exp(j*2*pi*f_(k+1)*phi) = exp(j*2*pi*f_k*phi) * exp(j*2*pi*delta*phi).
+    Each pair takes two direct exponentials, at f_1 and at the step delta,
+    and each tone's phasors are the previous tone's times the step, summed
+    over transmit antennas.  The argument 2*pi*f_1*phi is some 1e4 rad, so
+    its rounding, a few 1e-12 rad, bounds the agreement with one exponential
+    per (pair, tone) either way; the K multiplications add about K * 1e-16.
     """
     sigma = scene.clock_offset
     surface = dict(scene.path_surfaces())[path_id]
@@ -126,13 +126,13 @@ def simulate_sfcw(scene: Scene, grid: FrequencyGrid, noise: NoiseModel, path_id:
     tau = path_length_matrix(surface, scene.tv_antennas, scene.sv_antennas) / SPEED_OF_LIGHT
     phi = (sigma - sigma_estimate) - tau                                # (N_t, N_r)
 
-    block = min(_TONE_BLOCK, grid.tones)
-    steps = np.exp((2j * math.pi * grid.delta) * phi[:, :, None] * np.arange(block))
-    y = np.empty((scene.n_sv, grid.tones), dtype=complex)
-    for lo in range(0, grid.tones, block):
-        hi = min(lo + block, grid.tones)
-        base = np.exp((2j * math.pi * (grid.f1 + lo * grid.delta)) * phi)
-        y[:, lo:hi] = np.einsum("tr,trk->rk", base, steps[:, :, :hi - lo])
+    phasor = np.exp((2j * math.pi * grid.f1) * phi)
+    step = np.exp((2j * math.pi * grid.delta) * phi)
+    y = np.empty((grid.tones, scene.n_sv), dtype=complex)
+    for k in range(grid.tones):
+        np.sum(phasor, axis=0, out=y[k])
+        phasor *= step
+    y = y.T.copy()   # (N_r, K) in row order, as the noise and the imaging read it
     y *= gamma
 
     if noise.snr_db is not None and math.isfinite(noise.snr_db):

@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -318,6 +317,9 @@ def run_sweep(config: ScenarioConfig, workers: int = 1):
 
     tasks = [(config.to_dict(), p, t) for p in points for t in range(sw.trials)]
     if workers > 1:
+        # Imported here: multiprocessing adds 10-15 ms to the import, and a
+        # single run or a one-worker sweep never uses it.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_sweep_task, tasks))
     else:

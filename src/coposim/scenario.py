@@ -92,6 +92,11 @@ FIELD_TYPES = {
 }
 
 
+def _reject_constant(token: str):
+    """Refuse NaN and Infinity, which Python's json reads but JSON does not have."""
+    raise ConfigError(f"configuration is not valid JSON: {token} is not a JSON value")
+
+
 def _is(kind: str, value) -> bool:
     """Whether ``value`` has the ``FIELD_TYPES`` type ``kind``."""
     if kind.endswith("?"):
@@ -143,7 +148,7 @@ class ScenarioConfig:
     @classmethod
     def from_json(cls, text: str) -> "ScenarioConfig":
         try:
-            data = json.loads(text)
+            data = json.loads(text, parse_constant=_reject_constant)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"configuration is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
@@ -236,7 +241,9 @@ def build_scene(config: ScenarioConfig, trial: int = 0) -> Scene:
     """Instantiate the ground-truth scene for one trial.
 
     Placement randomness is derived from (seed, trial) alone, so a report is
-    reproducible from its configuration.
+    reproducible from its configuration.  A direction, antenna count or size
+    that no scene can take is a ``ConfigError``, raised before any antenna
+    is placed.
     """
     sc = config.scene
     rng = np.random.default_rng(np.random.SeedSequence(config.noise.seed, spawn_key=(3, trial)))
@@ -245,6 +252,16 @@ def build_scene(config: ScenarioConfig, trial: int = 0) -> Scene:
     norm = np.linalg.norm(direction)
     if norm == 0:
         raise ConfigError("tv_direction must be a nonzero vector")
+    # Scene holds two transmit antennas and one receive antenna at least, and
+    # the antenna generators divide by the body areas and the aperture sides.
+    if sc.tv_antenna_count < 2:
+        raise ConfigError(f"scene.tv_antenna_count must be >= 2, got {sc.tv_antenna_count}")
+    if sc.sv_antenna_count < 1:
+        raise ConfigError(f"scene.sv_antenna_count must be >= 1, got {sc.sv_antenna_count}")
+    if not min(sc.tv_size_m) > 0:
+        raise ConfigError(f"scene.tv_size_m must be three positive lengths, got {sc.tv_size_m}")
+    if not min(sc.sv_aperture_m) > 0:
+        raise ConfigError(f"scene.sv_aperture_m must be two positive lengths, got {sc.sv_aperture_m}")
     direction = direction / norm
     center = direction * sc.distance_m
 

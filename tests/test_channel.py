@@ -80,11 +80,11 @@ class TestSfcw:
             ramp = np.exp(2j * math.pi * grid.frequencies * 1e-10)
             assert np.allclose(off, exact * ramp[None, :], atol=1e-9)
 
-    @pytest.mark.parametrize("tones", [2, 15, 16, 17, 33])
+    @pytest.mark.parametrize("tones", [2, 15, 16, 17, 33, 128, 300])
     def test_matches_direct_sum_over_blocks(self, tones):
-        # Tone counts below, at and around the recurrence block, and a
-        # partial last block; a direct and a reflected path with their own
-        # residual clock offsets.
+        # The recurrence runs along the whole comb, so its rounding grows with
+        # the tone count: up to the pipeline's 128 tones and past it, on a
+        # direct and a reflected path with their own residual clock offsets.
         surf = ReflectionSurface(slope=0.8, intercept=3.5, gamma=0.6 * np.exp(1j * 0.3))
         scene = small_scene(surfaces=(surf,), has_los=True, clock_offset=12e-9)
         grid = FrequencyGrid(f1=57e9, tones=tones, delta=3e9 / 32)

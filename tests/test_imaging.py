@@ -557,6 +557,43 @@ class TestRowBounds:
         assert bounds.shape == (box.shape[0],) and np.isfinite(bounds).all()
         assert np.all(np.abs(ref) <= bounds[:, None, None])
 
+    @pytest.mark.parametrize("low, high", [(1e-30, 1e-30), (1.0, 1.0), (1e38, 1e38), (1e-30, 1e38)])
+    def test_float32_bounds_hold_near_cancelling_rows(self, low, high):
+        # The folded data holds rows a, float32 values times powers of two
+        # from ``low`` to ``high``, and copies of -a that differ from them in
+        # the 30th bit.  Every fourth voxel row takes one such pair, weighted
+        # by 1/2 so that no product rounds: its float64 x product nearly
+        # cancels, the float32 one is exactly zero, and only the rounding
+        # margin holds the row.  The other rows mix all the data.
+        rng = np.random.default_rng(11)
+        k, count, ny, nz = 8, 5, 6, 4
+        exponents = rng.integers(math.floor(math.log2(low)), math.floor(math.log2(high)) + 1,
+                                 size=(k, count * nz * 2))
+        a = np.ldexp(rng.normal(size=exponents.shape).astype(np.float32).astype(float), exponents)
+        folded = np.concatenate([a, -a * (1.0 - 2.0**-30)])
+        nx = 2 * _SLAB_ROWS + 5
+        mx = rng.uniform(-1.0, 1.0, size=(nx, 2 * k))
+        cancelling = np.arange(0, nx, 4)
+        pair = np.arange(len(cancelling)) % k
+        mx[cancelling] = 0.0
+        mx[cancelling, pair] = mx[cancelling, k + pair] = 0.5
+        my = rng.uniform(-1.0, 1.0, size=(ny, count))
+        box = ImagingBox(origin=np.zeros(3), spacing=np.ones(3), shape=(nx, ny, nz))
+        ps = PowerSpectrum(folded, mx, my, box)
+        bounds = ps.row_bounds()
+        mag = np.abs(ps.voxels)
+        top = mag.max(axis=(1, 2))
+        assert np.all(top <= bounds)
+        assert np.all((top[cancelling] > 0.0) & (top[cancelling] < 1e-6 * top.max()))
+        # The rest stay within 1% of the bound the float64 x product gives.
+        sums = np.abs(mx @ folded).reshape(nx, count, nz, 2).sum(axis=1)
+        plain = np.hypot(sums[..., 0], sums[..., 1]).max(axis=1)
+        mixing = np.setdiff1d(np.arange(nx), cancelling)
+        assert np.all(bounds[mixing] <= 1.01 * plain[mixing])
+        for nu in (0.2, 0.5, 1.0):
+            expected = np.array(local_maxima_26(mag, nu), dtype=float).reshape(-1, 3)
+            assert np.array_equal(detect_peaks(PowerSpectrum(folded, mx, my, box), nu), expected)
+
     @pytest.mark.parametrize("nu", [0.2, 0.5, 1.0])
     def test_search_takes_few_rows_and_matches_the_volume(self, nu):
         ps = self.emitters()

@@ -17,7 +17,8 @@ from coposim.analysis import hausdorff
 from coposim.errors import ConfigError, CoposimError
 from coposim.pipeline import run, run_los, run_nlos, run_sweep
 from coposim.scenario import (DEFAULT_SURFACE_POOL, FIELD_TYPES, ScenarioConfig,
-                              _stratified_rect, aperture_antennas, stratified_rows)
+                              _stratified_rect, aperture_antennas, build_scene,
+                              stratified_rows)
 from oracles import local_maxima_26, stratified_rect
 
 # Small noiseless line-of-sight scenario: 64 tones and a compact box keep a
@@ -440,6 +441,41 @@ def test_a_value_of_the_wrong_type_is_a_one_line_error(tmp_path, capsys, section
         assert err.count("\n") == 1
 
 
+# Values of the right type that no scene can take, each of which once escaped
+# from the antenna generators or from Scene as a traceback.
+BAD_SCENES = [("tv_antenna_count", 1), ("tv_antenna_count", 0), ("sv_antenna_count", 0),
+              ("sv_aperture_m", [0, 0]), ("sv_aperture_m", [1.0, 0.0]),
+              ("tv_size_m", [0, 0, 0]), ("tv_size_m", [3.0, 1.0, 0.0])]
+
+
+@pytest.mark.parametrize("name, value", BAD_SCENES)
+def test_a_scene_out_of_range_is_a_one_line_error(tmp_path, capsys, name, value):
+    scenario = dict(NOISELESS_LOS, scene={**NOISELESS_LOS["scene"], name: value},
+                    sweep={"trials": 1})
+    with pytest.raises(ConfigError, match=rf"^scene\.{name} must be "):
+        build_scene(ScenarioConfig.from_dict(scenario))
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    assert cli.main(["run", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"coposim: error: scene.{name} must be ") and err.count("\n") == 1
+    # A sweep counts the point's trial as failed instead of stopping.
+    assert cli.main(["sweep", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
+    assert report["aggregates"]["failures_by_type"] == {"ConfigError": 1}
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_nan_and_infinity_are_not_json(tmp_path, capsys, token):
+    path = tmp_path / "scenario.json"
+    path.write_text('{"scene": {"distance_m": %s}}' % token)
+    assert cli.main(["run", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"coposim: error: configuration is not valid JSON: {token} is not a JSON value\n"
+
+
 @pytest.mark.parametrize("scenario", [{"scen": {}}, {"scene": 5}, {"noise": None}])
 def test_a_section_must_be_a_known_object(scenario):
     with pytest.raises(ConfigError, match="configuration sections are objects named"):
@@ -517,8 +553,19 @@ def test_console_scripts_import_to_callables():
         assert callable(getattr(importlib.import_module(module), attr))
 
 
-def test_pipeline_import_needs_no_scipy():
-    script = "import sys, coposim.pipeline\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+def modules_loaded_by_pipeline_import(package: str) -> str:
+    """The modules of ``package`` that a fresh ``import coposim.pipeline`` loads."""
+    script = ("import sys, coposim.pipeline\n"
+              f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))")
     done = subprocess.run([sys.executable, "-c", script], env=package_env(),
                           capture_output=True, text=True, timeout=120, check=True)
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_pipeline_import_needs_no_scipy():
+    assert modules_loaded_by_pipeline_import("scipy") == "[]"
+
+
+def test_pipeline_import_loads_no_multiprocessing():
+    # Only a sweep on several workers starts a process pool.
+    assert modules_loaded_by_pipeline_import("multiprocessing") == "[]"
