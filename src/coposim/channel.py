@@ -5,12 +5,12 @@ yields, per receive antenna, two 2-vectors of signature symbols and one
 K-vector of SFCW symbols.  The signatures of every path are simulated at once;
 the SFCW symbols one path per call, demodulated with the receiver's clock
 estimate for that path, since the receiver syncs on a path before it images
-it.  Channel fading is held constant and folded into the per-path reflection
-coefficient; Doppler is out of scope for a single snapshot.  The SFCW symbols
-of a path sum, over transmit antennas, one phasor per tone; the comb is
-uniform, so each antenna pair's phasors follow from two complex exponentials
-by a recurrence along the tones rather than one exponential per (antenna
-pair, tone).
+it.  Every path arrives at unit amplitude (sync reads phase differences, and
+the SFCW noise and the peak threshold scale with the path's own power);
+Doppler is out of scope for a single snapshot.  The SFCW symbols of a path
+sum, over transmit antennas, one phasor per tone; the comb is uniform, so each
+antenna pair's phasors follow from two complex exponentials by a recurrence
+along the tones rather than one exponential per (antenna pair, tone).
 
 Noise streams are derived from (seed, domain, path, antenna) counters, so
 observations are bit-identical no matter how generation is parallelised.
@@ -75,12 +75,12 @@ def _cell_rng(seed: int, domain: int, path_id: int, antenna: int) -> np.random.G
 
 
 def _signature_block(tau: np.ndarray, tones: tuple[float, float], sigma: float,
-                     gamma: complex, jitter: np.ndarray) -> np.ndarray:
-    """Symbols gamma * exp(j*2*pi*f*(sigma - tau)) for both tones, plus (N_r, 2) phase jitter."""
+                     jitter: np.ndarray) -> np.ndarray:
+    """Symbols exp(j*2*pi*f*(sigma - tau)) for both tones, plus (N_r, 2) phase jitter."""
     phases = np.empty((len(tau), 2))
     for col, f in enumerate(tones):
         phases[:, col] = 2.0 * math.pi * f * (sigma - tau)
-    return gamma * np.exp(1j * (phases + jitter))
+    return np.exp(1j * (phases + jitter))
 
 
 def simulate_signature(scene: Scene, sig: SignatureConfig, noise: NoiseModel) -> list[PathObservation]:
@@ -89,15 +89,14 @@ def simulate_signature(scene: Scene, sig: SignatureConfig, noise: NoiseModel) ->
     tone_sigma = noise.phase_sigma / math.sqrt(2.0)
     out = []
     for path_id, surface in scene.path_surfaces():
-        gamma = 1.0 + 0.0j if surface is None else complex(surface.gamma)
         tau_a = path_length_matrix(surface, scene.anchor_a[None, :], scene.sv_antennas)[0] / SPEED_OF_LIGHT
         tau_b = path_length_matrix(surface, scene.anchor_b[None, :], scene.sv_antennas)[0] / SPEED_OF_LIGHT
         jitter = np.zeros((scene.n_sv, 4))
         if noise.phase_sigma > 0:
             jitter = np.array([_cell_rng(noise.rng_seed, _DOMAIN_SIGNATURE, path_id, m).standard_normal(4)
                                for m in range(scene.n_sv)]) * tone_sigma
-        sig_a = _signature_block(tau_a, (sig.f_a, sig.f_a + sig.delta), sigma, gamma, jitter[:, 0:2])
-        sig_b = _signature_block(tau_b, (sig.f_b, sig.f_b + sig.delta), sigma, gamma, jitter[:, 2:4])
+        sig_a = _signature_block(tau_a, (sig.f_a, sig.f_a + sig.delta), sigma, jitter[:, 0:2])
+        sig_b = _signature_block(tau_b, (sig.f_b, sig.f_b + sig.delta), sigma, jitter[:, 2:4])
         out.append(PathObservation(path_id=path_id, sig_a=sig_a, sig_b=sig_b))
     return out
 
@@ -122,7 +121,6 @@ def simulate_sfcw(scene: Scene, grid: FrequencyGrid, noise: NoiseModel, path_id:
     """
     sigma = scene.clock_offset
     surface = dict(scene.path_surfaces())[path_id]
-    gamma = 1.0 + 0.0j if surface is None else complex(surface.gamma)
     tau = path_length_matrix(surface, scene.tv_antennas, scene.sv_antennas) / SPEED_OF_LIGHT
     phi = (sigma - sigma_estimate) - tau                                # (N_t, N_r)
 
@@ -133,7 +131,6 @@ def simulate_sfcw(scene: Scene, grid: FrequencyGrid, noise: NoiseModel, path_id:
         np.sum(phasor, axis=0, out=y[k])
         phasor *= step
     y = y.T.copy()   # (N_r, K) in row order, as the noise and the imaging read it
-    y *= gamma
 
     if noise.snr_db is not None and math.isfinite(noise.snr_db):
         mean_power = float(np.mean(np.abs(y) ** 2))

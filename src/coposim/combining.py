@@ -9,9 +9,9 @@ reference angle all rays from the virtual anchors meet at the actual anchor.
 For any reference angle the anchor is a linear least-squares fit to the L
 rays, and the fit's misfit is a trigonometric polynomial of degree 3 in twice
 the angle, so its global minimum is solved for in closed form; the fitted
-anchor then fixes each reflecting surface (the perpendicular bisector plane),
-and mirroring each virtual cloud across its surface recovers the actual
-cloud.  The fit's RMS ray distance is reported as the fusion residual.
+anchor then fixes each surface, the anchors' bisector plane with X-Z normal
+(cos theta_l, sin theta_l), and mirroring each virtual cloud across it
+recovers the actual cloud.  The fit's RMS ray distance is the fusion residual.
 """
 
 from __future__ import annotations
@@ -175,19 +175,12 @@ def search_theta_ref(cluster: list[VirtualDetection]) -> tuple[float, np.ndarray
 def estimate_surface(x_a_star, x_a_virtual, theta: float) -> ReflectionSurface:
     """Reflecting surface as the perpendicular bisector of actual/virtual anchors.
 
-    The surface trace passes through the anchor midpoint with slope
-    -1/tan(theta); a horizontal ray (theta = 0) yields the vertical-in-X-Z
-    variant x = const instead of an infinite slope.
+    The anchors lie on a line at the path angle theta, so the plane has the X-Z
+    normal (cos theta, sin theta) and passes through their midpoint.
     """
-    a = as_xyz(x_a_star)
-    v = as_xyz(x_a_virtual)
-    mid_x = 0.5 * (a[0] + v[0])
-    mid_z = 0.5 * (a[2] + v[2])
-    s, c = math.sin(theta), math.cos(theta)
-    if abs(s) < 1e-12:
-        return ReflectionSurface.vertical_x(mid_x)
-    slope = -c / s
-    return ReflectionSurface(slope=slope, intercept=mid_z - slope * mid_x)
+    a, v = as_xyz(x_a_star), as_xyz(x_a_virtual)
+    nx, nz = math.cos(theta), math.sin(theta)
+    return ReflectionSurface(nx, nz, float(0.5 * (nx * (a[0] + v[0]) + nz * (a[2] + v[2]))))
 
 
 def fuse_clouds(clouds: list[np.ndarray], merge_radius: float) -> np.ndarray:

@@ -2,14 +2,15 @@
 
 Frame: right-handed, origin at the sensing-vehicle (SV) array center, Z along
 the nominal arrival direction, X parallel to the ground, Y vertical.  Reflecting
-surfaces are vertical planes, encoded by their trace z = slope*x + intercept in
-the X-Z plane (Y is free).
+surfaces are vertical planes nx*x + nz*z = offset (Y is free), with (nx, nz) the
+unit normal of the X-Z trace, so a wall along Z is (1, 0); a configuration gives
+the trace's slope and intercept instead (``ReflectionSurface.from_trace``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,34 +29,25 @@ def as_xyz(p) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ReflectionSurface:
-    """Vertical reflecting plane {(x, y, z): z = slope*x + intercept, y free}.
+    """Vertical reflecting plane {(x, y, z): nx*x + nz*z = offset, y free}.
 
-    A plane vertical in X-Z (infinite slope) is stored with ``vertical=True``
-    and ``intercept`` holding the constant x value, so that no tan() blow-up
-    can occur downstream.  ``gamma`` is the complex reflection coefficient of
-    the surface as seen by the channel simulator.
+    ``(nx, nz)`` is the unit normal of the plane's X-Z trace; the normal and
+    its negation, with the offset negated, are the same plane.
     """
 
-    slope: float
-    intercept: float
-    vertical: bool = False
-    gamma: complex = field(default=1.0 + 0.0j, compare=False)
+    nx: float
+    nz: float
+    offset: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.slope) and math.isfinite(self.intercept)):
-            raise ValueError("surface parameters must be finite")
+        if not (abs(math.hypot(self.nx, self.nz) - 1.0) <= 1e-12 and math.isfinite(self.offset)):
+            raise ValueError("a surface needs a unit normal (nx, nz) and a finite offset")
 
     @classmethod
-    def vertical_x(cls, x0: float, gamma: complex = 1.0 + 0.0j) -> "ReflectionSurface":
-        """Plane x = x0 (trace vertical in the X-Z plane)."""
-        return cls(slope=0.0, intercept=x0, vertical=True, gamma=gamma)
-
-    def normal_form(self) -> tuple[float, float, float]:
-        """Unit normal (nx, nz) and offset d of the X-Z trace, nx*x + nz*z = d."""
-        if self.vertical:
-            return 1.0, 0.0, self.intercept
-        norm = math.hypot(self.slope, 1.0)
-        return -self.slope / norm, 1.0 / norm, self.intercept / norm
+    def from_trace(cls, slope: float, intercept: float) -> "ReflectionSurface":
+        """Plane whose X-Z trace is z = slope*x + intercept."""
+        norm = math.hypot(slope, 1.0)
+        return cls(-slope / norm, 1.0 / norm, intercept / norm)
 
 
 def mirror_point(surface: ReflectionSurface, p) -> np.ndarray:
@@ -65,7 +57,7 @@ def mirror_point(surface: ReflectionSurface, p) -> np.ndarray:
     across the surface trace.
     """
     a = as_xyz(p)
-    nx, nz, d = surface.normal_form()
+    nx, nz, d = surface.nx, surface.nz, surface.offset
     single = a.ndim == 1
     pts = np.atleast_2d(a).copy()
     dist = pts[:, 0] * nx + pts[:, 2] * nz - d

@@ -202,11 +202,13 @@ def _run_trial(config: ScenarioConfig, trial: int = 0):
             if len(mapped):
                 metrics[f"path{pid}_hausdorff_m"] = hausdorff(mapped, truth)
             if est is not None and pid > 0:
+                # A plane's normal is known only up to sign: align it with the planted one.
                 planted = scene.surfaces[pid - 1]
-                if not est.vertical and not planted.vertical:
-                    metrics[f"surface{pid}_slope_err"] = float(abs(est.slope - planted.slope))
-                    metrics[f"surface{pid}_intercept_err_m"] = float(
-                        abs(est.intercept - planted.intercept))
+                dot = est.nx * planted.nx + est.nz * planted.nz
+                cross = est.nx * planted.nz - est.nz * planted.nx
+                metrics[f"surface{pid}_normal_err_rad"] = math.atan2(abs(cross), abs(dot))
+                metrics[f"surface{pid}_offset_err_m"] = abs(
+                    math.copysign(1.0, dot) * est.offset - planted.offset)
 
     if len(cloud) == 0:
         raise CoposimError("detection stage returned an empty point cloud")

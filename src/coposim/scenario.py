@@ -11,7 +11,8 @@ f1 - 4*delta.
 All physical quantities carry SI units in their field names.  Antenna
 placement is a seeded stratified jitter: receive antennas on the planar
 aperture, transmit antennas over the cuboid shell of the vehicle body, so the
-point set sketches its shape.
+point set sketches its shape.  A surface is configured by its X-Z trace z =
+slope*x + intercept and built as the plane of the trace's normal and offset.
 """
 
 from __future__ import annotations
@@ -78,7 +79,8 @@ class SweepSpec:
 
 
 # The JSON type of each configuration field: "float" (an int passes too),
-# "int", "bool", or "surface" (an object with float slope and intercept_m).
+# "int", "bool", or "surface": exactly the float keys slope and intercept_m of
+# a plane's trace, which ``build_scene`` turns into its unit normal and offset.
 # "[n]" makes a list of n ("[]": any length), "?" allows null, ">=0" bars negatives.
 FIELD_TYPES = {
     "scene": {"distance_m": "float", "tv_direction": "float[3]", "tv_size_m": "float[3]",
@@ -108,8 +110,8 @@ def _is(kind: str, value) -> bool:
         return (isinstance(value, (list, tuple)) and len(value) == int(n or len(value))
                 and all(_is(item, v) for v in value))
     if kind == "surface":
-        return isinstance(value, dict) and _is("float[]", [value.get("slope"),
-                                                           value.get("intercept_m")])
+        return (isinstance(value, dict) and value.keys() == {"slope", "intercept_m"}
+                and _is("float[]", list(value.values())))
     return type(value) in {"float": (int, float), "int": (int,), "bool": (bool,)}[kind]
 
 
@@ -267,11 +269,8 @@ def build_scene(config: ScenarioConfig, trial: int = 0) -> Scene:
 
     tv = body_shell_antennas(sc.tv_antenna_count, tuple(sc.tv_size_m), rng) + center[None, :]
     sv = aperture_antennas(sc.sv_antenna_count, tuple(sc.sv_aperture_m), rng)
-    surfaces = tuple(
-        ReflectionSurface(slope=float(s["slope"]), intercept=float(s["intercept_m"]),
-                          vertical=bool(s.get("vertical", False)),
-                          gamma=complex(s.get("gamma_re", 1.0), s.get("gamma_im", 0.0)))
-        for s in sc.surfaces)
+    surfaces = tuple(ReflectionSurface.from_trace(s["slope"], s["intercept_m"])
+                     for s in sc.surfaces)
 
     return Scene(tv_antennas=tv, anchor_indices=_pick_anchors(tv), sv_antennas=sv,
                  surfaces=surfaces, clock_offset=sc.clock_offset_s, has_los=sc.has_los)

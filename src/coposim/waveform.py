@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import SPEED_OF_LIGHT, Scene, path_length_matrix
+from .geometry import SPEED_OF_LIGHT, Scene, mirror_point, path_length_matrix
 
 
 @dataclass(frozen=True)
@@ -136,6 +136,14 @@ def validate_scene(scene: Scene, grid: FrequencyGrid) -> ValidationReport:
             f"scene path-length spread {span:.4g} m exceeds the unambiguous range "
             f"{r_max:.4g} m for delta = {grid.delta / 1e6:.4g} MHz"
         )
+
+    # Distances to a planar array do not tell a point from its mirror twin behind
+    # it, and sync keeps the twin in front: a point at or behind it is lost.
+    images = [scene.tv_antennas] + [mirror_point(s, scene.tv_antennas) for s in scene.surfaces]
+    front, array_z = min(float(p[:, 2].min()) for p in images), float(scene.sv_antennas[:, 2].max())
+    if front <= array_z:
+        report.errors.append(f"a transmit antenna or its mirror image lies at z = {front:.4g} m, "
+                             f"at or behind the receive array (z <= {array_z:.4g} m)")
 
     if scene.n_sv < 4:
         report.errors.append(

@@ -12,9 +12,9 @@ REF_SIGNATURE = SignatureConfig(f_a=57e9 - 2 * REF_DELTA, f_b=57e9 - 4 * REF_DEL
 
 # Three-reflector topology used by the NLoS experiments.
 REF_SURFACES = (
-    ReflectionSurface(slope=1.02, intercept=3.0),
-    ReflectionSurface(slope=0.25, intercept=3.25),
-    ReflectionSurface(slope=3.0, intercept=4.0),
+    ReflectionSurface.from_trace(1.02, 3.0),
+    ReflectionSurface.from_trace(0.25, 3.25),
+    ReflectionSurface.from_trace(3.0, 4.0),
 )
 
 

@@ -43,47 +43,42 @@ def grid_search_anchor(measured: np.ndarray, sv: np.ndarray, center: np.ndarray,
     return scan(best, 1.5 * coarse_step, fine_step)
 
 
-def mirror_across_line(slope: float, intercept: float, points: np.ndarray) -> np.ndarray:
-    """Textbook reflection of (x, z) across z = slope*x + intercept, y kept."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float)).copy()
-    denom = 1.0 + slope * slope
-    x, z = pts[:, 0].copy(), pts[:, 2].copy()
-    x_ref = ((1 - slope**2) * x + 2 * slope * (z - intercept)) / denom
-    z_ref = (2 * slope * x - (1 - slope**2) * (z - intercept)) / denom + intercept
-    pts[:, 0] = x_ref
-    pts[:, 2] = z_ref
-    return pts
+def mirror_across_trace(p, q, points) -> np.ndarray:
+    """Reflection of each point's (x, z) across the line through the X-Z points
+    ``p`` and ``q``, y kept: from the point to its foot on the line, then as
+    far again."""
+    (px, pz), (qx, qz) = p, q
+    length = math.hypot(qx - px, qz - pz)
+    ux, uz = (qx - px) / length, (qz - pz) / length
+    out = np.atleast_2d(np.asarray(points, dtype=float)).copy()
+    for row in out:
+        along = (row[0] - px) * ux + (row[2] - pz) * uz
+        row[0] = 2.0 * (px + along * ux) - row[0]
+        row[2] = 2.0 * (pz + along * uz) - row[2]
+    return out
 
 
-def mirror_across_surface(surface, point) -> np.ndarray:
-    """Mirror image of one point; ``surface`` needs only ``slope``,
-    ``intercept`` and ``vertical`` (then the trace is x = intercept)."""
-    p = np.asarray(point, dtype=float)
-    if surface.vertical:
-        return np.array([2.0 * surface.intercept - p[0], p[1], p[2]])
-    return mirror_across_line(surface.slope, surface.intercept, p)[0]
-
-
-def path_length(surface, tx, rx) -> float:
-    """Propagation distance: straight when ``surface`` is None, else from the
-    mirror image of ``tx`` to ``rx``."""
-    t = tx if surface is None else mirror_across_surface(surface, tx)
+def path_length(trace, tx, rx) -> float:
+    """Propagation distance: straight when ``trace`` is None, else from the
+    mirror image of ``tx`` across ``trace``, a pair of X-Z points, to ``rx``."""
+    t = tx if trace is None else mirror_across_trace(*trace, tx)[0]
     return math.dist(np.asarray(t, dtype=float), np.asarray(rx, dtype=float))
 
 
-def specular_point(surface, tx, rx) -> np.ndarray:
-    """Where the segment mirror(tx) -> rx crosses the surface trace.
+def specular_point(trace, tx, rx) -> np.ndarray:
+    """Where the segment mirror(tx) -> rx crosses the line ``trace``.
 
-    ``surface`` is as in ``mirror_across_surface``.  Raises ValueError when
-    the segment runs parallel to the trace.
+    ``trace`` is as in ``path_length``.  Raises ValueError when the segment
+    runs parallel to the trace.
     """
     rx = np.asarray(rx, dtype=float)
-    t = mirror_across_surface(surface, tx)
-    if surface.vertical:
-        ft, fr = t[0] - surface.intercept, rx[0] - surface.intercept
-    else:
-        ft = t[2] - surface.slope * t[0] - surface.intercept
-        fr = rx[2] - surface.slope * rx[0] - surface.intercept
+    t = mirror_across_trace(*trace, tx)[0]
+    (px, pz), (qx, qz) = trace
+
+    def side(x):  # X-Z cross product of q - p and x - p
+        return (qx - px) * (x[2] - pz) - (qz - pz) * (x[0] - px)
+
+    ft, fr = side(t), side(rx)
     if ft == fr:
         raise ValueError("segment is parallel to the surface")
     lam = ft / (ft - fr)
@@ -301,8 +296,8 @@ def backprojection(symbols: np.ndarray, sv_antennas, freqs, points) -> np.ndarra
     return out
 
 
-def direct_sfcw(tv, sv, freqs, residual: float, gamma: complex) -> np.ndarray:
-    """y[r, k] = gamma * sum_t exp(j*2*pi*f_k*(residual - |tv_t - sv_r|/c)), term by term.
+def direct_sfcw(tv, sv, freqs, residual: float) -> np.ndarray:
+    """y[r, k] = sum_t exp(j*2*pi*f_k*(residual - |tv_t - sv_r|/c)), term by term.
 
     ``tv`` are the (mirror-image, for a reflected path) transmit antennas.
     """
@@ -312,7 +307,7 @@ def direct_sfcw(tv, sv, freqs, residual: float, gamma: complex) -> np.ndarray:
             total = 0j
             for tx in tv:
                 total += cmath.exp(2j * math.pi * float(f) * (residual - math.dist(tx, rx) / C))
-            out[r, k] = gamma * total
+            out[r, k] = total
     return out
 
 

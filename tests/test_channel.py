@@ -9,7 +9,7 @@ from coposim.geometry import SPEED_OF_LIGHT as C
 from coposim.geometry import ReflectionSurface, Scene
 from coposim.scenario import ScenarioConfig
 from coposim.waveform import FrequencyGrid
-from oracles import direct_sfcw, mirror_across_line, path_length
+from oracles import direct_sfcw, mirror_across_trace, path_length
 
 
 class TestSignature:
@@ -23,12 +23,11 @@ class TestSignature:
             assert math.isclose((measured - expected + math.pi) % (2 * math.pi) - math.pi,
                                 0.0, abs_tol=1e-9)
 
-    def test_magnitudes_equal_gamma(self):
-        surf = ReflectionSurface(slope=0.5, intercept=3.0, gamma=0.6 * np.exp(1j * 0.3))
+    def test_every_path_has_unit_magnitude(self):
+        surf = ReflectionSurface.from_trace(0.5, 3.0)
         scene = small_scene(surfaces=(surf,), has_los=True)
-        obs = simulate_signature(scene, REF_SIGNATURE, NOISELESS)
-        assert np.allclose(np.abs(obs[0].sig_a), 1.0)
-        assert np.allclose(np.abs(obs[1].sig_b), 0.6)
+        for obs in simulate_signature(scene, REF_SIGNATURE, NOISELESS):
+            assert np.allclose(np.abs(obs.sig_a), 1.0) and np.allclose(np.abs(obs.sig_b), 1.0)
 
     def test_large_clock_offset_phase_value(self):
         # tau = 0 at an antenna colocated with the anchor: the inter-tone phase
@@ -85,16 +84,16 @@ class TestSfcw:
         # The recurrence runs along the whole comb, so its rounding grows with
         # the tone count: up to the pipeline's 128 tones and past it, on a
         # direct and a reflected path with their own residual clock offsets.
-        surf = ReflectionSurface(slope=0.8, intercept=3.5, gamma=0.6 * np.exp(1j * 0.3))
+        surf = ReflectionSurface.from_trace(0.8, 3.5)
         scene = small_scene(surfaces=(surf,), has_los=True, clock_offset=12e-9)
         grid = FrequencyGrid(f1=57e9, tones=tones, delta=3e9 / 32)
         est = {0: 11.2e-9, 1: 12.9e-9}
-        images = (scene.tv_antennas, mirror_across_line(0.8, 3.5, scene.tv_antennas))
-        for (pid, surface), tv in zip(scene.path_surfaces(), images):
+        trace = ((0.0, 3.5), (1.0, 4.3))   # z = 0.8 x + 3.5
+        images = (scene.tv_antennas, mirror_across_trace(*trace, scene.tv_antennas))
+        for pid, tv in zip(est, images):
             sfcw = simulate_sfcw(scene, grid, NOISELESS, pid, est[pid])
-            gamma = 1.0 if surface is None else surface.gamma
             ref = direct_sfcw(tv, scene.sv_antennas, grid.frequencies,
-                              scene.clock_offset - est[pid], gamma)
+                              scene.clock_offset - est[pid])
             assert sfcw.shape == ref.shape == (scene.n_sv, tones)
             assert np.allclose(sfcw, ref, rtol=0.0, atol=1e-10 * np.abs(ref).max())
 
@@ -126,7 +125,7 @@ class TestSfcw:
 
 class TestDeterminismAndPlumbing:
     def test_bit_identical_for_fixed_seed(self):
-        scene = small_scene(surfaces=(ReflectionSurface(slope=1.0, intercept=3.0),))
+        scene = small_scene(surfaces=(ReflectionSurface.from_trace(1.0, 3.0),))
         grid = FrequencyGrid(f1=57e9, tones=32, delta=REF_DELTA)
         noise = NoiseModel(0.1, 10.0, 12345)
         a1 = simulate_signature(scene, REF_SIGNATURE, noise)
@@ -143,10 +142,9 @@ class TestDeterminismAndPlumbing:
         # estimate; noise is keyed by (seed, domain, path, antenna), so a
         # path's symbols must not change, bit for bit, when the scene gains
         # another path.
-        surf = (ReflectionSurface(slope=1.0, intercept=3.0, gamma=0.7j),
-                ReflectionSurface(slope=0.3, intercept=4.0, gamma=-0.5))
+        surf = (ReflectionSurface.from_trace(1.0, 3.0), ReflectionSurface.from_trace(0.3, 4.0))
         scene = small_scene(surfaces=surf, has_los=True)
-        wider = small_scene(surfaces=surf + (ReflectionSurface(slope=-0.6, intercept=3.5),),
+        wider = small_scene(surfaces=surf + (ReflectionSurface.from_trace(-0.6, 3.5),),
                             has_los=True)
         grid = FrequencyGrid(f1=57e9, tones=40, delta=REF_DELTA)
         noise = NoiseModel(0.05, 10.0, 4242)

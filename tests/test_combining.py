@@ -10,7 +10,7 @@ from coposim.combining import (VirtualDetection, _ray_fit, clock_distance, combi
                                estimate_surface, fuse_clouds, group_by_clock, search_theta_ref)
 from coposim.errors import DegenerateGeometryError, FeasibilityError
 from coposim.geometry import ReflectionSurface, directed_angle_xz, mirror_point
-from oracles import (least_squares_ray_fit, map_virtual_to_actual, mirror_across_line,
+from oracles import (least_squares_ray_fit, map_virtual_to_actual, mirror_across_trace,
                      ray_fit_misfits, tan_form_recovery_map, transitive_merge)
 
 # The direct-path rule these tests were written for.
@@ -113,7 +113,7 @@ class TestSearchTheta:
             noise = rng.uniform(0.0, 0.5)
             cluster = []
             for l in range(n):
-                surface = ReflectionSurface(rng.uniform(-3, 3), rng.uniform(-6, 6))
+                surface = ReflectionSurface.from_trace(rng.uniform(-3, 3), rng.uniform(-6, 6))
                 va = mirror_point(surface, x_a) + rng.normal(0.0, noise, 3)
                 vb = mirror_point(surface, x_b) + rng.normal(0.0, noise, 3)
                 cluster.append(VirtualDetection(l, va, vb, np.empty((0, 3)), 0.0,
@@ -176,15 +176,18 @@ class TestSearchTheta:
 
 class TestSurfaceAndMapping:
     def test_surface_hand_example(self):
+        # the plane z = 3
         s = estimate_surface([1.0, 0.0, 6.0], [1.0, 0.0, 0.0], theta=math.pi / 2)
-        assert not s.vertical
-        assert s.slope == pytest.approx(0.0, abs=1e-12)
-        assert s.intercept == pytest.approx(3.0)
+        assert s.nx == pytest.approx(0.0, abs=1e-12)
+        assert s.nz == pytest.approx(1.0)
+        assert s.offset == pytest.approx(3.0)
 
-    def test_vertical_variant(self):
-        s = estimate_surface([2.0, 0.0, 1.0], [4.0, 0.0, 1.0], theta=0.0)
-        assert s.vertical
-        assert s.intercept == pytest.approx(3.0)
+    def test_wall_along_z(self):
+        # the plane x = 3, which no trace slope gives
+        actual, virtual = np.array([2.0, 0.4, 1.0]), np.array([4.0, 0.4, 1.0])
+        s = estimate_surface(actual, virtual, theta=0.0)
+        assert (s.nx, s.nz, s.offset) == (1.0, 0.0, 3.0)
+        assert np.array_equal(mirror_point(s, virtual), actual)
 
     def test_recovered_reference_surfaces(self):
         dets, x_a, _, _ = reference_cluster()
@@ -192,8 +195,12 @@ class TestSurfaceAndMapping:
                               direct_path_tol=DIRECT_PATH_TOL)
         for det, planted, est in zip(dets, REF_SURFACES, res.surfaces):
             assert est is not None
-            assert est.slope == pytest.approx(planted.slope, rel=1e-2)
-            assert est.intercept == pytest.approx(planted.intercept, rel=1e-2)
+            # normal angle psi = atan2(nz, nx), known modulo pi; the offset
+            # changes sign with the normal
+            turn = math.atan2(est.nz, est.nx) - math.atan2(planted.nz, planted.nx)
+            sign = round(math.cos(turn))
+            assert abs((turn + math.pi / 2) % math.pi - math.pi / 2) < 1e-9
+            assert sign * est.offset == pytest.approx(planted.offset, abs=1e-9)
 
     def test_mapping_matches_tan_form_oracle(self, rng):
         # The mirror across the estimated surface, as combine_cluster maps a
@@ -216,8 +223,9 @@ class TestSurfaceAndMapping:
         x_star = np.array([1.0, 0.0, 2.0])
         x_virt = x_star + 3.0 * np.array([math.cos(theta), 0.0, math.sin(theta)])
         surface = estimate_surface(x_star, x_virt, theta)
-        on_surface = np.array([[0.0, 0.3, surface.slope * 0.0 + surface.intercept],
-                               [2.0, -0.1, surface.slope * 2.0 + surface.intercept]])
+        foot = surface.offset * np.array([surface.nx, 0.0, surface.nz])
+        along = np.array([-surface.nz, 0.0, surface.nx])
+        on_surface = np.array([foot + [0.0, 0.3, 0.0], foot + 2.0 * along - [0.0, 0.1, 0.0]])
         assert np.allclose(mirror_point(surface, on_surface), on_surface, atol=1e-9)
         pts = np.array([[0.4, 0.2, 1.0], [-2.0, 0.0, 5.0]])
         assert np.allclose(mirror_point(surface, mirror_point(surface, pts)), pts, atol=1e-9)
@@ -227,8 +235,9 @@ class TestSurfaceAndMapping:
             slope = rng.uniform(-3, 3)
             intercept = rng.uniform(-5, 5)
             pts = rng.uniform(-8, 8, (5, 3))
-            ours = mirror_point(ReflectionSurface(slope, intercept), pts)
-            assert np.allclose(ours, mirror_across_line(slope, intercept, pts), atol=1e-10)
+            ours = mirror_point(ReflectionSurface.from_trace(slope, intercept), pts)
+            trace = (0.0, intercept), (1.0, slope + intercept)
+            assert np.allclose(ours, mirror_across_trace(*trace, pts), atol=1e-10)
 
 
 class TestFuseAndCluster:
@@ -322,7 +331,7 @@ class TestFullCombine:
         assert hausdorff(res.actual_cloud, cloud) < 1e-3
 
     def test_fourth_surface_still_exact(self):
-        surfaces = REF_SURFACES + (ReflectionSurface(-0.6, 3.5),)
+        surfaces = REF_SURFACES + (ReflectionSurface.from_trace(-0.6, 3.5),)
         dets, x_a, _, cloud = reference_cluster(surfaces=surfaces)
         res = combine_cluster(dets, merge_radius=0.05,
                               direct_path_tol=DIRECT_PATH_TOL)

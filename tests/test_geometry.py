@@ -6,29 +6,37 @@ import pytest
 from coposim.errors import DegenerateGeometryError
 from coposim.geometry import (ReflectionSurface, Scene, directed_angle_xz, mirror_point,
                               path_length_matrix)
-from oracles import path_length, specular_point
+from oracles import mirror_across_trace, path_length, specular_point
+
+
+def trace_of(surface: ReflectionSurface):
+    """Two X-Z points on a surface's trace, as the oracles take it: the foot of
+    the origin on the trace and the point one unit along it."""
+    fx, fz = surface.offset * surface.nx, surface.offset * surface.nz
+    return (fx, fz), (fx - surface.nz, fz + surface.nx)
 
 
 def random_surface(rng) -> ReflectionSurface:
+    """One in five is a wall along Z, nx = 1 and nz = 0, which no trace slope gives."""
     if rng.random() < 0.2:
-        return ReflectionSurface.vertical_x(rng.uniform(-10, 10))
-    return ReflectionSurface(slope=rng.uniform(-4, 4), intercept=rng.uniform(-10, 10))
+        return ReflectionSurface(1.0, 0.0, rng.uniform(-10, 10))
+    return ReflectionSurface.from_trace(rng.uniform(-4, 4), rng.uniform(-10, 10))
 
 
 class TestMirrorPoint:
     def test_horizontal_surface_flips_z(self):
-        s = ReflectionSurface(slope=0.0, intercept=3.0)
+        s = ReflectionSurface.from_trace(0.0, 3.0)
         assert np.allclose(mirror_point(s, [1.0, 0.0, 0.0]), [1.0, 0.0, 6.0])
 
     def test_point_on_surface_is_fixed(self):
-        s = ReflectionSurface(slope=2.0, intercept=-1.0)
+        s = ReflectionSurface.from_trace(2.0, -1.0)
         p = np.array([1.5, 0.7, 2.0 * 1.5 - 1.0])
         assert np.allclose(mirror_point(s, p), p, atol=1e-12)
 
     def test_tilted_surface_hand_example(self):
         # Reflection of (1, 0, 6) across z = x + 10: signed distance to the line
         # is -5/sqrt(2) along normal (-1, 1)/sqrt(2), so the image is (-4, 0, 11).
-        s = ReflectionSurface(slope=1.0, intercept=10.0)
+        s = ReflectionSurface.from_trace(1.0, 10.0)
         assert np.allclose(mirror_point(s, [1.0, 0.0, 6.0]), [-4.0, 0.0, 11.0], atol=1e-12)
 
     def test_involution_and_midpoint(self, rng):
@@ -39,11 +47,26 @@ class TestMirrorPoint:
             assert np.allclose(mirror_point(s, q), p, atol=1e-12)
             assert q[1] == p[1]
             mid = 0.5 * (p + q)
-            nx, nz, d = s.normal_form()
-            assert abs(mid[0] * nx + mid[2] * nz - d) < 1e-12
+            assert abs(mid[0] * s.nx + mid[2] * s.nz - s.offset) < 1e-12
+
+    def test_wall_along_z_flips_x(self):
+        s = ReflectionSurface(1.0, 0.0, 3.0)
+        assert np.array_equal(mirror_point(s, [1.0, 0.2, 5.0]), [5.0, 0.2, 5.0])
+
+    def test_matches_trace_oracle(self, rng):
+        for _ in range(100):
+            s = random_surface(rng)
+            pts = rng.uniform(-20, 20, size=(4, 3))
+            assert np.allclose(mirror_point(s, pts), mirror_across_trace(*trace_of(s), pts),
+                               rtol=0.0, atol=1e-10)
+
+    def test_normal_must_be_a_finite_unit_vector(self):
+        for nx, nz, offset in ((1.0, 1.0, 0.0), (0.0, 0.0, 1.0), (1.0, 0.0, math.inf)):
+            with pytest.raises(ValueError):
+                ReflectionSurface(nx, nz, offset)
 
     def test_vectorized_matches_scalar(self, rng):
-        s = ReflectionSurface(slope=-0.7, intercept=2.2)
+        s = ReflectionSurface.from_trace(-0.7, 2.2)
         pts = rng.uniform(-5, 5, size=(10, 3))
         batch = mirror_point(s, pts)
         for i in range(len(pts)):
@@ -61,7 +84,7 @@ class TestPathLength:
         assert one_path_length(None, [0, 0, 8], [0, 0, 0]) == pytest.approx(8.0)
 
     def test_reflected_hand_example(self):
-        s = ReflectionSurface(slope=0.0, intercept=3.0)
+        s = ReflectionSurface.from_trace(0.0, 3.0)
         assert one_path_length(s, [1, 0, 0], [0, 0, 0]) == pytest.approx(math.sqrt(37.0))
 
     def test_reflected_equals_two_segments(self, rng):
@@ -71,12 +94,12 @@ class TestPathLength:
             tx = rng.uniform(-8, 8, size=3)
             rx = rng.uniform(-8, 8, size=3)
             try:
-                sp = specular_point(s, tx, rx)
+                sp = specular_point(trace_of(s), tx, rx)
             except ValueError:
                 continue
             two_leg = np.linalg.norm(tx - sp) + np.linalg.norm(sp - rx)
             # Same-side endpoints make the specular point a true bounce.
-            nx, nz, d = s.normal_form()
+            nx, nz, d = s.nx, s.nz, s.offset
             same_side = (tx[0] * nx + tx[2] * nz - d) * (rx[0] * nx + rx[2] * nz - d) > 0
             if same_side:
                 assert one_path_length(s, tx, rx) == pytest.approx(two_leg, abs=1e-9)
@@ -86,17 +109,17 @@ class TestPathLength:
             s = random_surface(rng)
             tx = rng.uniform(-8, 8, size=3)
             rx = rng.uniform(-8, 8, size=3)
-            nx, nz, d = s.normal_form()
+            nx, nz, d = s.nx, s.nz, s.offset
             if (tx[0] * nx + tx[2] * nz - d) * (rx[0] * nx + rx[2] * nz - d) > 0:
                 assert one_path_length(s, tx, rx) >= np.linalg.norm(tx - rx) - 1e-12
 
     def test_matrix_matches_scalar(self, rng):
-        s = ReflectionSurface(slope=1.3, intercept=4.0)
+        s = ReflectionSurface.from_trace(1.3, 4.0)
         tx = rng.uniform(-5, 5, size=(4, 3))
         rx = rng.uniform(-5, 5, size=(6, 3))
         mat = path_length_matrix(s, tx, rx)
         assert mat.shape == (4, 6)
-        assert mat[2, 3] == pytest.approx(path_length(s, tx[2], rx[3]))
+        assert mat[2, 3] == pytest.approx(path_length(trace_of(s), tx[2], rx[3]))
 
 
 class TestDirectedAngle:
@@ -138,7 +161,7 @@ class TestSceneAndPoint:
     def test_path_enumeration(self):
         tv = np.array([[0, 0, 8], [1, 0, 8]], dtype=float)
         sv = np.array([[0, 0, 0], [1, 0, 0]], dtype=float)
-        s = ReflectionSurface(slope=1.0, intercept=3.0)
+        s = ReflectionSurface.from_trace(1.0, 3.0)
         scene = Scene(tv, (0, 1), sv, (s,), 0.0, True)
         assert [p for p, _ in scene.path_surfaces()] == [0, 1]
         hidden = Scene(tv, (0, 1), sv, (s,), 0.0, False)

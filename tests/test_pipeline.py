@@ -217,6 +217,10 @@ def test_noiseless_nlos_trial_fuses_the_reflections(seed):
     for pid, mapped in artifacts.mapped_clouds.items():
         assert metrics[f"path{pid}_hausdorff_m"] == hausdorff(mapped, artifacts.scene.tv_antennas)
         assert metrics[f"path{pid}_hausdorff_m"] < NLOS_PATH_HAUSDORFF_BOUND_M
+        # each fused plane is the planted one to within the anchors' rounding:
+        # up to 8.4e-10 rad and 2.1e-9 m on seeds 1-5
+        assert metrics[f"surface{pid}_normal_err_rad"] < 1e-7
+        assert metrics[f"surface{pid}_offset_err_m"] < 1e-7
 
 
 # The default scene without noise at 16 m: sync reads paths 1 and 3 one clock
@@ -423,7 +427,11 @@ BAD_VALUES = [("scene", "distance_m", "far"), ("scene", "surfaces", 5),
               ("scene", "has_los", "yes"), ("scene", "sv_antenna_count", 64.0),
               ("noise", "seed", -1), ("noise", "phase_sigma_rad", -1.0),
               ("waveform", "tones", 64.5), ("pipeline", "box_extent_m", [4.0, 2.0, "4"]),
-              ("sweep", "sv_antenna_counts", [1.5]), ("sweep", "trials", None)]
+              ("sweep", "sv_antenna_counts", [1.5]), ("sweep", "trials", None),
+              # a surface has exactly the keys slope and intercept_m
+              ("scene", "surfaces", [{"slope": 1.0, "intercept_m": 3.0, "vertical": "no"}]),
+              ("scene", "surfaces", [{"slope": 1.0, "intercept_m": 3.0, "gamma_re": "x"}]),
+              ("scene", "surfaces", [{"slope": 1.0, "intercept_m": 3.0, "colour": 5}])]
 
 
 @pytest.mark.parametrize("section, name, value", BAD_VALUES)
@@ -503,6 +511,21 @@ def test_cli_reports_a_scene_the_pipeline_rejects(tmp_path, capsys):
     assert out == ""
     assert err.startswith("coposim: error: ") and err.count("\n") == 1
     assert "at least 4 receive antennas, got 1" in err
+
+
+@pytest.mark.parametrize("distance_m", [0.0, 0.5])
+def test_a_transmitter_at_or_behind_the_array_is_a_one_line_error(tmp_path, capsys, distance_m):
+    # The body reaches z = 0.3 m below its centre: at 0 m and 0.5 m some of its
+    # antennas lie at or behind the array, where sync cannot tell them from
+    # their mirror twins in front, so the run stops before sync.
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"scene": {"distance_m": distance_m},
+                                "noise": {"phase_sigma_rad": 0.0, "snr_db": None}}))
+    assert cli.main(["run", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("coposim: error: ") and err.count("\n") == 1
+    assert "at or behind the receive array" in err
 
 
 def test_cli_reports_a_failed_trial_in_one_line(tmp_path, capsys):

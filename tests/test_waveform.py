@@ -75,12 +75,22 @@ class TestValidateScene:
         assert any("4 receive antennas" in e for e in report.errors)
 
     def test_hidden_scene_needs_three_surfaces(self):
-        surfaces = (ReflectionSurface(slope=1.0, intercept=3.0),
-                    ReflectionSurface(slope=0.3, intercept=4.0))
+        surfaces = (ReflectionSurface.from_trace(1.0, 3.0),
+                    ReflectionSurface.from_trace(0.3, 4.0))
         scene = small_scene(surfaces=surfaces, has_los=False)
         report = validate_scene(scene, REF_GRID)
         assert not report.ok
         assert any("3 reflection surfaces" in e for e in report.errors)
+
+    def test_transmitter_at_or_behind_the_array_is_error(self):
+        # Sync folds a solution behind the planar array to its front, so an
+        # antenna there, or its mirror image in a surface, cannot be located.
+        on_array = small_scene(tv=np.array([[0.5, 0.1, 0.0], [-0.4, -0.2, 1.0]]))
+        mirrored = small_scene(surfaces=(ReflectionSurface.from_trace(0.0, 4.0),))
+        for scene in (on_array, mirrored):
+            report = validate_scene(scene, REF_GRID)
+            assert not report.ok
+            assert any("at or behind the receive array" in e for e in report.errors)
 
     def test_range_spread_overflow(self):
         tv = np.array([[0.0, 0.0, 5.0], [0.0, 0.0, 40.0]])

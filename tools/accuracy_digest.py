@@ -9,7 +9,9 @@ base seeds 1-3 (216 trials), with one BLAS thread, and hashes each trial's
 ``TrialOutcome.accuracy_key()`` in that order, each key's JSON text straight
 after the last.  Per workload it prints the failures by cause, then per
 scenario point the successes and, over them, the Hausdorff and anchor-error
-p50 and max; the last line is the digest.  Compare the digests of
+p50 and max, and on points that fuse reflections the p50 and max of the fused
+planes' normal and offset errors over every path; the last line is the
+digest.  Compare the digests of
 two checkouts to check that a change keeps every reported result bit for bit.
 """
 
@@ -58,6 +60,11 @@ def main() -> int:
                          f" max {max(hausdorff):.6g}"
                          f", anchor_err_m p50 {statistics.median(anchor):.6g}"
                          f" max {max(anchor):.6g}")
+                for metric in ("normal_err_rad", "offset_err_m"):
+                    errs = [v for m in ok for k, v in m.items() if k.endswith(f"_{metric}")]
+                    if errs:
+                        line += (f", surface {metric} p50 {statistics.median(errs):.6g}"
+                                 f" max {max(errs):.6g}")
             print(line)
     print(digest.hexdigest())
     return 0
