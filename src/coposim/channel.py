@@ -1,8 +1,10 @@
 """Forward channel simulation producing demodulated per-path symbol blocks.
 
 Each propagation path (line of sight and/or one specular bounce per surface)
-yields, per receive antenna, two 2-vectors of signature symbols and one
-K-vector of SFCW symbols.  The signatures of every path are simulated at once;
+is the transmit image it propagates from, ``Scene.images``: its flight times
+are the distances from that image to the receive antennas.  It yields, per
+receive antenna, two 2-vectors of signature symbols and one K-vector of SFCW
+symbols.  The signatures of every path are simulated at once;
 the SFCW symbols one path per call, demodulated with the receiver's clock
 estimate for that path, since the receiver syncs on a path before it images
 it.  Every path arrives at unit amplitude (sync reads phase differences, and
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SPEED_OF_LIGHT, Scene, path_length_matrix
+from .geometry import SPEED_OF_LIGHT, Scene, distance_matrix
 from .waveform import FrequencyGrid, SignatureConfig
 
 _DOMAIN_SIGNATURE = 1
@@ -74,30 +76,25 @@ def _cell_rng(seed: int, domain: int, path_id: int, antenna: int) -> np.random.G
     return np.random.default_rng(ss)
 
 
-def _signature_block(tau: np.ndarray, tones: tuple[float, float], sigma: float,
-                     jitter: np.ndarray) -> np.ndarray:
-    """Symbols exp(j*2*pi*f*(sigma - tau)) for both tones, plus (N_r, 2) phase jitter."""
-    phases = np.empty((len(tau), 2))
-    for col, f in enumerate(tones):
-        phases[:, col] = 2.0 * math.pi * f * (sigma - tau)
-    return np.exp(1j * (phases + jitter))
-
-
 def simulate_signature(scene: Scene, sig: SignatureConfig, noise: NoiseModel) -> list[PathObservation]:
-    """Demodulated signature symbols for every propagation path of the scene."""
+    """Demodulated signature symbols for every propagation path of the scene.
+
+    A path's flight times run from the two anchors of its transmit image;
+    its (N_r, 4) symbols are exp(j*2*pi*f*(sigma - tau)) at the tones
+    f_a, f_a + delta, f_b, f_b + delta, plus the phase jitter.
+    """
     sigma = scene.clock_offset
     tone_sigma = noise.phase_sigma / math.sqrt(2.0)
+    coef = 2.0 * math.pi * np.array([sig.f_a, sig.f_a + sig.delta, sig.f_b, sig.f_b + sig.delta])
     out = []
-    for path_id, surface in scene.path_surfaces():
-        tau_a = path_length_matrix(surface, scene.anchor_a[None, :], scene.sv_antennas)[0] / SPEED_OF_LIGHT
-        tau_b = path_length_matrix(surface, scene.anchor_b[None, :], scene.sv_antennas)[0] / SPEED_OF_LIGHT
+    for path_id, image in scene.images.items():
+        tau = distance_matrix(image[list(scene.anchor_indices)], scene.sv_antennas) / SPEED_OF_LIGHT
         jitter = np.zeros((scene.n_sv, 4))
         if noise.phase_sigma > 0:
             jitter = np.array([_cell_rng(noise.rng_seed, _DOMAIN_SIGNATURE, path_id, m).standard_normal(4)
                                for m in range(scene.n_sv)]) * tone_sigma
-        sig_a = _signature_block(tau_a, (sig.f_a, sig.f_a + sig.delta), sigma, jitter[:, 0:2])
-        sig_b = _signature_block(tau_b, (sig.f_b, sig.f_b + sig.delta), sigma, jitter[:, 2:4])
-        out.append(PathObservation(path_id=path_id, sig_a=sig_a, sig_b=sig_b))
+        symbols = np.exp(1j * (coef * (sigma - tau[[0, 0, 1, 1]].T) + jitter))
+        out.append(PathObservation(path_id=path_id, sig_a=symbols[:, 0:2], sig_b=symbols[:, 2:4]))
     return out
 
 
@@ -120,8 +117,7 @@ def simulate_sfcw(scene: Scene, grid: FrequencyGrid, noise: NoiseModel, path_id:
     per (pair, tone) either way; the K multiplications add about K * 1e-16.
     """
     sigma = scene.clock_offset
-    surface = dict(scene.path_surfaces())[path_id]
-    tau = path_length_matrix(surface, scene.tv_antennas, scene.sv_antennas) / SPEED_OF_LIGHT
+    tau = distance_matrix(scene.images[path_id], scene.sv_antennas) / SPEED_OF_LIGHT
     phi = (sigma - sigma_estimate) - tau                                # (N_t, N_r)
 
     phasor = np.exp((2j * math.pi * grid.f1) * phi)

@@ -1,16 +1,21 @@
-"""Coordinate conventions, mirror reflections, path lengths and directed angles.
+"""Coordinate conventions, mirror reflections, distances and directed angles.
 
 Frame: right-handed, origin at the sensing-vehicle (SV) array center, Z along
 the nominal arrival direction, X parallel to the ground, Y vertical.  Reflecting
 surfaces are vertical planes nx*x + nz*z = offset (Y is free), with (nx, nz) the
 unit normal of the X-Z trace, so a wall along Z is (1, 0); a configuration gives
 the trace's slope and intercept instead (``ReflectionSurface.from_trace``).
+
+A propagation path is the transmit image it propagates from: the transmit
+antennas themselves for the direct path, their mirror image across the surface
+for a bounce.  Its lengths are the distances from that image to the receive
+antennas (``distance_matrix``); ``Scene.images`` holds the images.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -75,15 +80,6 @@ def distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(sum((a[:, None, k] - b[None, :, k]) ** 2 for k in range(3)))
 
 
-def path_length_matrix(surface: ReflectionSurface | None, tx_points, rx_points) -> np.ndarray:
-    """Pairwise propagation distances, shape (len(tx_points), len(rx_points))."""
-    t = np.atleast_2d(as_xyz(tx_points))
-    r = np.atleast_2d(as_xyz(rx_points))
-    if surface is not None:
-        t = mirror_point(surface, t)
-    return distance_matrix(t, r)
-
-
 def directed_angle_xz(p, q) -> float:
     """Directed angle in (-pi, pi] from the X axis to the X-Z projection of p->q."""
     a, b = as_xyz(p), as_xyz(q)
@@ -105,6 +101,11 @@ class Scene:
     ``anchor_indices`` the two antennas carrying the two-tone signatures.
     ``clock_offset`` is the unknown transmitter-receiver clock difference
     in seconds.
+
+    ``images`` maps each propagation path to the read-only (N_t, 3) image it
+    propagates from, formed once here: path 0, present with a line of sight,
+    is ``tv_antennas`` itself, and path i + 1 is their mirror image across
+    ``surfaces[i]``.
     """
 
     tv_antennas: np.ndarray
@@ -113,6 +114,7 @@ class Scene:
     surfaces: tuple[ReflectionSurface, ...]
     clock_offset: float
     has_los: bool
+    images: dict[int, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         tv = np.asarray(self.tv_antennas, dtype=float)
@@ -129,11 +131,15 @@ class Scene:
         a, b = self.anchor_indices
         if a == b or not (0 <= a < len(tv)) or not (0 <= b < len(tv)):
             raise ValueError("anchor_indices must be two distinct tv antenna indices")
-        tv.setflags(write=False)
-        sv.setflags(write=False)
+        surfaces = tuple(self.surfaces)
+        images = {0: tv} if self.has_los else {}
+        images.update((i + 1, mirror_point(s, tv)) for i, s in enumerate(surfaces))
+        for pts in (tv, sv, *images.values()):
+            pts.setflags(write=False)
         object.__setattr__(self, "tv_antennas", tv)
         object.__setattr__(self, "sv_antennas", sv)
-        object.__setattr__(self, "surfaces", tuple(self.surfaces))
+        object.__setattr__(self, "surfaces", surfaces)
+        object.__setattr__(self, "images", images)
 
     @property
     def n_sv(self) -> int:
@@ -146,11 +152,3 @@ class Scene:
     @property
     def anchor_b(self) -> np.ndarray:
         return self.tv_antennas[self.anchor_indices[1]]
-
-    def path_surfaces(self) -> list[tuple[int, ReflectionSurface | None]]:
-        """Propagation paths as (path_id, surface) with id 0 reserved for LoS."""
-        paths: list[tuple[int, ReflectionSurface | None]] = []
-        if self.has_los:
-            paths.append((0, None))
-        paths.extend((i + 1, s) for i, s in enumerate(self.surfaces))
-        return paths

@@ -30,7 +30,7 @@ from .channel import NoiseModel, simulate_sfcw, simulate_signature
 from .combining import VirtualDetection, clock_distance, combine_cluster, group_by_clock
 from .errors import ConfigError, CoposimError
 from .geometry import SPEED_OF_LIGHT as C
-from .geometry import Scene, directed_angle_xz, mirror_point
+from .geometry import Scene, directed_angle_xz
 from .imaging import ImagingBox, detect_peaks, reconstruct
 from .scenario import (DEFAULT_SURFACE_POOL, ScenarioConfig, build_scene, stratified_rows,
                        trial_noise_seed)
@@ -139,6 +139,9 @@ def _run_trial(config: ScenarioConfig, trial: int = 0):
     imaged.  Otherwise every path is imaged, so each reports its peak count,
     and the largest cluster is fused.
     """
+    box = config.pipeline.box_extent_m
+    if not min(box) > 0:
+        raise ConfigError(f"pipeline.box_extent_m must be three positive lengths, got {box}")
     scene = build_scene(config, trial)
     grid = config.frequency_grid()
     report = validate_scene(scene, grid)
@@ -172,8 +175,7 @@ def _run_trial(config: ScenarioConfig, trial: int = 0):
 
     for det, (_, converged, _) in zip(detections, synced):
         pid = det.path_id
-        surface = None if pid == 0 else scene.surfaces[pid - 1]
-        true_virtual = scene.anchor_a if surface is None else mirror_point(surface, scene.anchor_a)
+        true_virtual = scene.images[pid][scene.anchor_indices[0]]
         metrics[f"path{pid}_anchor_err_m"] = float(np.linalg.norm(det.x_a_virtual - true_virtual))
         metrics[f"path{pid}_points"] = int(len(det.cloud))
         metrics[f"path{pid}_sync_converged"] = converged

@@ -89,7 +89,7 @@ FIELD_TYPES = {
     "waveform": {"f1_hz": "float", "tones": "int", "delta_hz": "float"},
     "noise": {"snr_db": "float?", "phase_sigma_rad": "float>=0", "seed": "int>=0"},
     "pipeline": {"box_extent_m": "float[3]"},
-    "sweep": {"distance_m": "float[]?", "surface_counts": "int[]?",
+    "sweep": {"distance_m": "float[]?", "surface_counts": "int>=0[]?",
               "sv_antenna_counts": "int[]?", "trials": "int"},
 }
 

@@ -84,21 +84,13 @@ def measure_pdoa(observation, anchor: str, delta: float,
     return PdoaMeasurement(phase_diffs=eta, range_diffs=scale * (eta[1:] - eta[0]), delta=delta)
 
 
-def _range_diff_model(x: np.ndarray, sv: np.ndarray) -> np.ndarray:
-    d = np.linalg.norm(sv - x[None, :], axis=1)
-    return d[1:] - d[0]
-
-
-def _jacobian(x: np.ndarray, sv: np.ndarray) -> np.ndarray:
+def _misfit(x: np.ndarray, sv: np.ndarray, measured: np.ndarray):
+    """Residual F - (D(x, p_m) - D(x, p_1)), its squared norm and its model's Jacobian at x."""
     diff = x[None, :] - sv
-    dist = np.maximum(np.linalg.norm(diff, axis=1), 1e-12)
-    units = diff / dist[:, None]
-    return units[1:] - units[0]
-
-
-def _ssq(x: np.ndarray, sv: np.ndarray, measured: np.ndarray) -> float:
-    r = measured - _range_diff_model(x, sv)
-    return float(r @ r)
+    dist = np.linalg.norm(diff, axis=1)
+    r = measured - (dist[1:] - dist[0])
+    units = diff / np.maximum(dist, 1e-12)[:, None]
+    return r, float(r @ r), units[1:] - units[0]
 
 
 def _gn_step(G: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -162,8 +154,10 @@ def locate_anchor(measurement: PdoaMeasurement, sv_antennas, guess,
 
     Steps h = (G^T G)^{-1} G^T b are halved (up to 20 times) whenever they
     would increase the residual, which keeps the objective non-increasing
-    without moving the fixed point.  The covariance of the estimate is
-    sigma_F^2 * (G^T G)^{-1}, with sigma_F the measurement noise in meters.
+    without moving the fixed point.  The residual and the Jacobian are formed
+    together, once per point visited, and the accepted point's pair starts the
+    next step.  The covariance of the estimate is sigma_F^2 * (G^T G)^{-1},
+    with sigma_F the measurement noise in meters.
     """
     sv = as_xyz(sv_antennas)
     if len(sv) < _MIN_ANTENNAS:
@@ -173,30 +167,27 @@ def locate_anchor(measurement: PdoaMeasurement, sv_antennas, guess,
 
     converged = False
     it = 0
-    cost = _ssq(x, sv, f)
+    b, cost, G = _misfit(x, sv, f)
     for it in range(1, max_iter + 1):
-        G = _jacobian(x, sv)
-        b = f - _range_diff_model(x, sv)
         try:
-            h = _gn_step(G, b)
+            step = _gn_step(G, b)
         except np.linalg.LinAlgError as exc:
             raise DegenerateGeometryError(f"anchor solve failed: {exc}") from exc
 
-        step = h
-        new_cost = _ssq(x + step, sv, f)
+        candidate = _misfit(x + step, sv, f)
         halvings = 0
-        while new_cost > cost and halvings < 20:
+        while candidate[1] > cost and halvings < 20:
             step = 0.5 * step
-            new_cost = _ssq(x + step, sv, f)
+            candidate = _misfit(x + step, sv, f)
             halvings += 1
         x = x + step
-        cost = new_cost
+        b, cost, G = candidate
         if np.linalg.norm(step) < _STEP_TOL:
             converged = True
             break
 
     x = _canonical_halfspace(x, sv)
-    G = _jacobian(x, sv)
+    G = _misfit(x, sv, f)[2]
     gtg = G.T @ G
     if converged and np.linalg.cond(gtg) > 1e12:
         raise DegenerateGeometryError("rank-deficient array geometry in anchor solve")

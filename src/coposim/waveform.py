@@ -8,13 +8,12 @@ never passband samples.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import SPEED_OF_LIGHT, Scene, mirror_point, path_length_matrix
+from .geometry import SPEED_OF_LIGHT, Scene, distance_matrix
 
 
 @dataclass(frozen=True)
@@ -71,7 +70,7 @@ def max_unambiguous_range(delta: float) -> float:
 
 
 def sync_spacing_bound(delta: float) -> float:
-    """Maximum adjacent receive-antenna spacing for unambiguous unwrapping, c/(2*delta)."""
+    """Maximum step between consecutive receive antennas for unambiguous unwrapping, c/(2*delta)."""
     if delta <= 0:
         raise ConfigError("delta must be positive")
     return SPEED_OF_LIGHT / (2.0 * delta)
@@ -96,41 +95,41 @@ class ValidationReport:
         return not self.errors
 
 
-def _max_adjacent_spacing(points: np.ndarray) -> float:
-    """Largest nearest-neighbour distance among the antennas."""
-    if len(points) < 2:
-        return math.inf
-    d = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=2)
-    np.fill_diagonal(d, np.inf)
-    return float(d.min(axis=1).max())
-
-
 def validate_scene(scene: Scene, grid: FrequencyGrid) -> ValidationReport:
     """Check sampling and feasibility conditions for the recovery pipeline.
 
-    Aperture undersampling (spacing above c/(4 f_c)) is only a warning: sparse
-    point targets remain detectable under aliasing, at the price of higher
-    sidelobes.  Feasibility conditions and range-span overflow are hard errors.
+    Each path is the transmit image it propagates from (``Scene.images``), so
+    the range spread and the side of the array are read off the images.
+    Aperture undersampling (nearest-neighbour spacing above c/(4 f_c)) is only
+    a warning: sparse point targets remain detectable under aliasing, at the
+    price of higher sidelobes.  Feasibility conditions, a step between
+    consecutive antennas too wide to unwrap phases across (sync unwraps in
+    antenna-index order) and range-span overflow are hard errors.
     """
     report = ValidationReport()
+    sv = scene.sv_antennas
 
-    spacing = _max_adjacent_spacing(scene.sv_antennas)
+    pairs = distance_matrix(sv, sv)
+    np.fill_diagonal(pairs, np.inf)
+    spacing = float(pairs.min(axis=1).max())   # largest nearest-neighbour distance
     nyq = aperture_spacing_bound(grid.center)
     if spacing > nyq:
         report.warnings.append(
             f"aperture sampling {spacing:.4g} m exceeds the alias-free bound "
             f"{nyq:.4g} m at f_c = {grid.center / 1e9:.4g} GHz"
         )
+    step = float(np.linalg.norm(np.diff(sv, axis=0), axis=1).max(initial=0.0))
     sync_bound = sync_spacing_bound(grid.delta)
-    if spacing > sync_bound:
+    if step > sync_bound:
         report.errors.append(
-            f"adjacent antenna spacing {spacing:.4g} m exceeds the phase-unwrap "
+            f"consecutive antenna spacing {step:.4g} m exceeds the phase-unwrap "
             f"bound {sync_bound:.4g} m"
         )
 
     # Range spread across the scene must fit in one ambiguity interval of the comb.
     r_max = max_unambiguous_range(grid.delta)
-    span = _scene_range_spread(scene)
+    span = max((float(np.ptp(distance_matrix(image, sv))) for image in scene.images.values()),
+               default=0.0)
     if span > r_max:
         report.errors.append(
             f"scene path-length spread {span:.4g} m exceeds the unambiguous range "
@@ -139,8 +138,8 @@ def validate_scene(scene: Scene, grid: FrequencyGrid) -> ValidationReport:
 
     # Distances to a planar array do not tell a point from its mirror twin behind
     # it, and sync keeps the twin in front: a point at or behind it is lost.
-    images = [scene.tv_antennas] + [mirror_point(s, scene.tv_antennas) for s in scene.surfaces]
-    front, array_z = min(float(p[:, 2].min()) for p in images), float(scene.sv_antennas[:, 2].max())
+    front = min(float(p[:, 2].min()) for p in (scene.tv_antennas, *scene.images.values()))
+    array_z = float(sv[:, 2].max())
     if front <= array_z:
         report.errors.append(f"a transmit antenna or its mirror image lies at z = {front:.4g} m, "
                              f"at or behind the receive array (z <= {array_z:.4g} m)")
@@ -155,11 +154,3 @@ def validate_scene(scene: Scene, grid: FrequencyGrid) -> ValidationReport:
             f"got {len(scene.surfaces)}"
         )
     return report
-
-
-def _scene_range_spread(scene: Scene) -> float:
-    spread = 0.0
-    for _, surface in scene.path_surfaces():
-        d = path_length_matrix(surface, scene.tv_antennas, scene.sv_antennas)
-        spread = max(spread, float(d.max() - d.min()))
-    return spread

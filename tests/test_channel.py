@@ -57,7 +57,7 @@ class TestSfcw:
         sv = np.array([[0.0, 0.0, 0.0], [0.0, 0.5, 0.0], [0.5, 0.0, 0.0], [0.0, -0.5, 0.0]])
         scene = Scene(tv, (0, 1), sv, (), clock_offset=5e-9, has_los=True)
         grid = FrequencyGrid(f1=57e9, tones=8, delta=REF_DELTA)
-        for pid, _ in scene.path_surfaces():
+        for pid in scene.images:
             sfcw = simulate_sfcw(scene, grid, NOISELESS, pid, scene.clock_offset)
             tau = path_length(None, tv[0], sv[0]) / C
             expected = 2.0 * np.exp(-2j * math.pi * grid.frequencies * tau)
@@ -66,14 +66,14 @@ class TestSfcw:
     def test_magnitude_bounded_by_antenna_count(self):
         scene = small_scene()
         grid = FrequencyGrid(f1=57e9, tones=16, delta=REF_DELTA)
-        for pid, _ in scene.path_surfaces():
+        for pid in scene.images:
             sfcw = simulate_sfcw(scene, grid, NOISELESS, pid, scene.clock_offset)
             assert np.all(np.abs(sfcw) <= len(scene.tv_antennas) + 1e-9)
 
     def test_residual_clock_shifts_phases(self):
         scene = small_scene()
         grid = FrequencyGrid(f1=57e9, tones=4, delta=REF_DELTA)
-        for pid, _ in scene.path_surfaces():
+        for pid in scene.images:
             exact = simulate_sfcw(scene, grid, NOISELESS, pid, scene.clock_offset)
             off = simulate_sfcw(scene, grid, NOISELESS, pid, scene.clock_offset - 1e-10)
             ramp = np.exp(2j * math.pi * grid.frequencies * 1e-10)
@@ -103,7 +103,7 @@ class TestSfcw:
         tv = np.array([[0.3, 0.1, 8.0], [-0.4, 0.0, 7.9], [0.0, 0.2, 8.2]])
         scene = Scene(tv, (0, 1), sv, (), clock_offset=0.0, has_los=True)
         grid = FrequencyGrid(f1=57e9, tones=100, delta=REF_DELTA)
-        for pid, _ in scene.path_surfaces():
+        for pid in scene.images:
             clean = simulate_sfcw(scene, grid, NOISELESS, pid, 0.0)
             noisy = simulate_sfcw(scene, grid, NoiseModel(0.0, 10.0, 7), pid, 0.0)
             snr = np.mean(np.abs(clean) ** 2) / np.mean(np.abs(noisy - clean) ** 2)
@@ -133,7 +133,7 @@ class TestDeterminismAndPlumbing:
         for x, y in zip(a1, a2):
             for fx, fy in ((x.sig_a, y.sig_a), (x.sig_b, y.sig_b)):
                 assert np.array_equal(fx, fy)
-        for pid, _ in scene.path_surfaces():
+        for pid in scene.images:
             assert np.array_equal(simulate_sfcw(scene, grid, noise, pid, 1e-9),
                                   simulate_sfcw(scene, grid, noise, pid, 1e-9))
 
@@ -149,7 +149,7 @@ class TestDeterminismAndPlumbing:
         grid = FrequencyGrid(f1=57e9, tones=40, delta=REF_DELTA)
         noise = NoiseModel(0.05, 10.0, 4242)
         est = {0: 11.9e-9, 1: 12.4e-9, 2: 10.7e-9}
-        assert [p for p, _ in scene.path_surfaces()] == [0, 1, 2]
+        assert list(scene.images) == [0, 1, 2]
         for p in est:
             for model in (noise, NOISELESS):
                 assert np.array_equal(simulate_sfcw(wider, grid, model, p, est[p]),

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from coposim.errors import DegenerateGeometryError
-from coposim.geometry import (ReflectionSurface, Scene, directed_angle_xz, mirror_point,
-                              path_length_matrix)
+from coposim.geometry import (ReflectionSurface, Scene, directed_angle_xz, distance_matrix,
+                              mirror_point)
 from oracles import mirror_across_trace, path_length, specular_point
 
 
@@ -73,9 +73,21 @@ class TestMirrorPoint:
             assert np.allclose(batch[i], mirror_point(s, pts[i]))
 
 
+def path_lengths(surface, tx, rx) -> np.ndarray:
+    """Lengths of the paths from each of ``tx`` to each of ``rx``, direct for a
+    ``surface`` of None and off ``surface`` otherwise, read off the image of
+    ``tx`` that a scene holds for the path."""
+    tx, rx = np.atleast_2d(tx).astype(float), np.atleast_2d(rx)
+    if len(tx) == 1:   # a scene holds two transmit antennas at least
+        tx = np.vstack([tx, tx + 1.0])
+    direct = surface is None
+    scene = Scene(tx, (0, 1), rx, () if direct else (surface,), 0.0, direct)
+    return distance_matrix(scene.images[0 if direct else 1], scene.sv_antennas)
+
+
 def one_path_length(surface, tx, rx) -> float:
-    """``path_length_matrix`` of one transmitter and one receiver."""
-    return float(path_length_matrix(surface, tx, rx)[0, 0])
+    """Length of the path from one transmitter to one receiver."""
+    return float(path_lengths(surface, tx, rx)[0, 0])
 
 
 class TestPathLength:
@@ -117,7 +129,7 @@ class TestPathLength:
         s = ReflectionSurface.from_trace(1.3, 4.0)
         tx = rng.uniform(-5, 5, size=(4, 3))
         rx = rng.uniform(-5, 5, size=(6, 3))
-        mat = path_length_matrix(s, tx, rx)
+        mat = path_lengths(s, tx, rx)
         assert mat.shape == (4, 6)
         assert mat[2, 3] == pytest.approx(path_length(trace_of(s), tx[2], rx[3]))
 
@@ -159,10 +171,28 @@ class TestSceneAndPoint:
             Scene(tv, (0, 0), sv, (), 0.0, True)
 
     def test_path_enumeration(self):
+        # Path 0 exists with a line of sight, path i + 1 for surface i.
         tv = np.array([[0, 0, 8], [1, 0, 8]], dtype=float)
         sv = np.array([[0, 0, 0], [1, 0, 0]], dtype=float)
         s = ReflectionSurface.from_trace(1.0, 3.0)
-        scene = Scene(tv, (0, 1), sv, (s,), 0.0, True)
-        assert [p for p, _ in scene.path_surfaces()] == [0, 1]
-        hidden = Scene(tv, (0, 1), sv, (s,), 0.0, False)
-        assert [p for p, _ in hidden.path_surfaces()] == [1]
+        assert list(Scene(tv, (0, 1), sv, (s,), 0.0, True).images) == [0, 1]
+        assert list(Scene(tv, (0, 1), sv, (s,), 0.0, False).images) == [1]
+        assert list(Scene(tv, (0, 1), sv, (), 0.0, False).images) == []
+
+    def test_images_are_the_mirrored_antennas(self):
+        # Path 0 propagates from the transmit antennas, path i + 1 from their
+        # mirror image across surface i.  Every image is read-only.
+        tv = np.array([[0, 0, 8], [1, 0, 8], [0.5, 0.3, 8.4]], dtype=float)
+        sv = np.array([[0, 0, 0], [1, 0, 0]], dtype=float)
+        surfaces = (ReflectionSurface.from_trace(1.0, 3.0), ReflectionSurface(1.0, 0.0, -2.0))
+        scene = Scene(tv, (0, 1), sv, surfaces, 0.0, True)
+        assert list(scene.images) == [0, 1, 2]
+        assert np.array_equal(scene.images[0], tv)
+        hidden = Scene(tv, (0, 1), sv, surfaces, 0.0, False)
+        for s in (scene, hidden):
+            for pid, surface in enumerate(surfaces, start=1):
+                assert np.array_equal(s.images[pid], mirror_point(surface, tv))
+            for image in s.images.values():
+                assert image.shape == (3, 3)
+                with pytest.raises(ValueError):
+                    image[0, 0] = 1.0

@@ -8,7 +8,7 @@ from conftest import REF_DELTA
 from coposim import imaging
 from coposim.errors import EmptySpectrumError, InterpolationDegeneracyError
 from coposim.geometry import SPEED_OF_LIGHT as C
-from coposim.geometry import Scene, path_length_matrix
+from coposim.geometry import Scene, distance_matrix
 from coposim.imaging import (ApertureSamples, ImagingBox, PowerSpectrum, Spectrum2D,
                              Spectrum3D, detect_peaks, forward_2d_spectrum,
                              inverse_3d_spectrum, reconstruct, remap_to_sphere,
@@ -28,7 +28,7 @@ def grid_antennas(n_side=33, extent=1.0, z=0.0):
 
 
 def point_target_symbols(targets, sv, grid):
-    tau = path_length_matrix(None, np.atleast_2d(targets), sv) / C
+    tau = distance_matrix(np.atleast_2d(targets), sv) / C
     return np.exp(-2j * math.pi * tau[:, :, None] * grid.frequencies[None, None, :]).sum(axis=0)
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import coposim
-from coposim import cli, imaging, pipeline
+from coposim import cli, geometry, imaging, pipeline
 from coposim.analysis import hausdorff
 from coposim.errors import ConfigError, CoposimError
 from coposim.pipeline import run, run_los, run_nlos, run_sweep
@@ -302,6 +302,26 @@ def test_fused_trial_clusters_once_and_images_every_path(monkeypatch):
     assert metrics["anchor_err_m"] < 1e-7
 
 
+def test_fused_trial_mirrors_once_per_planted_surface(monkeypatch):
+    # Each path is the scene's image of the transmit antennas, formed once per
+    # trial: three planted surfaces, three mirrorings across them.  Fusion
+    # mirrors the clouds across its estimated surfaces besides.
+    config = ScenarioConfig.from_dict(NOISELESS_NLOS)
+    planted = build_scene(config).surfaces
+    original = geometry.mirror_point
+    across = []
+
+    def counted(surface, p):
+        across.append(surface in planted)
+        return original(surface, p)
+
+    for module in [m for n, m in sys.modules.items() if n.split(".")[0] == "coposim"]:
+        if vars(module).get("mirror_point") is original:
+            monkeypatch.setattr(module, "mirror_point", counted)
+    run(config)
+    assert sum(across) == 3 and len(across) > 3
+
+
 def test_sweep_counts_a_trial_without_a_clock_cluster(monkeypatch):
     # The 3-surface point cannot cluster 3 paths and fails each trial; the
     # 5-surface point runs after it.
@@ -431,7 +451,9 @@ BAD_VALUES = [("scene", "distance_m", "far"), ("scene", "surfaces", 5),
               # a surface has exactly the keys slope and intercept_m
               ("scene", "surfaces", [{"slope": 1.0, "intercept_m": 3.0, "vertical": "no"}]),
               ("scene", "surfaces", [{"slope": 1.0, "intercept_m": 3.0, "gamma_re": "x"}]),
-              ("scene", "surfaces", [{"slope": 1.0, "intercept_m": 3.0, "colour": 5}])]
+              ("scene", "surfaces", [{"slope": 1.0, "intercept_m": 3.0, "colour": 5}]),
+              # a negative count once ran pool[:-1], four surfaces, as "-1"
+              ("sweep", "surface_counts", [-1])]
 
 
 @pytest.mark.parametrize("section, name, value", BAD_VALUES)
@@ -468,6 +490,33 @@ def test_a_scene_out_of_range_is_a_one_line_error(tmp_path, capsys, name, value)
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"coposim: error: scene.{name} must be ") and err.count("\n") == 1
+    # A sweep counts the point's trial as failed instead of stopping.
+    assert cli.main(["sweep", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
+    assert report["aggregates"]["failures_by_type"] == {"ConfigError": 1}
+
+
+# Scenes that build but that a trial refuses before sync, each of which once
+# ran: a 30 m aperture steps 27 m between consecutive antennas, past the 12.8 m
+# unwrap bound (exit 1 from sync), and an imaging box with an empty or a
+# negative side imaged one voxel or one x layer (exit 0).
+BAD_TRIALS = [({"scene": {"sv_aperture_m": [30.0, 30.0]}},
+               "consecutive antenna spacing 27.17 m exceeds the phase-unwrap bound 12.79 m"),
+              ({"pipeline": {"box_extent_m": [0, 0, 0]}},
+               "pipeline.box_extent_m must be three positive lengths, got [0, 0, 0]"),
+              ({"pipeline": {"box_extent_m": [-6, 4, 6]}},
+               "pipeline.box_extent_m must be three positive lengths, got [-6, 4, 6]")]
+
+
+@pytest.mark.parametrize("scenario, message", BAD_TRIALS)
+def test_a_trial_the_pipeline_refuses_is_a_one_line_error(tmp_path, capsys, scenario, message):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({**scenario, "noise": {"phase_sigma_rad": 0.0, "snr_db": None},
+                                "sweep": {"trials": 1}}))
+    assert cli.main(["run", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"coposim: error: {message}\n"
     # A sweep counts the point's trial as failed instead of stopping.
     assert cli.main(["sweep", str(path)]) == 0
     report = json.loads(capsys.readouterr().out, parse_constant=reject_constant)

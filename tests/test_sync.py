@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import REF_DELTA, REF_SIGNATURE, small_scene, square_array
+from coposim import sync
 from coposim.channel import NOISELESS, NoiseModel, simulate_signature
 from coposim.errors import DegenerateGeometryError, FeasibilityError, UnwrapAmbiguityError
 from coposim.geometry import SPEED_OF_LIGHT as C
@@ -70,6 +71,28 @@ class TestLocate:
         res = locate_anchor(meas, scene.sv_antennas, guess)
         assert res.converged
         assert np.linalg.norm(res.x_anchor - scene.anchor_a) < 1e-6
+
+    def test_each_visited_point_is_evaluated_once(self, monkeypatch):
+        # The residual and the Jacobian come from one evaluation per point the
+        # loop visits, the accepted one's carried into the next step, plus one
+        # at the final point for the covariance.  From a guess 0.6 m off, a
+        # noiseless solve takes full steps: it visits the start and one point
+        # per iteration.
+        scene = small_scene(clock_offset=15e-9)
+        meas = measure_pdoa(observed(scene), "a", REF_DELTA, scene.sv_antennas)
+        visited = []
+        misfit = sync._misfit
+
+        def counted(x, sv, measured):
+            visited.append(x.copy())
+            return misfit(x, sv, measured)
+
+        monkeypatch.setattr(sync, "_misfit", counted)
+        res = locate_anchor(meas, scene.sv_antennas, scene.anchor_a + [0.3, -0.2, 0.5])
+        assert res.converged and res.iterations > 2
+        assert len(visited) == res.iterations + 2
+        assert np.array_equal(visited[-1], res.x_anchor)
+        assert np.array_equal(visited[-2], res.x_anchor)
 
     def test_residual_zero_at_truth(self):
         scene = small_scene()

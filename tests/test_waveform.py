@@ -82,6 +82,26 @@ class TestValidateScene:
         assert not report.ok
         assert any("3 reflection surfaces" in e for e in report.errors)
 
+    def test_hidden_scene_without_surfaces_has_no_paths(self):
+        # No line of sight and no surface: no image, so no range spread to
+        # read, and the surface count is the error.
+        report = validate_scene(small_scene(has_los=False), REF_GRID)
+        assert report.errors == ["recovery without line of sight needs at least 3 "
+                                 "reflection surfaces, got 0"]
+
+    def test_unwrap_bound_holds_for_consecutive_antennas(self):
+        # Sync unwraps phases in antenna-index order.  Two 2x2 clusters 20 m
+        # apart, listed alternately: every antenna's nearest neighbour is
+        # 0.5 m away, but each step to the next antenna is 20-20.01 m, past
+        # c/(2 delta) = 12.8 m.
+        near = square_array(2, 0.5)
+        sv = np.stack([near, near + [20.0, 0.0, 0.0]], axis=1).reshape(-1, 3)
+        report = validate_scene(small_scene(sv=sv), REF_GRID)
+        assert [e for e in report.errors if "phase-unwrap" in e] == [
+            "consecutive antenna spacing 20.01 m exceeds the phase-unwrap bound 12.79 m"]
+        # One cluster alone steps within the bound.
+        assert not validate_scene(small_scene(sv=near), REF_GRID).errors
+
     def test_transmitter_at_or_behind_the_array_is_error(self):
         # Sync folds a solution behind the planar array to its front, so an
         # antenna there, or its mirror image in a surface, cannot be located.
