@@ -14,8 +14,9 @@ sum, over transmit antennas, one phasor per tone; the comb is uniform, so each
 antenna pair's phasors follow from two complex exponentials by a recurrence
 along the tones rather than one exponential per (antenna pair, tone).
 
-Noise streams are derived from (seed, domain, path, antenna) counters, so
-observations are bit-identical no matter how generation is parallelised.
+Each (path, receive antenna) cell draws its jitter (domain 1) and SFCW noise
+(domain 2) from numpy's seed sequence for (seed, domain, path, antenna), which
+``_cell_rngs`` seeds for all of a call's cells at once (``TestNoiseStreams``).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .geometry import SPEED_OF_LIGHT, Scene, distance_matrix
 from .waveform import FrequencyGrid, SignatureConfig
@@ -40,7 +42,7 @@ class NoiseModel:
     antenna's measured inter-tone phase difference; it is realised as
     independent rotations of phase_sigma/sqrt(2) on the two tone symbols.
     ``snr_db`` sets complex AWGN on the SFCW symbols relative to the mean
-    received symbol power of the path (None disables it).
+    received symbol power of the path (None or +inf disables it).
     """
 
     phase_sigma: float = 1.0e-3
@@ -48,10 +50,12 @@ class NoiseModel:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.phase_sigma < 0:
-            raise ValueError("phase_sigma must be >= 0")
-        if self.rng_seed < 0:
-            raise ValueError("rng_seed must be >= 0")
+        if not 0.0 <= self.phase_sigma < math.inf:
+            raise ValueError(f"phase_sigma must be a finite number >= 0, got {self.phase_sigma!r}")
+        if self.snr_db is not None and not -math.inf < self.snr_db <= math.inf:
+            raise ValueError(f"snr_db must be a number, +inf or None, got {self.snr_db!r}")
+        if not isinstance(self.rng_seed, (int, np.integer)) or self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be an integer >= 0, got {self.rng_seed!r}")
 
 
 NOISELESS = NoiseModel(phase_sigma=0.0, snr_db=None, rng_seed=0)
@@ -71,9 +75,52 @@ class PathObservation:
     sig_b: np.ndarray
 
 
-def _cell_rng(seed: int, domain: int, path_id: int, antenna: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(domain, path_id, antenna))
-    return np.random.default_rng(ss)
+# numpy's SeedSequence hash constants (a pool of 4 uint32 words, shifts of 16).
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R, _MASK32 = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
+
+
+@dataclass(frozen=True)
+class _SeedWords(ISeedSequence):
+    """A cell's hashed seed: the four uint64 words PCG64 asks its seed sequence for."""
+
+    words: np.ndarray
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _cell_rngs(seed: int, domain: int, path_ids: list[int], n_antennas: int) -> list[np.random.Generator]:
+    """The generators of every (path, antenna) cell, path-major, seeded in one pass.
+
+    Cell (p, m) draws from ``default_rng(SeedSequence(entropy=seed, spawn_key=(domain, p, m)))``
+    (``TestNoiseStreams``).  Its entropy words (the seed's, zero-padded to the pool, then domain,
+    path, antenna) are hashed in lockstep: a seed sequence per cell took longer than its draws.
+    """
+    def steps(const, mult):    # the constant's (xor, multiply) steps; as Python ints nothing warns
+        while True:
+            yield const, (const := const * mult & _MASK32)
+
+    def hashmix(values, chain, n):    # with each of the chain's next n steps, as n rows
+        xor, mul = np.array([next(chain) for _ in range(n)], dtype=np.uint32).T[:, :, None]
+        values = (values ^ xor) * mul    # uint32 arrays wrap silently
+        return values ^ values >> 16
+
+    def mix(rows, values):
+        out = _MIX_MULT_L * rows - _MIX_MULT_R * hashmix(values, chain, len(rows))
+        return out ^ out >> 16
+
+    words = [int(seed) >> shift & _MASK32 for shift in range(0, max(int(seed).bit_length(), 1), 32)]
+    chain = steps(_INIT_A, _MULT_A)
+    pool = hashmix(np.array((words + [0, 0, 0])[:4], dtype=np.uint32)[:, None], chain, 4)
+    for src, dst in enumerate(([1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2])):
+        pool[dst] = mix(pool[dst], pool[src])
+    for word in words[4:] + [domain, np.repeat(np.asarray(path_ids, dtype=np.uint32), n_antennas),
+                             np.tile(np.arange(n_antennas, dtype=np.uint32), len(path_ids))]:
+        pool = mix(pool, word)
+    state = hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], steps(_INIT_B, _MULT_B), 8)
+    seeds = state.T.astype("<u4", order="C").view("<u8").astype(np.uint64)
+    return [np.random.Generator(np.random.PCG64(_SeedWords(s))) for s in seeds]
 
 
 def simulate_signature(scene: Scene, sig: SignatureConfig, noise: NoiseModel) -> list[PathObservation]:
@@ -83,17 +130,16 @@ def simulate_signature(scene: Scene, sig: SignatureConfig, noise: NoiseModel) ->
     its (N_r, 4) symbols are exp(j*2*pi*f*(sigma - tau)) at the tones
     f_a, f_a + delta, f_b, f_b + delta, plus the phase jitter.
     """
-    sigma = scene.clock_offset
     tone_sigma = noise.phase_sigma / math.sqrt(2.0)
     coef = 2.0 * math.pi * np.array([sig.f_a, sig.f_a + sig.delta, sig.f_b, sig.f_b + sig.delta])
+    jitter = np.zeros((len(scene.images), scene.n_sv, 4))
+    if noise.phase_sigma > 0:
+        rngs = _cell_rngs(noise.rng_seed, _DOMAIN_SIGNATURE, list(scene.images), scene.n_sv)
+        jitter = np.array([rng.standard_normal(4) for rng in rngs]).reshape(jitter.shape) * tone_sigma
     out = []
-    for path_id, image in scene.images.items():
+    for (path_id, image), path_jitter in zip(scene.images.items(), jitter):
         tau = distance_matrix(image[list(scene.anchor_indices)], scene.sv_antennas) / SPEED_OF_LIGHT
-        jitter = np.zeros((scene.n_sv, 4))
-        if noise.phase_sigma > 0:
-            jitter = np.array([_cell_rng(noise.rng_seed, _DOMAIN_SIGNATURE, path_id, m).standard_normal(4)
-                               for m in range(scene.n_sv)]) * tone_sigma
-        symbols = np.exp(1j * (coef * (sigma - tau[[0, 0, 1, 1]].T) + jitter))
+        symbols = np.exp(1j * (coef * (scene.clock_offset - tau[[0, 0, 1, 1]].T) + path_jitter))
         out.append(PathObservation(path_id=path_id, sig_a=symbols[:, 0:2], sig_b=symbols[:, 2:4]))
     return out
 
@@ -104,9 +150,7 @@ def simulate_sfcw(scene: Scene, grid: FrequencyGrid, noise: NoiseModel, path_id:
 
     The receiver demodulates with its clock-difference estimate for this
     path; the residual offset (sigma - sigma_estimate) stays in the symbol
-    phases exactly as an uncorrected ranging bias would.  Noise streams are
-    keyed by path and antenna, so a path's symbols do not depend on the other
-    paths of the scene.
+    phases exactly as an uncorrected ranging bias would.
 
     The tones are uniform, so with phi = residual - tau per (TV, SV) antenna
     pair, exp(j*2*pi*f_(k+1)*phi) = exp(j*2*pi*f_k*phi) * exp(j*2*pi*delta*phi).
@@ -129,11 +173,8 @@ def simulate_sfcw(scene: Scene, grid: FrequencyGrid, noise: NoiseModel, path_id:
     y = y.T.copy()   # (N_r, K) in row order, as the noise and the imaging read it
 
     if noise.snr_db is not None and math.isfinite(noise.snr_db):
-        mean_power = float(np.mean(np.abs(y) ** 2))
-        var = mean_power * 10.0 ** (-noise.snr_db / 10.0)
-        std = math.sqrt(var / 2.0)
-        for m in range(scene.n_sv):
-            rng = _cell_rng(noise.rng_seed, _DOMAIN_SFCW, path_id, m)
-            draws = rng.standard_normal(2 * grid.tones)
-            y[m] += std * (draws[0::2] + 1j * draws[1::2])
+        std = math.sqrt(float(np.mean(np.abs(y) ** 2)) * 10.0 ** (-noise.snr_db / 10.0) / 2.0)
+        draws = np.array([rng.standard_normal(2 * grid.tones)
+                          for rng in _cell_rngs(noise.rng_seed, _DOMAIN_SFCW, [path_id], scene.n_sv)])
+        y += std * (draws[:, 0::2] + 1j * draws[:, 1::2])
     return y

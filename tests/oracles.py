@@ -345,3 +345,13 @@ def transitive_merge(points, radius: float) -> np.ndarray:
     for i, p in enumerate(points):
         groups.setdefault(root(i), []).append(p)
     return np.array([[sum(p[d] for p in g) / len(g) for d in range(3)] for g in groups.values()])
+
+
+def cell_normals(seed: int, domain: int, path: int, antenna: int, n: int) -> np.ndarray:
+    """The first n standard normals of noise cell (seed, domain, path, antenna).
+
+    Each cell is numpy's own seed sequence with the cell as its spawn key,
+    drawn through ``default_rng``: the stream the simulator must reproduce.
+    """
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(domain, path, antenna))
+    return np.random.default_rng(ss).standard_normal(n)

@@ -6,10 +6,10 @@ import pytest
 from conftest import REF_DELTA, REF_GRID, REF_SIGNATURE, small_scene, square_array
 from coposim.channel import NOISELESS, NoiseModel, simulate_sfcw, simulate_signature
 from coposim.geometry import SPEED_OF_LIGHT as C
-from coposim.geometry import ReflectionSurface, Scene
+from coposim.geometry import ReflectionSurface, Scene, distance_matrix
 from coposim.scenario import ScenarioConfig
 from coposim.waveform import FrequencyGrid
-from oracles import direct_sfcw, mirror_across_trace, path_length
+from oracles import cell_normals, direct_sfcw, mirror_across_trace, path_length
 
 
 class TestSignature:
@@ -156,6 +156,93 @@ class TestDeterminismAndPlumbing:
                                       simulate_sfcw(scene, grid, model, p, est[p]))
             assert not np.allclose(simulate_sfcw(scene, grid, noise, p, est[p]),
                                    simulate_sfcw(scene, grid, NOISELESS, p, est[p]))
+
+
+# Seeds of one to five 32-bit words: zero, the word edges, and a seed longer
+# than the 4-word pool of the seed sequence.
+STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64, 2**128 + 3]
+
+
+def six_path_scene(n_side: int) -> Scene:
+    """Line of sight and five reflections (paths 0-5) onto n_side**2 receive antennas."""
+    surfaces = tuple(ReflectionSurface.from_trace(slope, offset) for slope, offset in
+                     ((1.02, 3.0), (0.25, 3.25), (3.0, 4.0), (-0.6, 3.5), (0.5, 5.0)))
+    return small_scene(sv=square_array(n_side, 1.0), surfaces=surfaces, has_los=True)
+
+
+class TestNoiseStreams:
+    """Every (path, antenna) cell draws numpy's own stream for (seed, domain, path, antenna)."""
+
+    @pytest.mark.parametrize("n_side", [8, 1])
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    def test_signature_jitter_is_the_cell_stream(self, seed, n_side):
+        # Domain 1.  The jitter rotates each tone symbol: the noisy symbols are
+        # the noiseless phases plus tone_sigma times the cell's four normals.
+        scene = six_path_scene(n_side)
+        noise = NoiseModel(0.1, None, seed)
+        coef = 2.0 * math.pi * np.array([REF_SIGNATURE.f_a, REF_SIGNATURE.f_a + REF_DELTA,
+                                         REF_SIGNATURE.f_b, REF_SIGNATURE.f_b + REF_DELTA])
+        clean = simulate_signature(scene, REF_SIGNATURE, NOISELESS)
+        noisy = simulate_signature(scene, REF_SIGNATURE, noise)
+        assert [obs.path_id for obs in noisy] == list(range(6))
+        for c, obs in zip(clean, noisy):
+            image = scene.images[obs.path_id]
+            tau = distance_matrix(image[list(scene.anchor_indices)], scene.sv_antennas) / C
+            phase = coef * (scene.clock_offset - tau[[0, 0, 1, 1]].T)
+            draws = np.array([cell_normals(seed, 1, obs.path_id, m, 4) for m in range(scene.n_sv)])
+            assert np.array_equal(np.hstack([c.sig_a, c.sig_b]), np.exp(1j * phase))
+            assert np.array_equal(np.hstack([obs.sig_a, obs.sig_b]),
+                                  np.exp(1j * (phase + draws * (0.1 / math.sqrt(2.0)))))
+
+    @pytest.mark.parametrize("n_side", [8, 1])
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    def test_sfcw_noise_is_the_cell_stream(self, seed, n_side):
+        # Domain 2.  Antenna m's K complex noise samples take the cell's 2K
+        # normals in (real, imaginary) pairs, scaled to the path's SNR.
+        scene = six_path_scene(n_side)
+        grid = FrequencyGrid(f1=57e9, tones=16, delta=REF_DELTA)
+        noise = NoiseModel(0.0, 10.0, seed)
+        for pid in scene.images:
+            clean = simulate_sfcw(scene, grid, NOISELESS, pid, 11.5e-9)
+            std = math.sqrt(float(np.mean(np.abs(clean) ** 2)) * 10.0 ** (-10.0 / 10.0) / 2.0)
+            draws = np.array([cell_normals(seed, 2, pid, m, 2 * grid.tones)
+                              for m in range(scene.n_sv)])
+            assert np.array_equal(simulate_sfcw(scene, grid, noise, pid, 11.5e-9),
+                                  clean + std * (draws[:, 0::2] + 1j * draws[:, 1::2]))
+
+    def test_numpy_integer_seed_draws_the_same_streams(self):
+        scene = six_path_scene(2)
+        grid = FrequencyGrid(f1=57e9, tones=8, delta=REF_DELTA)
+        as_int, as_numpy = NoiseModel(0.1, 10.0, 2**40 + 7), NoiseModel(0.1, 10.0, np.uint64(2**40 + 7))
+        for a, b in zip(simulate_signature(scene, REF_SIGNATURE, as_int),
+                        simulate_signature(scene, REF_SIGNATURE, as_numpy)):
+            assert np.array_equal(a.sig_a, b.sig_a) and np.array_equal(a.sig_b, b.sig_b)
+        assert np.array_equal(simulate_sfcw(scene, grid, as_int, 3, 1e-9),
+                              simulate_sfcw(scene, grid, as_numpy, 3, 1e-9))
+
+
+class TestNoiseModel:
+    @pytest.mark.parametrize("phase_sigma", [math.nan, math.inf, -math.inf, -1e-3])
+    def test_phase_sigma_must_be_finite_and_non_negative(self, phase_sigma):
+        with pytest.raises(ValueError, match="phase_sigma"):
+            NoiseModel(phase_sigma, 10.0, 0)
+
+    @pytest.mark.parametrize("snr_db", [math.nan, -math.inf])
+    def test_snr_db_must_be_a_number_or_plus_infinity(self, snr_db):
+        with pytest.raises(ValueError, match="snr_db"):
+            NoiseModel(1e-3, snr_db, 0)
+
+    @pytest.mark.parametrize("rng_seed", [1.5, 2.0, "3", None, -1])
+    def test_rng_seed_must_be_a_non_negative_integer(self, rng_seed):
+        with pytest.raises(ValueError, match="rng_seed"):
+            NoiseModel(1e-3, 10.0, rng_seed)
+
+    @pytest.mark.parametrize("snr_db", [math.inf, None])
+    def test_infinite_or_no_snr_adds_no_sfcw_noise(self, snr_db):
+        scene = small_scene()
+        grid = FrequencyGrid(f1=57e9, tones=8, delta=REF_DELTA)
+        assert np.array_equal(simulate_sfcw(scene, grid, NoiseModel(0.0, snr_db, 5), 0, 1e-9),
+                              simulate_sfcw(scene, grid, NOISELESS, 0, 1e-9))
 
 
 def test_noise_model_defaults_follow_the_scenario_defaults():
