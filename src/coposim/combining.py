@@ -12,46 +12,51 @@ the angle, so its global minimum is solved for in closed form; the fitted
 anchor then fixes each surface, the anchors' bisector plane with X-Z normal
 (cos theta_l, sin theta_l), and mirroring each virtual cloud across it
 recovers the actual cloud.  The fit's RMS ray distance is the fusion residual.
+Each path is one ``VirtualDetection``: its two anchor solves and its cloud.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DegenerateGeometryError, FeasibilityError
-from .geometry import ReflectionSurface, as_xyz, distance_matrix, mirror_point
+from .geometry import ReflectionSurface, as_xyz, directed_angle_xz, distance_matrix, mirror_point
+from .sync import SyncResult
 
 # The rays count as all parallel when the normal-matrix determinant, the sum of
 # sin^2 over their pair angle gaps, is below this squared.
 _PARALLEL_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class VirtualDetection:
-    """One path's sync and imaging output.
+    """One path's record: its two anchor solves and, once imaged, its cloud.
 
-    ``baseline_angle`` is the directed X-Z angle of the virtual a->b anchor
-    segment.  ``cloud`` is empty between sync and imaging; clock clustering
-    reads only ``sigma_hat``, so it runs before any path is imaged.
+    ``sync_a`` and ``sync_b`` are the PDoA solves of the path's virtual
+    anchors; ``x_a_virtual``, ``x_b_virtual`` and ``sigma_hat`` (anchor a's
+    clock) read through to them.  ``baseline_angle``, the directed X-Z angle
+    of the virtual a->b segment, is computed once here, so anchors that
+    coincide in X-Z raise ``DegenerateGeometryError`` when the record is made.
+    ``cloud`` is empty from sync until imaging sets it; clock clustering reads
+    only ``sigma_hat``, so it runs before any path is imaged.
     """
 
     path_id: int
-    x_a_virtual: np.ndarray
-    x_b_virtual: np.ndarray
-    cloud: np.ndarray
-    sigma_hat: float
-    baseline_angle: float
+    sync_a: SyncResult
+    sync_b: SyncResult
+    cloud: np.ndarray = field(default_factory=lambda: np.empty((0, 3)))
+    baseline_angle: float = field(init=False)
 
     def __post_init__(self):
-        if not -math.pi < self.baseline_angle <= math.pi:
-            raise ValueError("baseline_angle must lie in (-pi, pi]")
-        object.__setattr__(self, "x_a_virtual", as_xyz(self.x_a_virtual))
-        object.__setattr__(self, "x_b_virtual", as_xyz(self.x_b_virtual))
-        cloud = np.asarray(self.cloud, dtype=float).reshape(-1, 3)
-        object.__setattr__(self, "cloud", cloud)
+        self.baseline_angle = directed_angle_xz(self.x_a_virtual, self.x_b_virtual)
+        self.cloud = np.asarray(self.cloud, dtype=float).reshape(-1, 3)
+
+    x_a_virtual = property(lambda self: self.sync_a.x_anchor)
+    x_b_virtual = property(lambda self: self.sync_b.x_anchor)
+    sigma_hat = property(lambda self: self.sync_a.sigma_hat)
 
 
 @dataclass(frozen=True)

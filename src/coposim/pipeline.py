@@ -4,7 +4,9 @@ A trial simulates one snapshot and works in four steps: it synchronises
 every path, clusters the paths by clock estimate, fails if no cluster holds
 3 or more paths, and otherwise images every path and fuses the largest
 cluster.  A scene with a line of sight and no reflecting surfaces skips the
-clustering and the fusion: the direct path's image is the estimate.
+clustering and the fusion: the direct path's image is the estimate.  From
+sync on, a path is one ``VirtualDetection``: imaging sets its cloud, and the
+clustering, the fusion and the report read it.
 A configuration plus a trial index fix a trial: all randomness is derived
 from (config seed, trial index), and a sweep point is written into the
 configuration before its trials run, so results do not depend on how a
@@ -20,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,7 +32,7 @@ from .channel import NoiseModel, simulate_sfcw, simulate_signature
 from .combining import VirtualDetection, clock_distance, combine_cluster, group_by_clock
 from .errors import ConfigError, CoposimError
 from .geometry import SPEED_OF_LIGHT as C
-from .geometry import Scene, directed_angle_xz
+from .geometry import Scene
 from .imaging import ImagingBox, detect_peaks, reconstruct
 from .scenario import (DEFAULT_SURFACE_POOL, ScenarioConfig, build_scene, stratified_rows,
                        trial_noise_seed)
@@ -93,26 +95,16 @@ def _mode(scene) -> str:
     return "los" if scene.has_los and not scene.surfaces else "nlos"
 
 
-def _sync_path(scene: Scene, sig_obs, delta: float,
-               f_std: float | None) -> tuple[VirtualDetection, bool, float]:
-    """Both anchor solves of one path.
-
-    Returns the detection with an empty cloud, whether both solves
-    converged, and the disagreement of their clock estimates modulo 1/delta.
-    """
-    sync_a = locate_and_sync(sig_obs, "a", delta, scene.sv_antennas, noise_std_m=f_std)
-    sync_b = locate_and_sync(sig_obs, "b", delta, scene.sv_antennas, noise_std_m=f_std)
-    det = VirtualDetection(path_id=sig_obs.path_id, x_a_virtual=sync_a.x_anchor,
-                           x_b_virtual=sync_b.x_anchor, cloud=np.empty((0, 3)),
-                           sigma_hat=sync_a.sigma_hat,
-                           baseline_angle=directed_angle_xz(sync_a.x_anchor, sync_b.x_anchor))
-    return (det, sync_a.converged and sync_b.converged,
-            float(clock_distance(sync_a.sigma_hat, sync_b.sigma_hat, 1.0 / delta)))
+def _sync_path(scene: Scene, sig_obs, delta: float, f_std: float | None) -> VirtualDetection:
+    """Both anchor solves of one path, as its record with an empty cloud."""
+    sync_a, sync_b = (locate_and_sync(sig_obs, anchor, delta, scene.sv_antennas, noise_std_m=f_std)
+                      for anchor in "ab")
+    return VirtualDetection(sig_obs.path_id, sync_a, sync_b)
 
 
 def _image_path(det: VirtualDetection, scene: Scene, grid, noise: NoiseModel,
-                config: ScenarioConfig, row_pitch: float) -> VirtualDetection:
-    """SFCW simulation and imaging of one synced path: ``det`` with its cloud set."""
+                config: ScenarioConfig, row_pitch: float) -> None:
+    """SFCW simulation and imaging of one synced path, which sets ``det.cloud``."""
     sfcw = simulate_sfcw(scene, grid, noise, det.path_id, det.sigma_hat)
 
     center = 0.5 * (det.x_a_virtual + det.x_b_virtual)
@@ -128,7 +120,7 @@ def _image_path(det: VirtualDetection, scene: Scene, grid, noise: NoiseModel,
     spectrum = reconstruct(sfcw, scene.sv_antennas @ rot.T, grid,
                            ImagingBox.centered(rot @ center, config.pipeline.box_extent_m, pitch),
                            row_pitch, PAD_FACTOR)
-    return replace(det, cloud=detect_peaks(spectrum, NU) @ rot)
+    det.cloud = detect_peaks(spectrum, NU) @ rot
 
 
 def _run_trial(config: ScenarioConfig, trial: int = 0):
@@ -152,12 +144,12 @@ def _run_trial(config: ScenarioConfig, trial: int = 0):
                        trial_noise_seed(config, trial))
     f_std = _phase_noise_std_m(noise, grid.delta)
     period = 1.0 / grid.delta   # sync reads clocks modulo this period
-    synced = [_sync_path(scene, obs, grid.delta, f_std)
-              for obs in simulate_signature(scene, config.signature(), noise)]
+    detections = [_sync_path(scene, obs, grid.delta, f_std)
+                  for obs in simulate_signature(scene, config.signature(), noise)]
 
     fuse = _mode(scene) == "nlos"
     if fuse:
-        clusters = group_by_clock([det for det, _, _ in synced], CLOCK_CLUSTER_TOL_S, period)
+        clusters = group_by_clock(detections, CLOCK_CLUSTER_TOL_S, period)
         clusters.sort(key=lambda c: (-len(c), min(d.path_id for d in c)))
         if not clusters or len(clusters[0]) < 3:
             raise CoposimError(
@@ -165,20 +157,21 @@ def _run_trial(config: ScenarioConfig, trial: int = 0):
                 f"(cluster sizes {[len(c) for c in clusters]})")
 
     row_pitch = _row_pitch(config)
-    detections = [_image_path(det, scene, grid, noise, config, row_pitch)
-                  for det, _, _ in synced]
+    for det in detections:
+        _image_path(det, scene, grid, noise, config, row_pitch)
 
     metrics: dict = {"trial": trial}
     metrics["sync_sigma_err_s"] = float(max(
         clock_distance(d.sigma_hat, scene.clock_offset, period) for d in detections))
-    metrics["sync_discrepancy_s"] = max(discrepancy for _, _, discrepancy in synced)
+    metrics["sync_discrepancy_s"] = float(max(
+        clock_distance(d.sync_a.sigma_hat, d.sync_b.sigma_hat, period) for d in detections))
 
-    for det, (_, converged, _) in zip(detections, synced):
+    for det in detections:
         pid = det.path_id
         true_virtual = scene.images[pid][scene.anchor_indices[0]]
         metrics[f"path{pid}_anchor_err_m"] = float(np.linalg.norm(det.x_a_virtual - true_virtual))
         metrics[f"path{pid}_points"] = int(len(det.cloud))
-        metrics[f"path{pid}_sync_converged"] = converged
+        metrics[f"path{pid}_sync_converged"] = det.sync_a.converged and det.sync_b.converged
 
     truth = scene.tv_antennas
     mapped_clouds = {}
@@ -189,9 +182,7 @@ def _run_trial(config: ScenarioConfig, trial: int = 0):
         metrics["anchor_err_m"] = float(np.linalg.norm(det.x_a_virtual - scene.anchor_a))
         metrics["anchor_b_err_m"] = float(np.linalg.norm(det.x_b_virtual - scene.anchor_b))
     else:
-        imaged = {det.path_id: det for det in detections}
-        primary = [imaged[det.path_id] for det in clusters[0]]
-        res = combine_cluster(primary, merge_radius=range_resolution(grid) / 2,
+        res = combine_cluster(clusters[0], merge_radius=range_resolution(grid) / 2,
                               direct_path_tol=DIRECT_PATH_TOL_M)
         cloud = res.actual_cloud
         metrics["theta_ref_rad"] = float(res.theta_ref)

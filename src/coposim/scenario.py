@@ -78,7 +78,8 @@ class SweepSpec:
     trials: int = 100
 
 
-# The JSON type of each configuration field: "float" (an int passes too),
+# The JSON type of each configuration field: "float" (a finite number: an int
+# passes too, and a literal that overflows to infinity, such as 1e400, not),
 # "int", "bool", or "surface": exactly the float keys slope and intercept_m of
 # a plane's trace, which ``build_scene`` turns into its unit normal and offset.
 # "[n]" makes a list of n ("[]": any length), "?" allows null, ">=0" bars negatives.
@@ -112,7 +113,9 @@ def _is(kind: str, value) -> bool:
     if kind == "surface":
         return (isinstance(value, dict) and value.keys() == {"slope", "intercept_m"}
                 and _is("float[]", list(value.values())))
-    return type(value) in {"float": (int, float), "int": (int,), "bool": (bool,)}[kind]
+    if kind == "float":
+        return type(value) in (int, float) and -math.inf < value < math.inf
+    return type(value) in {"int": (int,), "bool": (bool,)}[kind]
 
 
 @dataclass

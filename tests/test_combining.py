@@ -10,6 +10,7 @@ from coposim.combining import (VirtualDetection, _ray_fit, clock_distance, combi
                                estimate_surface, fuse_clouds, group_by_clock, search_theta_ref)
 from coposim.errors import DegenerateGeometryError, FeasibilityError
 from coposim.geometry import ReflectionSurface, directed_angle_xz, mirror_point
+from coposim.sync import SyncResult
 from oracles import (least_squares_ray_fit, map_virtual_to_actual, mirror_across_trace,
                      ray_fit_misfits, tan_form_recovery_map, transitive_merge)
 
@@ -19,12 +20,17 @@ DIRECT_PATH_TOL = 1e-3
 CLOCK_PERIOD = 1.0 / REF_DELTA
 
 
+def detection(path_id, x_a, x_b, cloud=(), sigma=0.0):
+    """A path's record with converged anchor solves at x_a and x_b, both on clock sigma."""
+    sync_a, sync_b = (SyncResult(x_anchor=np.asarray(x, dtype=float), sigma_hat=sigma,
+                                 covariance=np.zeros((3, 3)), iterations=1, converged=True,
+                                 residual_norm=0.0) for x in (x_a, x_b))
+    return VirtualDetection(path_id, sync_a, sync_b, cloud)
+
+
 def make_detection(path_id, surface, x_a, x_b, cloud, sigma=1e-8):
-    va = mirror_point(surface, x_a)
-    vb = mirror_point(surface, x_b)
-    return VirtualDetection(path_id=path_id, x_a_virtual=va, x_b_virtual=vb,
-                            cloud=mirror_point(surface, cloud), sigma_hat=sigma,
-                            baseline_angle=directed_angle_xz(va, vb))
+    return detection(path_id, mirror_point(surface, x_a), mirror_point(surface, x_b),
+                     mirror_point(surface, cloud), sigma)
 
 
 def reference_cluster(sigma=1e-8, surfaces=REF_SURFACES, seed=0):
@@ -40,10 +46,9 @@ def reference_cluster(sigma=1e-8, surfaces=REF_SURFACES, seed=0):
 class TestCandidateAnchor:
     def test_hand_worked_intersection(self):
         # Rays through (1,0,0) at pi/2 and through (-4,0,11) at -pi/4 meet at (1,0,6).
-        da = VirtualDetection(1, [1.0, 0.0, 0.0], [1.5, 0.0, 0.0],
-                              np.empty((0, 3)), 0.0, baseline_angle=0.0)
-        db = VirtualDetection(2, [-4.0, 0.0, 11.0], [-4.0, 0.0, 11.5],
-                              np.empty((0, 3)), 0.0, baseline_angle=math.pi / 2)
+        da = detection(1, [1.0, 0.0, 0.0], [1.5, 0.0, 0.0])
+        db = detection(2, [-4.0, 0.0, 11.0], [-4.0, 0.0, 11.5])
+        assert (da.baseline_angle, db.baseline_angle) == (0.0, math.pi / 2)
         # baseline gap pi/2 halves to a ray-angle gap of pi/4: with theta_ref =
         # pi/2 the second ray runs at 3*pi/4, the same line as -pi/4.
         ca, cb, misfit = _ray_fit([da, db], math.pi / 2)
@@ -53,11 +58,16 @@ class TestCandidateAnchor:
         assert misfit[0] < 1e-18
 
     def test_y_is_mean_of_virtual_y(self):
-        da = VirtualDetection(1, [1.0, 0.4, 0.0], [1.5, 0.4, 0.0], np.empty((0, 3)), 0.0, 0.0)
-        db = VirtualDetection(2, [-4.0, 0.8, 11.0], [-4.0, 0.8, 11.5],
-                              np.empty((0, 3)), 0.0, math.pi / 2)
+        da = detection(1, [1.0, 0.4, 0.0], [1.5, 0.4, 0.0])
+        db = detection(2, [-4.0, 0.8, 11.0], [-4.0, 0.8, 11.5])
         ca, _, _ = _ray_fit([da, db], math.pi / 2)
         assert ca[0, 1] == pytest.approx(0.6)
+
+
+    def test_anchors_coincident_in_x_z_have_no_baseline(self):
+        # the record is made at sync, so a path with no baseline fails there
+        with pytest.raises(DegenerateGeometryError):
+            detection(1, [1.0, 0.0, 2.0], [1.0, 0.5, 2.0])
 
 
 class TestSearchTheta:
@@ -116,8 +126,7 @@ class TestSearchTheta:
                 surface = ReflectionSurface.from_trace(rng.uniform(-3, 3), rng.uniform(-6, 6))
                 va = mirror_point(surface, x_a) + rng.normal(0.0, noise, 3)
                 vb = mirror_point(surface, x_b) + rng.normal(0.0, noise, 3)
-                cluster.append(VirtualDetection(l, va, vb, np.empty((0, 3)), 0.0,
-                                                directed_angle_xz(va, vb)))
+                cluster.append(detection(l, va, vb))
             a = [d.x_a_virtual for d in cluster]
             b = [d.x_b_virtual for d in cluster]
             phi = [d.baseline_angle for d in cluster]
@@ -138,13 +147,16 @@ class TestSearchTheta:
             phi = rng.uniform(-math.pi, math.pi, n)
             if case % 2:
                 phi[rng.integers(1, n)] = phi[0]  # one pair parallel at every angle
-            cluster = [VirtualDetection(l, rng.uniform(-8, 8, 3), rng.uniform(-8, 8, 3),
-                                        np.empty((0, 3)), 0.0, phi[l]) for l in range(n)]
+            # each b-anchor sits off its a-anchor along the path's baseline angle
+            x_a = rng.uniform(-8, 8, (n, 3))
+            x_b = x_a + rng.uniform(0.5, 8, (n, 1)) * np.column_stack(
+                [np.cos(phi), rng.uniform(-1, 1, n), np.sin(phi)])
+            cluster = [detection(l, x_a[l], x_b[l]) for l in range(n)]
+            phi = [d.baseline_angle for d in cluster]
             ca, cb, misfit = _ray_fit(cluster, grid)
             assert ca.shape == cb.shape == (len(grid), 3) and misfit.shape == grid.shape
             for k, theta in enumerate(grid):
-                oa, ob, om = least_squares_ray_fit([d.x_a_virtual for d in cluster],
-                                                   [d.x_b_virtual for d in cluster], phi, theta)
+                oa, ob, om = least_squares_ray_fit(x_a, x_b, phi, theta)
                 assert np.allclose(ca[k], oa, rtol=1e-9, atol=1e-9)
                 assert np.allclose(cb[k], ob, rtol=1e-9, atol=1e-9)
                 assert misfit[k] == pytest.approx(om, rel=1e-9, abs=1e-12)
@@ -155,8 +167,7 @@ class TestSearchTheta:
     def test_parallel_pair_keeps_the_fitted_anchors(self):
         # a repeated detection is parallel to its twin at every angle
         dets, x_a, x_b, _ = reference_cluster()
-        twin = VirtualDetection(9, dets[1].x_a_virtual, dets[1].x_b_virtual, np.empty((0, 3)),
-                                dets[1].sigma_hat, dets[1].baseline_angle)
+        twin = detection(9, dets[1].x_a_virtual, dets[1].x_b_virtual, sigma=dets[1].sigma_hat)
         _, xa, xb, _ = search_theta_ref(dets + [twin])
         assert np.linalg.norm(xa - x_a) < 1e-4
         assert np.linalg.norm(xb - x_b) < 1e-4
@@ -168,8 +179,7 @@ class TestSearchTheta:
 
     def test_all_parallel_degenerate(self):
         # identical baseline angles at every detection make all ray pairs parallel
-        dets = [VirtualDetection(i, [float(i), 0.0, 0.0], [float(i) + 1, 0.0, 0.0],
-                                 np.empty((0, 3)), 0.0, 0.0) for i in range(3)]
+        dets = [detection(i, [float(i), 0.0, 0.0], [float(i) + 1, 0.0, 0.0]) for i in range(3)]
         with pytest.raises(DegenerateGeometryError):
             search_theta_ref(dets)
 
@@ -293,8 +303,7 @@ class TestFuseAndCluster:
 
     def test_group_by_clock(self):
         def det(pid, sig):
-            return VirtualDetection(pid, [0.0, 0.0, 1.0], [1.0, 0.0, 1.0],
-                                    np.empty((0, 3)), sig, 0.0)
+            return detection(pid, [0.0, 0.0, 1.0], [1.0, 0.0, 1.0], sigma=sig)
         same = [det(1, 1.00e-8), det(2, 1.01e-8), det(3, 0.99e-8)]
         clusters = group_by_clock(same, tolerance=5e-10, period=CLOCK_PERIOD)
         assert len(clusters) == 1 and len(clusters[0]) == 3
@@ -341,9 +350,7 @@ class TestFullCombine:
     def test_direct_path_passthrough(self):
         # a direct-view detection (virtual == actual) fuses without mirroring
         dets, x_a, x_b, cloud = reference_cluster()
-        direct = VirtualDetection(path_id=0, x_a_virtual=x_a, x_b_virtual=x_b,
-                                  cloud=cloud.copy(), sigma_hat=1e-8,
-                                  baseline_angle=directed_angle_xz(x_a, x_b))
+        direct = detection(0, x_a, x_b, cloud.copy(), sigma=1e-8)
         res = combine_cluster([direct] + dets, merge_radius=0.05,
                               direct_path_tol=DIRECT_PATH_TOL)
         assert np.linalg.norm(res.x_a_star - x_a) < 1e-4
@@ -351,15 +358,26 @@ class TestFullCombine:
         assert hausdorff(res.actual_cloud, cloud) < 1e-3
 
     def test_residual_reads_the_ray_spread(self):
-        # Noiseless rays meet in one point; a spoiled baseline angle turns one
-        # path's rays off it, and the residual says so.
-        dets, x_a, x_b, _ = reference_cluster()
+        # Noiseless rays meet in one point; a spoiled anchor-b solve, turned
+        # 0.05 rad about the path's a-anchor in X-Z, turns its rays off it, and
+        # the residual says so.  Four paths: with three, a virtual pair turned
+        # about its a-anchor is the mirror image of another transmitter pose,
+        # so the rays meet again (residual ~1e-14, anchor 2-5 m off).
+        surfaces = REF_SURFACES + (ReflectionSurface.from_trace(-0.6, 3.5),)
+        dets, x_a, x_b, _ = reference_cluster(surfaces=surfaces)
         res = combine_cluster(dets, merge_radius=0.05,
                               direct_path_tol=DIRECT_PATH_TOL)
         assert res.residual_m < 1e-8
         assert np.linalg.norm(res.x_a_star - x_a) < 1e-7
         assert np.linalg.norm(res.x_b_star - x_b) < 1e-7
-        spoiled = dataclasses.replace(dets[1], baseline_angle=dets[1].baseline_angle + 0.05)
-        res = combine_cluster([dets[0], spoiled, dets[2]], merge_radius=0.05,
+        va, vb = dets[1].x_a_virtual, dets[1].x_b_virtual
+        c, s = math.cos(0.05), math.sin(0.05)
+        dx, dz = vb[0] - va[0], vb[2] - va[2]
+        turned = va + [c * dx - s * dz, vb[1] - va[1], s * dx + c * dz]
+        spoiled = dataclasses.replace(
+            dets[1], sync_b=dataclasses.replace(dets[1].sync_b, x_anchor=turned))
+        turn = spoiled.baseline_angle - dets[1].baseline_angle
+        assert (turn + math.pi) % (2 * math.pi) - math.pi == pytest.approx(0.05)
+        res = combine_cluster([dets[0], spoiled, *dets[2:]], merge_radius=0.05,
                               direct_path_tol=DIRECT_PATH_TOL)
         assert res.residual_m >= 1e3 * 1e-8

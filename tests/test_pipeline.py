@@ -86,6 +86,16 @@ def test_sweep_trials_do_not_depend_on_worker_count():
     assert json.dumps(serial.trials, sort_keys=True) == json.dumps(parallel.trials, sort_keys=True)
 
 
+def test_sweep_counts_trials_of_a_configuration_that_is_not_finite():
+    # Each point is checked as a configuration file is: an infinite SNR, which
+    # only the API can set, once ran noiseless and reported "snr_db": Infinity.
+    config = ScenarioConfig.from_dict(NOISELESS_LOS)
+    config.noise.snr_db = math.inf
+    report, _ = run_sweep(config)
+    assert report.aggregates["failures_by_type"] == {"ConfigError": 2}
+    assert [r["fail_rate"] for r in report.sweep_rows] == [1.0]
+
+
 def test_sweep_points_are_the_trials_of_their_configurations():
     # Each point's trial is run() on the configuration written out by hand;
     # six surfaces exceed the pool of five, so that point fails its trial.
@@ -336,6 +346,27 @@ def test_sweep_counts_a_trial_without_a_clock_cluster(monkeypatch):
     assert calls["group_by_clock"] == 4 and calls["simulate_sfcw"] == 2 * 5
 
 
+def test_report_reads_each_path_record(monkeypatch):
+    # Only path 2's anchor-b solve fails to converge and reads a clock 1 ns
+    # off: the report flags that path alone, the two solves disagree by 1 ns,
+    # and clustering, which reads anchor a's clock, still fuses all three.
+    sync = pipeline.locate_and_sync
+
+    def spoiled(observation, anchor, *args, **kwargs):
+        result = sync(observation, anchor, *args, **kwargs)
+        if observation.path_id == 2 and anchor == "b":
+            result = dataclasses.replace(result, converged=False,
+                                         sigma_hat=result.sigma_hat + 1e-9)
+        return result
+
+    monkeypatch.setattr(pipeline, "locate_and_sync", spoiled)
+    report, artifacts = run(ScenarioConfig.from_dict(NOISELESS_NLOS))
+    metrics = report.trials[0]
+    assert [metrics[f"path{pid}_sync_converged"] for pid in (1, 2, 3)] == [True, False, True]
+    assert metrics["sync_discrepancy_s"] == pytest.approx(1e-9, rel=1e-5)
+    assert metrics["clusters"] == 1 and sorted(artifacts.mapped_clouds) == [1, 2, 3]
+
+
 @pytest.mark.parametrize("aperture", [(1.0, 1.0), (1.2, 0.6)])
 @pytest.mark.parametrize("n_rx", [16, 36, 64, 100])
 def test_rows_within_half_a_pitch_are_the_layout_rows(n_rx, aperture):
@@ -453,7 +484,18 @@ BAD_VALUES = [("scene", "distance_m", "far"), ("scene", "surfaces", 5),
               ("scene", "surfaces", [{"slope": 1.0, "intercept_m": 3.0, "gamma_re": "x"}]),
               ("scene", "surfaces", [{"slope": 1.0, "intercept_m": 3.0, "colour": 5}]),
               # a negative count once ran pool[:-1], four surfaces, as "-1"
-              ("sweep", "surface_counts", [-1])]
+              ("sweep", "surface_counts", [-1]),
+              # literals that overflow to infinity once ran, or escaped as a traceback
+              ("noise", "snr_db", math.inf), ("noise", "snr_db", -math.inf),
+              ("noise", "phase_sigma_rad", math.inf), ("scene", "distance_m", math.inf),
+              ("scene", "distance_m", -math.inf), ("scene", "clock_offset_s", math.inf),
+              ("scene", "clock_offset_s", -math.inf)]
+
+
+def overflowing_json(scenario: dict) -> str:
+    """The scenario as JSON, an infinite value written as the literal that overflows
+    to it: ``json.dumps`` writes Infinity, which is not JSON and is refused as such."""
+    return json.dumps(scenario).replace("Infinity", "1e400")
 
 
 @pytest.mark.parametrize("section, name, value", BAD_VALUES)
@@ -462,7 +504,7 @@ def test_a_value_of_the_wrong_type_is_a_one_line_error(tmp_path, capsys, section
     with pytest.raises(ConfigError, match=rf"^{section}\.{name} must be "):
         ScenarioConfig.from_dict(scenario)
     path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(scenario))
+    path.write_text(overflowing_json(scenario))
     for command in ("run", "sweep"):
         assert cli.main([command, str(path)]) == 2
         out, err = capsys.readouterr()
