@@ -34,8 +34,8 @@ from .errors import ConfigError, CoposimError
 from .geometry import SPEED_OF_LIGHT as C
 from .geometry import Scene
 from .imaging import ImagingBox, detect_peaks, reconstruct
-from .scenario import (DEFAULT_SURFACE_POOL, ScenarioConfig, build_scene, stratified_rows,
-                       trial_noise_seed)
+from .scenario import (DEFAULT_SURFACE_POOL, ScenarioConfig, build_scene, check,
+                       stratified_rows, trial_noise_seed)
 from .sync import locate_and_sync
 from .waveform import validate_scene
 
@@ -126,14 +126,14 @@ def _image_path(det: VirtualDetection, scene: Scene, grid, noise: NoiseModel,
 def _run_trial(config: ScenarioConfig, trial: int = 0):
     """One trial: sync every path, cluster the clocks, then fail or image and fuse.
 
-    A scene that needs fusion is clustered by clock right after sync, and a
-    trial with no cluster of 3 or more paths fails there, before any path is
+    The configuration is checked against ``scenario.FIELD_TYPES`` first, so
+    one built or changed in code is refused as a loaded file is.  A scene
+    that needs fusion is clustered by clock right after sync, and a trial
+    with no cluster of 3 or more paths fails there, before any path is
     imaged.  Otherwise every path is imaged, so each reports its peak count,
     and the largest cluster is fused.
     """
-    box = config.pipeline.box_extent_m
-    if not min(box) > 0:
-        raise ConfigError(f"pipeline.box_extent_m must be three positive lengths, got {box}")
+    check(config)
     scene = build_scene(config, trial)
     grid = config.frequency_grid()
     report = validate_scene(scene, grid)
@@ -301,14 +301,13 @@ def run_sweep(config: ScenarioConfig, workers: int = 1):
     sweep, and counted by exception type in the aggregates.  Rows carry
     per-point medians and interquartile ranges.
     """
+    check(config, ["sweep"])   # read only here; each trial checks its own configuration
     sw = config.sweep
     distances = sw.distance_m or [config.scene.distance_m]
     counts = sw.surface_counts or [len(config.scene.surfaces)]
     rxs = sw.sv_antenna_counts or [config.scene.sv_antenna_count]
     points = [{"distance_m": float(d), "surfaces": int(s), "n_rx": int(r)}
               for d in distances for s in counts for r in rxs]
-    if not points or sw.trials < 1:
-        raise ConfigError("sweep needs at least one point and one trial")
 
     tasks = [(config.to_dict(), p, t) for p in points for t in range(sw.trials)]
     if workers > 1:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -78,20 +78,23 @@ class SweepSpec:
     trials: int = 100
 
 
-# The JSON type of each configuration field: "float" (a finite number: an int
-# passes too, and a literal that overflows to infinity, such as 1e400, not),
-# "int", "bool", or "surface": exactly the float keys slope and intercept_m of
-# a plane's trace, which ``build_scene`` turns into its unit normal and offset.
-# "[n]" makes a list of n ("[]": any length), "?" allows null, ">=0" bars negatives.
+# The JSON type of each configuration field, and the one statement of its range:
+# "float" (a finite number: an int passes, NaN and a literal that overflows to
+# infinity, such as 1e400, not), "int", "bool", or "surface": exactly the float
+# keys slope and intercept_m of a plane's trace, which ``build_scene`` turns into
+# its unit normal and offset.  ">N" or ">=N" bounds a number, "[n]" makes a list
+# of n ("[]": any length), "nonzero " bars all zeros, and "?" allows null.  A
+# scene needs two transmit anchors, and antenna placement divides by each side.
 FIELD_TYPES = {
-    "scene": {"distance_m": "float", "tv_direction": "float[3]", "tv_size_m": "float[3]",
-              "tv_antenna_count": "int", "sv_aperture_m": "float[2]", "sv_antenna_count": "int",
+    "scene": {"distance_m": "float", "tv_direction": "nonzero float[3]",
+              "tv_size_m": "float>0[3]", "tv_antenna_count": "int>=2",
+              "sv_aperture_m": "float>0[2]", "sv_antenna_count": "int>=1",
               "surfaces": "surface[]", "clock_offset_s": "float", "has_los": "bool"},
-    "waveform": {"f1_hz": "float", "tones": "int", "delta_hz": "float"},
+    "waveform": {"f1_hz": "float>0", "tones": "int>=2", "delta_hz": "float>0"},
     "noise": {"snr_db": "float?", "phase_sigma_rad": "float>=0", "seed": "int>=0"},
-    "pipeline": {"box_extent_m": "float[3]"},
+    "pipeline": {"box_extent_m": "float>0[3]"},
     "sweep": {"distance_m": "float[]?", "surface_counts": "int>=0[]?",
-              "sv_antenna_counts": "int[]?", "trials": "int"},
+              "sv_antenna_counts": "int>=1[]?", "trials": "int>=1"},
 }
 
 
@@ -104,18 +107,31 @@ def _is(kind: str, value) -> bool:
     """Whether ``value`` has the ``FIELD_TYPES`` type ``kind``."""
     if kind.endswith("?"):
         return value is None or _is(kind[:-1], value)
-    if kind.endswith(">=0"):
-        return _is(kind[:-3], value) and value >= 0
+    if kind.startswith("nonzero "):
+        return _is(kind[8:], value) and any(value)
     if kind.endswith("]"):
         item, n = kind[:-1].split("[")
         return (isinstance(value, (list, tuple)) and len(value) == int(n or len(value))
                 and all(_is(item, v) for v in value))
+    kind, _, bound = kind.partition(">")
+    if bound:
+        return _is(kind, value) and (value >= float(bound[1:]) if bound[0] == "="
+                                     else value > float(bound))
     if kind == "surface":
         return (isinstance(value, dict) and value.keys() == {"slope", "intercept_m"}
                 and _is("float[]", list(value.values())))
     if kind == "float":
         return type(value) in (int, float) and -math.inf < value < math.inf
     return type(value) in {"int": (int,), "bool": (bool,)}[kind]
+
+
+def check(config: ScenarioConfig, sections=FIELD_TYPES) -> None:
+    """Raise a ConfigError for the first field of ``sections`` not of its FIELD_TYPES type."""
+    for section in sections:
+        for name, kind in FIELD_TYPES[section].items():
+            value = getattr(getattr(config, section), name)
+            if not _is(kind, value):
+                raise ConfigError(f"{section}.{name} must be {kind}, got {value!r}")
 
 
 @dataclass
@@ -138,17 +154,13 @@ class ScenarioConfig:
             if section not in FIELD_TYPES or not isinstance(values, dict):
                 raise ConfigError(f"configuration sections are objects named "
                                   f"{', '.join(FIELD_TYPES)}; got {section!r}: {values!r}")
-            for name, value in values.items():
-                kind = FIELD_TYPES[section].get(name)
-                if kind is None:
+            for name in values:
+                if name not in FIELD_TYPES[section]:
                     raise ConfigError(f"unrecognised configuration field: {section}.{name}")
-                if not _is(kind, value):
-                    raise ConfigError(f"{section}.{name} must be {kind}, got {value!r}")
-        return cls(scene=SceneSpec(**data.get("scene", {})),
-                   waveform=WaveformSpec(**data.get("waveform", {})),
-                   noise=NoiseSpec(**data.get("noise", {})),
-                   pipeline=PipelineSpec(**data.get("pipeline", {})),
-                   sweep=SweepSpec(**data.get("sweep", {})))
+        # Each section's default factory is its spec class.
+        config = cls(**{f.name: f.default_factory(**data.get(f.name, {})) for f in fields(cls)})
+        check(config)
+        return config
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioConfig":
@@ -246,29 +258,15 @@ def build_scene(config: ScenarioConfig, trial: int = 0) -> Scene:
     """Instantiate the ground-truth scene for one trial.
 
     Placement randomness is derived from (seed, trial) alone, so a report is
-    reproducible from its configuration.  A direction, antenna count or size
-    that no scene can take is a ``ConfigError``, raised before any antenna
-    is placed.
+    reproducible from its configuration.  The configuration is taken as
+    ``check`` passes it: ``FIELD_TYPES`` bars the directions, antenna counts
+    and sizes no scene can take, and ``pipeline`` checks before it builds.
     """
     sc = config.scene
     rng = np.random.default_rng(np.random.SeedSequence(config.noise.seed, spawn_key=(3, trial)))
 
     direction = np.asarray(sc.tv_direction, dtype=float)
-    norm = np.linalg.norm(direction)
-    if norm == 0:
-        raise ConfigError("tv_direction must be a nonzero vector")
-    # Scene holds two transmit antennas and one receive antenna at least, and
-    # the antenna generators divide by the body areas and the aperture sides.
-    if sc.tv_antenna_count < 2:
-        raise ConfigError(f"scene.tv_antenna_count must be >= 2, got {sc.tv_antenna_count}")
-    if sc.sv_antenna_count < 1:
-        raise ConfigError(f"scene.sv_antenna_count must be >= 1, got {sc.sv_antenna_count}")
-    if not min(sc.tv_size_m) > 0:
-        raise ConfigError(f"scene.tv_size_m must be three positive lengths, got {sc.tv_size_m}")
-    if not min(sc.sv_aperture_m) > 0:
-        raise ConfigError(f"scene.sv_aperture_m must be two positive lengths, got {sc.sv_aperture_m}")
-    direction = direction / norm
-    center = direction * sc.distance_m
+    center = direction / np.linalg.norm(direction) * sc.distance_m
 
     tv = body_shell_antennas(sc.tv_antenna_count, tuple(sc.tv_size_m), rng) + center[None, :]
     sv = aperture_antennas(sc.sv_antenna_count, tuple(sc.sv_aperture_m), rng)

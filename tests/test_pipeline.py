@@ -489,7 +489,15 @@ BAD_VALUES = [("scene", "distance_m", "far"), ("scene", "surfaces", 5),
               ("noise", "snr_db", math.inf), ("noise", "snr_db", -math.inf),
               ("noise", "phase_sigma_rad", math.inf), ("scene", "distance_m", math.inf),
               ("scene", "distance_m", -math.inf), ("scene", "clock_offset_s", math.inf),
-              ("scene", "clock_offset_s", -math.inf)]
+              ("scene", "clock_offset_s", -math.inf),
+              # set in code, these once ran (2.5 antennas) or escaped from numpy
+              ("scene", "tv_antenna_count", 2.5), ("pipeline", "box_extent_m", [4.0, 2.0]),
+              # an imaging box with an empty or a negative side once imaged one
+              # voxel or one x layer, later failed each trial of a sweep
+              ("pipeline", "box_extent_m", [0, 0, 0]), ("pipeline", "box_extent_m", [-6, 4, 6]),
+              # once refused only when the scene was built or the sweep began
+              ("scene", "tv_direction", [0, 0, 0]), ("sweep", "trials", 0),
+              ("sweep", "sv_antenna_counts", [0])]
 
 
 def overflowing_json(scenario: dict) -> str:
@@ -498,8 +506,9 @@ def overflowing_json(scenario: dict) -> str:
     return json.dumps(scenario).replace("Infinity", "1e400")
 
 
-@pytest.mark.parametrize("section, name, value", BAD_VALUES)
-def test_a_value_of_the_wrong_type_is_a_one_line_error(tmp_path, capsys, section, name, value):
+def assert_refused_at_load(tmp_path, capsys, section, name, value):
+    """The value is a ConfigError of the loader, and ``run`` and ``sweep`` exit 2 on it
+    with one line."""
     scenario = dict(NOISELESS_LOS, **{section: {**NOISELESS_LOS.get(section, {}), name: value}})
     with pytest.raises(ConfigError, match=rf"^{section}\.{name} must be "):
         ScenarioConfig.from_dict(scenario)
@@ -513,8 +522,14 @@ def test_a_value_of_the_wrong_type_is_a_one_line_error(tmp_path, capsys, section
         assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("section, name, value", BAD_VALUES)
+def test_a_value_of_the_wrong_type_is_a_one_line_error(tmp_path, capsys, section, name, value):
+    assert_refused_at_load(tmp_path, capsys, section, name, value)
+
+
 # Values of the right type that no scene can take, each of which once escaped
-# from the antenna generators or from Scene as a traceback.
+# from the antenna generators or from Scene as a traceback, and later failed
+# each trial of a sweep.
 BAD_SCENES = [("tv_antenna_count", 1), ("tv_antenna_count", 0), ("sv_antenna_count", 0),
               ("sv_aperture_m", [0, 0]), ("sv_aperture_m", [1.0, 0.0]),
               ("tv_size_m", [0, 0, 0]), ("tv_size_m", [3.0, 1.0, 0.0])]
@@ -522,32 +537,34 @@ BAD_SCENES = [("tv_antenna_count", 1), ("tv_antenna_count", 0), ("sv_antenna_cou
 
 @pytest.mark.parametrize("name, value", BAD_SCENES)
 def test_a_scene_out_of_range_is_a_one_line_error(tmp_path, capsys, name, value):
-    scenario = dict(NOISELESS_LOS, scene={**NOISELESS_LOS["scene"], name: value},
-                    sweep={"trials": 1})
-    with pytest.raises(ConfigError, match=rf"^scene\.{name} must be "):
-        build_scene(ScenarioConfig.from_dict(scenario))
-    path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(scenario))
-    assert cli.main(["run", str(path)]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith(f"coposim: error: scene.{name} must be ") and err.count("\n") == 1
-    # A sweep counts the point's trial as failed instead of stopping.
-    assert cli.main(["sweep", str(path)]) == 0
-    report = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
-    assert report["aggregates"]["failures_by_type"] == {"ConfigError": 1}
+    assert_refused_at_load(tmp_path, capsys, "scene", name, value)
 
 
-# Scenes that build but that a trial refuses before sync, each of which once
-# ran: a 30 m aperture steps 27 m between consecutive antennas, past the 12.8 m
-# unwrap bound (exit 1 from sync), and an imaging box with an empty or a
-# negative side imaged one voxel or one x layer (exit 0).
+@pytest.mark.parametrize("section, name, value",
+                         BAD_VALUES + [("scene", name, value) for name, value in BAD_SCENES])
+def test_a_value_set_in_code_is_refused_by_run(section, name, value):
+    # run() checks the configuration it is given, not only the file it came from.
+    config = ScenarioConfig.from_dict(NOISELESS_LOS)
+    setattr(getattr(config, section), name, value)
+    with pytest.raises(ConfigError, match=rf"^{section}\.{name} must be "):
+        run(config)
+
+
+@pytest.mark.parametrize("name, value", [(n, v) for s, n, v in BAD_VALUES if s == "sweep"])
+def test_a_sweep_value_set_in_code_is_refused_by_run_sweep(name, value):
+    # The sweep section makes the points, so it is checked before any trial;
+    # the other sections are checked per trial (see the infinite SNR above).
+    config = ScenarioConfig.from_dict(NOISELESS_LOS)
+    setattr(config.sweep, name, value)
+    with pytest.raises(ConfigError, match=rf"^sweep\.{name} must be "):
+        run_sweep(config)
+
+
+# A scene that builds but that a trial refuses before sync, which once ran: a
+# 30 m aperture steps 27 m between consecutive antennas, past the 12.8 m unwrap
+# bound (exit 1 from sync).
 BAD_TRIALS = [({"scene": {"sv_aperture_m": [30.0, 30.0]}},
-               "consecutive antenna spacing 27.17 m exceeds the phase-unwrap bound 12.79 m"),
-              ({"pipeline": {"box_extent_m": [0, 0, 0]}},
-               "pipeline.box_extent_m must be three positive lengths, got [0, 0, 0]"),
-              ({"pipeline": {"box_extent_m": [-6, 4, 6]}},
-               "pipeline.box_extent_m must be three positive lengths, got [-6, 4, 6]")]
+               "consecutive antenna spacing 27.17 m exceeds the phase-unwrap bound 12.79 m")]
 
 
 @pytest.mark.parametrize("scenario, message", BAD_TRIALS)
