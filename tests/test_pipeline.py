@@ -492,9 +492,6 @@ BAD_VALUES = [("scene", "distance_m", "far"), ("scene", "surfaces", 5),
               ("scene", "clock_offset_s", -math.inf),
               # set in code, these once ran (2.5 antennas) or escaped from numpy
               ("scene", "tv_antenna_count", 2.5), ("pipeline", "box_extent_m", [4.0, 2.0]),
-              # an imaging box with an empty or a negative side once imaged one
-              # voxel or one x layer, later failed each trial of a sweep
-              ("pipeline", "box_extent_m", [0, 0, 0]), ("pipeline", "box_extent_m", [-6, 4, 6]),
               # once refused only when the scene was built or the sweep began
               ("scene", "tv_direction", [0, 0, 0]), ("sweep", "trials", 0),
               ("sweep", "sv_antenna_counts", [0])]
@@ -560,11 +557,16 @@ def test_a_sweep_value_set_in_code_is_refused_by_run_sweep(name, value):
         run_sweep(config)
 
 
-# A scene that builds but that a trial refuses before sync, which once ran: a
-# 30 m aperture steps 27 m between consecutive antennas, past the 12.8 m unwrap
-# bound (exit 1 from sync).
+# Scenarios that once ran. A scene that builds but that a trial refuses before
+# sync: a 30 m aperture steps 27 m between consecutive antennas, past the 12.8 m
+# unwrap bound (exit 1 from sync). An imaging box with an empty or a negative
+# side, which imaged one voxel or one x layer (exit 0) and is now refused at load.
 BAD_TRIALS = [({"scene": {"sv_aperture_m": [30.0, 30.0]}},
-               "consecutive antenna spacing 27.17 m exceeds the phase-unwrap bound 12.79 m")]
+               "consecutive antenna spacing 27.17 m exceeds the phase-unwrap bound 12.79 m"),
+              ({"pipeline": {"box_extent_m": [0, 0, 0]}},
+               "pipeline.box_extent_m must be float>0[3], got [0, 0, 0]"),
+              ({"pipeline": {"box_extent_m": [-6, 4, 6]}},
+               "pipeline.box_extent_m must be float>0[3], got [-6, 4, 6]")]
 
 
 @pytest.mark.parametrize("scenario, message", BAD_TRIALS)
@@ -576,6 +578,14 @@ def test_a_trial_the_pipeline_refuses_is_a_one_line_error(tmp_path, capsys, scen
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"coposim: error: {message}\n"
+    try:
+        ScenarioConfig.from_dict(scenario)
+    except ConfigError as error:
+        # The loader refuses it, so a sweep stops on the same line.
+        assert str(error) == message
+        assert cli.main(["sweep", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"coposim: error: {message}\n")
+        return
     # A sweep counts the point's trial as failed instead of stopping.
     assert cli.main(["sweep", str(path)]) == 0
     report = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
