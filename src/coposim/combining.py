@@ -12,7 +12,8 @@ the angle, so its global minimum is solved for in closed form; the fitted
 anchor then fixes each surface, the anchors' bisector plane with X-Z normal
 (cos theta_l, sin theta_l), and mirroring each virtual cloud across it
 recovers the actual cloud.  The fit's RMS ray distance is the fusion residual.
-Each path is one ``VirtualDetection``: its two anchor solves and its cloud.
+Each path is one ``VirtualDetection``: its two anchor solves, its cloud and,
+once fused, its surface and its cloud mirrored into the actual frame.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ _PARALLEL_TOL = 1e-12
 
 @dataclass(eq=False)
 class VirtualDetection:
-    """One path's record: its two anchor solves and, once imaged, its cloud.
+    """One path's record: its two anchor solves, its cloud and its fusion output.
 
     ``sync_a`` and ``sync_b`` are the PDoA solves of the path's virtual
     anchors; ``x_a_virtual``, ``x_b_virtual`` and ``sigma_hat`` (anchor a's
@@ -42,6 +43,9 @@ class VirtualDetection:
     coincide in X-Z raise ``DegenerateGeometryError`` when the record is made.
     ``cloud`` is empty from sync until imaging sets it; clock clustering reads
     only ``sigma_hat``, so it runs before any path is imaged.
+    ``combine_cluster`` sets ``surface``, the fitted plane (None for a direct
+    path), and ``mapped``, the cloud mirrored into the actual frame (``cloud``
+    itself for a direct path); on a path that is not fused both stay None.
     """
 
     path_id: int
@@ -49,6 +53,8 @@ class VirtualDetection:
     sync_b: SyncResult
     cloud: np.ndarray = field(default_factory=lambda: np.empty((0, 3)))
     baseline_angle: float = field(init=False)
+    surface: ReflectionSurface | None = field(default=None, init=False)
+    mapped: np.ndarray | None = field(default=None, init=False)
 
     def __post_init__(self):
         self.baseline_angle = directed_angle_xz(self.x_a_virtual, self.x_b_virtual)
@@ -61,22 +67,18 @@ class VirtualDetection:
 
 @dataclass(frozen=True)
 class CombineResult:
-    """Fusion output.
+    """Fusion output of one cluster; each path's own output is on its record.
 
     ``x_a_star`` and ``x_b_star`` are the least-squares anchors of the rays at
     ``theta_ref``, and ``residual_m`` is the RMS perpendicular distance of the
     2L rays from them: near zero when the paths agree on one transmitter.
-    ``surfaces`` (None marks a direct path) and ``mapped_clouds`` (each
-    path's cloud mirrored into the actual frame) align with ``path_ids``.
+    ``actual_cloud`` fuses the paths' ``VirtualDetection.mapped`` clouds.
     """
 
     theta_ref: float
     x_a_star: np.ndarray
     x_b_star: np.ndarray
     residual_m: float
-    path_ids: tuple[int, ...]
-    surfaces: tuple[ReflectionSurface | None, ...]
-    mapped_clouds: tuple[np.ndarray, ...]
     actual_cloud: np.ndarray
 
 
@@ -201,8 +203,6 @@ def fuse_clouds(clouds: list[np.ndarray], merge_radius: float) -> np.ndarray:
                          + [np.asarray(c, dtype=float).reshape(-1, 3) for c in clouds])
     if len(pts) == 0:
         raise ValueError("no points to fuse")
-    if merge_radius <= 0:
-        return pts
     near = distance_matrix(pts, pts) <= merge_radius
     labels = np.arange(len(pts))
     while ((smallest := np.where(near, labels[None, :], len(pts)).min(axis=1)) < labels).any():
@@ -217,20 +217,17 @@ def combine_cluster(cluster: list[VirtualDetection], merge_radius: float,
                     direct_path_tol: float) -> CombineResult:
     """Full fusion of one same-clock cluster of virtual detections.
 
-    Detections whose virtual anchor already coincides with the fused anchor
-    (within ``direct_path_tol``) are direct-view paths: their clouds are taken
-    as-is, since the perpendicular-bisector surface degenerates there.
+    Sets each record's ``surface`` and ``mapped`` cloud.  Detections whose
+    virtual anchor already coincides with the fused anchor (within
+    ``direct_path_tol``) are direct-view paths: their clouds are taken as-is,
+    since the perpendicular-bisector surface degenerates there.
     """
     theta_ref, x_a_star, x_b_star, residual = search_theta_ref(cluster)
-    surfaces, mapped = [], []
     for det, theta in zip(cluster, _ray_angles(cluster, theta_ref)[0].tolist()):
         direct = float(np.linalg.norm(det.x_a_virtual - x_a_star)) <= direct_path_tol
-        surface = None if direct else estimate_surface(x_a_star, det.x_a_virtual, theta)
-        surfaces.append(surface)
-        mapped.append(det.cloud.copy() if surface is None else mirror_point(surface, det.cloud))
+        det.surface = None if direct else estimate_surface(x_a_star, det.x_a_virtual, theta)
+        det.mapped = det.cloud if direct else mirror_point(det.surface, det.cloud)
+    mapped = [det.mapped for det in cluster]
     cloud = fuse_clouds(mapped, merge_radius) if any(len(m) for m in mapped) else np.empty((0, 3))
     return CombineResult(theta_ref=theta_ref, x_a_star=x_a_star, x_b_star=x_b_star,
-                         residual_m=residual,
-                         path_ids=tuple(det.path_id for det in cluster),
-                         surfaces=tuple(surfaces), mapped_clouds=tuple(mapped),
-                         actual_cloud=cloud)
+                         residual_m=residual, actual_cloud=cloud)

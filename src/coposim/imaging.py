@@ -326,14 +326,10 @@ def sample_aperture(symbols, sv_antennas, grid: FrequencyGrid, pitch: float,
         r_ant = np.sqrt((ants[:, 0] - ref[0]) ** 2 + (ants[:, 1] - ref[1]) ** 2 + ref[2] ** 2)
         projected = projected * np.exp(2j * math.pi * np.outer(r_ant, freqs) / C)
 
-    rows = _cluster_rows(ants[:, 1], pitch / 2)
+    rows = [r for r in _cluster_rows(ants[:, 1], pitch / 2) if len(r) >= 2]
     if len(rows) < 2:
-        raise InterpolationDegeneracyError("need at least two antenna rows for resampling")
-    if max(len(r) for r in rows) < 2:
-        raise InterpolationDegeneracyError("need at least two antenna columns for resampling")
-    rows = [r for r in rows if len(r) >= 2]
-    if len(rows) < 2:
-        raise InterpolationDegeneracyError("too few usable antenna rows for resampling")
+        raise InterpolationDegeneracyError(
+            "resampling needs at least two antenna rows of at least two antennas each")
 
     row_y = np.array([ants[r, 1].mean() for r in rows])
     order = np.argsort(row_y)

@@ -5,8 +5,9 @@ every path, clusters the paths by clock estimate, fails if no cluster holds
 3 or more paths, and otherwise images every path and fuses the largest
 cluster.  A scene with a line of sight and no reflecting surfaces skips the
 clustering and the fusion: the direct path's image is the estimate.  From
-sync on, a path is one ``VirtualDetection``: imaging sets its cloud, and the
-clustering, the fusion and the report read it.
+sync on, a path is one ``VirtualDetection``: imaging sets its cloud, fusion
+its surface and mapped cloud, and the clustering, the fusion and the report
+read it.
 A configuration plus a trial index fix a trial: all randomness is derived
 from (config seed, trial index), and a sweep point is written into the
 configuration before its trials run, so results do not depend on how a
@@ -22,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,11 +48,12 @@ DIRECT_PATH_TOL_M = 0.25       # virtual anchor this close to the fused one: dir
 
 @dataclass
 class TrialArtifacts:
-    """Heavyweight per-trial outputs kept out of the serialisable report."""
+    """Heavyweight per-trial outputs kept out of the serialisable report:
+    the scene, the estimated cloud and every path's record, fused or not."""
 
     scene: Scene
     cloud: np.ndarray
-    mapped_clouds: dict[int, np.ndarray] = field(default_factory=dict)
+    paths: list[VirtualDetection]
 
 
 @dataclass
@@ -131,7 +133,8 @@ def _run_trial(config: ScenarioConfig, trial: int = 0):
     that needs fusion is clustered by clock right after sync, and a trial
     with no cluster of 3 or more paths fails there, before any path is
     imaged.  Otherwise every path is imaged, so each reports its peak count,
-    and the largest cluster is fused.
+    and the largest cluster is fused.  The report's per-path keys are then
+    read off each path's record in one loop.
     """
     check(config)
     scene = build_scene(config, trial)
@@ -161,54 +164,47 @@ def _run_trial(config: ScenarioConfig, trial: int = 0):
         _image_path(det, scene, grid, noise, config, row_pitch)
 
     metrics: dict = {"trial": trial}
+    if fuse:
+        res = combine_cluster(clusters[0], merge_radius=range_resolution(grid) / 2,
+                              direct_path_tol=DIRECT_PATH_TOL_M)
+        cloud, x_a, x_b = res.actual_cloud, res.x_a_star, res.x_b_star
+        metrics["theta_ref_rad"] = float(res.theta_ref)
+        metrics["fusion_residual_m"] = float(res.residual_m)
+        metrics["clusters"] = len(clusters)
+    else:
+        det = detections[0]
+        cloud, x_a, x_b = det.cloud, det.x_a_virtual, det.x_b_virtual
+    metrics["anchor_err_m"] = float(np.linalg.norm(x_a - scene.anchor_a))
+    metrics["anchor_b_err_m"] = float(np.linalg.norm(x_b - scene.anchor_b))
     metrics["sync_sigma_err_s"] = float(max(
         clock_distance(d.sigma_hat, scene.clock_offset, period) for d in detections))
     metrics["sync_discrepancy_s"] = float(max(
         clock_distance(d.sync_a.sigma_hat, d.sync_b.sigma_hat, period) for d in detections))
 
+    truth = scene.tv_antennas
     for det in detections:
-        pid = det.path_id
+        pid, est = det.path_id, det.surface
         true_virtual = scene.images[pid][scene.anchor_indices[0]]
         metrics[f"path{pid}_anchor_err_m"] = float(np.linalg.norm(det.x_a_virtual - true_virtual))
         metrics[f"path{pid}_points"] = int(len(det.cloud))
         metrics[f"path{pid}_sync_converged"] = det.sync_a.converged and det.sync_b.converged
-
-    truth = scene.tv_antennas
-    mapped_clouds = {}
-
-    if not fuse:
-        det = detections[0]
-        cloud = det.cloud
-        metrics["anchor_err_m"] = float(np.linalg.norm(det.x_a_virtual - scene.anchor_a))
-        metrics["anchor_b_err_m"] = float(np.linalg.norm(det.x_b_virtual - scene.anchor_b))
-    else:
-        res = combine_cluster(clusters[0], merge_radius=range_resolution(grid) / 2,
-                              direct_path_tol=DIRECT_PATH_TOL_M)
-        cloud = res.actual_cloud
-        metrics["theta_ref_rad"] = float(res.theta_ref)
-        metrics["anchor_err_m"] = float(np.linalg.norm(res.x_a_star - scene.anchor_a))
-        metrics["anchor_b_err_m"] = float(np.linalg.norm(res.x_b_star - scene.anchor_b))
-        metrics["fusion_residual_m"] = float(res.residual_m)
-        metrics["clusters"] = len(clusters)
-        for pid, est, mapped in zip(res.path_ids, res.surfaces, res.mapped_clouds):
-            mapped_clouds[pid] = mapped
-            if len(mapped):
-                metrics[f"path{pid}_hausdorff_m"] = hausdorff(mapped, truth)
-            if est is not None and pid > 0:
-                # A plane's normal is known only up to sign: align it with the planted one.
-                planted = scene.surfaces[pid - 1]
-                dot = est.nx * planted.nx + est.nz * planted.nz
-                cross = est.nx * planted.nz - est.nz * planted.nx
-                metrics[f"surface{pid}_normal_err_rad"] = math.atan2(abs(cross), abs(dot))
-                metrics[f"surface{pid}_offset_err_m"] = abs(
-                    math.copysign(1.0, dot) * est.offset - planted.offset)
+        if det.mapped is not None and len(det.mapped):
+            metrics[f"path{pid}_hausdorff_m"] = hausdorff(det.mapped, truth)
+        if est is not None and pid > 0:
+            # A plane's normal is known only up to sign: align it with the planted one.
+            planted = scene.surfaces[pid - 1]
+            dot = est.nx * planted.nx + est.nz * planted.nz
+            cross = est.nx * planted.nz - est.nz * planted.nx
+            metrics[f"surface{pid}_normal_err_rad"] = math.atan2(abs(cross), abs(dot))
+            metrics[f"surface{pid}_offset_err_m"] = abs(
+                math.copysign(1.0, dot) * est.offset - planted.offset)
 
     if len(cloud) == 0:
         raise CoposimError("detection stage returned an empty point cloud")
     metrics["hausdorff_m"] = hausdorff(cloud, truth)
     metrics["rmse_m"] = rmse_nearest(cloud, truth)
     metrics["detected_points"] = int(len(cloud))
-    return metrics, TrialArtifacts(scene, cloud, mapped_clouds), report.warnings
+    return metrics, TrialArtifacts(scene, cloud, detections), report.warnings
 
 
 def _median_iqr(values) -> tuple[float | None, float | None]:
@@ -268,23 +264,23 @@ def run_nlos(config: ScenarioConfig, workers: int = 1):
 def _sweep_task(packed):
     """One trial of a sweep point, run on the configuration the point makes.
 
-    The point sets the distance and the receive antenna count, and its
-    surface count cuts the configured surfaces or extends them with the
+    ``packed`` holds the checked configuration, the point and the trial
+    index.  The point sets the distance and the receive antenna count, and
+    its surface count cuts the configured surfaces or extends them with the
     ``DEFAULT_SURFACE_POOL`` surfaces they do not already hold.
     """
-    config_dict, point, trial = packed
+    config, point, trial = packed
     try:
-        scene, count = config_dict["scene"], point["surfaces"]
-        held = scene["surfaces"]
+        held, count = config.scene.surfaces, point["surfaces"]
         pool = held + [dict(s) for s in DEFAULT_SURFACE_POOL
                        if not any(abs(s["slope"] - t["slope"]) < 1e-12
                                   and abs(s["intercept_m"] - t["intercept_m"]) < 1e-12
                                   for t in held)]
         if count > len(pool):
             raise ConfigError(f"requested {count} surfaces but only {len(pool)} available")
-        scene.update(distance_m=point["distance_m"], sv_antenna_count=point["n_rx"],
-                     surfaces=pool[:count])
-        metrics, _, _ = _run_trial(ScenarioConfig.from_dict(config_dict), trial)
+        scene = replace(config.scene, distance_m=point["distance_m"],
+                        sv_antenna_count=point["n_rx"], surfaces=pool[:count])
+        metrics, _, _ = _run_trial(replace(config, scene=scene), trial)
         return point, trial, metrics, None
     except (CoposimError, np.linalg.LinAlgError) as exc:
         return point, trial, None, f"{type(exc).__name__}: {exc}"
@@ -293,15 +289,17 @@ def _sweep_task(packed):
 def run_sweep(config: ScenarioConfig, workers: int = 1):
     """Cartesian sweep over distance / surface count / receive antennas.
 
-    Each point is written into the configuration (see ``_sweep_task``), so a
-    point's trial is the trial of that configuration; a point the scene
-    cannot take fails each of its trials.
+    The whole configuration is checked first, so a bad value is one
+    ``ConfigError`` before any trial runs.  Each point is written into the
+    configuration (see ``_sweep_task``), so a point's trial is the trial of
+    that configuration, and ``_run_trial``'s check is the one check per
+    trial; a point the scene cannot take fails each of its trials.
 
     Per-trial failures are recorded in the fail rate instead of aborting the
     sweep, and counted by exception type in the aggregates.  Rows carry
     per-point medians and interquartile ranges.
     """
-    check(config, ["sweep"])   # read only here; each trial checks its own configuration
+    check(config)
     sw = config.sweep
     distances = sw.distance_m or [config.scene.distance_m]
     counts = sw.surface_counts or [len(config.scene.surfaces)]
@@ -309,7 +307,7 @@ def run_sweep(config: ScenarioConfig, workers: int = 1):
     points = [{"distance_m": float(d), "surfaces": int(s), "n_rx": int(r)}
               for d in distances for s in counts for r in rxs]
 
-    tasks = [(config.to_dict(), p, t) for p in points for t in range(sw.trials)]
+    tasks = [(config, p, t) for p in points for t in range(sw.trials)]
     if workers > 1:
         # Imported here: multiprocessing adds 10-15 ms to the import, and a
         # single run or a one-worker sweep never uses it.

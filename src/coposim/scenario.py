@@ -125,10 +125,10 @@ def _is(kind: str, value) -> bool:
     return type(value) in {"int": (int,), "bool": (bool,)}[kind]
 
 
-def check(config: ScenarioConfig, sections=FIELD_TYPES) -> None:
-    """Raise a ConfigError for the first field of ``sections`` not of its FIELD_TYPES type."""
-    for section in sections:
-        for name, kind in FIELD_TYPES[section].items():
+def check(config: ScenarioConfig) -> None:
+    """Raise a ConfigError for the first field of ``config`` not of its FIELD_TYPES type."""
+    for section, kinds in FIELD_TYPES.items():
+        for name, kind in kinds.items():
             value = getattr(getattr(config, section), name)
             if not _is(kind, value):
                 raise ConfigError(f"{section}.{name} must be {kind}, got {value!r}")

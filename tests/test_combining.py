@@ -203,7 +203,8 @@ class TestSurfaceAndMapping:
         dets, x_a, _, _ = reference_cluster()
         res = combine_cluster(dets, merge_radius=0.05,
                               direct_path_tol=DIRECT_PATH_TOL)
-        for det, planted, est in zip(dets, REF_SURFACES, res.surfaces):
+        for det, planted in zip(dets, REF_SURFACES):
+            est = det.surface
             assert est is not None
             # normal angle psi = atan2(nz, nx), known modulo pi; the offset
             # changes sign with the normal
@@ -354,7 +355,7 @@ class TestFullCombine:
         res = combine_cluster([direct] + dets, merge_radius=0.05,
                               direct_path_tol=DIRECT_PATH_TOL)
         assert np.linalg.norm(res.x_a_star - x_a) < 1e-4
-        assert res.surfaces[0] is None
+        assert direct.surface is None and direct.mapped is direct.cloud
         assert hausdorff(res.actual_cloud, cloud) < 1e-3
 
     def test_residual_reads_the_ray_spread(self):

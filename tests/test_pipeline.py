@@ -51,6 +51,11 @@ NLOS_HAUSDORFF_BOUND_M = 0.75
 NLOS_PATH_HAUSDORFF_BOUND_M = 1.15
 
 
+def fused_paths(artifacts) -> dict:
+    """The records of the trial's fused paths, by path id."""
+    return {path.path_id: path for path in artifacts.paths if path.mapped is not None}
+
+
 def test_noiseless_los_trial_recovers_the_anchor():
     report, artifacts = run(ScenarioConfig.from_dict(NOISELESS_LOS))
     metrics = report.trials[0]
@@ -86,14 +91,36 @@ def test_sweep_trials_do_not_depend_on_worker_count():
     assert json.dumps(serial.trials, sort_keys=True) == json.dumps(parallel.trials, sort_keys=True)
 
 
-def test_sweep_counts_trials_of_a_configuration_that_is_not_finite():
-    # Each point is checked as a configuration file is: an infinite SNR, which
-    # only the API can set, once ran noiseless and reported "snr_db": Infinity.
+def test_sweep_counts_trials_of_a_configuration_that_is_not_finite(monkeypatch):
+    # The sweep is checked as a configuration file is, before its first trial:
+    # an infinite SNR, which only the API can set, once ran noiseless and
+    # reported "snr_db": Infinity, and later failed each trial; now no trial
+    # runs and none is counted.
+    trials = []
+    monkeypatch.setattr(pipeline, "_run_trial", lambda *args: trials.append(args))
     config = ScenarioConfig.from_dict(NOISELESS_LOS)
     config.noise.snr_db = math.inf
+    with pytest.raises(ConfigError, match=r"^noise\.snr_db must be float\?, got inf$"):
+        run_sweep(config)
+    assert trials == []
+
+
+def test_each_sweep_trial_checks_its_configuration_once(monkeypatch):
+    # run_sweep checks the whole configuration once, and each trial's
+    # _run_trial checks the point's configuration once more.
+    config = ScenarioConfig.from_dict(NOISELESS_LOS)
+    calls = []
+    original = pipeline.check
+
+    def counted(checked):
+        calls.append(checked)
+        original(checked)
+
+    for module in (coposim.scenario, pipeline):
+        monkeypatch.setattr(module, "check", counted)
     report, _ = run_sweep(config)
-    assert report.aggregates["failures_by_type"] == {"ConfigError": 2}
-    assert [r["fail_rate"] for r in report.sweep_rows] == [1.0]
+    assert len(report.trials) == 2 and report.aggregates["n_failed"] == 0
+    assert len(calls) == 1 + 2
 
 
 def test_sweep_points_are_the_trials_of_their_configurations():
@@ -223,9 +250,10 @@ def test_noiseless_nlos_trial_fuses_the_reflections(seed):
     assert report.mode == "nlos"
     assert metrics["anchor_err_m"] < 1e-7
     assert metrics["hausdorff_m"] < NLOS_HAUSDORFF_BOUND_M
-    assert sorted(artifacts.mapped_clouds) == [1, 2, 3]
-    for pid, mapped in artifacts.mapped_clouds.items():
-        assert metrics[f"path{pid}_hausdorff_m"] == hausdorff(mapped, artifacts.scene.tv_antennas)
+    assert sorted(fused_paths(artifacts)) == [1, 2, 3]
+    for pid, path in fused_paths(artifacts).items():
+        assert metrics[f"path{pid}_hausdorff_m"] == hausdorff(path.mapped,
+                                                              artifacts.scene.tv_antennas)
         assert metrics[f"path{pid}_hausdorff_m"] < NLOS_PATH_HAUSDORFF_BOUND_M
         # each fused plane is the planted one to within the anchors' rounding:
         # up to 8.4e-10 rad and 2.1e-9 m on seeds 1-5
@@ -243,7 +271,7 @@ def test_clock_estimates_a_period_apart_share_a_cluster():
     report, artifacts = run(ScenarioConfig.from_dict(NOISELESS_NLOS_16M))
     metrics = report.trials[0]
     assert metrics["clusters"] == 1
-    assert sorted(artifacts.mapped_clouds) == [1, 2, 3]
+    assert sorted(fused_paths(artifacts)) == [1, 2, 3]
     assert metrics["anchor_err_m"] < 1e-6
     assert metrics["hausdorff_m"] < NLOS_HAUSDORFF_BOUND_M
     assert metrics["sync_sigma_err_s"] < 1e-15
@@ -307,9 +335,38 @@ def test_fused_trial_clusters_once_and_images_every_path(monkeypatch):
     assert calls == {"group_by_clock": 1, "simulate_sfcw": 5, "reconstruct": 5,
                      "detect_peaks": 5}
     assert metrics["clusters"] == 2
-    assert sorted(artifacts.mapped_clouds) == [1, 3, 4, 5]
+    assert sorted(fused_paths(artifacts)) == [1, 3, 4, 5]
     assert all(metrics[f"path{pid}_points"] > 0 for pid in range(1, 6))
     assert metrics["anchor_err_m"] < 1e-7
+
+
+def test_fused_records_hold_their_plane_and_mapped_cloud(monkeypatch):
+    # The five-surface trial above: each of the four fused paths' records holds
+    # its plane and its cloud mirrored across it, path 2's record holds
+    # neither, and every per-path fusion key is rebuilt from the records alone.
+    split_clock_of_path_two(monkeypatch)
+    scene = {"surfaces": [dict(s) for s in DEFAULT_SURFACE_POOL[:5]]}
+    report, artifacts = run(ScenarioConfig.from_dict(dict(NOISELESS_NLOS, scene=scene)))
+    assert [path.path_id for path in artifacts.paths] == [1, 2, 3, 4, 5]
+    rebuilt = {}
+    for path in artifacts.paths:
+        pid, est = path.path_id, path.surface
+        if pid == 2:
+            assert path.mapped is None and est is None
+            continue
+        assert len(path.mapped) == len(path.cloud) > 0
+        assert np.array_equal(path.mapped, geometry.mirror_point(est, path.cloud))
+        planted = artifacts.scene.surfaces[pid - 1]
+        dot = est.nx * planted.nx + est.nz * planted.nz
+        cross = est.nx * planted.nz - est.nz * planted.nx
+        rebuilt[f"path{pid}_hausdorff_m"] = hausdorff(path.mapped, artifacts.scene.tv_antennas)
+        rebuilt[f"surface{pid}_normal_err_rad"] = math.atan2(abs(cross), abs(dot))
+        rebuilt[f"surface{pid}_offset_err_m"] = abs(math.copysign(1.0, dot) * est.offset
+                                                    - planted.offset)
+    reported = {key: value for key, value in report.trials[0].items()
+                if key.startswith("surface") or (key.startswith("path")
+                                                 and key.endswith("_hausdorff_m"))}
+    assert len(rebuilt) == 12 and reported == rebuilt
 
 
 def test_fused_trial_mirrors_once_per_planted_surface(monkeypatch):
@@ -364,7 +421,7 @@ def test_report_reads_each_path_record(monkeypatch):
     metrics = report.trials[0]
     assert [metrics[f"path{pid}_sync_converged"] for pid in (1, 2, 3)] == [True, False, True]
     assert metrics["sync_discrepancy_s"] == pytest.approx(1e-9, rel=1e-5)
-    assert metrics["clusters"] == 1 and sorted(artifacts.mapped_clouds) == [1, 2, 3]
+    assert metrics["clusters"] == 1 and sorted(fused_paths(artifacts)) == [1, 2, 3]
 
 
 @pytest.mark.parametrize("aperture", [(1.0, 1.0), (1.2, 0.6)])
@@ -547,13 +604,20 @@ def test_a_value_set_in_code_is_refused_by_run(section, name, value):
         run(config)
 
 
-@pytest.mark.parametrize("name, value", [(n, v) for s, n, v in BAD_VALUES if s == "sweep"])
+# Each sweep value, then an infinite SNR (reported as "snr_db": Infinity) and a
+# distance of "far" (a ValueError from the point list): run_sweep once checked
+# only the sweep section, and these two escaped.
+SWEEP_SET_IN_CODE = ([(n, v) for s, n, v in BAD_VALUES if s == "sweep"]
+                     + [("snr_db", math.inf), ("distance_m", "far")])
+
+
+@pytest.mark.parametrize("name, value", SWEEP_SET_IN_CODE)
 def test_a_sweep_value_set_in_code_is_refused_by_run_sweep(name, value):
-    # The sweep section makes the points, so it is checked before any trial;
-    # the other sections are checked per trial (see the infinite SNR above).
+    # run_sweep checks the whole configuration before it builds its points.
+    section = {"snr_db": "noise", "distance_m": "scene"}.get(name, "sweep")
     config = ScenarioConfig.from_dict(NOISELESS_LOS)
-    setattr(config.sweep, name, value)
-    with pytest.raises(ConfigError, match=rf"^sweep\.{name} must be "):
+    setattr(getattr(config, section), name, value)
+    with pytest.raises(ConfigError, match=rf"^{section}\.{name} must be "):
         run_sweep(config)
 
 
