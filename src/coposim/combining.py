@@ -220,14 +220,15 @@ def combine_cluster(cluster: list[VirtualDetection], merge_radius: float,
     Sets each record's ``surface`` and ``mapped`` cloud.  Detections whose
     virtual anchor already coincides with the fused anchor (within
     ``direct_path_tol``) are direct-view paths: their clouds are taken as-is,
-    since the perpendicular-bisector surface degenerates there.
+    since the perpendicular-bisector surface degenerates there.  A cluster
+    whose clouds are all empty gets ``fuse_clouds``' ValueError; no caller
+    passes one, as every path is imaged first and keeps at least one peak.
     """
     theta_ref, x_a_star, x_b_star, residual = search_theta_ref(cluster)
     for det, theta in zip(cluster, _ray_angles(cluster, theta_ref)[0].tolist()):
         direct = float(np.linalg.norm(det.x_a_virtual - x_a_star)) <= direct_path_tol
         det.surface = None if direct else estimate_surface(x_a_star, det.x_a_virtual, theta)
         det.mapped = det.cloud if direct else mirror_point(det.surface, det.cloud)
-    mapped = [det.mapped for det in cluster]
-    cloud = fuse_clouds(mapped, merge_radius) if any(len(m) for m in mapped) else np.empty((0, 3))
     return CombineResult(theta_ref=theta_ref, x_a_star=x_a_star, x_b_star=x_b_star,
-                         residual_m=residual, actual_cloud=cloud)
+                         residual_m=residual,
+                         actual_cloud=fuse_clouds([det.mapped for det in cluster], merge_radius))

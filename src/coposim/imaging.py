@@ -61,7 +61,7 @@ from .waveform import FrequencyGrid
 
 @dataclass(frozen=True)
 class ApertureSamples:
-    """Wave-field samples on a uniform grid in the plane z = 0."""
+    """Wave-field samples on a uniform grid in the plane z = 0, two or more per axis."""
 
     grid_x: np.ndarray
     grid_y: np.ndarray
@@ -70,9 +70,7 @@ class ApertureSamples:
 
     @property
     def spacing(self) -> tuple[float, float]:
-        dx = float(self.grid_x[1] - self.grid_x[0]) if len(self.grid_x) > 1 else 0.0
-        dy = float(self.grid_y[1] - self.grid_y[0]) if len(self.grid_y) > 1 else 0.0
-        return dx, dy
+        return float(self.grid_x[1] - self.grid_x[0]), float(self.grid_y[1] - self.grid_y[0])
 
 
 @dataclass(frozen=True)
@@ -82,8 +80,8 @@ class Spectrum2D:
     Held as the factors of the forward transform: ``xprod`` (nfx, ny, K) is
     the x product of the aperture samples and ``ey`` (nfy, ny) the y phase
     matrix.  ``row(i, out)`` writes row i, the (nfy, K) spectrum at f_x[i],
-    as ey @ xprod[i].  ``values`` assembles the full (nfx, nfy, K) spectrum
-    from the rows on first access; it is kept once read, and no row reads it.
+    as ey @ xprod[i].  The remap reads one row at a time, so the full
+    (nfx, nfy, K) spectrum is never assembled.
     """
 
     f_x: np.ndarray
@@ -96,14 +94,6 @@ class Spectrum2D:
     def row(self, i: int, out: np.ndarray) -> np.ndarray:
         """Row i, the spectrum at f_x[i], written into ``out`` (nfy, K)."""
         return np.matmul(self.ey, self.xprod[i], out=out)
-
-    @functools.cached_property
-    def values(self) -> np.ndarray:
-        """The full (nfx, nfy, K) spectrum, assembled on first access."""
-        out = np.empty((len(self.f_x), len(self.f_y), self.xprod.shape[2]), dtype=complex)
-        for i in range(len(out)):
-            self.row(i, out[i])
-        return out
 
 
 @dataclass(frozen=True)

@@ -132,9 +132,9 @@ def _run_trial(config: ScenarioConfig, trial: int = 0):
     one built or changed in code is refused as a loaded file is.  A scene
     that needs fusion is clustered by clock right after sync, and a trial
     with no cluster of 3 or more paths fails there, before any path is
-    imaged.  Otherwise every path is imaged, so each reports its peak count,
-    and the largest cluster is fused.  The report's per-path keys are then
-    read off each path's record in one loop.
+    imaged.  Otherwise every path is imaged, its cloud holding at least the
+    image maximum, and the largest cluster is fused.  The report's per-path
+    keys are then read off each path's record in one loop.
     """
     check(config)
     scene = build_scene(config, trial)
@@ -154,7 +154,7 @@ def _run_trial(config: ScenarioConfig, trial: int = 0):
     if fuse:
         clusters = group_by_clock(detections, CLOCK_CLUSTER_TOL_S, period)
         clusters.sort(key=lambda c: (-len(c), min(d.path_id for d in c)))
-        if not clusters or len(clusters[0]) < 3:
+        if len(clusters[0]) < 3:
             raise CoposimError(
                 f"combining stage: no clock cluster with >= 3 paths "
                 f"(cluster sizes {[len(c) for c in clusters]})")
@@ -188,7 +188,7 @@ def _run_trial(config: ScenarioConfig, trial: int = 0):
         metrics[f"path{pid}_anchor_err_m"] = float(np.linalg.norm(det.x_a_virtual - true_virtual))
         metrics[f"path{pid}_points"] = int(len(det.cloud))
         metrics[f"path{pid}_sync_converged"] = det.sync_a.converged and det.sync_b.converged
-        if det.mapped is not None and len(det.mapped):
+        if det.mapped is not None:
             metrics[f"path{pid}_hausdorff_m"] = hausdorff(det.mapped, truth)
         if est is not None and pid > 0:
             # A plane's normal is known only up to sign: align it with the planted one.
@@ -199,8 +199,6 @@ def _run_trial(config: ScenarioConfig, trial: int = 0):
             metrics[f"surface{pid}_offset_err_m"] = abs(
                 math.copysign(1.0, dot) * est.offset - planted.offset)
 
-    if len(cloud) == 0:
-        raise CoposimError("detection stage returned an empty point cloud")
     metrics["hausdorff_m"] = hausdorff(cloud, truth)
     metrics["rmse_m"] = rmse_nearest(cloud, truth)
     metrics["detected_points"] = int(len(cloud))
@@ -262,67 +260,64 @@ def run_nlos(config: ScenarioConfig, workers: int = 1):
 
 
 def _sweep_task(packed):
-    """One trial of a sweep point, run on the configuration the point makes.
-
-    ``packed`` holds the checked configuration, the point and the trial
-    index.  The point sets the distance and the receive antenna count, and
-    its surface count cuts the configured surfaces or extends them with the
-    ``DEFAULT_SURFACE_POOL`` surfaces they do not already hold.
-    """
-    config, point, trial = packed
+    """One trial of ``(config, trial)``; ``config`` may be the point's ConfigError."""
+    config, trial = packed
+    if isinstance(config, ConfigError):
+        return None, f"ConfigError: {config}"
     try:
-        held, count = config.scene.surfaces, point["surfaces"]
-        pool = held + [dict(s) for s in DEFAULT_SURFACE_POOL
-                       if not any(abs(s["slope"] - t["slope"]) < 1e-12
-                                  and abs(s["intercept_m"] - t["intercept_m"]) < 1e-12
-                                  for t in held)]
-        if count > len(pool):
-            raise ConfigError(f"requested {count} surfaces but only {len(pool)} available")
-        scene = replace(config.scene, distance_m=point["distance_m"],
-                        sv_antenna_count=point["n_rx"], surfaces=pool[:count])
-        metrics, _, _ = _run_trial(replace(config, scene=scene), trial)
-        return point, trial, metrics, None
+        return _run_trial(config, trial)[0], None
     except (CoposimError, np.linalg.LinAlgError) as exc:
-        return point, trial, None, f"{type(exc).__name__}: {exc}"
+        return None, f"{type(exc).__name__}: {exc}"
 
 
 def run_sweep(config: ScenarioConfig, workers: int = 1):
     """Cartesian sweep over distance / surface count / receive antennas.
 
     The whole configuration is checked first, so a bad value is one
-    ``ConfigError`` before any trial runs.  Each point is written into the
-    configuration (see ``_sweep_task``), so a point's trial is the trial of
-    that configuration, and ``_run_trial``'s check is the one check per
-    trial; a point the scene cannot take fails each of its trials.
+    ``ConfigError`` before any trial runs.  Each point then makes one
+    configuration, which all its trials run and ``_run_trial`` checks once
+    per trial; a point that asks for more surfaces than the configured ones
+    and the ``DEFAULT_SURFACE_POOL`` ones they lack fails each of its trials.
 
     Per-trial failures are recorded in the fail rate instead of aborting the
     sweep, and counted by exception type in the aggregates.  Rows carry
     per-point medians and interquartile ranges.
     """
     check(config)
-    sw = config.sweep
+    sw, held = config.sweep, config.scene.surfaces
     distances = sw.distance_m or [config.scene.distance_m]
-    counts = sw.surface_counts or [len(config.scene.surfaces)]
+    counts = sw.surface_counts or [len(held)]
     rxs = sw.sv_antenna_counts or [config.scene.sv_antenna_count]
     points = [{"distance_m": float(d), "surfaces": int(s), "n_rx": int(r)}
               for d in distances for s in counts for r in rxs]
+    pool = held + [dict(s) for s in DEFAULT_SURFACE_POOL
+                   if not any(abs(s["slope"] - t["slope"]) < 1e-12
+                              and abs(s["intercept_m"] - t["intercept_m"]) < 1e-12
+                              for t in held)]
+    configs = [ConfigError(f"requested {p['surfaces']} surfaces but only {len(pool)} available")
+               if p["surfaces"] > len(pool) else
+               replace(config, scene=replace(config.scene, distance_m=p["distance_m"],
+                                             sv_antenna_count=p["n_rx"],
+                                             surfaces=pool[:p["surfaces"]]))
+               for p in points]
 
-    tasks = [(config, p, t) for p in points for t in range(sw.trials)]
+    tasks = [(c, t) for c in configs for t in range(sw.trials)]
     if workers > 1:
         # Imported here: multiprocessing adds 10-15 ms to the import, and a
         # single run or a one-worker sweep never uses it.
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_sweep_task, tasks))
+        with ProcessPoolExecutor(max_workers=workers) as executor:
+            outcomes = list(executor.map(_sweep_task, tasks))
     else:
         outcomes = [_sweep_task(t) for t in tasks]
 
     rows = []
     all_trials = []
     failures = []
-    for point in points:
-        ok = [m for p, t, m, e in outcomes if p == point and m is not None]
-        bad = [e for p, t, m, e in outcomes if p == point and e is not None]
+    for k, point in enumerate(points):
+        mine = outcomes[k * sw.trials:(k + 1) * sw.trials]   # tasks run point by point
+        ok = [m for m, e in mine if m is not None]
+        bad = [e for m, e in mine if e is not None]
         row = dict(point)
         row["hausdorff_med_m"], row["hausdorff_iqr_m"] = _median_iqr(
             np.array([m["hausdorff_m"] for m in ok]))

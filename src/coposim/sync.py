@@ -23,9 +23,8 @@ import numpy as np
 
 from .errors import DegenerateGeometryError, FeasibilityError, UnwrapAmbiguityError
 from .geometry import SPEED_OF_LIGHT, as_xyz
-from .waveform import sync_spacing_bound
+from .waveform import MIN_SYNC_ANTENNAS, sync_spacing_bound
 
-_MIN_ANTENNAS = 4
 # Gauss-Newton stops once a step moves the anchor less than this (m).
 _STEP_TOL = 1e-9
 
@@ -131,8 +130,8 @@ def initial_guess(measurement: PdoaMeasurement, sv_antennas) -> np.ndarray:
     less than a plane raises ``DegenerateGeometryError``.
     """
     sv = as_xyz(sv_antennas)
-    if len(sv) < _MIN_ANTENNAS:
-        raise FeasibilityError(f"need at least {_MIN_ANTENNAS} antennas, got {len(sv)}")
+    if len(sv) < MIN_SYNC_ANTENNAS:
+        raise FeasibilityError(f"need at least {MIN_SYNC_ANTENNAS} antennas, got {len(sv)}")
     f = measurement.range_diffs
     q = sv[1:] - sv[0]
     _, s, vt = np.linalg.svd(q)
@@ -160,8 +159,8 @@ def locate_anchor(measurement: PdoaMeasurement, sv_antennas, guess,
     with sigma_F the measurement noise in meters.
     """
     sv = as_xyz(sv_antennas)
-    if len(sv) < _MIN_ANTENNAS:
-        raise FeasibilityError(f"need at least {_MIN_ANTENNAS} antennas, got {len(sv)}")
+    if len(sv) < MIN_SYNC_ANTENNAS:
+        raise FeasibilityError(f"need at least {MIN_SYNC_ANTENNAS} antennas, got {len(sv)}")
     f = measurement.range_diffs
     x = as_xyz(guess).astype(float).copy()
 

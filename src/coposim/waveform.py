@@ -15,6 +15,8 @@ import numpy as np
 from .errors import ConfigError
 from .geometry import SPEED_OF_LIGHT, Scene, distance_matrix
 
+MIN_SYNC_ANTENNAS = 4   # fewest receive antennas sync takes: 3 range differences
+
 
 @dataclass(frozen=True)
 class FrequencyGrid:
@@ -144,10 +146,9 @@ def validate_scene(scene: Scene, grid: FrequencyGrid) -> ValidationReport:
         report.errors.append(f"a transmit antenna or its mirror image lies at z = {front:.4g} m, "
                              f"at or behind the receive array (z <= {array_z:.4g} m)")
 
-    if scene.n_sv < 4:
-        report.errors.append(
-            f"clock-difference estimation needs at least 4 receive antennas, got {scene.n_sv}"
-        )
+    if scene.n_sv < MIN_SYNC_ANTENNAS:
+        report.errors.append(f"clock-difference estimation needs at least {MIN_SYNC_ANTENNAS} "
+                             f"receive antennas, got {scene.n_sv}")
     if not scene.has_los and len(scene.surfaces) < 3:
         report.errors.append(
             f"recovery without line of sight needs at least 3 reflection surfaces, "

@@ -123,6 +123,24 @@ def test_each_sweep_trial_checks_its_configuration_once(monkeypatch):
     assert len(calls) == 1 + 2
 
 
+def test_each_sweep_point_builds_one_configuration(monkeypatch):
+    # Every trial of a point runs the one configuration built for the point;
+    # ``seen`` keeps each object alive, so a reused id cannot pass for it.
+    seen = []
+
+    def trial(config, index):
+        seen.append(config)
+        return {"trial": index, "hausdorff_m": 0.0}, None, []
+
+    monkeypatch.setattr(pipeline, "_run_trial", trial)
+    sweep = {"trials": 3, "distance_m": [8.0, 12.0]}
+    report, _ = run_sweep(ScenarioConfig.from_dict(dict(NOISELESS_LOS, sweep=sweep)))
+    assert report.aggregates["n_failed"] == 0
+    assert [c.scene.distance_m for c in seen] == [8.0] * 3 + [12.0] * 3
+    assert all(c is seen[0] for c in seen[:3]) and all(c is seen[3] for c in seen[3:])
+    assert seen[0] is not seen[3]
+
+
 def test_sweep_points_are_the_trials_of_their_configurations():
     # Each point's trial is run() on the configuration written out by hand;
     # six surfaces exceed the pool of five, so that point fails its trial.
