@@ -13,8 +13,6 @@ from .waveform import FrequencyGrid
 
 def azimuth_resolution(r: float, d_aperture: float, f_center: float) -> float:
     """Cross-range resolution c*sqrt(4r^2 + d^2) / (2 f_c d) for a d-wide aperture."""
-    if d_aperture <= 0 or f_center <= 0 or r < 0:
-        raise ValueError("aperture and center frequency must be positive, range nonnegative")
     return C * math.sqrt(4.0 * r * r + d_aperture * d_aperture) / (2.0 * f_center * d_aperture)
 
 

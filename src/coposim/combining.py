@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateGeometryError, FeasibilityError
+from .errors import DegenerateGeometryError
 from .geometry import ReflectionSurface, as_xyz, directed_angle_xz, distance_matrix, mirror_point
 from .sync import SyncResult
 
@@ -162,12 +162,9 @@ def search_theta_ref(cluster: list[VirtualDetection]) -> tuple[float, np.ndarray
     theta_n = n pi / 7, and with z = e^{2j theta} its stationary angles are the
     roots of sum_k k (c_k z^(3+k) - conj(c_k) z^(3-k)).  The best of those and
     the samples, in (-pi/2, pi/2], is returned with the fitted a- and b-anchors
-    and the RMS perpendicular distance of the 2L rays from them.
+    and the RMS perpendicular distance of the 2L rays from them.  The trial
+    passes three or more paths: it fails first if no clock cluster holds three.
     """
-    if len(cluster) < 3:
-        raise FeasibilityError(
-            f"combining needs at least 3 paths from the same transmitter, got {len(cluster)}"
-        )
     samples = np.arange(7) * (math.pi / 7)
     kc = np.arange(1, 4) * np.fft.rfft(_ray_fit(cluster, samples)[2])[1:]
     stationary = np.roots(np.concatenate([kc[::-1], [0.0], -kc.conj()]))
@@ -220,9 +217,9 @@ def combine_cluster(cluster: list[VirtualDetection], merge_radius: float,
     Sets each record's ``surface`` and ``mapped`` cloud.  Detections whose
     virtual anchor already coincides with the fused anchor (within
     ``direct_path_tol``) are direct-view paths: their clouds are taken as-is,
-    since the perpendicular-bisector surface degenerates there.  A cluster
-    whose clouds are all empty gets ``fuse_clouds``' ValueError; no caller
-    passes one, as every path is imaged first and keeps at least one peak.
+    since the perpendicular-bisector surface degenerates there.  The trial
+    passes three or more imaged paths (see ``search_theta_ref``), each holding
+    at least one peak, so ``fuse_clouds`` never sees an empty set.
     """
     theta_ref, x_a_star, x_b_star, residual = search_theta_ref(cluster)
     for det, theta in zip(cluster, _ray_angles(cluster, theta_ref)[0].tolist()):

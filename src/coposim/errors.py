@@ -1,4 +1,5 @@
-"""Exception types raised by the simulator."""
+"""Exception types raised by the simulator: a ``ConfigError`` before a trial
+syncs, and the others in a trial past ``scenario.check`` and ``validate_scene``."""
 
 
 class CoposimError(Exception):
@@ -11,14 +12,6 @@ class ConfigError(CoposimError):
 
 class DegenerateGeometryError(CoposimError):
     """Geometry does not admit the requested operation (rank loss, undefined angle)."""
-
-
-class UnwrapAmbiguityError(CoposimError):
-    """Antenna spacing too large for unambiguous phase unwrapping."""
-
-
-class FeasibilityError(CoposimError):
-    """Scene does not satisfy a feasibility condition of the recovery algorithm."""
 
 
 class InterpolationDegeneracyError(CoposimError):

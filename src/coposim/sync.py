@@ -11,7 +11,8 @@ a hyperbolic multilateration problem.  The start is closed-form, one linear
 least-squares solve of all the range-difference equations, and damped
 Gauss-Newton iteration then refines it.  With the anchor located, sigma is
 recovered by subtracting the recomputed flight times from the measured phases
-and averaging over antennas.
+and averaging over antennas.  The array is taken as ``validate_scene`` passed
+it: ``MIN_SYNC_ANTENNAS`` or more antennas, consecutive ones under c/(2*delta).
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateGeometryError, FeasibilityError, UnwrapAmbiguityError
+from .errors import DegenerateGeometryError
 from .geometry import SPEED_OF_LIGHT, as_xyz
-from .waveform import MIN_SYNC_ANTENNAS, sync_spacing_bound
 
 # Gauss-Newton stops once a step moves the anchor less than this (m).
 _STEP_TOL = 1e-9
@@ -38,14 +38,14 @@ class PdoaMeasurement:
     """
 
     phase_diffs: np.ndarray
-    range_diffs: np.ndarray
     delta: float
 
     def __post_init__(self):
-        if len(self.range_diffs) != len(self.phase_diffs) - 1:
-            raise ValueError("range_diffs must have one entry fewer than phase_diffs")
-        if not (np.isfinite(self.phase_diffs).all() and np.isfinite(self.range_diffs).all()):
+        if not np.isfinite(self.phase_diffs).all():
             raise ValueError("measurement entries must be finite")
+
+    range_diffs = property(lambda self: SPEED_OF_LIGHT / (2.0 * math.pi * self.delta)
+                           * (self.phase_diffs[1:] - self.phase_diffs[0]))
 
 
 @dataclass(frozen=True)
@@ -60,27 +60,16 @@ class SyncResult:
     residual_norm: float
 
 
-def measure_pdoa(observation, anchor: str, delta: float,
-                 sv_antennas: np.ndarray) -> PdoaMeasurement:
-    """Extract range differences from one path's signature symbols.
+def measure_pdoa(observation, anchor: str, delta: float) -> PdoaMeasurement:
+    """Unwrapped inter-tone phases of one path's signature symbols.
 
     Phases are unwrapped sequentially in antenna-index order, which is valid
-    while adjacent antennas of ``sv_antennas`` sit closer than c/(2*delta);
-    a wider step raises ``UnwrapAmbiguityError``.
+    while consecutive antennas sit closer than c/(2*delta); ``validate_scene``
+    refuses a wider step before any trial syncs.
     """
     symbols = observation.sig_a if anchor == "a" else observation.sig_b
-    sv = as_xyz(sv_antennas)
-    step = np.linalg.norm(np.diff(sv, axis=0), axis=1)
-    bound = sync_spacing_bound(delta)
-    if len(step) and float(step.max()) > bound:
-        raise UnwrapAmbiguityError(
-            f"consecutive antenna spacing {step.max():.3g} m exceeds the "
-            f"unambiguous bound {bound:.3g} m"
-        )
-    raw = np.angle(symbols[:, 0] * np.conj(symbols[:, 1]))
-    eta = np.unwrap(raw)
-    scale = SPEED_OF_LIGHT / (2.0 * math.pi * delta)
-    return PdoaMeasurement(phase_diffs=eta, range_diffs=scale * (eta[1:] - eta[0]), delta=delta)
+    eta = np.unwrap(np.angle(symbols[:, 0] * np.conj(symbols[:, 1])))
+    return PdoaMeasurement(phase_diffs=eta, delta=delta)
 
 
 def _misfit(x: np.ndarray, sv: np.ndarray, measured: np.ndarray):
@@ -130,8 +119,6 @@ def initial_guess(measurement: PdoaMeasurement, sv_antennas) -> np.ndarray:
     less than a plane raises ``DegenerateGeometryError``.
     """
     sv = as_xyz(sv_antennas)
-    if len(sv) < MIN_SYNC_ANTENNAS:
-        raise FeasibilityError(f"need at least {MIN_SYNC_ANTENNAS} antennas, got {len(sv)}")
     f = measurement.range_diffs
     q = sv[1:] - sv[0]
     _, s, vt = np.linalg.svd(q)
@@ -159,8 +146,6 @@ def locate_anchor(measurement: PdoaMeasurement, sv_antennas, guess,
     with sigma_F the measurement noise in meters.
     """
     sv = as_xyz(sv_antennas)
-    if len(sv) < MIN_SYNC_ANTENNAS:
-        raise FeasibilityError(f"need at least {MIN_SYNC_ANTENNAS} antennas, got {len(sv)}")
     f = measurement.range_diffs
     x = as_xyz(guess).astype(float).copy()
 
@@ -210,7 +195,7 @@ def estimate_clock(x_anchor, measurement: PdoaMeasurement, sv_antennas) -> float
 def locate_and_sync(observation, anchor: str, delta: float, sv_antennas,
                     noise_std_m: float | None = None) -> SyncResult:
     """Convenience chain: measure, guess, locate, then estimate the clock."""
-    meas = measure_pdoa(observation, anchor, delta, sv_antennas=sv_antennas)
+    meas = measure_pdoa(observation, anchor, delta)
     guess = initial_guess(meas, sv_antennas)
     result = locate_anchor(meas, sv_antennas, guess, noise_std_m=noise_std_m)
     sigma = estimate_clock(result.x_anchor, meas, sv_antennas)

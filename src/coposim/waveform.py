@@ -66,22 +66,16 @@ class SignatureConfig:
 
 def max_unambiguous_range(delta: float) -> float:
     """Largest range spread the comb can represent without phase wrap, c/delta."""
-    if delta <= 0:
-        raise ConfigError("delta must be positive")
     return SPEED_OF_LIGHT / delta
 
 
 def sync_spacing_bound(delta: float) -> float:
     """Maximum step between consecutive receive antennas for unambiguous unwrapping, c/(2*delta)."""
-    if delta <= 0:
-        raise ConfigError("delta must be positive")
     return SPEED_OF_LIGHT / (2.0 * delta)
 
 
 def aperture_spacing_bound(f_center: float) -> float:
     """Alias-free aperture sampling interval c/(4*f_c), worst case over range."""
-    if f_center <= 0:
-        raise ConfigError("center frequency must be positive")
     return SPEED_OF_LIGHT / (4.0 * f_center)
 
 
@@ -106,7 +100,10 @@ def validate_scene(scene: Scene, grid: FrequencyGrid) -> ValidationReport:
     a warning: sparse point targets remain detectable under aliasing, at the
     price of higher sidelobes.  Feasibility conditions, a step between
     consecutive antennas too wide to unwrap phases across (sync unwraps in
-    antenna-index order) and range-span overflow are hard errors.
+    antenna-index order) and range-span overflow are hard errors.  It is the
+    one check of the built scene, run by every trial before sync: the step
+    bound holds for ``sync.measure_pdoa``, and the antenna count for
+    ``sync.initial_guess`` and ``sync.locate_anchor``, which do not check again.
     """
     report = ValidationReport()
     sv = scene.sv_antennas

@@ -8,7 +8,7 @@ from conftest import REF_DELTA, REF_SURFACES
 from coposim.analysis import hausdorff
 from coposim.combining import (VirtualDetection, _ray_fit, clock_distance, combine_cluster,
                                estimate_surface, fuse_clouds, group_by_clock, search_theta_ref)
-from coposim.errors import DegenerateGeometryError, FeasibilityError
+from coposim.errors import DegenerateGeometryError
 from coposim.geometry import ReflectionSurface, directed_angle_xz, mirror_point
 from coposim.sync import SyncResult
 from oracles import (least_squares_ray_fit, map_virtual_to_actual, mirror_across_trace,
@@ -171,11 +171,6 @@ class TestSearchTheta:
         _, xa, xb, _ = search_theta_ref(dets + [twin])
         assert np.linalg.norm(xa - x_a) < 1e-4
         assert np.linalg.norm(xb - x_b) < 1e-4
-
-    def test_two_paths_infeasible(self):
-        dets, _, _, _ = reference_cluster()
-        with pytest.raises(FeasibilityError):
-            search_theta_ref(dets[:2])
 
     def test_all_parallel_degenerate(self):
         # identical baseline angles at every detection make all ray pairs parallel

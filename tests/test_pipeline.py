@@ -639,16 +639,20 @@ def test_a_sweep_value_set_in_code_is_refused_by_run_sweep(name, value):
         run_sweep(config)
 
 
-# Scenarios that once ran. A scene that builds but that a trial refuses before
-# sync: a 30 m aperture steps 27 m between consecutive antennas, past the 12.8 m
-# unwrap bound (exit 1 from sync). An imaging box with an empty or a negative
-# side, which imaged one voxel or one x layer (exit 0) and is now refused at load.
+# Scenarios refused in one line. A scene that builds but that a trial refuses
+# before sync: a 30 m aperture steps 27 m between consecutive antennas, past
+# the 12.8 m unwrap bound (once exit 1 from sync). An imaging box with an empty
+# or a negative side, which once imaged one voxel or one x layer (exit 0), is
+# refused at load. Three receive antennas, which give sync two range
+# differences for three unknowns, are refused before sync too.
 BAD_TRIALS = [({"scene": {"sv_aperture_m": [30.0, 30.0]}},
                "consecutive antenna spacing 27.17 m exceeds the phase-unwrap bound 12.79 m"),
               ({"pipeline": {"box_extent_m": [0, 0, 0]}},
                "pipeline.box_extent_m must be float>0[3], got [0, 0, 0]"),
               ({"pipeline": {"box_extent_m": [-6, 4, 6]}},
-               "pipeline.box_extent_m must be float>0[3], got [-6, 4, 6]")]
+               "pipeline.box_extent_m must be float>0[3], got [-6, 4, 6]"),
+              ({"scene": {"sv_antenna_count": 3}},
+               "clock-difference estimation needs at least 4 receive antennas, got 3")]
 
 
 @pytest.mark.parametrize("scenario, message", BAD_TRIALS)

@@ -46,12 +46,6 @@ class TestBounds:
         assert aperture_spacing_bound(58.5e9) == pytest.approx(C / (4 * 58.5e9), rel=1e-12)
         assert aperture_spacing_bound(58.5e9) == pytest.approx(1.281e-3, abs=1e-6)
 
-    def test_invalid_delta(self):
-        with pytest.raises(ConfigError):
-            max_unambiguous_range(0.0)
-        with pytest.raises(ConfigError):
-            sync_spacing_bound(-1.0)
-
 
 class TestValidateScene:
     def test_reference_configuration_scaled_is_clean(self):
