@@ -21,9 +21,14 @@ axis and a box a few hundred voxels, so the direct sums beat padded FFTs.
 The forward phases are taken at the physical grid coordinates, and the
 inverse ones at the voxel coordinates, so the voxel grid can sit anywhere
 (boxes are centered on the clock-sync anchor estimate) at any pitch; the
-1/f_z weights ride in the z matrix.  The inverse's transverse products are
-real: each spatial-frequency bin is paired with its exact negative, so cos
-and sin matrices act on pair sums and differences.  Neither spectrum is
+1/f_z weights ride in the z matrix.  The configured box sets the spectral
+bins, the deramp center and the depth reference, while the inverse may run
+on a centered window of its voxels (``ImagingBox.window``): that shrinks the
+z product, the folded data, the row bounds, the x slabs and the magnitude
+buffer, and leaves the forward transform and the remap as they are.  The
+inverse's transverse products are real: each spatial-frequency bin is paired
+with its exact negative, so cos and sin matrices act on pair sums and
+differences.  Neither spectrum is
 held whole: the forward transform keeps its x product, and the inverse
 streams one f_x row at a time through the forward y product, the sphere
 remap, its own z product and the fold into pair sums and differences, which
@@ -125,11 +130,20 @@ class Spectrum3D:
 
 @dataclass(frozen=True)
 class ImagingBox:
-    """Axis-aligned voxel grid; ``origin`` is the center of voxel (0, 0, 0)."""
+    """Axis-aligned voxel grid, or a window of one.
+
+    ``origin`` is the center of voxel (0, 0, 0) of the configured grid, and
+    ``first`` the configured index of this grid's first voxel, so voxel
+    (i, j, k) sits at origin + spacing * (first + (i, j, k)).  A window
+    (``window``) keeps the configured origin and spacing, so its axes are
+    exact slices of the configured axes and its center is the configured
+    center bit for bit.
+    """
 
     origin: np.ndarray
     spacing: np.ndarray
     shape: tuple[int, int, int]
+    first: tuple[int, int, int] = (0, 0, 0)
 
     @classmethod
     def centered(cls, center, extent, spacing) -> "ImagingBox":
@@ -141,11 +155,25 @@ class ImagingBox:
         return cls(origin=origin, spacing=spacing, shape=shape)
 
     def axis(self, i: int) -> np.ndarray:
-        return self.origin[i] + self.spacing[i] * np.arange(self.shape[i])
+        return self.origin[i] + self.spacing[i] * np.arange(self.first[i],
+                                                            self.first[i] + self.shape[i])
 
     @property
     def center(self) -> np.ndarray:
-        return self.origin + self.spacing * (np.array(self.shape) - 1) / 2.0
+        return self.origin + self.spacing * np.add(self.first, (np.array(self.shape) - 1) / 2.0)
+
+    def window(self, extent) -> "ImagingBox":
+        """The centered sub-grid that spans at least ``extent``, clipped to this grid.
+
+        Each axis keeps the parity of its voxel count, so the window's center
+        is this grid's center.
+        """
+        extent = np.broadcast_to(np.asarray(extent, dtype=float), (3,))
+        n = np.array(self.shape)
+        w = np.minimum(n, np.ceil(extent / self.spacing).astype(int) + 1)
+        w += (n - w) % 2
+        first = np.array(self.first) + (n - w) // 2
+        return ImagingBox(self.origin, self.spacing, tuple(w.tolist()), tuple(first.tolist()))
 
 
 class PowerSpectrum:
@@ -660,8 +688,8 @@ def detect_peaks(spectrum: PowerSpectrum, nu: float = 0.5) -> np.ndarray:
     iy, iz = np.divmod(rest, nz + 2)
     iy, iz = iy - 1, iz - 1
     order = np.lexsort((iz, iy, ix, -m))
-    idx = np.stack([ix[order], iy[order], iz[order]], axis=1).astype(float)
-    return box.origin[None, :] + idx * box.spacing[None, :]
+    return np.stack([box.axis(0)[ix[order]], box.axis(1)[iy[order]], box.axis(2)[iz[order]]],
+                    axis=1)
 
 
 def default_fz_axis(grid: FrequencyGrid, f_x: np.ndarray, f_y: np.ndarray,
@@ -674,7 +702,7 @@ def default_fz_axis(grid: FrequencyGrid, f_x: np.ndarray, f_y: np.ndarray,
 
 
 def reconstruct(symbols, sv_antennas, grid: FrequencyGrid, box: ImagingBox,
-                pitch: float, pad_factor: float) -> PowerSpectrum:
+                pitch: float, pad_factor: float, window_extent=None) -> PowerSpectrum:
     """Full chain: resample aperture, transform, remap to the sphere, invert.
 
     ``symbols`` holds the SFCW symbols, one row per antenna, and ``pitch`` is
@@ -686,6 +714,13 @@ def reconstruct(symbols, sv_antennas, grid: FrequencyGrid, box: ImagingBox,
     none is rounded up to an FFT size).  The f_z spacing is the tone gap,
     reduced when the box is deep enough to need it.  The resampling is
     phase-referenced to the box center.
+
+    ``box`` sets all of that.  The inverse, and so the voxels and the peak
+    search, covers ``box.window(window_extent)``, or the whole box when
+    ``window_extent`` is None.  A window has the box's center, so the same
+    amplitude reference, and a subset of its voxel coordinates, so each of
+    its voxels holds the value it has in the whole box, up to the rounding
+    of the narrower matrix products (about 1e-16 of the image maximum).
 
     No spectrum is held whole: the forward transform keeps its x product,
     and the inverse streams each f_x row from it through the y product, the
@@ -710,4 +745,4 @@ def reconstruct(symbols, sv_antennas, grid: FrequencyGrid, box: ImagingBox,
     fz_spacing = min(grid.delta, C / (pad_factor * max(extent[2], 1e-6)))
     f_z = default_fz_axis(grid, spec2d.f_x, spec2d.f_y, spacing=fz_spacing)
     spec3d = remap_to_sphere(spec2d, f_z, ref_depth=float(box.center[2]))
-    return inverse_3d_spectrum(spec3d, box)
+    return inverse_3d_spectrum(spec3d, box if window_extent is None else box.window(window_extent))

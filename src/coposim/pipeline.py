@@ -104,12 +104,15 @@ def _sync_path(scene: Scene, sig_obs, delta: float, f_std: float | None) -> Virt
     return VirtualDetection(sig_obs.path_id, sync_a, sync_b)
 
 
-def _image_path(det: VirtualDetection, scene: Scene, grid, noise: NoiseModel,
-                config: ScenarioConfig, row_pitch: float) -> None:
-    """SFCW simulation and imaging of one synced path, which sets ``det.cloud``."""
-    sfcw = simulate_sfcw(scene, grid, noise, det.path_id, det.sigma_hat)
+def _path_box(x_a: np.ndarray, x_b: np.ndarray, grid, config: ScenarioConfig,
+              margin: float) -> tuple[np.ndarray, ImagingBox, list[float]]:
+    """A path's bearing rotation, its configured box and the extent of its window.
 
-    center = 0.5 * (det.x_a_virtual + det.x_b_virtual)
+    Both boxes are centered on the virtual anchors' midpoint in the path's
+    frame.  The window spans s + 2 * ``margin`` in X and Z, s being the
+    anchors' X-Z distance, and the configured extent in Y.
+    """
+    center = 0.5 * (x_a + x_b)
     rng_to_center = max(float(np.linalg.norm(center)), 1.0)
     dy = azimuth_resolution(rng_to_center, max(config.scene.sv_aperture_m), grid.center)
     pitch = [dy / 2, dy / 2, range_resolution(grid) / 2]
@@ -119,9 +122,42 @@ def _image_path(det: VirtualDetection, scene: Scene, grid, noise: NoiseModel,
     # aperture rows intact and the virtual transmitter near zero spatial
     # frequency, where the sparse aperture is usable.
     rot = _bearing_rotation(center)
-    spectrum = reconstruct(sfcw, scene.sv_antennas @ rot.T, grid,
-                           ImagingBox.centered(rot @ center, config.pipeline.box_extent_m, pitch),
-                           row_pitch, PAD_FACTOR)
+    extent = config.pipeline.box_extent_m
+    xz = math.hypot(x_a[0] - x_b[0], x_a[2] - x_b[2]) + 2.0 * margin
+    return rot, ImagingBox.centered(rot @ center, extent, pitch), [xz, extent[1], xz]
+
+
+def _image_path(det: VirtualDetection, scene: Scene, grid, noise: NoiseModel,
+                config: ScenarioConfig, row_pitch: float) -> None:
+    """SFCW simulation and imaging of one synced path, which sets ``det.cloud``.
+
+    The spectrum is sampled for the configured box (``box_extent_m``), but
+    the image is evaluated only in the window the transmitter can occupy
+    (``_path_box``, ``ImagingBox.window``).  Why the window holds it: the
+    anchors are the widest X-Z pair of the body's antennas
+    (``scenario._pick_anchors``), which sit on a cuboid shell, so they lie at
+    or near opposite corners of the body's rectangular X-Z footprint, and
+    the footprint lies in the disk that has the anchor pair as its diameter
+    (Thales).  Mirroring across a vertical surface and the bearing rotation
+    about Y keep X-Z distances, so in the path's frame every antenna lies
+    within s/2 of the anchors' midpoint along X and along Z; a pair short of
+    the corners leaves a sliver outside, 1 cm at most over the benchmark's
+    scenes.  Nothing bounds Y, so the window keeps the configured height.
+
+    The margin on each side is one range-resolution cell, c/B, as far as an
+    edge antenna's detection can sit out.  With phase noise it adds three
+    standard deviations of the worse anchor solve's worst axis (the largest
+    eigenvalue of its covariance); a noiseless solve's covariance is in
+    unit scale and is not read.
+    """
+    sfcw = simulate_sfcw(scene, grid, noise, det.path_id, det.sigma_hat)
+    margin = range_resolution(grid)
+    if noise.phase_sigma > 0:
+        margin += 3.0 * math.sqrt(max(np.linalg.eigvalsh(s.covariance)[-1]
+                                      for s in (det.sync_a, det.sync_b)))
+    rot, box, window = _path_box(det.x_a_virtual, det.x_b_virtual, grid, config, margin)
+    spectrum = reconstruct(sfcw, scene.sv_antennas @ rot.T, grid, box, row_pitch, PAD_FACTOR,
+                           window)
     det.cloud = detect_peaks(spectrum, NU) @ rot
 
 

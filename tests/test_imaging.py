@@ -669,6 +669,50 @@ class TestRowBounds:
         assert rows == before
 
 
+class TestWindow:
+    # Odd and even voxel counts on off-grid spacings.
+    BOX = ImagingBox.centered([0.37, -0.21, 7.9], (2.3, 1.7, 2.9), (0.013, 0.029, 0.1))
+
+    @pytest.mark.parametrize("extent", [(0.4, 0.3, 0.5), (1.0, 5.0, 0.0), (0.9, 0.11, 1.3)])
+    def test_window_is_a_centered_slice_of_the_grid(self, extent):
+        box, window = self.BOX, self.BOX.window(extent)
+        assert np.array_equal(window.center, box.center)
+        for i in range(3):
+            lo = window.first[i]
+            assert np.array_equal(window.axis(i), box.axis(i)[lo:lo + window.shape[i]])
+            assert window.shape[i] % 2 == box.shape[i] % 2
+            span = window.axis(i)[-1] - window.axis(i)[0]
+            assert span >= min(extent[i], box.axis(i)[-1] - box.axis(i)[0])
+
+    def test_window_is_clipped_to_the_grid(self):
+        window = self.BOX.window((100.0, 0.3, 100.0))
+        assert window.first[0] == window.first[2] == 0
+        assert window.shape[0] == self.BOX.shape[0] and window.shape[2] == self.BOX.shape[2]
+        assert window.shape[1] < self.BOX.shape[1]
+
+    def test_window_covering_the_grid_is_the_grid(self):
+        for extent in ((2.3, 1.7, 2.9), (9.0, 9.0, 9.0)):
+            window = self.BOX.window(extent)
+            assert window.shape == self.BOX.shape and window.first == (0, 0, 0)
+            assert all(np.array_equal(window.axis(i), self.BOX.axis(i)) for i in range(3))
+
+    def test_windowed_reconstruction_is_a_slice_of_the_whole_one(self):
+        sv = grid_antennas(17, 0.4)
+        targets = np.array([[0.05, -0.04, 6.0], [-0.1, 0.06, 6.2]])
+        grid = FrequencyGrid(57e9, 32, 3e9 / 31)
+        sym = point_target_symbols(targets, sv, grid)
+        box = ImagingBox.centered([0.0, 0.0, 6.1], (0.8, 0.8, 1.2), (0.04, 0.04, 0.06))
+        whole = reconstruct(sym, sv, grid, box, 0.4 / 16, 1.6)
+        part = reconstruct(sym, sv, grid, box, 0.4 / 16, 1.6, (0.4, 0.3, 0.6))
+        inside = tuple(slice(f, f + n) for f, n in zip(part.box.first, part.box.shape))
+        assert math.prod(part.box.shape) < math.prod(box.shape) // 4
+        scale = np.abs(whole.voxels).max()
+        assert np.abs(part.voxels - whole.voxels[inside]).max() <= 1e-12 * scale
+        peaks = detect_peaks(whole, 0.5)
+        assert len(peaks) == 2
+        assert np.array_equal(detect_peaks(part, 0.5), peaks)
+
+
 class TestReconstruct:
     def test_single_target_peak_and_gain(self):
         sv = grid_antennas(33, 1.0)

@@ -13,7 +13,7 @@ import pytest
 
 import coposim
 from coposim import cli, geometry, imaging, pipeline
-from coposim.analysis import hausdorff
+from coposim.analysis import hausdorff, range_resolution
 from coposim.errors import ConfigError, CoposimError
 from coposim.pipeline import run, run_los, run_nlos, run_sweep
 from coposim.scenario import (DEFAULT_SURFACE_POOL, FIELD_TYPES, ScenarioConfig,
@@ -185,8 +185,9 @@ def test_los_trial_does_not_depend_on_blas_threads():
 
 
 def test_los_trial_never_holds_its_full_volume(monkeypatch):
-    # The default 8 m box: its volume (54 MB) outweighs every other array of
-    # the trial, while the small box's 1.6 MB volume is below the spectra's.
+    # The default 8 m box: the volume of the window its path is imaged in
+    # (19 MB; the whole box's would be 54 MB) is twice the trial's traced
+    # peak, while the small box's 1.6 MB volume is below the spectra's.
     shapes = []
     inverse = imaging.inverse_3d_spectrum
 
@@ -251,13 +252,62 @@ def test_peak_search_on_factored_spectra_matches_the_assembled_volume(monkeypatc
         found = {v: search(spectrum, v) for v in (0.2, nu, 1.0)}
         box, mag = spectrum.box, np.abs(spectrum.voxels)
         for v, rows in found.items():
-            idx = np.array(local_maxima_26(mag, v), dtype=float).reshape(-1, 3)
+            idx = np.array(local_maxima_26(mag, v), dtype=float).reshape(-1, 3) + box.first
             compared.append(np.array_equal(rows, box.origin + idx * box.spacing))
         return found[nu]
 
     monkeypatch.setattr(pipeline, "detect_peaks", checked)
     run(ScenarioConfig.from_dict(dict(config, noise={**config["noise"], "seed": seed})))
     assert len(compared) == 3 * paths and all(compared)
+
+
+def test_every_true_image_lies_in_the_window_of_its_true_anchors(monkeypatch):
+    # The window rule of ``_path_box`` with the noiseless margin, one range
+    # cell, on every scene the benchmark's workloads build on base seeds 1-20.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from workloads import WORKLOADS, scenario_seed
+
+    paths = 0
+    for workload in WORKLOADS.values():
+        for base in range(1, 21):
+            for trial in range(24):
+                point = workload.points[trial % len(workload.points)]
+                config = ScenarioConfig.from_dict(
+                    workload.config_dict(point, scenario_seed(base, trial)))
+                scene, grid = build_scene(config), config.frequency_grid()
+                a, b = scene.anchor_indices
+                for image in scene.images.values():
+                    rot, box, extent = pipeline._path_box(image[a], image[b], grid, config,
+                                                          range_resolution(grid))
+                    window = box.window(extent)
+                    lo, hi = ([window.axis(i)[end] for i in range(3)] for end in (0, -1))
+                    local = image @ rot.T
+                    assert (local >= lo).all() and (local <= hi).all()
+                    assert window.shape[0] < box.shape[0] and window.shape[2] < box.shape[2]
+                    paths += 1
+    assert paths == 20 * (24 + 96 + 72)
+
+
+@pytest.mark.parametrize("config", [NOISELESS_LOS_6M, NOISELESS_NLOS], ids=["los-6m", "nlos"])
+def test_window_detections_equal_those_of_the_configured_box(monkeypatch, config):
+    # Each path's image is evaluated in its window; with the window widened
+    # to the whole configured box, every path detects the same voxels.
+    shapes = []
+    search = pipeline.detect_peaks
+
+    def recording_search(spectrum, nu):
+        shapes.append(spectrum.box.shape)
+        return search(spectrum, nu)
+
+    monkeypatch.setattr(pipeline, "detect_peaks", recording_search)
+    config = ScenarioConfig.from_dict(dict(config, noise={**config["noise"], "seed": 1}))
+    windowed = run(config)[1].paths
+    monkeypatch.setattr(imaging.ImagingBox, "window", lambda box, extent: box)
+    whole = run(config)[1].paths
+    assert len(windowed) == len(whole) == len(shapes) // 2 > 0
+    for path, full, small, large in zip(windowed, whole, shapes, shapes[len(windowed):]):
+        assert math.prod(small) < math.prod(large)
+        assert np.array_equal(path.cloud, full.cloud)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -686,6 +736,23 @@ def test_nan_and_infinity_are_not_json(tmp_path, capsys, token):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"coposim: error: configuration is not valid JSON: {token} is not a JSON value\n"
+
+
+@pytest.mark.parametrize("name, content", [("missing.json", None), ("folder", "dir"),
+                                           ("latin1.json", b'{"scene": "\xe9"}')],
+                         ids=["missing", "directory", "not-utf8"])
+def test_a_configuration_file_that_cannot_be_read_is_a_one_line_error(tmp_path, capsys,
+                                                                      name, content):
+    path = tmp_path / name
+    if content == "dir":
+        path.mkdir()
+    elif content is not None:
+        path.write_bytes(content)
+    assert cli.main(["run", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"coposim: error: cannot read configuration file {path}: ")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("scenario", [{"scen": {}}, {"scene": 5}, {"noise": None}])

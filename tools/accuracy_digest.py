@@ -19,7 +19,8 @@ results bit for bit; the digest moves with the BLAS kernels of the CPU.
 
 Exit status 1 means the run is worse than the file, or the file is missing or
 does not hold the same points: a success count fell, a failure count by cause
-rose, or a figure rose above ``old * (1 + REL_TOL) + ABS_TOL``.  A change that
+rose, a figure rose above ``old * (1 + REL_TOL) + ABS_TOL``, or a figure the
+file holds is missing from the run.  A change that
 makes accuracy better rewrites the file from a run (write to another file and
 move it over ``ACCURACY.json``: a shell redirect empties the file first).
 
@@ -104,7 +105,10 @@ def regressions(old: dict, new: dict) -> list[str]:
                     found.append(f"{where}: {count} failures of {cause!r}, "
                                  f"was {was['failures'].get(cause, 0)}")
             for name in FIGURES:
-                if name not in was or name not in now:
+                if name not in was:
+                    continue
+                if name not in now:
+                    found.append(f"{where}: {name} is no longer reported")
                     continue
                 for stat in ("p50", "max"):
                     limit = was[name][stat] * (1.0 + REL_TOL) + ABS_TOL
