@@ -35,13 +35,12 @@ remap, its own z product and the fold into pair sums and differences, which
 it adds into the folded data in any row order.  The peak search bounds
 before it computes.  The x product bounds every voxel row: the y matrix
 holds cosines and sines, so no |voxel| of row i exceeds the largest, over z,
-of hypot(sum |Re x_i|, sum |Im x_i|) over the y bins.  A bound need not be
-exact, so that x product runs in float32, one y bin's columns at a time,
-and the sums are widened by a bound on its rounding; the voxels the search
-compares stay float64.  Rows are then visited in descending bound, and a row gets
-its y product and magnitudes only while its bound reaches nu times the
-running peak; a row left out cannot hold a voxel above the threshold, so it
-counts as zero beside the peaks.  The inverse is held as its factors, the
+of hypot(sum |Re x_i|, sum |Im x_i|) over the y bins.  The bound sums the
+very x product the magnitudes read, so only the y product's rounding widens
+it.  Rows are then visited in descending bound, and a row gets its y
+product and magnitudes only while its bound reaches nu times the running
+peak; a row left out cannot hold a voxel above the threshold, so it counts
+as zero beside the peaks.  The inverse is held as its factors, the
 folded z product and the x and y matrices, and never as a volume:
 ``PowerSpectrum.voxels`` assembles the full volume for a caller that asks,
 and the search does not read it.  Amplitudes are calibrated so that, for a
@@ -193,14 +192,10 @@ class PowerSpectrum:
     cosine or a sine, so for each z,
     |phi(i, y, z)| <= hypot(sum_b |Re x_i[b, z]|, sum_b |Im x_i[b, z]|)
     over the y bins b, and the row bound is the largest of these over z.
-    ``row_bounds`` takes that x product in float32, on the folded data scaled
-    by a power of two so that nothing overflows, one y bin's columns at a
-    time, so it never holds a float32 copy of the folded data.  As |mx| <= 1,
-    each float32 column lies within gamma_k * sum |folded column| (see
-    ``_gamma32``) and an underflow term of the float64 one, and the sums are
-    widened by that, by gamma of their own float32 sum, and by
-    ``_BOUND_MARGIN`` for the float64 y product.  On the pipeline's volumes
-    the bounds come out within 1% of those of a float64 x product.
+    ``row_bounds`` takes each slab's x product with the call that
+    ``row_magnitudes`` and ``voxels`` make, so it sums |x| of the very
+    numbers the magnitudes read, and widens the sums by ``_BOUND_MARGIN``
+    for the rounding of the y product.
     """
 
     def __init__(self, folded: np.ndarray, mx: np.ndarray, my: np.ndarray, box: ImagingBox):
@@ -222,46 +217,13 @@ class PowerSpectrum:
     def row_bounds(self) -> np.ndarray:
         """Per voxel row along x, a bound that no |voxel| of the row exceeds."""
         nx, _, nz = self.box.shape
-        k, cols = self.folded.shape
-        count = self.my.shape[1]          # y columns of my, each 2 * nz columns of folded
-        width = cols // count
-        # A power of two keeps |x| summed over the y columns below 2**126, so
-        # nothing overflows float32; at most 2**924, so float64 underflow in
-        # the x product stays below float32's in scaled units.
-        top = max(float(self.folded.max()), -float(self.folded.min()))
-        exponent = math.frexp(top)[1] if math.isfinite(top) else 0
-        scale = math.ldexp(1.0, min(126 - (k * count).bit_length() - exponent, 924))
-        mx = self.mx.astype(np.float32)
-        scaled = np.empty((k, width))
-        f = np.empty((k, width), dtype=np.float32)
-        x = np.empty((nx, width), dtype=np.float32)
-        sums = np.zeros((nx, width), dtype=np.float32)
-        col_sums = np.zeros(width)
-        # Each block is copied, scaled exactly and rounded to float32 in these
-        # buffers: a ufunc straight on the strided block would copy it.
-        for c in range(0, cols, width):
-            scaled[...] = self.folded[:, c:c + width]
-            scaled *= scale
-            f[...] = scaled
-            np.matmul(mx, f, out=x)
-            sums += np.abs(x, out=x)
-            col_sums += np.abs(scaled, out=scaled).sum(axis=0)
-        del mx, scaled, f, x    # the float64 steps below reuse their memory
-        # In scaled units, each column of the float64 x product that
-        # ``row_magnitudes`` takes lies within gamma(k + 4) * sum_k |scaled| + 8k * 2**-126
-        # of the float32 one: gamma(k) for the float32 product, a unit
-        # roundoff each for rounding to f and mx and for the float64 products
-        # and sums, and 2**-126 for each product, sum or conversion that
-        # lands below float32's normal range, even where a kernel flushes it
-        # to zero.  Summed over the y columns, and with gamma(count) for the
-        # float32 sum of |x|, that bounds the float64 sums of every row.  An
-        # all-zero volume has nothing to round and keeps zero bounds.
-        margin = _gamma32(k + 4) * col_sums + (count * k * 2.0**-123 if top > 0.0 else 0.0)
-        tot = sums.astype(float)
-        tot *= 1.0 + _gamma32(count)
-        tot += margin
-        tot = tot.reshape(nx, nz, 2)
-        return np.hypot(tot[..., 0], tot[..., 1]).max(axis=1) * ((1.0 + _BOUND_MARGIN) / scale)
+        bounds = np.empty(nx)
+        x_part = np.empty((min(_SLAB_ROWS, nx), self.folded.shape[1]))
+        for start in range(0, nx, _SLAB_ROWS):
+            x = self._x_slab(start, x_part)
+            sums = np.abs(x, out=x).sum(axis=1).reshape(len(x), nz, 2)
+            bounds[start:start + len(x)] = np.hypot(sums[..., 0], sums[..., 1]).max(axis=1)
+        return bounds * (1.0 + _BOUND_MARGIN)
 
     def row_magnitudes(self, start: int):
         """Function ``(r, out)`` writing |voxel| of row ``start + r`` into ``out``.
@@ -462,7 +424,10 @@ def remap_to_sphere(spec: Spectrum2D, f_z: np.ndarray, ref_depth: float = 0.0) -
             w_low = np.where(in_band, 1.0 - frac, 0.0)
             w_high = np.where(in_band, frac, 0.0)
             lower = lower.astype(np.intp)
-            shell_carrier = np.exp(1j * beta * np.sqrt(np.maximum(shells**2 - rho2, 0.0)))
+            phase = beta * np.sqrt(np.maximum(shells**2 - rho2, 0.0))
+            shell_carrier = np.empty(phase.shape, dtype=complex)   # exp(j*phase), from two real ufuncs
+            np.cos(phase, out=shell_carrier.real)
+            np.sin(phase, out=shell_carrier.imag)
 
             for i in np.flatnonzero((ix >= u) & (ix < u + step)):
                 col = (ix[i] - u) * len(fy2) + iy  # table row of each f_y
@@ -495,14 +460,6 @@ _SLAB_ROWS = 32
 # rounding of the float64 y product and of the bound's own float64 steps,
 # which is below 1e-13 relative at the pipeline's bin counts.
 _BOUND_MARGIN = 1e-9
-
-
-def _gamma32(n: int) -> float:
-    """gamma_n = n*u / (1 - n*u) at float32's unit roundoff u = 2**-24: the
-    relative error bound of an n-term float32 sum or dot product (Higham,
-    Accuracy and Stability of Numerical Algorithms, 2nd ed., sec. 3.1)."""
-    u = 2.0**-24
-    return n * u / (1.0 - n * u)
 
 
 def _paired_bins(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

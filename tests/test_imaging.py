@@ -569,13 +569,13 @@ class TestRowBounds:
         assert np.all(np.abs(ref) <= bounds[:, None, None])
 
     @pytest.mark.parametrize("low, high", [(1e-30, 1e-30), (1.0, 1.0), (1e38, 1e38), (1e-30, 1e38)])
-    def test_float32_bounds_hold_near_cancelling_rows(self, low, high):
+    def test_bounds_hold_near_cancelling_rows(self, low, high):
         # The folded data holds rows a, float32 values times powers of two
         # from ``low`` to ``high``, and copies of -a that differ from them in
         # the 30th bit.  Every fourth voxel row takes one such pair, weighted
-        # by 1/2 so that no product rounds: its float64 x product nearly
-        # cancels, the float32 one is exactly zero, and only the rounding
-        # margin holds the row.  The other rows mix all the data.
+        # by 1/2 so that no product rounds: its x product nearly cancels, and
+        # the bound holds the row because it sums |x| of that same product.
+        # The other rows mix all the data.
         rng = np.random.default_rng(11)
         k, count, ny, nz = 8, 5, 6, 4
         exponents = rng.integers(math.floor(math.log2(low)), math.floor(math.log2(high)) + 1,
@@ -596,11 +596,11 @@ class TestRowBounds:
         top = mag.max(axis=(1, 2))
         assert np.all(top <= bounds)
         assert np.all((top[cancelling] > 0.0) & (top[cancelling] < 1e-6 * top.max()))
-        # The rest stay within 1% of the bound the float64 x product gives.
+        # The rest stay within 1e-6 of the bound one whole x product gives.
         sums = np.abs(mx @ folded).reshape(nx, count, nz, 2).sum(axis=1)
         plain = np.hypot(sums[..., 0], sums[..., 1]).max(axis=1)
         mixing = np.setdiff1d(np.arange(nx), cancelling)
-        assert np.all(bounds[mixing] <= 1.01 * plain[mixing])
+        assert np.all(bounds[mixing] <= (1.0 + 1e-6) * plain[mixing])
         for nu in (0.2, 0.5, 1.0):
             expected = np.array(local_maxima_26(mag, nu), dtype=float).reshape(-1, 3)
             assert np.array_equal(detect_peaks(PowerSpectrum(folded, mx, my, box), nu), expected)
@@ -615,6 +615,18 @@ class TestRowBounds:
         expected = np.array(local_maxima_26(np.abs(ps.voxels), nu), dtype=float).reshape(-1, 3)
         assert np.array_equal(peaks, self.BOX.origin + expected * self.BOX.spacing)
         assert np.array_equal(peaks[0], self.point(70, 2, 3))
+
+    @pytest.mark.parametrize("nu", [0.2, 0.5, 1.0])
+    def test_loose_bounds_change_no_detection(self, nu):
+        # Bounds a million times too high make the search take every row, and
+        # it finds the same points: a bound decides only which rows it skips.
+        ps = self.emitters()
+        peaks = detect_peaks(ps, nu)
+        bounds = ps.row_bounds()
+        ps.row_bounds = lambda: bounds * 1e6
+        rows = spy_on_rows(ps)
+        assert np.array_equal(detect_peaks(ps, nu), peaks)
+        assert sorted(rows) == list(range(self.BOX.shape[0]))
 
     def test_skipped_row_next_to_peaks_counts_as_zero(self):
         # Row 41 stays below the threshold, so it is never computed; the peaks
