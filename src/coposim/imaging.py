@@ -28,24 +28,24 @@ z product, the folded data, the row bounds, the x slabs and the magnitude
 buffer, and leaves the forward transform and the remap as they are.  The
 inverse's transverse products are real: each spatial-frequency bin is paired
 with its exact negative, so cos and sin matrices act on pair sums and
-differences.  Neither spectrum is
-held whole: the forward transform keeps its x product, and the inverse
-streams one f_x row at a time through the forward y product, the sphere
-remap, its own z product and the fold into pair sums and differences, which
-it adds into the folded data in any row order.  The peak search bounds
-before it computes.  The x product bounds every voxel row: the y matrix
-holds cosines and sines, so no |voxel| of row i exceeds the largest, over z,
-of hypot(sum |Re x_i|, sum |Im x_i|) over the y bins.  The bound sums the
-very x product the magnitudes read, so only the y product's rounding widens
-it.  Rows are then visited in descending bound, and a row gets its y
-product and magnitudes only while its bound reaches nu times the running
-peak; a row left out cannot hold a voxel above the threshold, so it counts
-as zero beside the peaks.  The inverse is held as its factors, the
-folded z product and the x and y matrices, and never as a volume:
-``PowerSpectrum.voxels`` assembles the full volume for a caller that asks,
-and the search does not read it.  Amplitudes are calibrated so that, for a
-Nyquist-sampled aperture, the peak of a single emitter matches the coherent
-gain of direct matched-filter back-projection over (antenna, tone) pairs.
+differences.  Neither spectrum is held whole: the forward transform keeps
+its x product, and the inverse streams one f_x row at a time through the
+forward y product, the sphere remap, its own z product and the fold into
+pair sums and differences, which it adds into the folded data in any row
+order.  The peak search bounds before it computes.  The x product bounds
+every voxel row: the y matrix holds cosines and sines, so no |voxel| of row
+i exceeds the largest, over z, of hypot(sum |Re x_i|, sum |Im x_i|) over the
+y bins.  The bound sums the very x product the magnitudes read, so only the
+y product's rounding widens it.  Rows are then visited in descending bound,
+and a row gets its y product and magnitudes only while its bound reaches nu
+times the running peak; a row left out cannot hold a voxel above the
+threshold, so it counts as zero beside the peaks.  The inverse is held as
+its factors, the folded z product and the x and y matrices, and never as a
+volume: ``PowerSpectrum.voxels`` assembles the full volume for a caller that
+asks, and the search does not read it.  Amplitudes are calibrated so that,
+for a Nyquist-sampled aperture, the peak of a single emitter matches the
+coherent gain of direct matched-filter back-projection over (antenna, tone)
+pairs.
 """
 
 from __future__ import annotations
@@ -136,13 +136,15 @@ class ImagingBox:
     (i, j, k) sits at origin + spacing * (first + (i, j, k)).  A window
     (``window``) keeps the configured origin and spacing, so its axes are
     exact slices of the configured axes and its center is the configured
-    center bit for bit.
+    center bit for bit.  ``rim[i]`` is 1 where a window's end voxels on axis
+    i lie past its faces: the peak search reads them as neighbours only.
     """
 
     origin: np.ndarray
     spacing: np.ndarray
     shape: tuple[int, int, int]
     first: tuple[int, int, int] = (0, 0, 0)
+    rim: tuple[int, int, int] = (0, 0, 0)
 
     @classmethod
     def centered(cls, center, extent, spacing) -> "ImagingBox":
@@ -165,14 +167,18 @@ class ImagingBox:
         """The centered sub-grid that spans at least ``extent``, clipped to this grid.
 
         Each axis keeps the parity of its voxel count, so the window's center
-        is this grid's center.
+        is this grid's center.  An axis it does not fill gets a rim, one voxel
+        past each face, so each face voxel meets its neighbours in this grid.
         """
         extent = np.broadcast_to(np.asarray(extent, dtype=float), (3,))
         n = np.array(self.shape)
         w = np.minimum(n, np.ceil(extent / self.spacing).astype(int) + 1)
         w += (n - w) % 2
+        rim = (w < n).astype(int)
+        w += 2 * rim
         first = np.array(self.first) + (n - w) // 2
-        return ImagingBox(self.origin, self.spacing, tuple(w.tolist()), tuple(first.tolist()))
+        return ImagingBox(self.origin, self.spacing, tuple(w.tolist()), tuple(first.tolist()),
+                          tuple(rim.tolist()))
 
 
 class PowerSpectrum:
@@ -193,9 +199,8 @@ class PowerSpectrum:
     |phi(i, y, z)| <= hypot(sum_b |Re x_i[b, z]|, sum_b |Im x_i[b, z]|)
     over the y bins b, and the row bound is the largest of these over z.
     ``row_bounds`` takes each slab's x product with the call that
-    ``row_magnitudes`` and ``voxels`` make, so it sums |x| of the very
-    numbers the magnitudes read, and widens the sums by ``_BOUND_MARGIN``
-    for the rounding of the y product.
+    ``row_magnitudes`` makes, so it sums |x| of the very numbers the
+    magnitudes read, widened by ``_BOUND_MARGIN``.
     """
 
     def __init__(self, folded: np.ndarray, mx: np.ndarray, my: np.ndarray, box: ImagingBox):
@@ -456,9 +461,8 @@ def remap_to_sphere(spec: Spectrum2D, f_z: np.ndarray, ref_depth: float = 0.0) -
 # product at a time and never the whole volume.
 _SLAB_ROWS = 32
 
-# Relative widening of the row bounds of a factored spectrum.  It covers the
-# rounding of the float64 y product and of the bound's own float64 steps,
-# which is below 1e-13 relative at the pipeline's bin counts.
+# Relative widening of the row bounds for the rounding of the y product and of
+# the bound's own sums, below 1e-13 relative at the pipeline's bin counts.
 _BOUND_MARGIN = 1e-9
 
 
@@ -570,11 +574,12 @@ def detect_peaks(spectrum: PowerSpectrum, nu: float = 0.5) -> np.ndarray:
     """Voxel centers that clear the relative threshold and are local maxima.
 
     A voxel is kept when |phi| >= nu * max|phi| and it dominates its full
-    26-voxel neighbourhood, with zero outside the volume; bare thresholding
-    would return blobs instead of point detections.  Rows are ordered by
-    descending magnitude (index order breaks ties) so output is deterministic.
-    A NaN or infinite bound or magnitude, wherever it sits, or an all-zero
-    volume, raises ``EmptySpectrumError``.
+    26-voxel neighbourhood, with zero outside the volume, and is not on a
+    window's rim (``ImagingBox.rim``); bare thresholding would return blobs
+    instead of point detections.  Rows are ordered by descending magnitude
+    (index order breaks ties) so output is deterministic.  A NaN or infinite
+    bound or magnitude, wherever it sits, or an all-zero volume, raises
+    ``EmptySpectrumError``.
 
     The search bounds first and computes second.  ``row_bounds()`` gives
     each voxel row along x a bound B_i on its magnitudes (see
@@ -632,7 +637,11 @@ def detect_peaks(spectrum: PowerSpectrum, nu: float = 0.5) -> np.ndarray:
 
     plane = (ny + 2) * (nz + 2)
     flat = mags.reshape(-1)
-    cand = np.flatnonzero(mags[1:len(rows) + 1] >= nu * peak) + plane
+    above = mags[1:len(rows) + 1] >= nu * peak
+    rim = box.rim     # a window's rim holds neighbours, never detections
+    above[np.isin(rows, [rim[0] - 1, nx - rim[0]])] = False
+    above[:, [rim[1], ny + 1 - rim[1]]] = above[:, :, [rim[2], nz + 1 - rim[2]]] = False
+    cand = np.flatnonzero(above) + plane
     m = flat[cand]
     s, rest = np.divmod(cand, plane)
     ix = np.array(rows)[s - 1]

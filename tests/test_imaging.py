@@ -700,13 +700,32 @@ class TestWindow:
         window = self.BOX.window((100.0, 0.3, 100.0))
         assert window.first[0] == window.first[2] == 0
         assert window.shape[0] == self.BOX.shape[0] and window.shape[2] == self.BOX.shape[2]
-        assert window.shape[1] < self.BOX.shape[1]
+        assert window.shape[1] < self.BOX.shape[1] and window.rim == (0, 1, 0)
 
     def test_window_covering_the_grid_is_the_grid(self):
         for extent in ((2.3, 1.7, 2.9), (9.0, 9.0, 9.0)):
             window = self.BOX.window(extent)
-            assert window.shape == self.BOX.shape and window.first == (0, 0, 0)
+            assert window.shape == self.BOX.shape and window.first == window.rim == (0, 0, 0)
             assert all(np.array_equal(window.axis(i), self.BOX.axis(i)) for i in range(3))
+
+    def test_window_keeps_the_whole_grids_detections_inside_it(self):
+        # The window spans voxels 4-10, 3-7 and 2-6.  Beside each of three of
+        # its faces a voxel just inside is topped by one just outside, so it
+        # is no detection of the whole grid; a corner voxel is a detection.
+        box = ImagingBox(origin=np.zeros(3), spacing=np.ones(3), shape=(15, 11, 9))
+        window = box.window((6.0, 4.0, 4.0))
+        vol = np.full(box.shape, 0.01 + 0.0j)
+        vol[7, 5, 4] = 1.0
+        vol[10, 5, 4], vol[11, 5, 4] = 0.7, 0.8
+        vol[7, 3, 4], vol[7, 2, 4] = 0.6, 0.65
+        vol[5, 5, 6], vol[5, 5, 7] = 0.6, 0.9
+        vol[4, 7, 6] = 0.55
+        inside = tuple(slice(f, f + n) for f, n in zip(window.first, window.shape))
+        whole = detect_peaks(factored_volume(vol, box), 0.5)
+        assert len(whole) == 5
+        kept = whole[np.all((whole >= [4, 3, 2]) & (whole <= [10, 7, 6]), axis=1)]
+        assert np.array_equal(kept, [[7.0, 5.0, 4.0], [4.0, 7.0, 6.0]])
+        assert np.array_equal(detect_peaks(factored_volume(vol[inside], window), 0.5), kept)
 
     def test_windowed_reconstruction_is_a_slice_of_the_whole_one(self):
         sv = grid_antennas(17, 0.4)
