@@ -430,7 +430,7 @@ def remap_to_sphere(spec: Spectrum2D, f_z: np.ndarray, ref_depth: float = 0.0) -
             w_high = np.where(in_band, frac, 0.0)
             lower = lower.astype(np.intp)
             phase = beta * np.sqrt(np.maximum(shells**2 - rho2, 0.0))
-            shell_carrier = np.empty(phase.shape, dtype=complex)   # exp(j*phase), from two real ufuncs
+            shell_carrier = np.empty(phase.shape, dtype=complex)   # exp(j*phase)
             np.cos(phase, out=shell_carrier.real)
             np.sin(phase, out=shell_carrier.imag)
 
