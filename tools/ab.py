@@ -9,7 +9,10 @@ Each revision is extracted with ``git archive`` into its own temporary
 directory, and one worker process per tree imports ``coposim`` and
 ``perfbench/workloads.py`` from that tree, with the benchmark's one BLAS
 thread and memory cap (``perfbench/run.py``).  The tool drives both workers
-trial by trial over pipes.  A trial is what ``workloads.run_trial`` runs for
+trial by trial over pipes, and starts a fresh pair for each base seed: one
+process can run several percent fast or slow for its whole life (three
+trials in a row read 0.85 in one A/B pair), and fresh pairs confine that to
+one seed's trials.  A trial is what ``workloads.run_trial`` runs for
 (workload, base seed, trial index): every workload runs trial indices
 0 .. ``--trials`` - 1 at each base seed.  Each trial runs three times on each
 side, the side that goes first alternating from one run to the next, and
@@ -111,19 +114,32 @@ def changed_metrics(key_a: str, key_b: str) -> dict:
     return changed
 
 
-def compare(sides: tuple[Worker, Worker], names: list[str], seeds: list[int],
+def run_both(sides: tuple[Worker, Worker], name: str, seed: int, trial: int,
+             first: int) -> tuple[list, list]:
+    """Every outcome of ``REPEATS`` runs of one trial on each side; side ``first`` leads the first."""
+    runs = ([], [])
+    for repeat in range(REPEATS):
+        lead = (first + repeat) % 2
+        for side in (lead, 1 - lead):
+            runs[side].append(sides[side].run(name, seed, trial))
+    return runs
+
+
+def compare(trees: tuple[Path, Path], names: list[str], seeds: list[int],
             trials: int) -> tuple[dict, list, list]:
     summary, differing, rows = {}, [], []
     for name in names:
         groups = {"all": [], "imaged": [], "failed": []}
         best = ([], [])
         for seed in seeds:
-            for trial in range(trials):
-                runs = ([], [])
-                for repeat in range(REPEATS):
-                    first = (len(rows) + repeat) % 2
-                    for side in (first, 1 - first):
-                        runs[side].append(sides[side].run(name, seed, trial))
+            sides = (Worker(trees[0]), Worker(trees[1]))
+            try:
+                outcomes = [run_both(sides, name, seed, trial, (len(rows) + trial) % 2)
+                            for trial in range(trials)]
+            finally:
+                for side in sides:
+                    side.close()
+            for trial, runs in enumerate(outcomes):
                 times = [min(r["wall_s"] for r in side) for side in runs]
                 keys = [{r["key"] for r in side} for side in runs]
                 equal = len(keys[0]) == len(keys[1]) == 1 and keys[0] == keys[1]
@@ -185,12 +201,7 @@ def main(argv=None) -> int:
             message = exc.stderr.decode() if isinstance(exc.stderr, bytes) else exc.stderr
             print(f"error: {' '.join(exc.cmd)}: {message.strip()}", file=sys.stderr)
             return 2
-        sides = (Worker(trees[0]), Worker(trees[1]))
-        try:
-            summary, differing, rows = compare(sides, names, args.seeds, args.trials)
-        finally:
-            for side in sides:
-                side.close()
+        summary, differing, rows = compare(trees, names, args.seeds, args.trials)
     print(json.dumps({"a": {"rev": args.a, "commit": commits[0]},
                       "b": {"rev": args.b, "commit": commits[1]},
                       "seeds": args.seeds, "trials_per_seed": args.trials,
