@@ -49,7 +49,7 @@ BOOTSTRAP = 2000
 
 
 def worker(tree: str) -> None:
-    """Run trials for the driver: one JSON request line in, one JSON outcome line out."""
+    """Run trials for the parent process: one JSON request line in, one JSON outcome out."""
     sys.path[:0] = [str(Path(tree) / "src"), str(Path(tree) / "perfbench")]
     import run
     run.pin_threads()
@@ -116,7 +116,7 @@ def changed_metrics(key_a: str, key_b: str) -> dict:
 
 def run_both(sides: tuple[Worker, Worker], name: str, seed: int, trial: int,
              first: int) -> tuple[list, list]:
-    """Every outcome of ``REPEATS`` runs of one trial on each side; side ``first`` leads the first."""
+    """Outcomes of ``REPEATS`` runs of a trial per side; side ``first`` leads the first run."""
     runs = ([], [])
     for repeat in range(REPEATS):
         lead = (first + repeat) % 2
