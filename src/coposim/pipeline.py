@@ -3,11 +3,11 @@
 A trial simulates one snapshot and works in four steps: it synchronises
 every path, clusters the paths by clock estimate, fails if no cluster holds
 3 or more paths, and otherwise images every path and fuses the largest
-cluster.  A scene with a line of sight and no reflecting surfaces skips the
-clustering and the fusion: the direct path's image is the estimate.  From
-sync on, a path is one ``VirtualDetection``: imaging sets its cloud, fusion
-its surface and mapped cloud, and the clustering, the fusion and the report
-read it.
+cluster.  Fusion needs 3 or more paths, so a scene with a line of sight and
+at most one reflecting surface (mode "los", else "nlos") skips the clustering
+and the fusion: the direct path's image is the estimate.  From sync on, a
+path is one ``VirtualDetection``: imaging sets its cloud, fusion its surface
+and mapped cloud, and the clustering, the fusion and the report read it.
 A configuration plus a trial index fix a trial: all randomness is derived
 from (config seed, trial index), and a sweep point is written into the
 configuration before its trials run, so results do not depend on how a
@@ -32,7 +32,6 @@ from .analysis import azimuth_resolution, hausdorff, range_resolution, rmse_near
 from .channel import NoiseModel, simulate_sfcw, simulate_signature
 from .combining import VirtualDetection, clock_distance, combine_cluster, group_by_clock
 from .errors import ConfigError, CoposimError
-from .geometry import SPEED_OF_LIGHT as C
 from .geometry import Scene
 from .imaging import ImagingBox, detect_peaks, reconstruct
 from .scenario import (DEFAULT_SURFACE_POOL, ScenarioConfig, build_scene, check,
@@ -72,13 +71,6 @@ class RunReport:
         return json.dumps(self.__dict__, indent=2, sort_keys=True)
 
 
-def _phase_noise_std_m(noise: NoiseModel, delta: float) -> float | None:
-    """Range-difference noise implied by the per-antenna phase error."""
-    if noise.phase_sigma <= 0:
-        return None
-    return math.sqrt(2.0) * C * noise.phase_sigma / (2.0 * math.pi * delta)
-
-
 def _row_pitch(config: ScenarioConfig) -> float:
     """Row pitch of the scene's stratified receive array (see ``aperture_antennas``)."""
     w, h = config.scene.sv_aperture_m
@@ -93,13 +85,14 @@ def _bearing_rotation(direction: np.ndarray) -> np.ndarray:
 
 
 def _mode(scene) -> str:
-    """"los" for a direct view and no surfaces, else "nlos"; ``scene`` is a Scene or SceneSpec."""
-    return "los" if scene.has_los and not scene.surfaces else "nlos"
+    """"los" for a direct view and at most one surface, too few paths to fuse, else "nlos";
+    ``scene`` is a Scene or SceneSpec."""
+    return "los" if scene.has_los and len(scene.surfaces) < 2 else "nlos"
 
 
-def _sync_path(scene: Scene, sig_obs, delta: float, f_std: float | None) -> VirtualDetection:
+def _sync_path(scene: Scene, sig_obs, delta: float, phase_sigma: float) -> VirtualDetection:
     """Both anchor solves of one path, as its record with an empty cloud."""
-    sync_a, sync_b = (locate_and_sync(sig_obs, anchor, delta, scene.sv_antennas, noise_std_m=f_std)
+    sync_a, sync_b = (locate_and_sync(sig_obs, anchor, delta, scene.sv_antennas, phase_sigma)
                       for anchor in "ab")
     return VirtualDetection(sig_obs.path_id, sync_a, sync_b)
 
@@ -145,16 +138,13 @@ def _image_path(det: VirtualDetection, scene: Scene, grid, noise: NoiseModel,
     scenes.  Nothing bounds Y, so the window keeps the configured height.
 
     The margin on each side is one range-resolution cell, c/B, as far as an
-    edge antenna's detection can sit out.  With phase noise it adds three
-    standard deviations of the worse anchor solve's worst axis (the largest
-    eigenvalue of its covariance); a noiseless solve's covariance is in
-    unit scale and is not read.
+    edge antenna's detection can sit out, plus three standard deviations of
+    the worse anchor solve's worst axis (the largest eigenvalue of its
+    covariance), which is zero without phase noise.
     """
     sfcw = simulate_sfcw(scene, grid, noise, det.path_id, det.sigma_hat)
-    margin = range_resolution(grid)
-    if noise.phase_sigma > 0:
-        margin += 3.0 * math.sqrt(max(np.linalg.eigvalsh(s.covariance)[-1]
-                                      for s in (det.sync_a, det.sync_b)))
+    margin = range_resolution(grid) + 3.0 * math.sqrt(
+        max(np.linalg.eigvalsh(s.covariance)[-1] for s in (det.sync_a, det.sync_b)))
     rot, box, window = _path_box(det.x_a_virtual, det.x_b_virtual, grid, config, margin)
     spectrum = reconstruct(sfcw, scene.sv_antennas @ rot.T, grid, box, row_pitch, PAD_FACTOR,
                            window)
@@ -165,26 +155,32 @@ def _run_trial(config: ScenarioConfig, trial: int = 0):
     """One trial: sync every path, cluster the clocks, then fail or image and fuse.
 
     The configuration is checked against ``scenario.FIELD_TYPES`` first, so
-    one built or changed in code is refused as a loaded file is.  A scene
-    that needs fusion is clustered by clock right after sync, and a trial
-    with no cluster of 3 or more paths fails there, before any path is
+    one built or changed in code is refused as a loaded file is.  The scene,
+    its check and its signatures read the configuration alone; a value whose
+    arithmetic leaves float64 there (a 1e300 s clock offset) fails the trial.
+    A scene that needs fusion is clustered by clock right after sync, and a
+    trial with no cluster of 3 or more paths fails there, before any path is
     imaged.  Otherwise every path is imaged, its cloud holding at least the
     image maximum, and the largest cluster is fused.  The report's per-path
     keys are then read off each path's record in one loop.
     """
     check(config)
-    scene = build_scene(config, trial)
     grid = config.frequency_grid()
-    report = validate_scene(scene, grid)
-    if not report.ok:
-        raise ConfigError("; ".join(report.errors))
-
     noise = NoiseModel(config.noise.phase_sigma_rad, config.noise.snr_db,
                        trial_noise_seed(config, trial))
-    f_std = _phase_noise_std_m(noise, grid.delta)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            scene = build_scene(config, trial)
+            report = validate_scene(scene, grid)
+            if not report.ok:
+                raise ConfigError("; ".join(report.errors))
+            observations = simulate_signature(scene, config.signature(), noise)
+    except FloatingPointError as exc:
+        raise CoposimError(f"scene stage: a configured value is past the float64 range "
+                           f"({exc})") from exc
+
     period = 1.0 / grid.delta   # sync reads clocks modulo this period
-    detections = [_sync_path(scene, obs, grid.delta, f_std)
-                  for obs in simulate_signature(scene, config.signature(), noise)]
+    detections = [_sync_path(scene, obs, grid.delta, noise.phase_sigma) for obs in observations]
 
     fuse = _mode(scene) == "nlos"
     if fuse:
@@ -269,7 +265,8 @@ def _make_report(mode, config, warnings, trials, failures, sweep_rows=None) -> R
 
 def run(config: ScenarioConfig) -> tuple[RunReport, TrialArtifacts]:
     """One trial of the configured scene; the report's ``mode`` says whether
-    it fused reflections ("nlos") or imaged a clear direct view ("los")."""
+    it fused reflections ("nlos") or imaged the direct view ("los": a line of
+    sight and at most one surface)."""
     metrics, artifacts, warns = _run_trial(config)
     return _make_report(_mode(artifacts.scene), config, warns, [metrics], []), artifacts
 
@@ -286,12 +283,12 @@ def _run_checked(mode: str, config: ScenarioConfig, workers: int):
 
 
 def run_los(config: ScenarioConfig, workers: int = 1):
-    """``run`` for a direct-view scene without surfaces; ``workers`` must be 1."""
+    """``run`` for a direct-view scene with at most one surface; ``workers`` must be 1."""
     return _run_checked("los", config, workers)
 
 
 def run_nlos(config: ScenarioConfig, workers: int = 1):
-    """``run`` for a scene with surfaces or no direct view; ``workers`` must be 1."""
+    """``run`` for a scene with two or more surfaces or no direct view; ``workers`` must be 1."""
     return _run_checked("nlos", config, workers)
 
 

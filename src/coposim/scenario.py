@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DegenerateGeometryError
 from .geometry import ReflectionSurface, Scene
 from .waveform import FrequencyGrid, SignatureConfig
 
@@ -85,13 +85,15 @@ class SweepSpec:
 # its unit normal and offset.  ">N" or ">=N" bounds a number, "[n]" makes a list
 # of n ("[]": any length), "nonzero " bars all zeros, and "?" allows null.  A
 # scene needs two transmit anchors, and antenna placement divides by each side.
+# The SFCW noise power is 10^(-snr_db/10) times the signal's; it leaves
+# float64 near -3083 dB, so snr_db stops at -3000.
 FIELD_TYPES = {
     "scene": {"distance_m": "float", "tv_direction": "nonzero float[3]",
               "tv_size_m": "float>0[3]", "tv_antenna_count": "int>=2",
               "sv_aperture_m": "float>0[2]", "sv_antenna_count": "int>=1",
               "surfaces": "surface[]", "clock_offset_s": "float", "has_los": "bool"},
     "waveform": {"f1_hz": "float>0", "tones": "int>=2", "delta_hz": "float>0"},
-    "noise": {"snr_db": "float?", "phase_sigma_rad": "float>=0", "seed": "int>=0"},
+    "noise": {"snr_db": "float>=-3000?", "phase_sigma_rad": "float>=0", "seed": "int>=0"},
     "pipeline": {"box_extent_m": "float>0[3]"},
     "sweep": {"distance_m": "float[]?", "surface_counts": "int>=0[]?",
               "sv_antenna_counts": "int>=1[]?", "trials": "int>=1"},
@@ -265,6 +267,8 @@ def build_scene(config: ScenarioConfig, trial: int = 0) -> Scene:
     reproducible from its configuration.  The configuration is taken as
     ``check`` passes it: ``FIELD_TYPES`` bars the directions, antenna counts
     and sizes no scene can take, and ``pipeline`` checks before it builds.
+    A body placed so far out that its antennas round to the same points (a
+    distance of 1e200 m) raises ``DegenerateGeometryError``.
     """
     sc = config.scene
     rng = np.random.default_rng(np.random.SeedSequence(config.noise.seed, spawn_key=(3, trial)))
@@ -277,8 +281,12 @@ def build_scene(config: ScenarioConfig, trial: int = 0) -> Scene:
     surfaces = tuple(ReflectionSurface.from_trace(s["slope"], s["intercept_m"])
                      for s in sc.surfaces)
 
-    return Scene(tv_antennas=tv, anchor_indices=_pick_anchors(tv), sv_antennas=sv,
-                 surfaces=surfaces, clock_offset=sc.clock_offset_s, has_los=sc.has_los)
+    anchors = _pick_anchors(tv)
+    try:
+        return Scene(tv_antennas=tv, anchor_indices=anchors, sv_antennas=sv,
+                     surfaces=surfaces, clock_offset=sc.clock_offset_s, has_los=sc.has_los)
+    except ValueError as exc:
+        raise DegenerateGeometryError(f"scene stage: {exc}") from exc
 
 
 def trial_noise_seed(config: ScenarioConfig, trial: int) -> int:

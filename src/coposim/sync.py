@@ -11,14 +11,18 @@ a hyperbolic multilateration problem.  The start is closed-form, one linear
 least-squares solve of all the range-difference equations, and damped
 Gauss-Newton iteration then refines it.  With the anchor located, sigma is
 recovered by subtracting the recomputed flight times from the measured phases
-and averaging over antennas.  The array is taken as ``validate_scene`` passed
-it: ``MIN_SYNC_ANTENNAS`` or more antennas, consecutive ones under c/(2*delta).
+and averaging over antennas.  An independent phase error sigma_phi per
+antenna gives each F_m the standard deviation sigma_F =
+sqrt(2)*c*sigma_phi/(2*pi*delta), so a noiseless solve has zero covariance.
+The array is taken as ``validate_scene`` passed it: ``MIN_SYNC_ANTENNAS`` or
+more antennas, consecutive ones under c/(2*delta).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,7 +38,7 @@ class PdoaMeasurement:
     """Unwrapped inter-tone phase differences and derived range differences.
 
     ``phase_diffs`` has one entry per receive antenna (rad); ``range_diffs``
-    holds F_m for m = 2..N_r in meters, referenced to antenna 1.
+    holds F_m for m = 2..N_r in meters, referenced to antenna 1, formed once.
     """
 
     phase_diffs: np.ndarray
@@ -44,20 +48,19 @@ class PdoaMeasurement:
         if not np.isfinite(self.phase_diffs).all():
             raise ValueError("measurement entries must be finite")
 
-    range_diffs = property(lambda self: SPEED_OF_LIGHT / (2.0 * math.pi * self.delta)
-                           * (self.phase_diffs[1:] - self.phase_diffs[0]))
+    range_diffs = cached_property(lambda self: SPEED_OF_LIGHT / (2.0 * math.pi * self.delta)
+                                  * (self.phase_diffs[1:] - self.phase_diffs[0]))
 
 
 @dataclass(frozen=True)
 class SyncResult:
-    """Outcome of one anchor solve."""
+    """One anchor solve: the anchor, its clock, and the anchor's covariance in m^2."""
 
     x_anchor: np.ndarray
     sigma_hat: float
     covariance: np.ndarray
     iterations: int
     converged: bool
-    residual_norm: float
 
 
 def measure_pdoa(observation, anchor: str, delta: float) -> PdoaMeasurement:
@@ -135,15 +138,16 @@ def initial_guess(measurement: PdoaMeasurement, sv_antennas) -> np.ndarray:
 
 
 def locate_anchor(measurement: PdoaMeasurement, sv_antennas, guess,
-                  noise_std_m: float | None = None, max_iter: int = 100) -> SyncResult:
-    """Gauss-Newton minimisation of the squared range-difference misfit.
+                  phase_sigma: float = 0.0, max_iter: int = 100) -> SyncResult:
+    """Gauss-Newton minimisation of the squared range-difference misfit, then the clock.
 
     Steps h = (G^T G)^{-1} G^T b are halved (up to 20 times) whenever they
     would increase the residual, which keeps the objective non-increasing
     without moving the fixed point.  The residual and the Jacobian are formed
     together, once per point visited, and the accepted point's pair starts the
-    next step.  The covariance of the estimate is sigma_F^2 * (G^T G)^{-1},
-    with sigma_F the measurement noise in meters.
+    next step.  The covariance is sigma_F^2 * (G^T G)^+, sigma_F formed from
+    ``phase_sigma`` as the module docstring says, so it is zero without phase
+    noise; the clock is ``estimate_clock`` at the converged anchor.
     """
     sv = as_xyz(sv_antennas)
     f = measurement.range_diffs
@@ -175,12 +179,11 @@ def locate_anchor(measurement: PdoaMeasurement, sv_antennas, guess,
     gtg = G.T @ G
     if converged and np.linalg.cond(gtg) > 1e12:
         raise DegenerateGeometryError("rank-deficient array geometry in anchor solve")
-    scale = noise_std_m**2 if noise_std_m is not None else 1.0
-    cov = scale * np.linalg.pinv(gtg)
+    sigma_f = math.sqrt(2.0) * SPEED_OF_LIGHT * phase_sigma / (2.0 * math.pi * measurement.delta)
+    cov = sigma_f**2 * np.linalg.pinv(gtg)
     cov = 0.5 * (cov + cov.T)
-    return SyncResult(x_anchor=x, sigma_hat=math.nan, covariance=cov,
-                      iterations=it, converged=converged,
-                      residual_norm=math.sqrt(cost))
+    return SyncResult(x_anchor=x, sigma_hat=estimate_clock(x, measurement, sv), covariance=cov,
+                      iterations=it, converged=converged)
 
 
 def estimate_clock(x_anchor, measurement: PdoaMeasurement, sv_antennas) -> float:
@@ -193,10 +196,7 @@ def estimate_clock(x_anchor, measurement: PdoaMeasurement, sv_antennas) -> float
 
 
 def locate_and_sync(observation, anchor: str, delta: float, sv_antennas,
-                    noise_std_m: float | None = None) -> SyncResult:
-    """Convenience chain: measure, guess, locate, then estimate the clock."""
+                    phase_sigma: float = 0.0) -> SyncResult:
+    """One anchor's whole solve: measure, guess, then locate the anchor and its clock."""
     meas = measure_pdoa(observation, anchor, delta)
-    guess = initial_guess(meas, sv_antennas)
-    result = locate_anchor(meas, sv_antennas, guess, noise_std_m=noise_std_m)
-    sigma = estimate_clock(result.x_anchor, meas, sv_antennas)
-    return replace(result, sigma_hat=sigma)
+    return locate_anchor(meas, sv_antennas, initial_guess(meas, sv_antennas), phase_sigma)

@@ -2,6 +2,7 @@
 
 import copy
 import importlib.util
+import json
 import math
 from pathlib import Path
 
@@ -68,3 +69,21 @@ def test_a_run_no_worse_than_the_file_passes(digest, edit):
 def test_each_kind_of_regression_is_found(digest, edit, message):
     found = digest.regressions(OLD, changed(edit, hausdorff_limit(digest)))
     assert len(found) == 1 and found[0].startswith(message)
+
+
+def test_the_digest_alone_scores_an_oblique_bearing(digest):
+    # Noiseless line of sight 9 degrees off the array normal, beside the
+    # benchmark's workloads, which keep their default bearing.
+    oblique = digest.SCORED["los_oblique"]
+    assert list(digest.SCORED) == [*digest.WORKLOADS, "los_oblique"]
+    assert oblique.mode == "los" and oblique.points == (8.0, 16.0)
+    config = oblique.config_dict(8.0, 1)
+    assert config["scene"] == {"has_los": True, "surfaces": [], "distance_m": 8.0,
+                               "tv_direction": [0.15, 0.0, 0.99]}
+    assert config["noise"] == {"phase_sigma_rad": 0.0, "snr_db": None, "seed": 1}
+
+
+def test_the_file_holds_every_scored_point(digest):
+    held = json.loads(digest.ACCURACY_FILE.read_text())
+    assert {name: list(points) for name, points in held.items()} == {
+        name: [str(p) for p in workload.points] for name, workload in digest.SCORED.items()}

@@ -23,8 +23,8 @@ CLOCK_PERIOD = 1.0 / REF_DELTA
 def detection(path_id, x_a, x_b, cloud=(), sigma=0.0):
     """A path's record with converged anchor solves at x_a and x_b, both on clock sigma."""
     sync_a, sync_b = (SyncResult(x_anchor=np.asarray(x, dtype=float), sigma_hat=sigma,
-                                 covariance=np.zeros((3, 3)), iterations=1, converged=True,
-                                 residual_norm=0.0) for x in (x_a, x_b))
+                                 covariance=np.zeros((3, 3)), iterations=1, converged=True)
+                      for x in (x_a, x_b))
     return VirtualDetection(path_id, sync_a, sync_b, cloud)
 
 

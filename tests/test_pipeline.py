@@ -100,7 +100,7 @@ def test_sweep_counts_trials_of_a_configuration_that_is_not_finite(monkeypatch):
     monkeypatch.setattr(pipeline, "_run_trial", lambda *args: trials.append(args))
     config = ScenarioConfig.from_dict(NOISELESS_LOS)
     config.noise.snr_db = math.inf
-    with pytest.raises(ConfigError, match=r"^noise\.snr_db must be float\?, got inf$"):
+    with pytest.raises(ConfigError, match=r"^noise\.snr_db must be float>=-3000\?, got inf$"):
         run_sweep(config)
     assert trials == []
 
@@ -649,6 +649,40 @@ def test_a_value_of_the_wrong_type_is_a_one_line_error(tmp_path, capsys, section
     assert_refused_at_load(tmp_path, capsys, section, name, value)
 
 
+def test_an_snr_past_the_float_range_is_refused_at_load(tmp_path, capsys):
+    # The SFCW noise power 10^(-snr_db/10) leaves float64 near -3083 dB: -3100
+    # once escaped from simulate_sfcw as an OverflowError.  -3000 still loads.
+    assert_refused_at_load(tmp_path, capsys, "noise", "snr_db", -3100.0)
+    assert ScenarioConfig.from_dict({"noise": {"snr_db": -3000.0}}).noise.snr_db == -3000.0
+
+
+# Values that load, but whose scene leaves the float64 range or precision: each
+# once escaped from the trial as a traceback and aborted a sweep.
+SCENES_PAST_FLOAT64 = [
+    ("clock_offset_s", 1e300, "scene stage: a configured value is past the float64 range"),
+    ("tv_size_m", [1e200, 1.0, 1.0], "scene stage: a configured value is past the float64 range"),
+    ("distance_m", 1e200, "scene stage: tv_antennas contains duplicate points")]
+
+
+@pytest.mark.parametrize("name, value, message", SCENES_PAST_FLOAT64)
+def test_a_scene_past_float64_fails_its_trial_in_one_line(tmp_path, capsys, name, value, message):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({**NOISELESS_LOS, "scene": {**NOISELESS_LOS["scene"], name: value}}))
+    assert cli.main(["run", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"coposim: error: {message}")
+    assert err.count("\n") == 1
+
+
+def test_a_sweep_counts_a_trial_whose_clock_is_past_float64():
+    scenario = {**NOISELESS_LOS, "scene": {**NOISELESS_LOS["scene"], "clock_offset_s": 1e300},
+                "sweep": {"trials": 1}}
+    report, _ = run_sweep(ScenarioConfig.from_dict(scenario))
+    assert report.aggregates["n_failed"] == 1
+    assert report.aggregates["failures_by_type"] == {"CoposimError": 1}
+
+
 # Values of the right type that no scene can take, each of which once escaped
 # from the antenna generators or from Scene as a traceback, and later failed
 # each trial of a sweep.
@@ -814,6 +848,26 @@ def test_cli_reports_a_failed_trial_in_one_line(tmp_path, capsys):
 # of the "nlos" kind.
 LOS_WITH_SURFACES = {"scene": {"has_los": True}}
 
+# A direct view and one surface: two paths, too few to fuse, so of the "los"
+# kind.  Every trial of it once failed with clock cluster sizes [2].
+LOS_WITH_ONE_SURFACE = {
+    "scene": {"has_los": True, "surfaces": [dict(DEFAULT_SURFACE_POOL[0])]},
+    "noise": {"phase_sigma_rad": 0.0, "snr_db": None},
+}
+
+
+def test_a_direct_view_with_one_surface_images_its_direct_path():
+    report, artifacts = run(ScenarioConfig.from_dict(LOS_WITH_ONE_SURFACE))
+    assert report.mode == "los"
+    assert report.aggregates["n_failed"] == 0
+    assert [path.path_id for path in artifacts.paths] == [0, 1]
+    # The estimate is the direct path's image, bit for bit that of the same
+    # seed's scene without the surface.
+    alone, alone_artifacts = run(ScenarioConfig.from_dict(
+        {**LOS_WITH_ONE_SURFACE, "scene": {"has_los": True, "surfaces": []}}))
+    assert np.array_equal(artifacts.cloud, alone_artifacts.cloud)
+    assert report.trials[0]["hausdorff_m"] == alone.trials[0]["hausdorff_m"]
+
 
 @pytest.mark.parametrize("entry, scenario", [(run_los, NOISELESS_LOS), (run_nlos, NOISELESS_NLOS)])
 def test_named_entries_are_run_for_their_kind_of_scene(entry, scenario):
@@ -825,7 +879,8 @@ def test_named_entries_are_run_for_their_kind_of_scene(entry, scenario):
 
 
 @pytest.mark.parametrize("entry, other", [(run_los, NOISELESS_NLOS), (run_los, LOS_WITH_SURFACES),
-                                          (run_nlos, NOISELESS_LOS)])
+                                          (run_nlos, NOISELESS_LOS),
+                                          (run_nlos, LOS_WITH_ONE_SURFACE)])
 def test_named_entries_reject_the_other_kind_of_scene(entry, other):
     with pytest.raises(ConfigError, match=r"use run\(config\)"):
         entry(ScenarioConfig.from_dict(other), workers=1)

@@ -38,6 +38,10 @@ class TestMeasure:
         meas = measure_pdoa(observed(scene), "a", REF_DELTA)
         assert np.allclose(meas.range_diffs, 0.0, atol=1e-8)
 
+    def test_range_differences_are_formed_once(self):
+        meas = PdoaMeasurement(phase_diffs=np.array([0.1, 0.4, -0.2]), delta=REF_DELTA)
+        assert meas.range_diffs is meas.range_diffs
+
     def test_variance_of_range_differences(self):
         # Monte Carlo: each antenna's phase-difference error has std sigma_z, so
         # var(F_m) = 2 * (c * sigma_z / (2*pi*delta))^2.
@@ -133,11 +137,32 @@ class TestLocate:
     def test_covariance_is_psd_and_scaled(self):
         scene = small_scene()
         meas = measure_pdoa(observed(scene), "a", REF_DELTA)
-        res1 = locate_anchor(meas, scene.sv_antennas, scene.anchor_a, noise_std_m=1.0)
-        res2 = locate_anchor(meas, scene.sv_antennas, scene.anchor_a, noise_std_m=2.0)
+        res1 = locate_anchor(meas, scene.sv_antennas, scene.anchor_a, phase_sigma=1.0)
+        res2 = locate_anchor(meas, scene.sv_antennas, scene.anchor_a, phase_sigma=2.0)
         eig = np.linalg.eigvalsh(res1.covariance)
         assert np.all(eig >= -1e-12)
         assert np.allclose(res2.covariance, 4.0 * res1.covariance, rtol=1e-6)
+
+    def test_noiseless_covariance_is_exactly_zero(self):
+        scene = small_scene()
+        res = locate_and_sync(observed(scene), "a", REF_DELTA, scene.sv_antennas)
+        assert res.covariance.shape == (3, 3)
+        assert np.all(res.covariance == 0.0)
+
+    def test_noisy_covariance_is_range_noise_times_normal_inverse(self):
+        # sigma_F = sqrt(2) * c * sigma_phi / (2*pi*delta): each range difference
+        # is a difference of two antennas' phases.  G holds the unit vectors'
+        # differences against antenna 1 at the solved anchor.
+        scene = small_scene()
+        phase_sigma = 3e-3
+        obs = observed(scene, NoiseModel(phase_sigma, None, 7))
+        res = locate_and_sync(obs, "a", REF_DELTA, scene.sv_antennas, phase_sigma)
+        units = res.x_anchor - scene.sv_antennas
+        units /= np.linalg.norm(units, axis=1, keepdims=True)
+        g = units[1:] - units[0]
+        sigma_f = math.sqrt(2.0) * C * phase_sigma / (2.0 * math.pi * REF_DELTA)
+        assert np.allclose(res.covariance, sigma_f**2 * np.linalg.pinv(g.T @ g),
+                           rtol=1e-9, atol=0.0)
 
     def test_rank_deficiency_raises(self):
         sv = np.stack([np.linspace(0, 1, 6), np.zeros(6), np.zeros(6)], axis=1)
@@ -182,6 +207,12 @@ class TestInitialGuess:
 
 
 class TestClock:
+    def test_solve_returns_the_clock_at_its_anchor(self):
+        scene = small_scene(clock_offset=22e-9)
+        meas = measure_pdoa(observed(scene, NoiseModel(1e-3, None, 5)), "a", REF_DELTA)
+        res = locate_anchor(meas, scene.sv_antennas, initial_guess(meas, scene.sv_antennas))
+        assert res.sigma_hat == estimate_clock(res.x_anchor, meas, scene.sv_antennas)
+
     def test_noiseless_clock_exact(self):
         scene = small_scene(clock_offset=22e-9)
         res = locate_and_sync(observed(scene), "a", REF_DELTA, scene.sv_antennas)

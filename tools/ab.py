@@ -21,10 +21,13 @@ second of each other, so host drift, which moves run-level medians by
 10-30% on a shared 2-CPU VM, cancels in the per-trial ratio B / A.
 
 Standard output is one JSON report.  Per workload it gives the median ratio
-and a 95% bootstrap CI over trials, for every trial, for the imaged trials
-(those that returned a report, whether or not ``check_trial`` passed them)
-and for the failed ones (those that raised), beside each side's median
-time.  It lists every trial whose ``TrialOutcome.accuracy_key()`` differs
+and a 95% bootstrap CI, for every trial, for the imaged trials (those that
+returned a report, whether or not ``check_trial`` passed them) and for the
+failed ones (those that raised), beside each side's median time.  The
+bootstrap resamples base seeds, each with all its trials, because a worker
+pair lives for one seed and its trials share its speed: resampling trials
+would take one slow pair's trials for independent ones and narrow the CI.
+So the CI needs several seeds, and with one seed it is the median itself.  It lists every trial whose ``TrialOutcome.accuracy_key()`` differs
 between the two trees or between the runs of one tree, with the trial
 metrics that differ, and then every trial's times.  Standard error has one
 line per workload.  Exit status 1 means some key differed; 2 means a
@@ -91,15 +94,22 @@ def extract(rev: str, into: Path) -> str:
     return commit
 
 
-def bootstrap_median(ratios: list[float]) -> dict | None:
-    """Median ratio and the 2.5 and 97.5 percentiles of its bootstrap distribution."""
-    if not ratios:
+def bootstrap_median(by_seed: list[list[float]]) -> dict | None:
+    """Median ratio and the 2.5 and 97.5 percentiles of its bootstrap distribution.
+
+    ``by_seed`` holds each base seed's ratios; a draw takes as many seeds as
+    there are, with replacement, each with all its trials.
+    """
+    by_seed = [ratios for ratios in by_seed if ratios]
+    if not by_seed:
         return None
     import numpy as np   # not at module level: a worker pins its BLAS threads before numpy loads
-    values = np.array(ratios)
-    draws = np.random.default_rng(0).integers(0, len(values), size=(BOOTSTRAP, len(values)))
-    lo, hi = np.percentile(np.median(values[draws], axis=1), [2.5, 97.5])
-    return {"trials": len(values), "median_ratio": round(statistics.median(ratios), 4),
+    draws = np.random.default_rng(0).integers(0, len(by_seed), size=(BOOTSTRAP, len(by_seed)))
+    lo, hi = np.percentile([np.median(np.concatenate([by_seed[i] for i in draw]))
+                            for draw in draws], [2.5, 97.5])
+    ratios = [r for seed in by_seed for r in seed]
+    return {"seeds": len(by_seed), "trials": len(ratios),
+            "median_ratio": round(statistics.median(ratios), 4),
             "ci95": [round(float(lo), 4), round(float(hi), 4)]}
 
 
@@ -129,9 +139,11 @@ def compare(trees: tuple[Path, Path], names: list[str], seeds: list[int],
             trials: int) -> tuple[dict, list, list]:
     summary, differing, rows = {}, [], []
     for name in names:
-        groups = {"all": [], "imaged": [], "failed": []}
+        groups = {"all": [], "imaged": [], "failed": []}   # per group, one list per seed
         best = ([], [])
         for seed in seeds:
+            for ratios in groups.values():
+                ratios.append([])
             sides = (Worker(trees[0]), Worker(trees[1]))
             try:
                 outcomes = [run_both(sides, name, seed, trial, (len(rows) + trial) % 2)
@@ -150,8 +162,8 @@ def compare(trees: tuple[Path, Path], names: list[str], seeds: list[int],
                                                                  runs[1][0]["key"])})
                 imaged = runs[0][0]["imaged"]
                 ratio = times[1] / times[0]
-                groups["all"].append(ratio)
-                groups["imaged" if imaged else "failed"].append(ratio)
+                groups["all"][-1].append(ratio)
+                groups["imaged" if imaged else "failed"][-1].append(ratio)
                 best[0].append(times[0])
                 best[1].append(times[1])
                 rows.append({"workload": name, "seed": seed, "trial": trial,
@@ -163,8 +175,8 @@ def compare(trees: tuple[Path, Path], names: list[str], seeds: list[int],
                          "keys_differ": sum(1 for d in differing if d["workload"] == name)}
         whole = summary[name]["all"]
         print(f"{name}: B/A {whole['median_ratio']} (CI {whole['ci95'][0]}-{whole['ci95'][1]}) "
-              f"over {whole['trials']} trials, {summary[name]['keys_differ']} keys differ",
-              file=sys.stderr)
+              f"over {whole['seeds']} seeds, {whole['trials']} trials, "
+              f"{summary[name]['keys_differ']} keys differ", file=sys.stderr)
     return summary, differing, rows
 
 
