@@ -27,11 +27,12 @@ failed ones (those that raised), beside each side's median time.  The
 bootstrap resamples base seeds, each with all its trials, because a worker
 pair lives for one seed and its trials share its speed: resampling trials
 would take one slow pair's trials for independent ones and narrow the CI.
-So the CI needs several seeds, and with one seed it is the median itself.  It lists every trial whose ``TrialOutcome.accuracy_key()`` differs
-between the two trees or between the runs of one tree, with the trial
-metrics that differ, and then every trial's times.  Standard error has one
-line per workload.  Exit status 1 means some key differed; 2 means a
-revision could not be extracted.
+So the CI needs several seeds, and with one seed it is the median itself.
+It lists every trial whose ``TrialOutcome.accuracy_key()`` differs between
+the two trees or between the runs of one tree, with the trial metrics that
+differ, and then every trial's times.  Standard error has one line per
+workload.  Exit status 1 means some key differed; 2 means a revision could
+not be extracted.
 """
 
 from __future__ import annotations
