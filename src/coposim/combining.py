@@ -41,8 +41,8 @@ class VirtualDetection:
     clock) read through to them.  ``baseline_angle``, the directed X-Z angle
     of the virtual a->b segment, is computed once here, so anchors that
     coincide in X-Z raise ``DegenerateGeometryError`` when the record is made.
-    ``cloud`` is empty from sync until imaging sets it; clock clustering reads
-    only ``sigma_hat``, so it runs before any path is imaged.
+    ``cloud`` is empty from sync until imaging sets it, and stays so on a path
+    the estimate does not read; clustering reads only ``sigma_hat``.
     ``combine_cluster`` sets ``surface``, the fitted plane (None for a direct
     path), and ``mapped``, the cloud mirrored into the actual frame (``cloud``
     itself for a direct path); on a path that is not fused both stay None.
@@ -163,7 +163,7 @@ def search_theta_ref(cluster: list[VirtualDetection]) -> tuple[float, np.ndarray
     roots of sum_k k (c_k z^(3+k) - conj(c_k) z^(3-k)).  The best of those and
     the samples, in (-pi/2, pi/2], is returned with the fitted a- and b-anchors
     and the RMS perpendicular distance of the 2L rays from them.  The trial
-    passes three or more paths: it fails first if no clock cluster holds three.
+    fails before fusion if no clock cluster holds ``waveform.MIN_FUSED_PATHS``.
     """
     samples = np.arange(7) * (math.pi / 7)
     kc = np.arange(1, 4) * np.fft.rfft(_ray_fit(cluster, samples)[2])[1:]
@@ -218,7 +218,7 @@ def combine_cluster(cluster: list[VirtualDetection], merge_radius: float,
     virtual anchor already coincides with the fused anchor (within
     ``direct_path_tol``) are direct-view paths: their clouds are taken as-is,
     since the perpendicular-bisector surface degenerates there.  The trial
-    passes three or more imaged paths (see ``search_theta_ref``), each holding
+    passes its imaged cluster (see ``search_theta_ref``), each path holding
     at least one peak, so ``fuse_clouds`` never sees an empty set.
     """
     theta_ref, x_a_star, x_b_star, residual = search_theta_ref(cluster)

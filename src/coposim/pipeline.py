@@ -1,13 +1,13 @@
 """Run orchestration: one trial path, single runs and Monte Carlo sweeps.
 
-A trial simulates one snapshot and works in four steps: it synchronises
-every path, clusters the paths by clock estimate, fails if no cluster holds
-3 or more paths, and otherwise images every path and fuses the largest
-cluster.  Fusion needs 3 or more paths, so a scene with a line of sight and
-at most one reflecting surface (mode "los", else "nlos") skips the clustering
-and the fusion: the direct path's image is the estimate.  From sync on, a
-path is one ``VirtualDetection``: imaging sets its cloud, fusion its surface
-and mapped cloud, and the clustering, the fusion and the report read it.
+A trial simulates one snapshot, syncs every path and chooses once the paths
+its estimate reads: the direct path in mode "los" (a line of sight, and fewer
+than ``MIN_FUSED_PATHS`` paths to fuse), else the largest clock cluster, which
+fails the trial when it holds fewer.  Only those are simulated and imaged,
+and the direct path's image or the cluster's fusion is the estimate; any other
+path keeps its empty cloud.  From sync on, a path is one ``VirtualDetection``:
+imaging sets its cloud, fusion its surface and mapped cloud, and the
+clustering, the fusion and the report read it.
 A configuration plus a trial index fix a trial: all randomness is derived
 from (config seed, trial index), and a sweep point is written into the
 configuration before its trials run, so results do not depend on how a
@@ -37,7 +37,7 @@ from .imaging import ImagingBox, detect_peaks, reconstruct
 from .scenario import (DEFAULT_SURFACE_POOL, ScenarioConfig, build_scene, check,
                        stratified_rows, trial_noise_seed)
 from .sync import locate_and_sync
-from .waveform import validate_scene
+from .waveform import MIN_FUSED_PATHS, validate_scene
 
 NU = 0.5                       # peak threshold, relative to the image maximum
 PAD_FACTOR = 1.6               # periodic image repeat over the box extent
@@ -48,7 +48,7 @@ DIRECT_PATH_TOL_M = 0.25       # virtual anchor this close to the fused one: dir
 @dataclass
 class TrialArtifacts:
     """Heavyweight per-trial outputs kept out of the serialisable report:
-    the scene, the estimated cloud and every path's record, fused or not."""
+    the scene, the estimated cloud and every path's record, imaged or not."""
 
     scene: Scene
     cloud: np.ndarray
@@ -85,9 +85,9 @@ def _bearing_rotation(direction: np.ndarray) -> np.ndarray:
 
 
 def _mode(scene) -> str:
-    """"los" for a direct view and at most one surface, too few paths to fuse, else "nlos";
-    ``scene`` is a Scene or SceneSpec."""
-    return "los" if scene.has_los and len(scene.surfaces) < 2 else "nlos"
+    """"los" for a direct view with fewer than ``MIN_FUSED_PATHS`` paths (it and one
+    per surface), else "nlos"; ``scene`` is a Scene or SceneSpec."""
+    return "los" if scene.has_los and len(scene.surfaces) + 1 < MIN_FUSED_PATHS else "nlos"
 
 
 def _sync_path(scene: Scene, sig_obs, delta: float, phase_sigma: float) -> VirtualDetection:
@@ -152,17 +152,17 @@ def _image_path(det: VirtualDetection, scene: Scene, grid, noise: NoiseModel,
 
 
 def _run_trial(config: ScenarioConfig, trial: int = 0):
-    """One trial: sync every path, cluster the clocks, then fail or image and fuse.
+    """One trial: sync every path, choose the paths to read, image them and estimate.
 
     The configuration is checked against ``scenario.FIELD_TYPES`` first, so
     one built or changed in code is refused as a loaded file is.  The scene,
     its check and its signatures read the configuration alone; a value whose
     arithmetic leaves float64 there (a 1e300 s clock offset) fails the trial.
-    A scene that needs fusion is clustered by clock right after sync, and a
-    trial with no cluster of 3 or more paths fails there, before any path is
-    imaged.  Otherwise every path is imaged, its cloud holding at least the
-    image maximum, and the largest cluster is fused.  The report's per-path
-    keys are then read off each path's record in one loop.
+    After sync the trial chooses once the paths to image: the direct path in
+    mode "los", else the largest clock cluster, which fails the trial before
+    any imaging if it holds fewer than ``MIN_FUSED_PATHS``.  Each image holds
+    at least its maximum.  The report's per-path keys are then read off each
+    path's record in one loop, ``path{pid}_points`` for imaged paths only.
     """
     check(config)
     grid = config.frequency_grid()
@@ -171,9 +171,7 @@ def _run_trial(config: ScenarioConfig, trial: int = 0):
     try:
         with np.errstate(over="raise", invalid="raise"):
             scene = build_scene(config, trial)
-            report = validate_scene(scene, grid)
-            if not report.ok:
-                raise ConfigError("; ".join(report.errors))
+            warnings = validate_scene(scene, grid)
             observations = simulate_signature(scene, config.signature(), noise)
     except FloatingPointError as exc:
         raise CoposimError(f"scene stage: a configured value is past the float64 range "
@@ -182,30 +180,32 @@ def _run_trial(config: ScenarioConfig, trial: int = 0):
     period = 1.0 / grid.delta   # sync reads clocks modulo this period
     detections = [_sync_path(scene, obs, grid.delta, noise.phase_sigma) for obs in observations]
 
-    fuse = _mode(scene) == "nlos"
-    if fuse:
+    metrics: dict = {"trial": trial}
+    if _mode(scene) == "los":
+        imaged = detections[:1]   # path 0, the direct path, comes first
+    else:
         clusters = group_by_clock(detections, CLOCK_CLUSTER_TOL_S, period)
         clusters.sort(key=lambda c: (-len(c), min(d.path_id for d in c)))
-        if len(clusters[0]) < 3:
+        imaged = clusters[0]
+        if len(imaged) < MIN_FUSED_PATHS:
             raise CoposimError(
-                f"combining stage: no clock cluster with >= 3 paths "
+                f"combining stage: no clock cluster with >= {MIN_FUSED_PATHS} paths "
                 f"(cluster sizes {[len(c) for c in clusters]})")
+        metrics["clusters"] = len(clusters)
 
     row_pitch = _row_pitch(config)
-    for det in detections:
+    for det in imaged:
         _image_path(det, scene, grid, noise, config, row_pitch)
 
-    metrics: dict = {"trial": trial}
-    if fuse:
-        res = combine_cluster(clusters[0], merge_radius=range_resolution(grid) / 2,
+    if len(imaged) == 1:
+        (det,) = imaged
+        cloud, x_a, x_b = det.cloud, det.x_a_virtual, det.x_b_virtual
+    else:
+        res = combine_cluster(imaged, merge_radius=range_resolution(grid) / 2,
                               direct_path_tol=DIRECT_PATH_TOL_M)
         cloud, x_a, x_b = res.actual_cloud, res.x_a_star, res.x_b_star
         metrics["theta_ref_rad"] = float(res.theta_ref)
         metrics["fusion_residual_m"] = float(res.residual_m)
-        metrics["clusters"] = len(clusters)
-    else:
-        det = detections[0]
-        cloud, x_a, x_b = det.cloud, det.x_a_virtual, det.x_b_virtual
     metrics["anchor_err_m"] = float(np.linalg.norm(x_a - scene.anchor_a))
     metrics["anchor_b_err_m"] = float(np.linalg.norm(x_b - scene.anchor_b))
     metrics["sync_sigma_err_s"] = float(max(
@@ -218,7 +218,8 @@ def _run_trial(config: ScenarioConfig, trial: int = 0):
         pid, est = det.path_id, det.surface
         true_virtual = scene.images[pid][scene.anchor_indices[0]]
         metrics[f"path{pid}_anchor_err_m"] = float(np.linalg.norm(det.x_a_virtual - true_virtual))
-        metrics[f"path{pid}_points"] = int(len(det.cloud))
+        if det in imaged:
+            metrics[f"path{pid}_points"] = int(len(det.cloud))
         metrics[f"path{pid}_sync_converged"] = det.sync_a.converged and det.sync_b.converged
         if det.mapped is not None:
             metrics[f"path{pid}_hausdorff_m"] = hausdorff(det.mapped, truth)
@@ -234,7 +235,7 @@ def _run_trial(config: ScenarioConfig, trial: int = 0):
     metrics["hausdorff_m"] = hausdorff(cloud, truth)
     metrics["rmse_m"] = rmse_nearest(cloud, truth)
     metrics["detected_points"] = int(len(cloud))
-    return metrics, TrialArtifacts(scene, cloud, detections), report.warnings
+    return metrics, TrialArtifacts(scene, cloud, detections), warnings
 
 
 def _median_iqr(values) -> tuple[float | None, float | None]:
@@ -264,9 +265,8 @@ def _make_report(mode, config, warnings, trials, failures, sweep_rows=None) -> R
 
 
 def run(config: ScenarioConfig) -> tuple[RunReport, TrialArtifacts]:
-    """One trial of the configured scene; the report's ``mode`` says whether
-    it fused reflections ("nlos") or imaged the direct view ("los": a line of
-    sight and at most one surface)."""
+    """One trial of the configured scene; the report's ``mode`` (``_mode``) says
+    whether it fused reflections ("nlos") or imaged the direct view ("los")."""
     metrics, artifacts, warns = _run_trial(config)
     return _make_report(_mode(artifacts.scene), config, warns, [metrics], []), artifacts
 
@@ -283,12 +283,12 @@ def _run_checked(mode: str, config: ScenarioConfig, workers: int):
 
 
 def run_los(config: ScenarioConfig, workers: int = 1):
-    """``run`` for a direct-view scene with at most one surface; ``workers`` must be 1."""
+    """``run`` for a scene of mode "los" (see ``_mode``); ``workers`` must be 1."""
     return _run_checked("los", config, workers)
 
 
 def run_nlos(config: ScenarioConfig, workers: int = 1):
-    """``run`` for a scene with two or more surfaces or no direct view; ``workers`` must be 1."""
+    """``run`` for a scene of mode "nlos" (see ``_mode``); ``workers`` must be 1."""
     return _run_checked("nlos", config, workers)
 
 

@@ -8,7 +8,7 @@ never passband samples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,6 +16,7 @@ from .errors import ConfigError
 from .geometry import SPEED_OF_LIGHT, Scene, distance_matrix
 
 MIN_SYNC_ANTENNAS = 4   # fewest receive antennas sync takes: 3 range differences
+MIN_FUSED_PATHS = 3     # fewest same-clock paths fusion takes
 
 
 @dataclass(frozen=True)
@@ -79,19 +80,7 @@ def aperture_spacing_bound(f_center: float) -> float:
     return SPEED_OF_LIGHT / (4.0 * f_center)
 
 
-@dataclass
-class ValidationReport:
-    """Hard errors stop a run; warnings are reported but tolerated."""
-
-    errors: list[str] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors
-
-
-def validate_scene(scene: Scene, grid: FrequencyGrid) -> ValidationReport:
+def validate_scene(scene: Scene, grid: FrequencyGrid) -> list[str]:
     """Check sampling and feasibility conditions for the recovery pipeline.
 
     Each path is the transmit image it propagates from (``Scene.images``), so
@@ -104,8 +93,10 @@ def validate_scene(scene: Scene, grid: FrequencyGrid) -> ValidationReport:
     one check of the built scene, run by every trial before sync: the step
     bound holds for ``sync.measure_pdoa``, and the antenna count for
     ``sync.initial_guess`` and ``sync.locate_anchor``, which do not check again.
+    Returns the warnings, and raises one ``ConfigError`` holding every error,
+    joined by "; ".
     """
-    report = ValidationReport()
+    errors, warnings = [], []
     sv = scene.sv_antennas
 
     pairs = distance_matrix(sv, sv)
@@ -113,14 +104,14 @@ def validate_scene(scene: Scene, grid: FrequencyGrid) -> ValidationReport:
     spacing = float(pairs.min(axis=1).max())   # largest nearest-neighbour distance
     nyq = aperture_spacing_bound(grid.center)
     if spacing > nyq:
-        report.warnings.append(
+        warnings.append(
             f"aperture sampling {spacing:.4g} m exceeds the alias-free bound "
             f"{nyq:.4g} m at f_c = {grid.center / 1e9:.4g} GHz"
         )
     step = float(np.linalg.norm(np.diff(sv, axis=0), axis=1).max(initial=0.0))
     sync_bound = sync_spacing_bound(grid.delta)
     if step > sync_bound:
-        report.errors.append(
+        errors.append(
             f"consecutive antenna spacing {step:.4g} m exceeds the phase-unwrap "
             f"bound {sync_bound:.4g} m"
         )
@@ -130,7 +121,7 @@ def validate_scene(scene: Scene, grid: FrequencyGrid) -> ValidationReport:
     span = max((float(np.ptp(distance_matrix(image, sv))) for image in scene.images.values()),
                default=0.0)
     if span > r_max:
-        report.errors.append(
+        errors.append(
             f"scene path-length spread {span:.4g} m exceeds the unambiguous range "
             f"{r_max:.4g} m for delta = {grid.delta / 1e6:.4g} MHz"
         )
@@ -140,15 +131,17 @@ def validate_scene(scene: Scene, grid: FrequencyGrid) -> ValidationReport:
     front = min(float(p[:, 2].min()) for p in (scene.tv_antennas, *scene.images.values()))
     array_z = float(sv[:, 2].max())
     if front <= array_z:
-        report.errors.append(f"a transmit antenna or its mirror image lies at z = {front:.4g} m, "
-                             f"at or behind the receive array (z <= {array_z:.4g} m)")
+        errors.append(f"a transmit antenna or its mirror image lies at z = {front:.4g} m, "
+                      f"at or behind the receive array (z <= {array_z:.4g} m)")
 
     if scene.n_sv < MIN_SYNC_ANTENNAS:
-        report.errors.append(f"clock-difference estimation needs at least {MIN_SYNC_ANTENNAS} "
-                             f"receive antennas, got {scene.n_sv}")
-    if not scene.has_los and len(scene.surfaces) < 3:
-        report.errors.append(
-            f"recovery without line of sight needs at least 3 reflection surfaces, "
-            f"got {len(scene.surfaces)}"
+        errors.append(f"clock-difference estimation needs at least {MIN_SYNC_ANTENNAS} "
+                      f"receive antennas, got {scene.n_sv}")
+    if not scene.has_los and len(scene.surfaces) < MIN_FUSED_PATHS:
+        errors.append(
+            f"recovery without line of sight needs at least {MIN_FUSED_PATHS} reflection "
+            f"surfaces, got {len(scene.surfaces)}"
         )
-    return report
+    if errors:
+        raise ConfigError("; ".join(errors))
+    return warnings

@@ -19,6 +19,7 @@ from coposim.pipeline import run, run_los, run_nlos, run_sweep
 from coposim.scenario import (DEFAULT_SURFACE_POOL, FIELD_TYPES, ScenarioConfig,
                               _stratified_rect, aperture_antennas, build_scene,
                               stratified_rows)
+from coposim.waveform import MIN_FUSED_PATHS, validate_scene
 from oracles import local_maxima_26, stratified_rect
 
 # Small noiseless line-of-sight scenario: 64 tones and a compact box keep a
@@ -393,18 +394,20 @@ def test_trial_without_a_clock_cluster_fails_before_imaging(monkeypatch):
                      "detect_peaks": 0}
 
 
-def test_fused_trial_clusters_once_and_images_every_path(monkeypatch):
-    # Five surfaces: path 2 leaves a cluster of four, which is fused, and path 2
-    # is imaged and reported all the same.
+def test_fused_trial_clusters_once_and_images_only_its_cluster(monkeypatch):
+    # Five surfaces: path 2 leaves a cluster of four, which alone is imaged and
+    # fused.  Path 2 is synced and reported all the same, but holds no image.
     calls = split_clock_of_path_two(monkeypatch)
     scene = {"surfaces": [dict(s) for s in DEFAULT_SURFACE_POOL[:5]]}
     report, artifacts = run(ScenarioConfig.from_dict(dict(NOISELESS_NLOS, scene=scene)))
     metrics = report.trials[0]
-    assert calls == {"group_by_clock": 1, "simulate_sfcw": 5, "reconstruct": 5,
-                     "detect_peaks": 5}
+    assert calls == {"group_by_clock": 1, "simulate_sfcw": 4, "reconstruct": 4,
+                     "detect_peaks": 4}
     assert metrics["clusters"] == 2
     assert sorted(fused_paths(artifacts)) == [1, 3, 4, 5]
-    assert all(metrics[f"path{pid}_points"] > 0 for pid in range(1, 6))
+    assert all(metrics[f"path{pid}_points"] > 0 for pid in (1, 3, 4, 5))
+    assert "path2_points" not in metrics and len(artifacts.paths[1].cloud) == 0
+    assert "path2_anchor_err_m" in metrics and "path2_sync_converged" in metrics
     assert metrics["anchor_err_m"] < 1e-7
 
 
@@ -468,7 +471,7 @@ def test_sweep_counts_a_trial_without_a_clock_cluster(monkeypatch):
     assert report.aggregates["n_trials"] == 4
     assert [row["fail_rate"] for row in report.sweep_rows] == [1.0, 0.0]
     assert [t["surfaces"] for t in report.trials] == [5, 5]
-    assert calls["group_by_clock"] == 4 and calls["simulate_sfcw"] == 2 * 5
+    assert calls["group_by_clock"] == 4 and calls["simulate_sfcw"] == 2 * 4
 
 
 def test_report_reads_each_path_record(monkeypatch):
@@ -728,7 +731,9 @@ def test_a_sweep_value_set_in_code_is_refused_by_run_sweep(name, value):
 # the 12.8 m unwrap bound (once exit 1 from sync). An imaging box with an empty
 # or a negative side, which once imaged one voxel or one x layer (exit 0), is
 # refused at load. Three receive antennas, which give sync two range
-# differences for three unknowns, are refused before sync too.
+# differences for three unknowns, are refused before sync too. A 10 MHz comb
+# start loads, but puts the signature tones, two and four tone gaps below it,
+# at negative frequencies.
 BAD_TRIALS = [({"scene": {"sv_aperture_m": [30.0, 30.0]}},
                "consecutive antenna spacing 27.17 m exceeds the phase-unwrap bound 12.79 m"),
               ({"pipeline": {"box_extent_m": [0, 0, 0]}},
@@ -736,7 +741,9 @@ BAD_TRIALS = [({"scene": {"sv_aperture_m": [30.0, 30.0]}},
               ({"pipeline": {"box_extent_m": [-6, 4, 6]}},
                "pipeline.box_extent_m must be float>0[3], got [-6, 4, 6]"),
               ({"scene": {"sv_antenna_count": 3}},
-               "clock-difference estimation needs at least 4 receive antennas, got 3")]
+               "clock-difference estimation needs at least 4 receive antennas, got 3"),
+              ({"waveform": {"f1_hz": 1e7}},
+               "signature tones and delta must be positive")]
 
 
 @pytest.mark.parametrize("scenario, message", BAD_TRIALS)
@@ -856,17 +863,50 @@ LOS_WITH_ONE_SURFACE = {
 }
 
 
-def test_a_direct_view_with_one_surface_images_its_direct_path():
+def test_a_direct_view_with_one_surface_images_its_direct_path(monkeypatch):
+    images = []
+    original = pipeline.reconstruct
+
+    def counted(*args):
+        images.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(pipeline, "reconstruct", counted)
     report, artifacts = run(ScenarioConfig.from_dict(LOS_WITH_ONE_SURFACE))
     assert report.mode == "los"
     assert report.aggregates["n_failed"] == 0
     assert [path.path_id for path in artifacts.paths] == [0, 1]
+    # Only the direct path is imaged; the surface's path is synced and
+    # reported without an image.
+    metrics = report.trials[0]
+    assert len(images) == 1
+    assert "path1_points" not in metrics and len(artifacts.paths[1].cloud) == 0
+    assert "path1_anchor_err_m" in metrics and "path1_sync_converged" in metrics
     # The estimate is the direct path's image, bit for bit that of the same
     # seed's scene without the surface.
     alone, alone_artifacts = run(ScenarioConfig.from_dict(
         {**LOS_WITH_ONE_SURFACE, "scene": {"has_los": True, "surfaces": []}}))
     assert np.array_equal(artifacts.cloud, alone_artifacts.cloud)
     assert report.trials[0]["hausdorff_m"] == alone.trials[0]["hausdorff_m"]
+
+
+@pytest.mark.parametrize("has_los", [True, False])
+@pytest.mark.parametrize("n_surfaces", range(5))
+def test_every_scene_the_check_accepts_is_los_or_can_be_fused(has_los, n_surfaces):
+    # One three-path rule: a direct view with too few surfaces to fuse is
+    # "los", and a scene without one needs enough surfaces to fuse.
+    config = ScenarioConfig.from_dict({"scene": {
+        "has_los": has_los, "surfaces": [dict(s) for s in DEFAULT_SURFACE_POOL[:n_surfaces]]}})
+    scene = build_scene(config)
+    mode = pipeline._mode(scene)
+    assert pipeline._mode(config.scene) == mode
+    try:
+        validate_scene(scene, config.frequency_grid())
+    except ConfigError:
+        assert not has_los and n_surfaces < MIN_FUSED_PATHS
+        return
+    assert mode == "los" or len(scene.images) >= MIN_FUSED_PATHS
+    assert (mode == "los") == (has_los and len(scene.images) < MIN_FUSED_PATHS)
 
 
 @pytest.mark.parametrize("entry, scenario", [(run_los, NOISELESS_LOS), (run_nlos, NOISELESS_NLOS)])

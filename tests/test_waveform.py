@@ -53,35 +53,32 @@ class TestValidateScene:
         spacing = aperture_spacing_bound(REF_GRID.center) * 0.9
         sv = square_array(5, 4 * spacing)
         scene = small_scene(sv=sv)
-        report = validate_scene(scene, REF_GRID)
-        assert report.ok and not report.warnings
+        assert validate_scene(scene, REF_GRID) == []
 
     def test_sparse_aperture_warns_but_passes(self):
         scene = small_scene(sv=square_array(8, 1.0))
-        report = validate_scene(scene, REF_GRID)
-        assert report.ok
-        assert any("alias-free" in w for w in report.warnings)
+        warnings = validate_scene(scene, REF_GRID)
+        assert any("alias-free" in w for w in warnings)
 
     def test_too_few_antennas_is_error(self):
         scene = small_scene(sv=square_array(4, 1.0)[:3])
-        report = validate_scene(scene, REF_GRID)
-        assert not report.ok
-        assert any("4 receive antennas" in e for e in report.errors)
+        with pytest.raises(ConfigError, match="4 receive antennas"):
+            validate_scene(scene, REF_GRID)
 
     def test_hidden_scene_needs_three_surfaces(self):
         surfaces = (ReflectionSurface.from_trace(1.0, 3.0),
                     ReflectionSurface.from_trace(0.3, 4.0))
         scene = small_scene(surfaces=surfaces, has_los=False)
-        report = validate_scene(scene, REF_GRID)
-        assert not report.ok
-        assert any("3 reflection surfaces" in e for e in report.errors)
+        with pytest.raises(ConfigError, match="3 reflection surfaces"):
+            validate_scene(scene, REF_GRID)
 
     def test_hidden_scene_without_surfaces_has_no_paths(self):
         # No line of sight and no surface: no image, so no range spread to
-        # read, and the surface count is the error.
-        report = validate_scene(small_scene(has_los=False), REF_GRID)
-        assert report.errors == ["recovery without line of sight needs at least 3 "
-                                 "reflection surfaces, got 0"]
+        # read, and the surface count is the one error.
+        with pytest.raises(ConfigError) as raised:
+            validate_scene(small_scene(has_los=False), REF_GRID)
+        assert str(raised.value) == ("recovery without line of sight needs at least 3 "
+                                     "reflection surfaces, got 0")
 
     def test_unwrap_bound_holds_for_consecutive_antennas(self):
         # Sync unwraps phases in antenna-index order.  Two 2x2 clusters 20 m
@@ -90,11 +87,12 @@ class TestValidateScene:
         # c/(2 delta) = 12.8 m.
         near = square_array(2, 0.5)
         sv = np.stack([near, near + [20.0, 0.0, 0.0]], axis=1).reshape(-1, 3)
-        report = validate_scene(small_scene(sv=sv), REF_GRID)
-        assert [e for e in report.errors if "phase-unwrap" in e] == [
+        with pytest.raises(ConfigError) as raised:
+            validate_scene(small_scene(sv=sv), REF_GRID)
+        assert [e for e in str(raised.value).split("; ") if "phase-unwrap" in e] == [
             "consecutive antenna spacing 20.01 m exceeds the phase-unwrap bound 12.79 m"]
         # One cluster alone steps within the bound.
-        assert not validate_scene(small_scene(sv=near), REF_GRID).errors
+        validate_scene(small_scene(sv=near), REF_GRID)
 
     def test_transmitter_at_or_behind_the_array_is_error(self):
         # Sync folds a solution behind the planar array to its front, so an
@@ -102,14 +100,12 @@ class TestValidateScene:
         on_array = small_scene(tv=np.array([[0.5, 0.1, 0.0], [-0.4, -0.2, 1.0]]))
         mirrored = small_scene(surfaces=(ReflectionSurface.from_trace(0.0, 4.0),))
         for scene in (on_array, mirrored):
-            report = validate_scene(scene, REF_GRID)
-            assert not report.ok
-            assert any("at or behind the receive array" in e for e in report.errors)
+            with pytest.raises(ConfigError, match="at or behind the receive array"):
+                validate_scene(scene, REF_GRID)
 
     def test_range_spread_overflow(self):
         tv = np.array([[0.0, 0.0, 5.0], [0.0, 0.0, 40.0]])
         scene = small_scene(tv=tv)
         coarse = FrequencyGrid(f1=57e9, tones=16, delta=11.72e6)
-        report = validate_scene(scene, coarse)
-        assert not report.ok
-        assert any("unambiguous range" in e for e in report.errors)
+        with pytest.raises(ConfigError, match="unambiguous range"):
+            validate_scene(scene, coarse)
