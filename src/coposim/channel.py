@@ -28,7 +28,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .geometry import SPEED_OF_LIGHT, Scene, distance_matrix
-from .waveform import FrequencyGrid, SignatureConfig
+from .waveform import FrequencyGrid
 
 _DOMAIN_SIGNATURE = 1
 _DOMAIN_SFCW = 2
@@ -123,15 +123,16 @@ def _cell_rngs(seed: int, domain: int, path_ids: list[int], n_antennas: int) -> 
     return [np.random.Generator(np.random.PCG64(_SeedWords(s))) for s in seeds]
 
 
-def simulate_signature(scene: Scene, sig: SignatureConfig, noise: NoiseModel) -> list[PathObservation]:
+def simulate_signature(scene: Scene, grid: FrequencyGrid, noise: NoiseModel) -> list[PathObservation]:
     """Demodulated signature symbols for every propagation path of the scene.
 
     A path's flight times run from the two anchors of its transmit image;
-    its (N_r, 4) symbols are exp(j*2*pi*f*(sigma - tau)) at the tones
-    f_a, f_a + delta, f_b, f_b + delta, plus the phase jitter.
+    its (N_r, 4) symbols are exp(j*2*pi*f*(sigma - tau)) at each tone f of
+    ``grid.anchor_tones`` and at f + delta, plus the phase jitter.
     """
     tone_sigma = noise.phase_sigma / math.sqrt(2.0)
-    coef = 2.0 * math.pi * np.array([sig.f_a, sig.f_a + sig.delta, sig.f_b, sig.f_b + sig.delta])
+    f_a, f_b = grid.anchor_tones
+    coef = 2.0 * math.pi * np.array([f_a, f_a + grid.delta, f_b, f_b + grid.delta])
     jitter = np.zeros((len(scene.images), scene.n_sv, 4))
     if noise.phase_sigma > 0:
         rngs = _cell_rngs(noise.rng_seed, _DOMAIN_SIGNATURE, list(scene.images), scene.n_sv)

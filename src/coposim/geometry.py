@@ -100,7 +100,8 @@ class Scene:
     ``tv_antennas`` is the transmit point set whose recovery is the goal,
     ``anchor_indices`` the two antennas carrying the two-tone signatures.
     ``clock_offset`` is the unknown transmitter-receiver clock difference
-    in seconds.
+    in seconds; ``scenario.build_scene`` gives it the configured offset's
+    remainder modulo the beat period 1/delta (``FrequencyGrid.period``).
 
     ``images`` maps each propagation path to the read-only (N_t, 3) image it
     propagates from, formed once here: path 0, present with a line of sight,

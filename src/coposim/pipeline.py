@@ -157,7 +157,7 @@ def _run_trial(config: ScenarioConfig, trial: int = 0):
     The configuration is checked against ``scenario.FIELD_TYPES`` first, so
     one built or changed in code is refused as a loaded file is.  The scene,
     its check and its signatures read the configuration alone; a value whose
-    arithmetic leaves float64 there (a 1e300 s clock offset) fails the trial.
+    arithmetic leaves float64 there (a 1e200 m body) fails the trial.
     After sync the trial chooses once the paths to image: the direct path in
     mode "los", else the largest clock cluster, which fails the trial before
     any imaging if it holds fewer than ``MIN_FUSED_PATHS``.  Each image holds
@@ -172,19 +172,18 @@ def _run_trial(config: ScenarioConfig, trial: int = 0):
         with np.errstate(over="raise", invalid="raise"):
             scene = build_scene(config, trial)
             warnings = validate_scene(scene, grid)
-            observations = simulate_signature(scene, config.signature(), noise)
+            observations = simulate_signature(scene, grid, noise)
     except FloatingPointError as exc:
         raise CoposimError(f"scene stage: a configured value is past the float64 range "
                            f"({exc})") from exc
 
-    period = 1.0 / grid.delta   # sync reads clocks modulo this period
     detections = [_sync_path(scene, obs, grid.delta, noise.phase_sigma) for obs in observations]
 
     metrics: dict = {"trial": trial}
     if _mode(scene) == "los":
         imaged = detections[:1]   # path 0, the direct path, comes first
     else:
-        clusters = group_by_clock(detections, CLOCK_CLUSTER_TOL_S, period)
+        clusters = group_by_clock(detections, CLOCK_CLUSTER_TOL_S, grid.period)
         clusters.sort(key=lambda c: (-len(c), min(d.path_id for d in c)))
         imaged = clusters[0]
         if len(imaged) < MIN_FUSED_PATHS:
@@ -209,9 +208,9 @@ def _run_trial(config: ScenarioConfig, trial: int = 0):
     metrics["anchor_err_m"] = float(np.linalg.norm(x_a - scene.anchor_a))
     metrics["anchor_b_err_m"] = float(np.linalg.norm(x_b - scene.anchor_b))
     metrics["sync_sigma_err_s"] = float(max(
-        clock_distance(d.sigma_hat, scene.clock_offset, period) for d in detections))
+        clock_distance(d.sigma_hat, scene.clock_offset, grid.period) for d in detections))
     metrics["sync_discrepancy_s"] = float(max(
-        clock_distance(d.sync_a.sigma_hat, d.sync_b.sigma_hat, period) for d in detections))
+        clock_distance(d.sync_a.sigma_hat, d.sync_b.sigma_hat, grid.period) for d in detections))
 
     truth = scene.tv_antennas
     for det in detections:

@@ -5,8 +5,8 @@ trial)`` places the antennas from (seed, trial) alone, and a sweep point is
 itself a configuration (see ``pipeline.run_sweep``).  The configuration
 holds what a study varies.  The tuning no study varies is module constants
 in ``pipeline`` (``NU``, ``PAD_FACTOR``, ``CLOCK_CLUSTER_TOL_S``,
-``DIRECT_PATH_TOL_M``), and the signature tones sit at f1 - 2*delta and
-f1 - 4*delta.
+``DIRECT_PATH_TOL_M``), ``frequency_grid`` states the whole tone plan, and a
+scene's clock offset is the configured one modulo the grid's beat period.
 
 All physical quantities carry SI units in their field names.  Antenna
 placement is a seeded stratified jitter: receive antennas on the planar
@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateGeometryError
 from .geometry import ReflectionSurface, Scene
-from .waveform import FrequencyGrid, SignatureConfig
+from .waveform import FrequencyGrid
 
 # Extra reflectors used when sweeps ask for more surfaces than the base three.
 DEFAULT_SURFACE_POOL = (
@@ -190,12 +190,6 @@ class ScenarioConfig:
         w = self.waveform
         return FrequencyGrid(f1=w.f1_hz, tones=w.tones, delta=w.delta_hz)
 
-    def signature(self) -> SignatureConfig:
-        """Anchor tone pairs just below the comb, at f1 - 2*delta and f1 - 4*delta."""
-        w = self.waveform
-        return SignatureConfig(f_a=w.f1_hz - 2 * w.delta_hz, f_b=w.f1_hz - 4 * w.delta_hz,
-                               delta=w.delta_hz)
-
 
 def stratified_rows(n: int, width: float, height: float) -> int:
     """Row count of the near-square grid that holds n points on a width x height rectangle."""
@@ -269,6 +263,11 @@ def build_scene(config: ScenarioConfig, trial: int = 0) -> Scene:
     and sizes no scene can take, and ``pipeline`` checks before it builds.
     A body placed so far out that its antennas round to the same points (a
     distance of 1e200 m) raises ``DegenerateGeometryError``.
+
+    The scene's clock offset is the configured one's IEEE remainder modulo
+    the beat period 1/delta, unchanged within half a period (42.7 ns at
+    11.72 MHz).  No receiver can tell the two apart: their difference turns
+    each signature pair by one common phase, and the SFCW comb by another.
     """
     sc = config.scene
     rng = np.random.default_rng(np.random.SeedSequence(config.noise.seed, spawn_key=(3, trial)))
@@ -282,9 +281,10 @@ def build_scene(config: ScenarioConfig, trial: int = 0) -> Scene:
                      for s in sc.surfaces)
 
     anchors = _pick_anchors(tv)
+    clock = math.remainder(sc.clock_offset_s, config.frequency_grid().period)
     try:
         return Scene(tv_antennas=tv, anchor_indices=anchors, sv_antennas=sv,
-                     surfaces=surfaces, clock_offset=sc.clock_offset_s, has_los=sc.has_los)
+                     surfaces=surfaces, clock_offset=clock, has_los=sc.has_los)
     except ValueError as exc:
         raise DegenerateGeometryError(f"scene stage: {exc}") from exc
 

@@ -2,8 +2,8 @@
 
 Two waveforms share the channel: a stepped-frequency continuous wave (SFCW)
 comb used for imaging, and two-tone signature waveforms on two anchor antennas
-used for clock-difference estimation.  Only demodulated symbols are modelled,
-never passband samples.
+used for clock-difference estimation; ``FrequencyGrid`` states both, and the
+beat period 1/delta.  Only demodulated symbols are modelled, never passband samples.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ MIN_FUSED_PATHS = 3     # fewest same-clock paths fusion takes
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """SFCW tone comb f_k = f1 + (k-1)*delta for k = 1..tones."""
+    """SFCW tone comb f_k = f1 + (k-1)*delta for k = 1..tones, and the signature tones below it."""
 
     f1: float
     tones: int
@@ -32,6 +32,8 @@ class FrequencyGrid:
             raise ConfigError("f1 and delta must be positive")
         if self.tones < 2:
             raise ConfigError("an SFCW grid needs at least two tones")
+        if self.anchor_tones[1] <= 0:
+            raise ConfigError("signature tones and delta must be positive")
 
     @property
     def frequencies(self) -> np.ndarray:
@@ -49,20 +51,15 @@ class FrequencyGrid:
     def bandwidth(self) -> float:
         return self.f_max - self.f1
 
+    @property
+    def anchor_tones(self) -> tuple[float, float]:
+        """Lower tone of anchor a's and anchor b's signature pair, f1 - 2*delta and f1 - 4*delta."""
+        return self.f1 - 2 * self.delta, self.f1 - 4 * self.delta
 
-@dataclass(frozen=True)
-class SignatureConfig:
-    """Anchor-tone pairs {f_a, f_a+delta} and {f_b, f_b+delta}."""
-
-    f_a: float
-    f_b: float
-    delta: float
-
-    def __post_init__(self):
-        if self.f_a <= 0 or self.f_b <= 0 or self.delta <= 0:
-            raise ConfigError("signature tones and delta must be positive")
-        if self.f_a == self.f_b:
-            raise ConfigError("the two anchors need distinct signature tones")
+    @property
+    def period(self) -> float:
+        """The beat period 1/delta: clock differences are read modulo it."""
+        return 1.0 / self.delta
 
 
 def max_unambiguous_range(delta: float) -> float:

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from coposim.geometry import ReflectionSurface, Scene
-from coposim.waveform import FrequencyGrid, SignatureConfig
+from coposim.waveform import FrequencyGrid
 
 # Reference simulation setup used across tests: 57-60 GHz comb, 11.72 MHz gap,
-# signature tones just below the comb.
+# signature tones just below the comb (``FrequencyGrid.anchor_tones``).
 REF_DELTA = 11.72e6
 REF_GRID = FrequencyGrid(f1=57e9, tones=256, delta=REF_DELTA)
-REF_SIGNATURE = SignatureConfig(f_a=57e9 - 2 * REF_DELTA, f_b=57e9 - 4 * REF_DELTA, delta=REF_DELTA)
 
 # Three-reflector topology used by the NLoS experiments.
 REF_SURFACES = (

@@ -31,7 +31,7 @@ class TestResolutions:
         g1 = FrequencyGrid(f1=57e9, tones=129, delta=11.72e6)
         g2 = FrequencyGrid(f1=57e9, tones=257, delta=11.72e6)
         assert range_resolution(g1) == pytest.approx(2 * range_resolution(g2), rel=1e-12)
-        assert range_resolution(FrequencyGrid(f1=C, tones=2, delta=C)) == pytest.approx(1.0)
+        assert range_resolution(FrequencyGrid(f1=5 * C, tones=2, delta=C)) == pytest.approx(1.0)
 
 
 class TestHausdorff:

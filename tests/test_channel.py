@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import REF_DELTA, REF_GRID, REF_SIGNATURE, small_scene, square_array
+from conftest import REF_DELTA, REF_GRID, small_scene, square_array
 from coposim.channel import NOISELESS, NoiseModel, simulate_sfcw, simulate_signature
 from coposim.geometry import SPEED_OF_LIGHT as C
 from coposim.geometry import ReflectionSurface, Scene, distance_matrix
@@ -15,7 +15,7 @@ from oracles import cell_normals, direct_sfcw, mirror_across_trace, path_length
 class TestSignature:
     def test_intertone_phase_encodes_clock_minus_delay(self):
         scene = small_scene(clock_offset=12e-9)
-        obs = simulate_signature(scene, REF_SIGNATURE, NOISELESS)[0]
+        obs = simulate_signature(scene, REF_GRID, NOISELESS)[0]
         for m, p in enumerate(scene.sv_antennas):
             tau = path_length(None, scene.anchor_a, p) / C
             expected = 2 * math.pi * REF_DELTA * (scene.clock_offset - tau)
@@ -26,7 +26,7 @@ class TestSignature:
     def test_every_path_has_unit_magnitude(self):
         surf = ReflectionSurface.from_trace(0.5, 3.0)
         scene = small_scene(surfaces=(surf,), has_los=True)
-        for obs in simulate_signature(scene, REF_SIGNATURE, NOISELESS):
+        for obs in simulate_signature(scene, REF_GRID, NOISELESS):
             assert np.allclose(np.abs(obs.sig_a), 1.0) and np.allclose(np.abs(obs.sig_b), 1.0)
 
     def test_large_clock_offset_phase_value(self):
@@ -35,7 +35,7 @@ class TestSignature:
         tv = np.array([[0.0, 0.0, 8.0], [1.0, 0.0, 8.0]])
         sv = np.array([[0.0, 0.0, 8.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         scene = Scene(tv, (0, 1), sv, (), clock_offset=1e-6, has_los=True)
-        obs = simulate_signature(scene, REF_SIGNATURE, NOISELESS)[0]
+        obs = simulate_signature(scene, REF_GRID, NOISELESS)[0]
         measured = np.angle(obs.sig_a[0, 1] * np.conj(obs.sig_a[0, 0]))
         frac = (REF_DELTA * 1e-6) % 1.0
         expected = 2 * math.pi * frac
@@ -44,7 +44,7 @@ class TestSignature:
 
     def test_noiseless_roundtrip_recovers_clock(self):
         scene = small_scene(clock_offset=17e-9)
-        obs = simulate_signature(scene, REF_SIGNATURE, NOISELESS)[0]
+        obs = simulate_signature(scene, REF_GRID, NOISELESS)[0]
         eta = np.angle(obs.sig_a[:, 0] * np.conj(obs.sig_a[:, 1]))
         tau = np.array([path_length(None, scene.anchor_a, p) for p in scene.sv_antennas]) / C
         sigma = tau - eta / (2 * math.pi * REF_DELTA)
@@ -114,8 +114,8 @@ class TestSfcw:
         scene = small_scene(sv=square_array(40, 1.0))
         errs = []
         for seed in range(8):
-            noisy = simulate_signature(scene, REF_SIGNATURE, NoiseModel(0.05, None, seed))[0]
-            clean = simulate_signature(scene, REF_SIGNATURE, NOISELESS)[0]
+            noisy = simulate_signature(scene, REF_GRID, NoiseModel(0.05, None, seed))[0]
+            clean = simulate_signature(scene, REF_GRID, NOISELESS)[0]
             d = np.angle(noisy.sig_a[:, 0] * np.conj(noisy.sig_a[:, 1])) \
                 - np.angle(clean.sig_a[:, 0] * np.conj(clean.sig_a[:, 1]))
             errs.append((d + math.pi) % (2 * math.pi) - math.pi)
@@ -128,8 +128,8 @@ class TestDeterminismAndPlumbing:
         scene = small_scene(surfaces=(ReflectionSurface.from_trace(1.0, 3.0),))
         grid = FrequencyGrid(f1=57e9, tones=32, delta=REF_DELTA)
         noise = NoiseModel(0.1, 10.0, 12345)
-        a1 = simulate_signature(scene, REF_SIGNATURE, noise)
-        a2 = simulate_signature(scene, REF_SIGNATURE, noise)
+        a1 = simulate_signature(scene, REF_GRID, noise)
+        a2 = simulate_signature(scene, REF_GRID, noise)
         for x, y in zip(a1, a2):
             for fx, fy in ((x.sig_a, y.sig_a), (x.sig_b, y.sig_b)):
                 assert np.array_equal(fx, fy)
@@ -180,10 +180,10 @@ class TestNoiseStreams:
         # the noiseless phases plus tone_sigma times the cell's four normals.
         scene = six_path_scene(n_side)
         noise = NoiseModel(0.1, None, seed)
-        coef = 2.0 * math.pi * np.array([REF_SIGNATURE.f_a, REF_SIGNATURE.f_a + REF_DELTA,
-                                         REF_SIGNATURE.f_b, REF_SIGNATURE.f_b + REF_DELTA])
-        clean = simulate_signature(scene, REF_SIGNATURE, NOISELESS)
-        noisy = simulate_signature(scene, REF_SIGNATURE, noise)
+        f_a, f_b = REF_GRID.anchor_tones
+        coef = 2.0 * math.pi * np.array([f_a, f_a + REF_DELTA, f_b, f_b + REF_DELTA])
+        clean = simulate_signature(scene, REF_GRID, NOISELESS)
+        noisy = simulate_signature(scene, REF_GRID, noise)
         assert [obs.path_id for obs in noisy] == list(range(6))
         for c, obs in zip(clean, noisy):
             image = scene.images[obs.path_id]
@@ -214,8 +214,8 @@ class TestNoiseStreams:
         scene = six_path_scene(2)
         grid = FrequencyGrid(f1=57e9, tones=8, delta=REF_DELTA)
         as_int, as_numpy = NoiseModel(0.1, 10.0, 2**40 + 7), NoiseModel(0.1, 10.0, np.uint64(2**40 + 7))
-        for a, b in zip(simulate_signature(scene, REF_SIGNATURE, as_int),
-                        simulate_signature(scene, REF_SIGNATURE, as_numpy)):
+        for a, b in zip(simulate_signature(scene, REF_GRID, as_int),
+                        simulate_signature(scene, REF_GRID, as_numpy)):
             assert np.array_equal(a.sig_a, b.sig_a) and np.array_equal(a.sig_b, b.sig_b)
         assert np.array_equal(simulate_sfcw(scene, grid, as_int, 3, 1e-9),
                               simulate_sfcw(scene, grid, as_numpy, 3, 1e-9))

@@ -659,10 +659,25 @@ def test_an_snr_past_the_float_range_is_refused_at_load(tmp_path, capsys):
     assert ScenarioConfig.from_dict({"noise": {"snr_db": -3000.0}}).noise.snr_db == -3000.0
 
 
+@pytest.mark.parametrize("offset", [1e-6, 1.0, 100.0, 1e3, 1e300, -1e300])
+def test_a_clock_offset_is_read_modulo_the_beat_period(offset):
+    # The scene holds the offset's remainder modulo 1/delta, which no receiver
+    # can tell from it.  Unreduced, the symbol phases lost their precision:
+    # 1 s read 0.091 m of anchor error and 100 s 3.43 m, both as successes,
+    # 1e3 s failed as rank-deficient and 1e300 s left float64.
+    def metrics(clock_offset_s):
+        config = {**NOISELESS_LOS_8M,
+                  "scene": {**NOISELESS_LOS_8M["scene"], "clock_offset_s": clock_offset_s}}
+        return run(ScenarioConfig.from_dict(config))[0].trials[0]
+
+    shifted, default = metrics(offset), metrics(2.0e-8)
+    assert shifted["anchor_err_m"] <= 1e-8
+    assert shifted["hausdorff_m"] == pytest.approx(default["hausdorff_m"], abs=1e-6)
+
+
 # Values that load, but whose scene leaves the float64 range or precision: each
 # once escaped from the trial as a traceback and aborted a sweep.
 SCENES_PAST_FLOAT64 = [
-    ("clock_offset_s", 1e300, "scene stage: a configured value is past the float64 range"),
     ("tv_size_m", [1e200, 1.0, 1.0], "scene stage: a configured value is past the float64 range"),
     ("distance_m", 1e200, "scene stage: tv_antennas contains duplicate points")]
 
@@ -678,8 +693,8 @@ def test_a_scene_past_float64_fails_its_trial_in_one_line(tmp_path, capsys, name
     assert err.count("\n") == 1
 
 
-def test_a_sweep_counts_a_trial_whose_clock_is_past_float64():
-    scenario = {**NOISELESS_LOS, "scene": {**NOISELESS_LOS["scene"], "clock_offset_s": 1e300},
+def test_a_sweep_counts_a_trial_whose_body_is_past_float64():
+    scenario = {**NOISELESS_LOS, "scene": {**NOISELESS_LOS["scene"], "tv_size_m": [1e200, 1, 1]},
                 "sweep": {"trials": 1}}
     report, _ = run_sweep(ScenarioConfig.from_dict(scenario))
     assert report.aggregates["n_failed"] == 1

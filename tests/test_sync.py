@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import REF_DELTA, REF_SIGNATURE, small_scene, square_array
+from conftest import REF_DELTA, REF_GRID, small_scene, square_array
 from coposim import sync
 from coposim.channel import NOISELESS, NoiseModel, simulate_signature
 from coposim.errors import DegenerateGeometryError
@@ -15,7 +15,7 @@ from oracles import grid_search_anchor, range_diff_ssq
 
 
 def observed(scene, noise=NOISELESS):
-    return simulate_signature(scene, REF_SIGNATURE, noise)[0]
+    return simulate_signature(scene, REF_GRID, noise)[0]
 
 
 def sphere_array(n: int, radius: float, seed: int = 3) -> np.ndarray:

@@ -24,6 +24,21 @@ class TestFrequencyGrid:
         with pytest.raises(ConfigError):
             FrequencyGrid(f1=1e9, tones=1, delta=1e6)
 
+    @pytest.mark.parametrize("f1, delta", [(57e9, 11.72e6), (57e9, 3e9 / 31), (1.0, 0.2),
+                                           (77e9 + 0.1, 1e-3)])
+    def test_anchor_tones_and_period(self, f1, delta):
+        # Bit for bit: the anchor tones two and four gaps below the comb, and
+        # the beat period modulo which clocks are read.
+        g = FrequencyGrid(f1=f1, tones=2, delta=delta)
+        assert g.anchor_tones == (f1 - 2 * delta, f1 - 4 * delta)
+        assert g.period == 1.0 / delta
+
+    def test_signature_tones_must_be_positive(self):
+        # f1 = 4 delta puts anchor b's lower tone at 0 Hz; just above, it is positive.
+        with pytest.raises(ConfigError, match="^signature tones and delta must be positive$"):
+            FrequencyGrid(f1=4 * REF_DELTA, tones=2, delta=REF_DELTA)
+        assert FrequencyGrid(f1=5 * REF_DELTA, tones=2, delta=REF_DELTA).anchor_tones[1] > 0
+
 
 class TestBounds:
     def test_max_range_reference_value(self):
