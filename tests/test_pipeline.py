@@ -678,8 +678,8 @@ def test_a_clock_offset_is_read_modulo_the_beat_period(offset):
 # Values that load, but whose scene leaves the float64 range or precision: each
 # once escaped from the trial as a traceback and aborted a sweep.
 SCENES_PAST_FLOAT64 = [
-    ("tv_size_m", [1e200, 1.0, 1.0], "scene stage: a configured value is past the float64 range"),
-    ("distance_m", 1e200, "scene stage: tv_antennas contains duplicate points")]
+    ("distance_m", 1e200, "scene stage: tv_antennas contains duplicate points"),
+    ("tv_size_m", [1e200, 1.0, 1.0], "scene stage: a configured value is past the float64 range")]
 
 
 @pytest.mark.parametrize("name, value, message", SCENES_PAST_FLOAT64)
