@@ -284,8 +284,10 @@ def sample_aperture(symbols, sv_antennas, grid: FrequencyGrid, pitch: float,
     ``symbols`` holds the SFCW symbols, one row per antenna of
     ``sv_antennas`` and one column per tone of ``grid``.  ``pitch`` is the
     row pitch of the array: a new row starts wherever the sorted antenna y
-    values jump by more than ``pitch/2``, and the uniform grid has spacing
-    ``pitch`` on both axes.
+    values jump by more than ``pitch/2``.  Each grid axis spreads
+    round(span/pitch) + 1 points evenly over its span (of the antennas in x,
+    of the row means in y), at least two across x, so a near-grazing bearing
+    gets two columns closer together than a pitch.
 
     Antennas off the plane are phase-shifted by exp(-j*2*pi*f_k*p_z/c), which
     is tight while the target distance is large against the array size.  The
@@ -303,9 +305,9 @@ def sample_aperture(symbols, sv_antennas, grid: FrequencyGrid, pitch: float,
     ants = np.asarray(sv_antennas, dtype=float)
 
     freqs = grid.frequencies
+    ref = None if deramp_center is None else np.asarray(deramp_center, dtype=float)
     projected = symbols * np.exp(-2j * math.pi * np.outer(ants[:, 2], freqs) / C)
-    if deramp_center is not None:
-        ref = np.asarray(deramp_center, dtype=float)
+    if ref is not None:
         r_ant = np.sqrt((ants[:, 0] - ref[0]) ** 2 + (ants[:, 1] - ref[1]) ** 2 + ref[2] ** 2)
         projected = projected * np.exp(2j * math.pi * np.outer(r_ant, freqs) / C)
 
@@ -314,15 +316,12 @@ def sample_aperture(symbols, sv_antennas, grid: FrequencyGrid, pitch: float,
         raise InterpolationDegeneracyError(
             "resampling needs at least two antenna rows of at least two antennas each")
 
+    # Rows come from the y sort: their means ascend and span over pitch/2, so ny >= 2.
     row_y = np.array([ants[r, 1].mean() for r in rows])
-    order = np.argsort(row_y)
-    rows = [rows[i] for i in order]
-    row_y = row_y[order]
-
     x_lo = min(ants[r, 0].min() for r in rows)
     x_hi = max(ants[r, 0].max() for r in rows)
     nx = max(2, int(round((x_hi - x_lo) / pitch)) + 1)
-    ny = max(2, int(round((row_y[-1] - row_y[0]) / pitch)) + 1)
+    ny = int(round((row_y[-1] - row_y[0]) / pitch)) + 1
     gx = np.linspace(x_lo, x_hi, nx)
     gy = np.linspace(row_y[0], row_y[-1], ny)
 
@@ -334,8 +333,7 @@ def sample_aperture(symbols, sv_antennas, grid: FrequencyGrid, pitch: float,
         wx[i][:, r] = _interp_weights(gx, ants[r, 0])
     per_row = (wx.reshape(-1, len(ants)) @ projected).reshape(len(rows), nx, -1)
     out = _interp_weights(gy, row_y) @ per_row.transpose(1, 0, 2)
-    if deramp_center is not None:
-        ref = np.asarray(deramp_center, dtype=float)
+    if ref is not None:
         r_grid = np.sqrt((gx[:, None] - ref[0]) ** 2 + (gy[None, :] - ref[1]) ** 2 + ref[2] ** 2)
         out = out * np.exp(-2j * math.pi / C * r_grid[:, :, None] * freqs[None, None, :])
     return ApertureSamples(grid_x=gx, grid_y=gy, samples=out, grid=grid)
@@ -470,20 +468,16 @@ def _paired_bins(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lead bins (the paired ones first) and, for the first of them, the bin at -f.
 
     Pairs are matched by exact value in any order; a zero, a Nyquist or any
-    other bin without an exact negative is a lead without a lag.
+    other bin without an exact negative is a lead without a lag.  The bins
+    must be distinct, as on every spectral axis.
     """
-    negatives: dict[float, list[int]] = {}
-    for i, v in enumerate(f.tolist()):
-        if v < 0.0:
-            negatives.setdefault(v, []).append(i)
-    lead, lag = [], []
-    for i, v in enumerate(f.tolist()):
-        if v > 0.0 and negatives.get(-v):
-            lead.append(i)
-            lag.append(negatives[-v].pop())
-    paired = set(lead) | set(lag)
-    single = [i for i in range(len(f)) if i not in paired]
-    return np.array(lead + single, dtype=np.intp), np.array(lag, dtype=np.intp)
+    order = np.argsort(f)
+    pos = np.flatnonzero(f > 0.0)
+    at = np.minimum(np.searchsorted(f[order], -f[pos]), len(f) - 1)
+    hit = f[order[at]] == -f[pos]
+    lead, lag = pos[hit], order[at[hit]]
+    single = np.setdiff1d(np.arange(len(f)), np.concatenate([lead, lag]))
+    return np.concatenate([lead, single]), lag
 
 
 def _cos_sin_matrix(f: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -32,6 +32,9 @@ from .geometry import SPEED_OF_LIGHT, as_xyz
 
 # Gauss-Newton stops once a step moves the anchor less than this (m).
 _STEP_TOL = 1e-9
+# Past this condition number of G^T G a Gauss-Newton step is ridge-stabilised
+# (``_gn_step``), and a converged anchor is refused as rank-deficient.
+_COND_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
@@ -91,7 +94,7 @@ def _gn_step(G: np.ndarray, b: np.ndarray) -> np.ndarray:
     if not np.isfinite(gtg).all():
         raise np.linalg.LinAlgError("non-finite normal matrix")
     rhs = G.T @ b
-    if np.linalg.cond(gtg) > 1e12:
+    if np.linalg.cond(gtg) > _COND_LIMIT:
         gtg = gtg + 1e-9 * max(np.trace(gtg) / 3.0, 1e-30) * np.eye(3)
     return np.linalg.solve(gtg, rhs)
 
@@ -178,7 +181,7 @@ def locate_anchor(measurement: PdoaMeasurement, sv_antennas, guess,
     x = _canonical_halfspace(x, sv)
     G = _misfit(x, sv, f)[2]
     gtg = G.T @ G
-    if converged and np.linalg.cond(gtg) > 1e12:
+    if converged and np.linalg.cond(gtg) > _COND_LIMIT:
         raise DegenerateGeometryError("rank-deficient array geometry in anchor solve")
     sigma_f = math.sqrt(2.0) * SPEED_OF_LIGHT * phase_sigma / (2.0 * math.pi * measurement.delta)
     cov = sigma_f**2 * np.linalg.pinv(gtg)

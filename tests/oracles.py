@@ -235,6 +235,25 @@ def two_exponential_remap(f_x, f_y, f_z, values, f1: float, delta: float,
     return out
 
 
+def paired_bins(f) -> tuple[np.ndarray, np.ndarray]:
+    """Lead bins and lags of the inverse's fold, one bin at a time.
+
+    A positive bin whose exact negative is on the axis leads a pair, in index
+    order, and its lag is that negative's index; every other bin follows in
+    index order as a lead without a lag.
+    """
+    values = [float(v) for v in f]
+    lead, lag = [], []
+    for i, v in enumerate(values):
+        if v > 0.0:
+            for j, w in enumerate(values):
+                if w == -v:
+                    lead.append(i)
+                    lag.append(j)
+    single = [i for i in range(len(values)) if i not in lead and i not in lag]
+    return np.array(lead + single, dtype=np.intp), np.array(lag, dtype=np.intp)
+
+
 def direct_aperture_spectrum(samples: np.ndarray, grid_x, grid_y, f_x, f_y) -> np.ndarray:
     """sum_(i,j) s_ijk * exp(-j*2*pi/c * (f_x,a*x_i + f_y,b*y_j)) per bin (a, b) and tone k."""
     nx, ny, tones = samples.shape

@@ -34,3 +34,12 @@ def test_the_interval_resamples_whole_seeds(ab):
 def test_a_seed_without_trials_of_a_group_is_not_drawn(ab):
     assert ab.bootstrap_median([[], [0.97]])["seeds"] == 1
     assert ab.bootstrap_median([[], []]) is None
+
+
+def test_a_worker_reports_the_minor_faults_of_its_trial(ab):
+    worker = ab.Worker(TOOL.parents[1])
+    try:
+        reply = worker.run("los_range", 1, 0)
+    finally:
+        worker.close()
+    assert reply["imaged"] and type(reply["minflt"]) is int and reply["minflt"] >= 0

@@ -12,11 +12,12 @@ from coposim.geometry import Scene, distance_matrix
 from coposim.imaging import (ApertureSamples, ImagingBox, PowerSpectrum, Spectrum2D,
                              Spectrum3D, detect_peaks, forward_2d_spectrum,
                              inverse_3d_spectrum, reconstruct, remap_to_sphere,
-                             sample_aperture, _SLAB_ENTRIES, _SLAB_ROWS)
+                             sample_aperture, _paired_bins, _SLAB_ENTRIES, _SLAB_ROWS)
 from coposim.analysis import azimuth_resolution, range_resolution
 from coposim.waveform import FrequencyGrid
 from oracles import (backprojection, direct_aperture_spectrum, direct_fourier_sum,
-                     local_maxima_26, rowwise_linear_resample, two_exponential_remap)
+                     local_maxima_26, paired_bins, rowwise_linear_resample,
+                     two_exponential_remap)
 
 GRID64 = FrequencyGrid(f1=57e9, tones=64, delta=3e9 / 63)
 
@@ -313,6 +314,21 @@ def inverse_against_direct_sum(f_x, f_y, shape):
     out = inverse_3d_spectrum(spec, box).voxels
     assert out.shape == box.shape and out.dtype == complex
     return out, ref
+
+
+class TestPairedBins:
+    @pytest.mark.parametrize("f", [
+        np.fft.fftshift(np.fft.fftfreq(7, d=0.1)) * C,
+        np.fft.fftshift(np.fft.fftfreq(8, d=0.1)) * C,
+        np.fft.fftfreq(10, d=0.12) * C,
+        np.random.default_rng(3).permutation(np.fft.fftfreq(11, d=0.07) * C),
+        -1.3e9 + 0.23e9 * np.arange(13),
+    ], ids=["fftfreq-odd", "fftfreq-even", "unshifted", "shuffled", "no-negative"])
+    def test_matches_the_loop_oracle(self, f):
+        lead, lag = _paired_bins(f)
+        want_lead, want_lag = paired_bins(f)
+        assert lead.dtype == lag.dtype == np.intp
+        assert np.array_equal(lead, want_lead) and np.array_equal(lag, want_lag)
 
 
 class TestInverse:

@@ -67,6 +67,28 @@ def test_noiseless_los_trial_recovers_the_anchor():
     assert report.aggregates["n_failed"] == 0
 
 
+def test_a_near_grazing_bearing_images_two_close_columns(monkeypatch):
+    # At 88.5 deg off the array normal the path's bearing frame sees the array
+    # nearly edge on: the resampled aperture has two columns much closer than
+    # a row pitch, and the scene still images.  (89 deg is refused.)
+    columns = []
+    forward = imaging.forward_2d_spectrum
+
+    def recording_forward(samples, pad):
+        columns.append(samples.grid_x)
+        return forward(samples, pad)
+
+    monkeypatch.setattr(imaging, "forward_2d_spectrum", recording_forward)
+    phi = math.radians(88.5)
+    scene = {**NOISELESS_LOS["scene"], "tv_direction": [math.sin(phi), 0.0, math.cos(phi)]}
+    config = ScenarioConfig.from_dict({**NOISELESS_LOS, "scene": scene, "sweep": {"trials": 1}})
+    report, _ = run(config)
+    assert report.aggregates["n_failed"] == 0
+    assert report.trials[0]["anchor_err_m"] <= 1e-7
+    assert len(columns) == 1 and len(columns[0]) == 2
+    assert np.ptp(columns[0]) < pipeline._row_pitch(config) / 2
+
+
 # Noiseless line of sight at 6 m, default waveform and box.  On these noise
 # seeds a start searched for on a grid over a fixed region sends the anchor
 # solve 4.6e6 m off or into a rank-deficient solve.

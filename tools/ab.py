@@ -30,9 +30,13 @@ would take one slow pair's trials for independent ones and narrow the CI.
 So the CI needs several seeds, and with one seed it is the median itself.
 It lists every trial whose ``TrialOutcome.accuracy_key()`` differs between
 the two trees or between the runs of one tree, with the trial metrics that
-differ, and then every trial's times.  Standard error has one line per
-workload.  Exit status 1 means some key differed; 2 means a revision could
-not be extracted.
+differ, and then every trial's times.  Beside each time stands the minor
+page faults the worker took during that run (the ``ru_minflt`` difference
+of ``resource.getrusage`` around ``run_trial``), and each workload gives
+both sides' median count: a process's fault count follows its allocation
+history, a bias on the times that the ratio alone does not show.  Standard
+error has one line per workload.  Exit status 1 means some key differed; 2
+means a revision could not be extracted.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import resource
 import statistics
 import subprocess
 import sys
@@ -61,8 +66,11 @@ def worker(tree: str) -> None:
     from workloads import WORKLOADS, run_trial
     for line in sys.stdin:
         name, seed, trial = json.loads(line)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         outcome = run_trial(WORKLOADS[name], seed, trial)
-        print(json.dumps({"wall_s": outcome.wall_s, "imaged": outcome.metrics is not None,
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+        print(json.dumps({"wall_s": outcome.wall_s, "minflt": faults,
+                          "imaged": outcome.metrics is not None,
                           "key": outcome.accuracy_key()}), flush=True)
 
 
@@ -141,7 +149,7 @@ def compare(trees: tuple[Path, Path], names: list[str], seeds: list[int],
     summary, differing, rows = {}, [], []
     for name in names:
         groups = {"all": [], "imaged": [], "failed": []}   # per group, one list per seed
-        best = ([], [])
+        best = ([], [])   # each side's fastest run of every trial
         for seed in seeds:
             for ratios in groups.values():
                 ratios.append([])
@@ -153,7 +161,8 @@ def compare(trees: tuple[Path, Path], names: list[str], seeds: list[int],
                 for side in sides:
                     side.close()
             for trial, runs in enumerate(outcomes):
-                times = [min(r["wall_s"] for r in side) for side in runs]
+                fastest = [min(side, key=lambda r: r["wall_s"]) for side in runs]
+                times = [r["wall_s"] for r in fastest]
                 keys = [{r["key"] for r in side} for side in runs]
                 equal = len(keys[0]) == len(keys[1]) == 1 and keys[0] == keys[1]
                 if not equal:
@@ -165,19 +174,24 @@ def compare(trees: tuple[Path, Path], names: list[str], seeds: list[int],
                 ratio = times[1] / times[0]
                 groups["all"][-1].append(ratio)
                 groups["imaged" if imaged else "failed"][-1].append(ratio)
-                best[0].append(times[0])
-                best[1].append(times[1])
+                for side, run in zip(best, fastest):
+                    side.append(run)
                 rows.append({"workload": name, "seed": seed, "trial": trial,
                              "first": "AB"[len(rows) % 2], "a_s": times[0], "b_s": times[1],
+                             "a_minflt": fastest[0]["minflt"], "b_minflt": fastest[1]["minflt"],
                              "imaged": imaged, "keys_equal": equal})
         summary[name] = {**{group: bootstrap_median(r) for group, r in groups.items()},
-                         "a_median_s": statistics.median(best[0]),
-                         "b_median_s": statistics.median(best[1]),
+                         "a_median_s": statistics.median(r["wall_s"] for r in best[0]),
+                         "b_median_s": statistics.median(r["wall_s"] for r in best[1]),
+                         "a_median_minflt": statistics.median(r["minflt"] for r in best[0]),
+                         "b_median_minflt": statistics.median(r["minflt"] for r in best[1]),
                          "keys_differ": sum(1 for d in differing if d["workload"] == name)}
         whole = summary[name]["all"]
         print(f"{name}: B/A {whole['median_ratio']} (CI {whole['ci95'][0]}-{whole['ci95'][1]}) "
               f"over {whole['seeds']} seeds, {whole['trials']} trials, "
-              f"{summary[name]['keys_differ']} keys differ", file=sys.stderr)
+              f"{summary[name]['keys_differ']} keys differ, minor faults median "
+              f"{summary[name]['a_median_minflt']} / {summary[name]['b_median_minflt']}",
+              file=sys.stderr)
     return summary, differing, rows
 
 
