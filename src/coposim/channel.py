@@ -2,17 +2,17 @@
 
 Each propagation path (line of sight and/or one specular bounce per surface)
 is the transmit image it propagates from, ``Scene.images``: its flight times
-are the distances from that image to the receive antennas.  It yields, per
-receive antenna, two 2-vectors of signature symbols and one K-vector of SFCW
-symbols.  The signatures of every path are simulated at once;
-the SFCW symbols one path per call, demodulated with the receiver's clock
-estimate for that path, since the receiver syncs on a path before it images
-it.  Every path arrives at unit amplitude (sync reads phase differences, and
-the SFCW noise and the peak threshold scale with the path's own power);
-Doppler is out of scope for a single snapshot.  The SFCW symbols of a path
-sum, over transmit antennas, one phasor per tone; the comb is uniform, so each
-antenna pair's phasors follow from two complex exponentials by a recurrence
-along the tones rather than one exponential per (antenna pair, tone).
+are its lengths to the receive antennas, ``Scene.lengths``.  The signatures of
+every path are simulated at once, one (2, N_r, 2) block per path (anchor a's
+two tones at each receive antenna, then anchor b's) keyed like the images; the
+SFCW symbols, one K-vector per receive antenna, one path per call, demodulated
+with the receiver's clock estimate for that path, since the receiver syncs on
+a path before it images it.  Every path arrives at unit amplitude (sync reads
+phase differences, and the SFCW noise and the peak threshold scale with the
+path's own power); Doppler is out of scope for a single snapshot.  The SFCW
+symbols of a path sum, over transmit antennas, one phasor per tone; the comb
+is uniform, so each antenna pair's phasors follow from two complex exponentials
+by a recurrence along the tones, not one exponential per (antenna pair, tone).
 
 Each (path, receive antenna) cell draws its jitter (domain 1) and SFCW noise
 (domain 2) from numpy's seed sequence for (seed, domain, path, antenna), which
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .geometry import SPEED_OF_LIGHT, Scene, distance_matrix
+from .geometry import SPEED_OF_LIGHT, Scene
 from .waveform import FrequencyGrid
 
 _DOMAIN_SIGNATURE = 1
@@ -59,20 +59,6 @@ class NoiseModel:
 
 
 NOISELESS = NoiseModel(phase_sigma=0.0, snr_db=None, rng_seed=0)
-
-
-@dataclass(frozen=True)
-class PathObservation:
-    """Demodulated signature symbols for one resolved propagation path.
-
-    ``sig_a`` / ``sig_b`` have shape (N_r, 2): anchor tone and anchor tone
-    + delta.  Paths are told apart by their true ``path_id``, standing in for
-    angular separation at the receiver.
-    """
-
-    path_id: int
-    sig_a: np.ndarray
-    sig_b: np.ndarray
 
 
 # numpy's SeedSequence hash constants (a pool of 4 uint32 words, shifts of 16).
@@ -123,26 +109,26 @@ def _cell_rngs(seed: int, domain: int, path_ids: list[int], n_antennas: int) -> 
     return [np.random.Generator(np.random.PCG64(_SeedWords(s))) for s in seeds]
 
 
-def simulate_signature(scene: Scene, grid: FrequencyGrid, noise: NoiseModel) -> list[PathObservation]:
-    """Demodulated signature symbols for every propagation path of the scene.
+def simulate_signature(scene: Scene, grid: FrequencyGrid, noise: NoiseModel) -> dict[int, np.ndarray]:
+    """Demodulated signature symbols of every propagation path, keyed like ``Scene.images``.
 
-    A path's flight times run from the two anchors of its transmit image;
-    its (N_r, 4) symbols are exp(j*2*pi*f*(sigma - tau)) at each tone f of
-    ``grid.anchor_tones`` and at f + delta, plus the phase jitter.
+    Paths are told apart by their true id, standing in for angular separation
+    at the receiver.  A path's (2, N_r, 2) symbols hold anchor a's block, then
+    anchor b's: at antenna m, exp(j*2*pi*f*(sigma - tau_m)) at the anchor's
+    tone f of ``grid.anchor_tones`` and at f + delta, plus the phase jitter,
+    with tau_m read off the anchor's row of ``Scene.lengths``.
     """
-    tone_sigma = noise.phase_sigma / math.sqrt(2.0)
     f_a, f_b = grid.anchor_tones
-    coef = 2.0 * math.pi * np.array([f_a, f_a + grid.delta, f_b, f_b + grid.delta])
-    jitter = np.zeros((len(scene.images), scene.n_sv, 4))
+    coef = 2.0 * math.pi * np.array([[f_a, f_a + grid.delta], [f_b, f_b + grid.delta]])
+    tau = np.array([d[list(scene.anchor_indices)] for d in scene.lengths.values()]) / SPEED_OF_LIGHT
+    jitter = np.zeros((len(tau), scene.n_sv, 2, 2))   # (path, antenna) cells of 2 x 2 tones
     if noise.phase_sigma > 0:
         rngs = _cell_rngs(noise.rng_seed, _DOMAIN_SIGNATURE, list(scene.images), scene.n_sv)
-        jitter = np.array([rng.standard_normal(4) for rng in rngs]).reshape(jitter.shape) * tone_sigma
-    out = []
-    for (path_id, image), path_jitter in zip(scene.images.items(), jitter):
-        tau = distance_matrix(image[list(scene.anchor_indices)], scene.sv_antennas) / SPEED_OF_LIGHT
-        symbols = np.exp(1j * (coef * (scene.clock_offset - tau[[0, 0, 1, 1]].T) + path_jitter))
-        out.append(PathObservation(path_id=path_id, sig_a=symbols[:, 0:2], sig_b=symbols[:, 2:4]))
-    return out
+        jitter = (np.array([rng.standard_normal(4) for rng in rngs]).reshape(jitter.shape)
+                  * (noise.phase_sigma / math.sqrt(2.0)))
+    symbols = np.exp(1j * (coef[:, None, :] * (scene.clock_offset - tau[..., None])
+                           + jitter.transpose(0, 2, 1, 3)))
+    return dict(zip(scene.images, symbols))
 
 
 def simulate_sfcw(scene: Scene, grid: FrequencyGrid, noise: NoiseModel, path_id: int,
@@ -162,7 +148,7 @@ def simulate_sfcw(scene: Scene, grid: FrequencyGrid, noise: NoiseModel, path_id:
     per (pair, tone) either way; the K multiplications add about K * 1e-16.
     """
     sigma = scene.clock_offset
-    tau = distance_matrix(scene.images[path_id], scene.sv_antennas) / SPEED_OF_LIGHT
+    tau = scene.lengths[path_id] / SPEED_OF_LIGHT
     phi = (sigma - sigma_estimate) - tau                                # (N_t, N_r)
 
     phasor = np.exp((2j * math.pi * grid.f1) * phi)

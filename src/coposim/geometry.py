@@ -9,7 +9,7 @@ the trace's slope and intercept instead (``ReflectionSurface.from_trace``).
 A propagation path is the transmit image it propagates from: the transmit
 antennas themselves for the direct path, their mirror image across the surface
 for a bounce.  Its lengths are the distances from that image to the receive
-antennas (``distance_matrix``); ``Scene.images`` holds the images.
+antennas; ``Scene.images`` holds the images and ``Scene.lengths`` the lengths.
 """
 
 from __future__ import annotations
@@ -106,7 +106,8 @@ class Scene:
     ``images`` maps each propagation path to the read-only (N_t, 3) image it
     propagates from, formed once here: path 0, present with a line of sight,
     is ``tv_antennas`` itself, and path i + 1 is their mirror image across
-    ``surfaces[i]``.
+    ``surfaces[i]``.  ``lengths`` holds, under the same ids, each image's
+    read-only (N_t, N_r) distances to ``sv_antennas``, formed once here too.
     """
 
     tv_antennas: np.ndarray
@@ -116,6 +117,7 @@ class Scene:
     clock_offset: float
     has_los: bool
     images: dict[int, np.ndarray] = field(init=False, repr=False, compare=False)
+    lengths: dict[int, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         tv = np.asarray(self.tv_antennas, dtype=float)
@@ -135,12 +137,12 @@ class Scene:
         surfaces = tuple(self.surfaces)
         images = {0: tv} if self.has_los else {}
         images.update((i + 1, mirror_point(s, tv)) for i, s in enumerate(surfaces))
-        for pts in (tv, sv, *images.values()):
+        lengths = {pid: distance_matrix(image, sv) for pid, image in images.items()}
+        for pts in (tv, sv, *images.values(), *lengths.values()):
             pts.setflags(write=False)
-        object.__setattr__(self, "tv_antennas", tv)
-        object.__setattr__(self, "sv_antennas", sv)
-        object.__setattr__(self, "surfaces", surfaces)
-        object.__setattr__(self, "images", images)
+        for name, value in (("tv_antennas", tv), ("sv_antennas", sv), ("surfaces", surfaces),
+                            ("images", images), ("lengths", lengths)):
+            object.__setattr__(self, name, value)
 
     @property
     def n_sv(self) -> int:

@@ -350,21 +350,27 @@ def forward_2d_spectrum(samples: ApertureSamples, pad: tuple[int, int]) -> Spect
     Spatial frequencies are in Hz, ascending, and span +-c/(2*spacing) in
     ``pad`` bins per axis (the bins of a zero-padded DFT); more bins give a
     denser spectrum and a longer periodicity of the reconstructed image.
-    Each axis is one product with a (bins x samples) phase matrix taken at
-    the physical grid coordinates.  Only the x product is taken here; the
-    y product of each f_x row is taken when the row is read (see
-    ``Spectrum2D``), so the spectrum is never held whole.
+    Only the x bins within the band, |f_x| <= f_K, are formed, each as
+    ``np.fft.fftfreq`` forms it: the remap reads a shell at ||f|| >= |f_x|,
+    so any other row is zero, and ``sample_area`` = dx*dy*px/nfx keeps the
+    inverse's scale.  Each axis is one product with a (bins x samples) phase
+    matrix taken at the physical grid coordinates.  Only the x product is
+    taken here; the y product of each f_x row is taken when the row is read
+    (see ``Spectrum2D``), so the spectrum is never held whole.
     """
     dx, dy = samples.spacing
     nx, ny, tones = samples.samples.shape
     px, py = pad
 
-    f_x = np.fft.fftshift(np.fft.fftfreq(px, d=dx)) * C
+    step = 1.0 / (px * dx)
+    k_max = min(px // 2, int(samples.grid.f_max / (step * C)) + 1)
+    f_x = np.arange(-k_max, min(k_max, (px - 1) // 2) + 1) * step * C
+    f_x = f_x[np.abs(f_x) <= samples.grid.f_max]
     f_y = np.fft.fftshift(np.fft.fftfreq(py, d=dy)) * C
     xprod = _phase_matrix(-f_x, samples.grid_x) @ samples.samples.reshape(nx, -1)
-    return Spectrum2D(f_x=f_x, f_y=f_y, xprod=xprod.reshape(px, ny, tones),
+    return Spectrum2D(f_x=f_x, f_y=f_y, xprod=xprod.reshape(len(f_x), ny, tones),
                       ey=_phase_matrix(-f_y, samples.grid_y), grid=samples.grid,
-                      sample_area=dx * dy)
+                      sample_area=dx * dy * (px / len(f_x)))
 
 
 # Geometry-table entries per slab of the sphere remap.  A slab tabulates a run

@@ -90,11 +90,12 @@ def _mode(scene) -> str:
     return "los" if scene.has_los and len(scene.surfaces) + 1 < MIN_FUSED_PATHS else "nlos"
 
 
-def _sync_path(scene: Scene, sig_obs, delta: float, phase_sigma: float) -> VirtualDetection:
-    """Both anchor solves of one path, as its record with an empty cloud."""
-    sync_a, sync_b = (locate_and_sync(sig_obs, anchor, delta, scene.sv_antennas, phase_sigma)
-                      for anchor in "ab")
-    return VirtualDetection(sig_obs.path_id, sync_a, sync_b)
+def _sync_path(scene: Scene, path_id: int, symbols: np.ndarray, delta: float,
+               phase_sigma: float) -> VirtualDetection:
+    """Both anchor solves of a path, one per signature block, as its record with an empty cloud."""
+    sync_a, sync_b = (locate_and_sync(block, delta, scene.sv_antennas, phase_sigma)
+                      for block in symbols)
+    return VirtualDetection(path_id, sync_a, sync_b)
 
 
 def _path_box(x_a: np.ndarray, x_b: np.ndarray, grid, config: ScenarioConfig,
@@ -172,12 +173,13 @@ def _run_trial(config: ScenarioConfig, trial: int = 0):
         with np.errstate(over="raise", invalid="raise"):
             scene = build_scene(config, trial)
             warnings = validate_scene(scene, grid)
-            observations = simulate_signature(scene, grid, noise)
+            signatures = simulate_signature(scene, grid, noise)
     except FloatingPointError as exc:
         raise CoposimError(f"scene stage: a configured value is past the float64 range "
                            f"({exc})") from exc
 
-    detections = [_sync_path(scene, obs, grid.delta, noise.phase_sigma) for obs in observations]
+    detections = [_sync_path(scene, pid, symbols, grid.delta, noise.phase_sigma)
+                  for pid, symbols in signatures.items()]
 
     metrics: dict = {"trial": trial}
     if _mode(scene) == "los":
@@ -292,14 +294,15 @@ def run_nlos(config: ScenarioConfig, workers: int = 1):
 
 
 def _sweep_task(packed):
-    """One trial of ``(config, trial)``; ``config`` may be the point's ConfigError."""
+    """One trial's (metrics, warnings, failure); ``config`` may be the point's ConfigError."""
     config, trial = packed
     if isinstance(config, ConfigError):
-        return None, f"ConfigError: {config}"
+        return None, [], f"ConfigError: {config}"
     try:
-        return _run_trial(config, trial)[0], None
+        metrics, _, warnings = _run_trial(config, trial)
+        return metrics, warnings, None
     except (CoposimError, np.linalg.LinAlgError) as exc:
-        return None, f"{type(exc).__name__}: {exc}"
+        return None, [], f"{type(exc).__name__}: {exc}"
 
 
 def run_sweep(config: ScenarioConfig, workers: int = 1):
@@ -313,7 +316,8 @@ def run_sweep(config: ScenarioConfig, workers: int = 1):
 
     Per-trial failures are recorded in the fail rate instead of aborting the
     sweep, and counted by exception type in the aggregates.  Rows carry
-    per-point medians and interquartile ranges.
+    per-point medians and interquartile ranges.  The report's validation
+    warnings are its trials' distinct ones, in the order first seen.
     """
     check(config)
     sw, held = config.sweep, config.scene.surfaces
@@ -348,8 +352,8 @@ def run_sweep(config: ScenarioConfig, workers: int = 1):
     failures = []
     for k, point in enumerate(points):
         mine = outcomes[k * sw.trials:(k + 1) * sw.trials]   # tasks run point by point
-        ok = [m for m, e in mine if m is not None]
-        bad = [e for m, e in mine if e is not None]
+        ok = [m for m, _, e in mine if m is not None]
+        bad = [e for m, _, e in mine if e is not None]
         row = dict(point)
         row["hausdorff_med_m"], row["hausdorff_iqr_m"] = _median_iqr(
             np.array([m["hausdorff_m"] for m in ok]))
@@ -357,4 +361,5 @@ def run_sweep(config: ScenarioConfig, workers: int = 1):
         rows.append(row)
         all_trials.extend({**m, **point} for m in ok)
         failures.extend(bad)
-    return _make_report("sweep", config, [], all_trials, failures, sweep_rows=rows), None
+    warnings = dict.fromkeys(w for _, warned, _ in outcomes for w in warned)
+    return _make_report("sweep", config, warnings, all_trials, failures, sweep_rows=rows), None

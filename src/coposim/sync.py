@@ -67,14 +67,13 @@ class SyncResult:
     converged: bool
 
 
-def measure_pdoa(observation, anchor: str, delta: float) -> PdoaMeasurement:
-    """Unwrapped inter-tone phases of one path's signature symbols.
+def measure_pdoa(symbols: np.ndarray, delta: float) -> PdoaMeasurement:
+    """Unwrapped inter-tone phases of one anchor's (N_r, 2) block of signature symbols.
 
     Phases are unwrapped sequentially in antenna-index order, which is valid
     while consecutive antennas sit closer than c/(2*delta); ``validate_scene``
     refuses a wider step before any trial syncs.
     """
-    symbols = observation.sig_a if anchor == "a" else observation.sig_b
     eta = np.unwrap(np.angle(symbols[:, 0] * np.conj(symbols[:, 1])))
     return PdoaMeasurement(phase_diffs=eta, delta=delta)
 
@@ -149,9 +148,10 @@ def locate_anchor(measurement: PdoaMeasurement, sv_antennas, guess,
     would increase the residual, which keeps the objective non-increasing
     without moving the fixed point.  The residual and the Jacobian are formed
     together, once per point visited, and the accepted point's pair starts the
-    next step.  The covariance is sigma_F^2 * (G^T G)^+, sigma_F formed from
-    ``phase_sigma`` as the module docstring says, so it is zero without phase
-    noise; the clock is ``estimate_clock`` at the converged anchor.
+    next step and, unless ``_canonical_halfspace`` mirrors it, the covariance
+    sigma_F^2 * (G^T G)^+, sigma_F formed from ``phase_sigma`` as the module
+    docstring says, so it is zero without phase noise; the clock is
+    ``estimate_clock`` at the converged anchor.
     """
     sv = as_xyz(sv_antennas)
     f = measurement.range_diffs
@@ -178,8 +178,9 @@ def locate_anchor(measurement: PdoaMeasurement, sv_antennas, guess,
             converged = True
             break
 
-    x = _canonical_halfspace(x, sv)
-    G = _misfit(x, sv, f)[2]
+    flipped = _canonical_halfspace(x, sv)
+    if flipped is not x:   # the accepted point's Jacobian serves unless the twin is taken
+        x, G = flipped, _misfit(flipped, sv, f)[2]
     gtg = G.T @ G
     if converged and np.linalg.cond(gtg) > _COND_LIMIT:
         raise DegenerateGeometryError("rank-deficient array geometry in anchor solve")
@@ -199,8 +200,8 @@ def estimate_clock(x_anchor, measurement: PdoaMeasurement, sv_antennas) -> float
     return float(np.mean(sigma_m))
 
 
-def locate_and_sync(observation, anchor: str, delta: float, sv_antennas,
+def locate_and_sync(symbols: np.ndarray, delta: float, sv_antennas,
                     phase_sigma: float = 0.0) -> SyncResult:
-    """One anchor's whole solve: measure, guess, then locate the anchor and its clock."""
-    meas = measure_pdoa(observation, anchor, delta)
+    """One anchor's whole solve from its (N_r, 2) block: measure, guess, then locate."""
+    meas = measure_pdoa(symbols, delta)
     return locate_anchor(meas, sv_antennas, initial_guess(meas, sv_antennas), phase_sigma)

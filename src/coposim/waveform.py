@@ -80,8 +80,8 @@ def aperture_spacing_bound(f_center: float) -> float:
 def validate_scene(scene: Scene, grid: FrequencyGrid) -> list[str]:
     """Check sampling and feasibility conditions for the recovery pipeline.
 
-    Each path is the transmit image it propagates from (``Scene.images``), so
-    the range spread and the side of the array are read off the images.
+    Each path is the transmit image it propagates from (``Scene.images``): the
+    range spread is read off its lengths, the side of the array off its image.
     Aperture undersampling (nearest-neighbour spacing above c/(4 f_c)) is only
     a warning: sparse point targets remain detectable under aliasing, at the
     price of higher sidelobes.  Feasibility conditions, a step between
@@ -115,8 +115,7 @@ def validate_scene(scene: Scene, grid: FrequencyGrid) -> list[str]:
 
     # Range spread across the scene must fit in one ambiguity interval of the comb.
     r_max = max_unambiguous_range(grid.delta)
-    span = max((float(np.ptp(distance_matrix(image, sv))) for image in scene.images.values()),
-               default=0.0)
+    span = max((float(np.ptp(lengths)) for lengths in scene.lengths.values()), default=0.0)
     if span > r_max:
         errors.append(
             f"scene path-length spread {span:.4g} m exceeds the unambiguous range "

@@ -15,19 +15,19 @@ from oracles import cell_normals, direct_sfcw, mirror_across_trace, path_length
 class TestSignature:
     def test_intertone_phase_encodes_clock_minus_delay(self):
         scene = small_scene(clock_offset=12e-9)
-        obs = simulate_signature(scene, REF_GRID, NOISELESS)[0]
+        sig_a = simulate_signature(scene, REF_GRID, NOISELESS)[0][0]
         for m, p in enumerate(scene.sv_antennas):
             tau = path_length(None, scene.anchor_a, p) / C
             expected = 2 * math.pi * REF_DELTA * (scene.clock_offset - tau)
-            measured = np.angle(obs.sig_a[m, 1] * np.conj(obs.sig_a[m, 0]))
+            measured = np.angle(sig_a[m, 1] * np.conj(sig_a[m, 0]))
             assert math.isclose((measured - expected + math.pi) % (2 * math.pi) - math.pi,
                                 0.0, abs_tol=1e-9)
 
     def test_every_path_has_unit_magnitude(self):
         surf = ReflectionSurface.from_trace(0.5, 3.0)
         scene = small_scene(surfaces=(surf,), has_los=True)
-        for obs in simulate_signature(scene, REF_GRID, NOISELESS):
-            assert np.allclose(np.abs(obs.sig_a), 1.0) and np.allclose(np.abs(obs.sig_b), 1.0)
+        for symbols in simulate_signature(scene, REF_GRID, NOISELESS).values():
+            assert symbols.shape == (2, scene.n_sv, 2) and np.allclose(np.abs(symbols), 1.0)
 
     def test_large_clock_offset_phase_value(self):
         # tau = 0 at an antenna colocated with the anchor: the inter-tone phase
@@ -35,8 +35,8 @@ class TestSignature:
         tv = np.array([[0.0, 0.0, 8.0], [1.0, 0.0, 8.0]])
         sv = np.array([[0.0, 0.0, 8.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         scene = Scene(tv, (0, 1), sv, (), clock_offset=1e-6, has_los=True)
-        obs = simulate_signature(scene, REF_GRID, NOISELESS)[0]
-        measured = np.angle(obs.sig_a[0, 1] * np.conj(obs.sig_a[0, 0]))
+        sig_a = simulate_signature(scene, REF_GRID, NOISELESS)[0][0]
+        measured = np.angle(sig_a[0, 1] * np.conj(sig_a[0, 0]))
         frac = (REF_DELTA * 1e-6) % 1.0
         expected = 2 * math.pi * frac
         expected = (expected + math.pi) % (2 * math.pi) - math.pi
@@ -44,8 +44,8 @@ class TestSignature:
 
     def test_noiseless_roundtrip_recovers_clock(self):
         scene = small_scene(clock_offset=17e-9)
-        obs = simulate_signature(scene, REF_GRID, NOISELESS)[0]
-        eta = np.angle(obs.sig_a[:, 0] * np.conj(obs.sig_a[:, 1]))
+        sig_a = simulate_signature(scene, REF_GRID, NOISELESS)[0][0]
+        eta = np.angle(sig_a[:, 0] * np.conj(sig_a[:, 1]))
         tau = np.array([path_length(None, scene.anchor_a, p) for p in scene.sv_antennas]) / C
         sigma = tau - eta / (2 * math.pi * REF_DELTA)
         assert np.allclose(sigma, scene.clock_offset, atol=1e-12)
@@ -114,10 +114,10 @@ class TestSfcw:
         scene = small_scene(sv=square_array(40, 1.0))
         errs = []
         for seed in range(8):
-            noisy = simulate_signature(scene, REF_GRID, NoiseModel(0.05, None, seed))[0]
-            clean = simulate_signature(scene, REF_GRID, NOISELESS)[0]
-            d = np.angle(noisy.sig_a[:, 0] * np.conj(noisy.sig_a[:, 1])) \
-                - np.angle(clean.sig_a[:, 0] * np.conj(clean.sig_a[:, 1]))
+            noisy = simulate_signature(scene, REF_GRID, NoiseModel(0.05, None, seed))[0][0]
+            clean = simulate_signature(scene, REF_GRID, NOISELESS)[0][0]
+            d = np.angle(noisy[:, 0] * np.conj(noisy[:, 1])) \
+                - np.angle(clean[:, 0] * np.conj(clean[:, 1]))
             errs.append((d + math.pi) % (2 * math.pi) - math.pi)
         std = np.concatenate(errs).std()
         assert std == pytest.approx(0.05, rel=0.05)
@@ -130,9 +130,9 @@ class TestDeterminismAndPlumbing:
         noise = NoiseModel(0.1, 10.0, 12345)
         a1 = simulate_signature(scene, REF_GRID, noise)
         a2 = simulate_signature(scene, REF_GRID, noise)
-        for x, y in zip(a1, a2):
-            for fx, fy in ((x.sig_a, y.sig_a), (x.sig_b, y.sig_b)):
-                assert np.array_equal(fx, fy)
+        assert list(a1) == list(a2) == list(scene.images)
+        for pid in a1:
+            assert np.array_equal(a1[pid], a2[pid])
         for pid in scene.images:
             assert np.array_equal(simulate_sfcw(scene, grid, noise, pid, 1e-9),
                                   simulate_sfcw(scene, grid, noise, pid, 1e-9))
@@ -178,20 +178,26 @@ class TestNoiseStreams:
     def test_signature_jitter_is_the_cell_stream(self, seed, n_side):
         # Domain 1.  The jitter rotates each tone symbol: the noisy symbols are
         # the noiseless phases plus tone_sigma times the cell's four normals.
+        # The flight times are the scene's read-only lengths, formed once for
+        # the direct path and each mirrored one, and the blocks are keyed and
+        # ordered as the scene's images.
         scene = six_path_scene(n_side)
         noise = NoiseModel(0.1, None, seed)
         f_a, f_b = REF_GRID.anchor_tones
         coef = 2.0 * math.pi * np.array([f_a, f_a + REF_DELTA, f_b, f_b + REF_DELTA])
         clean = simulate_signature(scene, REF_GRID, NOISELESS)
         noisy = simulate_signature(scene, REF_GRID, noise)
-        assert [obs.path_id for obs in noisy] == list(range(6))
-        for c, obs in zip(clean, noisy):
-            image = scene.images[obs.path_id]
-            tau = distance_matrix(image[list(scene.anchor_indices)], scene.sv_antennas) / C
+        assert list(noisy) == list(clean) == list(scene.images) == list(range(6))
+        for pid, image in scene.images.items():
+            lengths = scene.lengths[pid]
+            assert np.array_equal(lengths, distance_matrix(image, scene.sv_antennas))
+            with pytest.raises(ValueError):
+                lengths[0, 0] = 0.0
+            tau = lengths[list(scene.anchor_indices)] / C
             phase = coef * (scene.clock_offset - tau[[0, 0, 1, 1]].T)
-            draws = np.array([cell_normals(seed, 1, obs.path_id, m, 4) for m in range(scene.n_sv)])
-            assert np.array_equal(np.hstack([c.sig_a, c.sig_b]), np.exp(1j * phase))
-            assert np.array_equal(np.hstack([obs.sig_a, obs.sig_b]),
+            draws = np.array([cell_normals(seed, 1, pid, m, 4) for m in range(scene.n_sv)])
+            assert np.array_equal(np.hstack(clean[pid]), np.exp(1j * phase))
+            assert np.array_equal(np.hstack(noisy[pid]),
                                   np.exp(1j * (phase + draws * (0.1 / math.sqrt(2.0)))))
 
     @pytest.mark.parametrize("n_side", [8, 1])
@@ -214,9 +220,9 @@ class TestNoiseStreams:
         scene = six_path_scene(2)
         grid = FrequencyGrid(f1=57e9, tones=8, delta=REF_DELTA)
         as_int, as_numpy = NoiseModel(0.1, 10.0, 2**40 + 7), NoiseModel(0.1, 10.0, np.uint64(2**40 + 7))
-        for a, b in zip(simulate_signature(scene, REF_GRID, as_int),
-                        simulate_signature(scene, REF_GRID, as_numpy)):
-            assert np.array_equal(a.sig_a, b.sig_a) and np.array_equal(a.sig_b, b.sig_b)
+        for a, b in zip(simulate_signature(scene, REF_GRID, as_int).values(),
+                        simulate_signature(scene, REF_GRID, as_numpy).values()):
+            assert np.array_equal(a, b)
         assert np.array_equal(simulate_sfcw(scene, grid, as_int, 3, 1e-9),
                               simulate_sfcw(scene, grid, as_numpy, 3, 1e-9))
 

@@ -180,6 +180,27 @@ class TestForwardSpectrum:
         assert np.allclose(values, ref, rtol=1e-12, atol=0.0)
 
 
+    def test_only_bins_within_the_band_are_formed(self):
+        # Two columns 1e-9 m apart padded to 1e10 bins span +-1.5e17 Hz in x,
+        # of which only the 2 * floor(f_K * px * dx / c) + 1 = 3901 bins within
+        # the default band's f_K are formed (the whole axis would take 80 GB).
+        # The product nfx * nfy * sample_area the inverse divides by stays
+        # px * dx * py * dy.  At a pad small enough to build whole, the kept
+        # bins are fftfreq's bit for bit.
+        grid = FrequencyGrid(57e9, 128, 11.72e6)
+        rng = np.random.default_rng(2)
+        vals = rng.normal(size=(2, 2, 128)) + 1j * rng.normal(size=(2, 2, 128))
+        for dx, px in ((1e-9, 10**10), (1e-6, 10**6)):
+            ap = ApertureSamples(np.array([0.0, dx]), np.array([0.0, 0.125]), vals, grid)
+            spec = forward_2d_spectrum(ap, pad=(px, 4))
+            rows = len(spec.f_x)
+            assert rows <= 3901 and np.abs(spec.f_x).max() <= grid.f_max
+            assert spec.xprod.shape == (rows, 2, 128)
+            assert rows * 4 * spec.sample_area == pytest.approx(px * dx * 4 * 0.125, rel=1e-12)
+        whole = np.fft.fftshift(np.fft.fftfreq(px, d=dx)) * C
+        assert np.array_equal(spec.f_x, whole[np.abs(whole) <= grid.f_max])
+
+
 class TestRemap:
     def make_spec(self):
         grid = FrequencyGrid(57e9, 8, 100e6)

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import importlib
 import json
@@ -14,11 +15,13 @@ import pytest
 import coposim
 from coposim import cli, geometry, imaging, pipeline
 from coposim.analysis import hausdorff, range_resolution
+from coposim.combining import VirtualDetection
 from coposim.errors import ConfigError, CoposimError
 from coposim.pipeline import run, run_los, run_nlos, run_sweep
 from coposim.scenario import (DEFAULT_SURFACE_POOL, FIELD_TYPES, ScenarioConfig,
                               _stratified_rect, aperture_antennas, build_scene,
                               stratified_rows)
+from coposim.sync import SyncResult
 from coposim.waveform import MIN_FUSED_PATHS, validate_scene
 from oracles import local_maxima_26, stratified_rect
 
@@ -89,6 +92,26 @@ def test_a_near_grazing_bearing_images_two_close_columns(monkeypatch):
     assert np.ptp(columns[0]) < pipeline._row_pitch(config) / 2
 
 
+def test_an_anchor_pair_on_the_array_plane_ends_in_a_report_or_a_typed_failure(monkeypatch):
+    # A wrong sync estimate on the array plane, as a 1000 s clock offset once
+    # gave: anchor a at (1.9e15, -3.1e14, 0) m.  The path's bearing frame sees
+    # the array edge on, its x spacing falls to 2.6e-16 m and the pad to 6.2e9
+    # bins; only those within the band are formed, so the trial ends in a
+    # report or a typed failure, not a MemoryError, and a sweep counts it.
+    far = np.array([1.9e15, -3.1e14, 0.0])
+
+    def on_plane(scene, path_id, *args):
+        solves = (SyncResult(x, scene.clock_offset, np.zeros((3, 3)), 1, True)
+                  for x in (far, far + [0.0, 0.0, 1.0]))
+        return VirtualDetection(path_id, *solves)
+
+    monkeypatch.setattr(pipeline, "_sync_path", on_plane)
+    config = ScenarioConfig.from_dict({**NOISELESS_LOS, "sweep": {"trials": 1}})
+    with contextlib.suppress(CoposimError):
+        assert run(config)[0].aggregates["n_trials"] == 1
+    assert run_sweep(config)[0].aggregates["n_trials"] == 1
+
+
 # Noiseless line of sight at 6 m, default waveform and box.  On these noise
 # seeds a start searched for on a grid over a fixed region sends the anchor
 # solve 4.6e6 m off or into a rank-deficient solve.
@@ -112,6 +135,15 @@ def test_sweep_trials_do_not_depend_on_worker_count():
     parallel, _ = run_sweep(config, workers=2)
     assert len(serial.trials) == 2
     assert json.dumps(serial.trials, sort_keys=True) == json.dumps(parallel.trials, sort_keys=True)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_one_point_sweep_reports_the_validation_warnings_of_its_run(workers):
+    # The default array is sparser than c/(4 f_c): a run warns of it, and so
+    # does a sweep of the same one trial, from a worker process as well.
+    config = ScenarioConfig.from_dict({**NOISELESS_LOS, "sweep": {"trials": 1}})
+    warned = run(config)[0].validation_warnings
+    assert warned and run_sweep(config, workers=workers)[0].validation_warnings == warned
 
 
 def test_sweep_counts_trials_of_a_configuration_that_is_not_finite(monkeypatch):
@@ -384,13 +416,15 @@ def split_clock_of_path_two(monkeypatch) -> dict:
     """Shift path 2's clock estimate off the others and count the trial's calls
     to the clustering and to each per-path SFCW and imaging stage."""
     calls = dict.fromkeys(["group_by_clock", "simulate_sfcw", "reconstruct", "detect_peaks"], 0)
-    sync = pipeline.locate_and_sync
+    sync_path = pipeline._sync_path
 
-    def shifted(observation, *args, **kwargs):
-        result = sync(observation, *args, **kwargs)
-        if observation.path_id == 2:
-            result = dataclasses.replace(result, sigma_hat=result.sigma_hat + CLOCK_SPLIT_S)
-        return result
+    def shifted(scene, path_id, *args):
+        path = sync_path(scene, path_id, *args)
+        if path_id == 2:
+            path = VirtualDetection(path_id, *(
+                dataclasses.replace(s, sigma_hat=s.sigma_hat + CLOCK_SPLIT_S)
+                for s in (path.sync_a, path.sync_b)))
+        return path
 
     def counted(name):
         original = getattr(pipeline, name)
@@ -400,7 +434,7 @@ def split_clock_of_path_two(monkeypatch) -> dict:
             return original(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(pipeline, "locate_and_sync", shifted)
+    monkeypatch.setattr(pipeline, "_sync_path", shifted)
     for name in calls:
         monkeypatch.setattr(pipeline, name, counted(name))
     return calls
@@ -500,16 +534,16 @@ def test_report_reads_each_path_record(monkeypatch):
     # Only path 2's anchor-b solve fails to converge and reads a clock 1 ns
     # off: the report flags that path alone, the two solves disagree by 1 ns,
     # and clustering, which reads anchor a's clock, still fuses all three.
-    sync = pipeline.locate_and_sync
+    sync_path = pipeline._sync_path
 
-    def spoiled(observation, anchor, *args, **kwargs):
-        result = sync(observation, anchor, *args, **kwargs)
-        if observation.path_id == 2 and anchor == "b":
-            result = dataclasses.replace(result, converged=False,
-                                         sigma_hat=result.sigma_hat + 1e-9)
-        return result
+    def spoiled(scene, path_id, *args):
+        path = sync_path(scene, path_id, *args)
+        if path_id == 2:
+            path = VirtualDetection(path_id, path.sync_a, dataclasses.replace(
+                path.sync_b, converged=False, sigma_hat=path.sync_b.sigma_hat + 1e-9))
+        return path
 
-    monkeypatch.setattr(pipeline, "locate_and_sync", spoiled)
+    monkeypatch.setattr(pipeline, "_sync_path", spoiled)
     report, artifacts = run(ScenarioConfig.from_dict(NOISELESS_NLOS))
     metrics = report.trials[0]
     assert [metrics[f"path{pid}_sync_converged"] for pid in (1, 2, 3)] == [True, False, True]
