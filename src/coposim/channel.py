@@ -33,34 +33,6 @@ from .waveform import FrequencyGrid
 _DOMAIN_SIGNATURE = 1
 _DOMAIN_SFCW = 2
 
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """Noise injection for both waveforms.
-
-    ``phase_sigma`` is the standard deviation (rad) of the error on each
-    antenna's measured inter-tone phase difference; it is realised as
-    independent rotations of phase_sigma/sqrt(2) on the two tone symbols.
-    ``snr_db`` sets complex AWGN on the SFCW symbols relative to the mean
-    received symbol power of the path (None or +inf disables it).
-    """
-
-    phase_sigma: float = 1.0e-3
-    snr_db: float | None = 10.0
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 <= self.phase_sigma < math.inf:
-            raise ValueError(f"phase_sigma must be a finite number >= 0, got {self.phase_sigma!r}")
-        if self.snr_db is not None and not -math.inf < self.snr_db <= math.inf:
-            raise ValueError(f"snr_db must be a number, +inf or None, got {self.snr_db!r}")
-        if not isinstance(self.rng_seed, (int, np.integer)) or self.rng_seed < 0:
-            raise ValueError(f"rng_seed must be an integer >= 0, got {self.rng_seed!r}")
-
-
-NOISELESS = NoiseModel(phase_sigma=0.0, snr_db=None, rng_seed=0)
-
-
 # numpy's SeedSequence hash constants (a pool of 4 uint32 words, shifts of 16).
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R, _MASK32 = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
@@ -109,35 +81,40 @@ def _cell_rngs(seed: int, domain: int, path_ids: list[int], n_antennas: int) -> 
     return [np.random.Generator(np.random.PCG64(_SeedWords(s))) for s in seeds]
 
 
-def simulate_signature(scene: Scene, grid: FrequencyGrid, noise: NoiseModel) -> dict[int, np.ndarray]:
+def simulate_signature(scene: Scene, grid: FrequencyGrid, phase_sigma: float,
+                       seed: int) -> dict[int, np.ndarray]:
     """Demodulated signature symbols of every propagation path, keyed like ``Scene.images``.
 
     Paths are told apart by their true id, standing in for angular separation
     at the receiver.  A path's (2, N_r, 2) symbols hold anchor a's block, then
     anchor b's: at antenna m, exp(j*2*pi*f*(sigma - tau_m)) at the anchor's
     tone f of ``grid.anchor_tones`` and at f + delta, plus the phase jitter,
-    with tau_m read off the anchor's row of ``Scene.lengths``.
+    with tau_m read off the anchor's row of ``Scene.lengths``.  The jitter is
+    an independent rotation of phase_sigma/sqrt(2) rad on each tone symbol, so
+    each antenna's inter-tone phase difference errs by phase_sigma.
     """
     f_a, f_b = grid.anchor_tones
     coef = 2.0 * math.pi * np.array([[f_a, f_a + grid.delta], [f_b, f_b + grid.delta]])
     tau = np.array([d[list(scene.anchor_indices)] for d in scene.lengths.values()]) / SPEED_OF_LIGHT
     jitter = np.zeros((len(tau), scene.n_sv, 2, 2))   # (path, antenna) cells of 2 x 2 tones
-    if noise.phase_sigma > 0:
-        rngs = _cell_rngs(noise.rng_seed, _DOMAIN_SIGNATURE, list(scene.images), scene.n_sv)
+    if phase_sigma > 0:
+        rngs = _cell_rngs(seed, _DOMAIN_SIGNATURE, list(scene.images), scene.n_sv)
         jitter = (np.array([rng.standard_normal(4) for rng in rngs]).reshape(jitter.shape)
-                  * (noise.phase_sigma / math.sqrt(2.0)))
+                  * (phase_sigma / math.sqrt(2.0)))
     symbols = np.exp(1j * (coef[:, None, :] * (scene.clock_offset - tau[..., None])
                            + jitter.transpose(0, 2, 1, 3)))
     return dict(zip(scene.images, symbols))
 
 
-def simulate_sfcw(scene: Scene, grid: FrequencyGrid, noise: NoiseModel, path_id: int,
-                  sigma_estimate: float) -> np.ndarray:
+def simulate_sfcw(scene: Scene, grid: FrequencyGrid, snr_db: float | None, seed: int,
+                  path_id: int, sigma_estimate: float) -> np.ndarray:
     """Demodulated SFCW symbols y[m, k] of path ``path_id``, shape (N_r, K).
 
     The receiver demodulates with its clock-difference estimate for this
     path; the residual offset (sigma - sigma_estimate) stays in the symbol
-    phases exactly as an uncorrected ranging bias would.
+    phases exactly as an uncorrected ranging bias would.  Complex AWGN is
+    added at ``snr_db`` relative to the path's mean symbol power (None adds
+    none, and +inf adds exact zeros).
 
     The tones are uniform, so with phi = residual - tau per (TV, SV) antenna
     pair, exp(j*2*pi*f_(k+1)*phi) = exp(j*2*pi*f_k*phi) * exp(j*2*pi*delta*phi).
@@ -159,9 +136,9 @@ def simulate_sfcw(scene: Scene, grid: FrequencyGrid, noise: NoiseModel, path_id:
         phasor *= step
     y = y.T.copy()   # (N_r, K) in row order, as the noise and the imaging read it
 
-    if noise.snr_db is not None and math.isfinite(noise.snr_db):
-        std = math.sqrt(float(np.mean(np.abs(y) ** 2)) * 10.0 ** (-noise.snr_db / 10.0) / 2.0)
+    if snr_db is not None:
+        std = math.sqrt(float(np.mean(np.abs(y) ** 2)) * 10.0 ** (-snr_db / 10.0) / 2.0)
         draws = np.array([rng.standard_normal(2 * grid.tones)
-                          for rng in _cell_rngs(noise.rng_seed, _DOMAIN_SFCW, [path_id], scene.n_sv)])
+                          for rng in _cell_rngs(seed, _DOMAIN_SFCW, [path_id], scene.n_sv)])
         y += std * (draws[:, 0::2] + 1j * draws[:, 1::2])
     return y

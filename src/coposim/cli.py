@@ -8,11 +8,11 @@ runs the configured sweep, each point a configuration of its own.  A
 configuration plus a trial index fix a trial, so the same file gives the same
 report.  The file sets what a study varies.  A file that cannot be read as
 UTF-8, a field it does not know, such as the pipeline tuning fixed as
-constants in ``coposim.pipeline`` (``NU``, ``PAD_FACTOR``, ...), or a value
-outside its ``coposim.scenario.FIELD_TYPES`` range is a ``ConfigError`` when
-the file loads, and so is a scene ``validate_scene`` refuses when ``run``'s
-trial starts.  A ``ConfigError`` exits with status 2, as argparse does for a
-bad command line, and any other failure of ``run``'s trial with status 1
+constants in ``coposim.pipeline``, or a value outside the range its
+``coposim.scenario`` field declares is a ``ConfigError`` when the file
+loads, and so is a scene ``validate_scene`` refuses when ``run``'s trial
+starts.  A ``ConfigError`` exits with status 2, as argparse does for a bad
+command line, and any other failure of ``run``'s trial with status 1
 (``sweep`` counts its failed trials); both print one line, ``coposim: error:
 <message>``, to standard error.
 """

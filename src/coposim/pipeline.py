@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import azimuth_resolution, hausdorff, range_resolution, rmse_nearest
-from .channel import NoiseModel, simulate_sfcw, simulate_signature
+from .channel import simulate_sfcw, simulate_signature
 from .combining import VirtualDetection, clock_distance, combine_cluster, group_by_clock
 from .errors import ConfigError, CoposimError
 from .geometry import Scene
@@ -121,7 +121,7 @@ def _path_box(x_a: np.ndarray, x_b: np.ndarray, grid, config: ScenarioConfig,
     return rot, ImagingBox.centered(rot @ center, extent, pitch), [xz, extent[1], xz]
 
 
-def _image_path(det: VirtualDetection, scene: Scene, grid, noise: NoiseModel,
+def _image_path(det: VirtualDetection, scene: Scene, grid, seed: int,
                 config: ScenarioConfig, row_pitch: float) -> None:
     """SFCW simulation and imaging of one synced path, which sets ``det.cloud``.
 
@@ -143,7 +143,7 @@ def _image_path(det: VirtualDetection, scene: Scene, grid, noise: NoiseModel,
     the worse anchor solve's worst axis (the largest eigenvalue of its
     covariance), which is zero without phase noise.
     """
-    sfcw = simulate_sfcw(scene, grid, noise, det.path_id, det.sigma_hat)
+    sfcw = simulate_sfcw(scene, grid, config.noise.snr_db, seed, det.path_id, det.sigma_hat)
     margin = range_resolution(grid) + 3.0 * math.sqrt(
         max(np.linalg.eigvalsh(s.covariance)[-1] for s in (det.sync_a, det.sync_b)))
     rot, box, window = _path_box(det.x_a_virtual, det.x_b_virtual, grid, config, margin)
@@ -155,10 +155,11 @@ def _image_path(det: VirtualDetection, scene: Scene, grid, noise: NoiseModel,
 def _run_trial(config: ScenarioConfig, trial: int = 0):
     """One trial: sync every path, choose the paths to read, image them and estimate.
 
-    The configuration is checked against ``scenario.FIELD_TYPES`` first, so
-    one built or changed in code is refused as a loaded file is.  The scene,
-    its check and its signatures read the configuration alone; a value whose
-    arithmetic leaves float64 there (a 1e200 m body) fails the trial.
+    The configuration is checked against its declared field types first
+    (``scenario.check``), so one built or changed in code is refused as a
+    loaded file is.  The scene, its check and its signatures read the
+    configuration alone; a value whose arithmetic leaves float64 there (a
+    1e200 m body) fails the trial.
     After sync the trial chooses once the paths to image: the direct path in
     mode "los", else the largest clock cluster, which fails the trial before
     any imaging if it holds fewer than ``MIN_FUSED_PATHS``.  Each image holds
@@ -167,18 +168,17 @@ def _run_trial(config: ScenarioConfig, trial: int = 0):
     """
     check(config)
     grid = config.frequency_grid()
-    noise = NoiseModel(config.noise.phase_sigma_rad, config.noise.snr_db,
-                       trial_noise_seed(config, trial))
+    phase_sigma, seed = config.noise.phase_sigma_rad, trial_noise_seed(config, trial)
     try:
         with np.errstate(over="raise", invalid="raise"):
             scene = build_scene(config, trial)
             warnings = validate_scene(scene, grid)
-            signatures = simulate_signature(scene, grid, noise)
+            signatures = simulate_signature(scene, grid, phase_sigma, seed)
     except FloatingPointError as exc:
         raise CoposimError(f"scene stage: a configured value is past the float64 range "
                            f"({exc})") from exc
 
-    detections = [_sync_path(scene, pid, symbols, grid.delta, noise.phase_sigma)
+    detections = [_sync_path(scene, pid, symbols, grid.delta, phase_sigma)
                   for pid, symbols in signatures.items()]
 
     metrics: dict = {"trial": trial}
@@ -196,7 +196,7 @@ def _run_trial(config: ScenarioConfig, trial: int = 0):
 
     row_pitch = _row_pitch(config)
     for det in imaged:
-        _image_path(det, scene, grid, noise, config, row_pitch)
+        _image_path(det, scene, grid, seed, config, row_pitch)
 
     if len(imaged) == 1:
         (det,) = imaged

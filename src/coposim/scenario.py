@@ -3,10 +3,10 @@
 A configuration plus a trial index fix a trial: ``build_scene(config,
 trial)`` places the antennas from (seed, trial) alone, and a sweep point is
 itself a configuration (see ``pipeline.run_sweep``).  The configuration
-holds what a study varies.  The tuning no study varies is module constants
-in ``pipeline`` (``NU``, ``PAD_FACTOR``, ``CLOCK_CLUSTER_TOL_S``,
-``DIRECT_PATH_TOL_M``), ``frequency_grid`` states the whole tone plan, and a
-scene's clock offset is the configured one modulo the grid's beat period.
+holds what a study varies, each field declared once with its JSON type
+(``_field``); the tuning no study varies is module constants in
+``pipeline``.  ``frequency_grid`` states the whole tone plan, and a scene's
+clock offset is the configured one modulo the grid's beat period.
 
 All physical quantities carry SI units in their field names.  Antenna
 placement is a seeded stratified jitter: receive antennas on the planar
@@ -17,6 +17,7 @@ slope*x + intercept and built as the plane of the trace's normal and offset.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import math
@@ -38,47 +39,7 @@ DEFAULT_SURFACE_POOL = (
 )
 
 
-@dataclass
-class SceneSpec:
-    distance_m: float = 8.0
-    tv_direction: list = field(default_factory=lambda: [0.925, 0.0, 0.38])
-    tv_size_m: list = field(default_factory=lambda: [3.0, 1.0, 0.6])
-    tv_antenna_count: int = 64
-    sv_aperture_m: list = field(default_factory=lambda: [1.0, 1.0])
-    sv_antenna_count: int = 64
-    surfaces: list = field(default_factory=lambda: [dict(s) for s in DEFAULT_SURFACE_POOL[:3]])
-    clock_offset_s: float = 2.0e-8
-    has_los: bool = False
-
-
-@dataclass
-class WaveformSpec:
-    f1_hz: float = 57.0e9
-    tones: int = 128
-    delta_hz: float = 11.72e6
-
-
-@dataclass
-class NoiseSpec:
-    snr_db: float | None = 10.0
-    phase_sigma_rad: float = 1.0e-3
-    seed: int = 20240810
-
-
-@dataclass
-class PipelineSpec:
-    box_extent_m: list = field(default_factory=lambda: [6.0, 4.0, 6.0])
-
-
-@dataclass
-class SweepSpec:
-    distance_m: list | None = None
-    surface_counts: list | None = None
-    sv_antenna_counts: list | None = None
-    trials: int = 100
-
-
-# The JSON type of each configuration field, and the one statement of its range:
+# The JSON type of a configuration field, and the one statement of its range:
 # "float" (a finite number: an int passes, NaN and a literal that overflows to
 # infinity, such as 1e400, not), "int", "bool", or "surface": exactly the float
 # keys slope and intercept_m of a plane's trace, which ``build_scene`` turns into
@@ -87,17 +48,49 @@ class SweepSpec:
 # scene needs two transmit anchors, and antenna placement divides by each side.
 # The SFCW noise power is 10^(-snr_db/10) times the signal's; it leaves
 # float64 near -3083 dB, so snr_db stops at -3000.
-FIELD_TYPES = {
-    "scene": {"distance_m": "float", "tv_direction": "nonzero float[3]",
-              "tv_size_m": "float>0[3]", "tv_antenna_count": "int>=2",
-              "sv_aperture_m": "float>0[2]", "sv_antenna_count": "int>=1",
-              "surfaces": "surface[]", "clock_offset_s": "float", "has_los": "bool"},
-    "waveform": {"f1_hz": "float>0", "tones": "int>=2", "delta_hz": "float>0"},
-    "noise": {"snr_db": "float>=-3000?", "phase_sigma_rad": "float>=0", "seed": "int>=0"},
-    "pipeline": {"box_extent_m": "float>0[3]"},
-    "sweep": {"distance_m": "float[]?", "surface_counts": "int>=0[]?",
-              "sv_antenna_counts": "int>=1[]?", "trials": "int>=1"},
-}
+def _field(kind: str, default):
+    """A configuration field of JSON type ``kind``; each spec gets its own copy of ``default``."""
+    return field(default_factory=lambda: copy.deepcopy(default), metadata={"kind": kind})
+
+
+@dataclass
+class SceneSpec:
+    distance_m: float = _field("float", 8.0)
+    tv_direction: list = _field("nonzero float[3]", [0.925, 0.0, 0.38])
+    tv_size_m: list = _field("float>0[3]", [3.0, 1.0, 0.6])
+    tv_antenna_count: int = _field("int>=2", 64)
+    sv_aperture_m: list = _field("float>0[2]", [1.0, 1.0])
+    sv_antenna_count: int = _field("int>=1", 64)
+    surfaces: list = _field("surface[]", list(DEFAULT_SURFACE_POOL[:3]))
+    clock_offset_s: float = _field("float", 2.0e-8)
+    has_los: bool = _field("bool", False)
+
+
+@dataclass
+class WaveformSpec:
+    f1_hz: float = _field("float>0", 57.0e9)
+    tones: int = _field("int>=2", 128)
+    delta_hz: float = _field("float>0", 11.72e6)
+
+
+@dataclass
+class NoiseSpec:
+    snr_db: float | None = _field("float>=-3000?", 10.0)
+    phase_sigma_rad: float = _field("float>=0", 1.0e-3)
+    seed: int = _field("int>=0", 20240810)
+
+
+@dataclass
+class PipelineSpec:
+    box_extent_m: list = _field("float>0[3]", [6.0, 4.0, 6.0])
+
+
+@dataclass
+class SweepSpec:
+    distance_m: list | None = _field("float[]?", None)
+    surface_counts: list | None = _field("int>=0[]?", None)
+    sv_antenna_counts: list | None = _field("int>=1[]?", None)
+    trials: int = _field("int>=1", 100)
 
 
 def _reject_constant(token: str):
@@ -106,7 +99,7 @@ def _reject_constant(token: str):
 
 
 def _is(kind: str, value) -> bool:
-    """Whether ``value`` has the ``FIELD_TYPES`` type ``kind``."""
+    """Whether ``value`` has the JSON type ``kind`` (see ``_field``)."""
     if kind.endswith("?"):
         return value is None or _is(kind[:-1], value)
     if kind.startswith("nonzero "):
@@ -128,12 +121,13 @@ def _is(kind: str, value) -> bool:
 
 
 def check(config: ScenarioConfig) -> None:
-    """Raise a ConfigError for the first field of ``config`` not of its FIELD_TYPES type."""
-    for section, kinds in FIELD_TYPES.items():
-        for name, kind in kinds.items():
-            value = getattr(getattr(config, section), name)
+    """Raise a ConfigError for the first field of ``config`` not of its declared type."""
+    for section in fields(config):
+        spec = getattr(config, section.name)
+        for f in fields(spec):
+            value, kind = getattr(spec, f.name), f.metadata["kind"]
             if not _is(kind, value):
-                raise ConfigError(f"{section}.{name} must be {kind}, got {value!r}")
+                raise ConfigError(f"{section.name}.{f.name} must be {kind}, got {value!r}")
 
 
 @dataclass
@@ -152,15 +146,16 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
+        specs = {f.name: f.default_factory for f in fields(cls)}   # each section's spec class
         for section, values in data.items():
-            if section not in FIELD_TYPES or not isinstance(values, dict):
+            if section not in specs or not isinstance(values, dict):
                 raise ConfigError(f"configuration sections are objects named "
-                                  f"{', '.join(FIELD_TYPES)}; got {section!r}: {values!r}")
-            for name in values:
-                if name not in FIELD_TYPES[section]:
+                                  f"{', '.join(specs)}; got {section!r}: {values!r}")
+            known = {f.name for f in fields(specs[section])}
+            for name in values:   # in file order
+                if name not in known:
                     raise ConfigError(f"unrecognised configuration field: {section}.{name}")
-        # Each section's default factory is its spec class.
-        config = cls(**{f.name: f.default_factory(**data.get(f.name, {})) for f in fields(cls)})
+        config = cls(**{name: spec(**data.get(name, {})) for name, spec in specs.items()})
         check(config)
         return config
 
@@ -191,6 +186,14 @@ class ScenarioConfig:
         return FrequencyGrid(f1=w.f1_hz, tones=w.tones, delta=w.delta_hz)
 
 
+# Placement jitter, in cells.  On the aperture, +-0.2 of a cell keeps the antennas
+# of one row within 0.4 of a row pitch of each other and those of neighbouring
+# rows 0.6 apart, so imaging's half-pitch split finds exactly the layout rows
+# (``test_rows_within_half_a_pitch_are_the_layout_rows``).
+APERTURE_JITTER = 0.2
+BODY_SHELL_JITTER = 0.35
+
+
 def stratified_rows(n: int, width: float, height: float) -> int:
     """Row count of the near-square grid that holds n points on a width x height rectangle."""
     return max(1, int(math.floor(math.sqrt(n * height / max(width, 1e-9)))))
@@ -211,14 +214,13 @@ def _stratified_rect(n: int, width: float, height: float, jitter: float,
     return centers + rng.uniform(-jitter, jitter, size=(n, 2)) * [cw, ch]
 
 
-def aperture_antennas(n: int, aperture: tuple[float, float],
-                      rng: np.random.Generator, jitter: float = 0.2) -> np.ndarray:
-    xy = _stratified_rect(n, aperture[0], aperture[1], jitter, rng)
+def aperture_antennas(n: int, aperture: tuple[float, float], rng: np.random.Generator) -> np.ndarray:
+    xy = _stratified_rect(n, aperture[0], aperture[1], APERTURE_JITTER, rng)
     return np.concatenate([xy, np.zeros((n, 1))], axis=1)
 
 
 def body_shell_antennas(n: int, size: tuple[float, float, float],
-                        rng: np.random.Generator, jitter: float = 0.35) -> np.ndarray:
+                        rng: np.random.Generator) -> np.ndarray:
     """n jittered points over the six faces of a cuboid shell, area-weighted."""
     sx, sy, sz = size
     faces = [  # (axis held fixed, sign, u-axis, v-axis, area)
@@ -237,7 +239,7 @@ def body_shell_antennas(n: int, size: tuple[float, float, float],
     for (axis, sign, ua, va, _), cnt in zip(faces, counts):
         if cnt == 0:
             continue
-        uv = _stratified_rect(cnt, 2 * half[ua], 2 * half[va], jitter, rng)
+        uv = _stratified_rect(cnt, 2 * half[ua], 2 * half[va], BODY_SHELL_JITTER, rng)
         block = np.zeros((cnt, 3))
         block[:, axis] = sign * half[axis]
         block[:, ua] = uv[:, 0]
@@ -259,7 +261,7 @@ def build_scene(config: ScenarioConfig, trial: int = 0) -> Scene:
 
     Placement randomness is derived from (seed, trial) alone, so a report is
     reproducible from its configuration.  The configuration is taken as
-    ``check`` passes it: ``FIELD_TYPES`` bars the directions, antenna counts
+    ``check`` passes it: the field types bar the directions, antenna counts
     and sizes no scene can take, and ``pipeline`` checks before it builds.
     A body placed so far out that its antennas round to the same points (a
     distance of 1e200 m) raises ``DegenerateGeometryError``.

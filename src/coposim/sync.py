@@ -11,7 +11,8 @@ a hyperbolic multilateration problem.  The start is closed-form, one linear
 least-squares solve of all the range-difference equations, and damped
 Gauss-Newton iteration then refines it.  With the anchor located, sigma is
 recovered by subtracting the recomputed flight times from the measured phases
-and averaging over antennas.  Noise is an independent jitter of sigma_phi/sqrt(2)
+and averaging over antennas.  The phase noise is the channel's
+(``channel.simulate_signature``): an independent jitter of sigma_phi/sqrt(2)
 on each tone symbol of each receive antenna, so the figures hold for an array on
 one local oscillator: each F_m has the standard deviation sigma_F =
 sqrt(2)*c*sigma_phi/(2*pi*delta), and a noiseless solve has zero covariance.

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import REF_DELTA, REF_GRID, small_scene, square_array
-from coposim.channel import NOISELESS, NoiseModel, simulate_sfcw, simulate_signature
+from coposim.channel import simulate_sfcw, simulate_signature
 from coposim.geometry import SPEED_OF_LIGHT as C
 from coposim.geometry import ReflectionSurface, Scene, distance_matrix
-from coposim.scenario import ScenarioConfig
 from coposim.waveform import FrequencyGrid
 from oracles import cell_normals, direct_sfcw, mirror_across_trace, path_length
 
@@ -15,7 +14,7 @@ from oracles import cell_normals, direct_sfcw, mirror_across_trace, path_length
 class TestSignature:
     def test_intertone_phase_encodes_clock_minus_delay(self):
         scene = small_scene(clock_offset=12e-9)
-        sig_a = simulate_signature(scene, REF_GRID, NOISELESS)[0][0]
+        sig_a = simulate_signature(scene, REF_GRID, 0.0, 0)[0][0]
         for m, p in enumerate(scene.sv_antennas):
             tau = path_length(None, scene.anchor_a, p) / C
             expected = 2 * math.pi * REF_DELTA * (scene.clock_offset - tau)
@@ -26,7 +25,7 @@ class TestSignature:
     def test_every_path_has_unit_magnitude(self):
         surf = ReflectionSurface.from_trace(0.5, 3.0)
         scene = small_scene(surfaces=(surf,), has_los=True)
-        for symbols in simulate_signature(scene, REF_GRID, NOISELESS).values():
+        for symbols in simulate_signature(scene, REF_GRID, 0.0, 0).values():
             assert symbols.shape == (2, scene.n_sv, 2) and np.allclose(np.abs(symbols), 1.0)
 
     def test_large_clock_offset_phase_value(self):
@@ -35,7 +34,7 @@ class TestSignature:
         tv = np.array([[0.0, 0.0, 8.0], [1.0, 0.0, 8.0]])
         sv = np.array([[0.0, 0.0, 8.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         scene = Scene(tv, (0, 1), sv, (), clock_offset=1e-6, has_los=True)
-        sig_a = simulate_signature(scene, REF_GRID, NOISELESS)[0][0]
+        sig_a = simulate_signature(scene, REF_GRID, 0.0, 0)[0][0]
         measured = np.angle(sig_a[0, 1] * np.conj(sig_a[0, 0]))
         frac = (REF_DELTA * 1e-6) % 1.0
         expected = 2 * math.pi * frac
@@ -44,7 +43,7 @@ class TestSignature:
 
     def test_noiseless_roundtrip_recovers_clock(self):
         scene = small_scene(clock_offset=17e-9)
-        sig_a = simulate_signature(scene, REF_GRID, NOISELESS)[0][0]
+        sig_a = simulate_signature(scene, REF_GRID, 0.0, 0)[0][0]
         eta = np.angle(sig_a[:, 0] * np.conj(sig_a[:, 1]))
         tau = np.array([path_length(None, scene.anchor_a, p) for p in scene.sv_antennas]) / C
         sigma = tau - eta / (2 * math.pi * REF_DELTA)
@@ -58,7 +57,7 @@ class TestSfcw:
         scene = Scene(tv, (0, 1), sv, (), clock_offset=5e-9, has_los=True)
         grid = FrequencyGrid(f1=57e9, tones=8, delta=REF_DELTA)
         for pid in scene.images:
-            sfcw = simulate_sfcw(scene, grid, NOISELESS, pid, scene.clock_offset)
+            sfcw = simulate_sfcw(scene, grid, None, 0, pid, scene.clock_offset)
             tau = path_length(None, tv[0], sv[0]) / C
             expected = 2.0 * np.exp(-2j * math.pi * grid.frequencies * tau)
             assert np.allclose(sfcw[0], expected, atol=1e-9)
@@ -67,15 +66,15 @@ class TestSfcw:
         scene = small_scene()
         grid = FrequencyGrid(f1=57e9, tones=16, delta=REF_DELTA)
         for pid in scene.images:
-            sfcw = simulate_sfcw(scene, grid, NOISELESS, pid, scene.clock_offset)
+            sfcw = simulate_sfcw(scene, grid, None, 0, pid, scene.clock_offset)
             assert np.all(np.abs(sfcw) <= len(scene.tv_antennas) + 1e-9)
 
     def test_residual_clock_shifts_phases(self):
         scene = small_scene()
         grid = FrequencyGrid(f1=57e9, tones=4, delta=REF_DELTA)
         for pid in scene.images:
-            exact = simulate_sfcw(scene, grid, NOISELESS, pid, scene.clock_offset)
-            off = simulate_sfcw(scene, grid, NOISELESS, pid, scene.clock_offset - 1e-10)
+            exact = simulate_sfcw(scene, grid, None, 0, pid, scene.clock_offset)
+            off = simulate_sfcw(scene, grid, None, 0, pid, scene.clock_offset - 1e-10)
             ramp = np.exp(2j * math.pi * grid.frequencies * 1e-10)
             assert np.allclose(off, exact * ramp[None, :], atol=1e-9)
 
@@ -91,7 +90,7 @@ class TestSfcw:
         trace = ((0.0, 3.5), (1.0, 4.3))   # z = 0.8 x + 3.5
         images = (scene.tv_antennas, mirror_across_trace(*trace, scene.tv_antennas))
         for pid, tv in zip(est, images):
-            sfcw = simulate_sfcw(scene, grid, NOISELESS, pid, est[pid])
+            sfcw = simulate_sfcw(scene, grid, None, 0, pid, est[pid])
             ref = direct_sfcw(tv, scene.sv_antennas, grid.frequencies,
                               scene.clock_offset - est[pid])
             assert sfcw.shape == ref.shape == (scene.n_sv, tones)
@@ -104,8 +103,8 @@ class TestSfcw:
         scene = Scene(tv, (0, 1), sv, (), clock_offset=0.0, has_los=True)
         grid = FrequencyGrid(f1=57e9, tones=100, delta=REF_DELTA)
         for pid in scene.images:
-            clean = simulate_sfcw(scene, grid, NOISELESS, pid, 0.0)
-            noisy = simulate_sfcw(scene, grid, NoiseModel(0.0, 10.0, 7), pid, 0.0)
+            clean = simulate_sfcw(scene, grid, None, 0, pid, 0.0)
+            noisy = simulate_sfcw(scene, grid, 10.0, 7, pid, 0.0)
             snr = np.mean(np.abs(clean) ** 2) / np.mean(np.abs(noisy - clean) ** 2)
             assert abs(10 * math.log10(snr) - 10.0) < 0.2
 
@@ -114,28 +113,34 @@ class TestSfcw:
         scene = small_scene(sv=square_array(40, 1.0))
         errs = []
         for seed in range(8):
-            noisy = simulate_signature(scene, REF_GRID, NoiseModel(0.05, None, seed))[0][0]
-            clean = simulate_signature(scene, REF_GRID, NOISELESS)[0][0]
+            noisy = simulate_signature(scene, REF_GRID, 0.05, seed)[0][0]
+            clean = simulate_signature(scene, REF_GRID, 0.0, 0)[0][0]
             d = np.angle(noisy[:, 0] * np.conj(noisy[:, 1])) \
                 - np.angle(clean[:, 0] * np.conj(clean[:, 1]))
             errs.append((d + math.pi) % (2 * math.pi) - math.pi)
         std = np.concatenate(errs).std()
         assert std == pytest.approx(0.05, rel=0.05)
 
+    @pytest.mark.parametrize("snr_db", [math.inf, None])
+    def test_infinite_or_no_snr_adds_no_sfcw_noise(self, snr_db):
+        scene = small_scene()
+        grid = FrequencyGrid(f1=57e9, tones=8, delta=REF_DELTA)
+        assert np.array_equal(simulate_sfcw(scene, grid, snr_db, 5, 0, 1e-9),
+                              simulate_sfcw(scene, grid, None, 0, 0, 1e-9))
+
 
 class TestDeterminismAndPlumbing:
     def test_bit_identical_for_fixed_seed(self):
         scene = small_scene(surfaces=(ReflectionSurface.from_trace(1.0, 3.0),))
         grid = FrequencyGrid(f1=57e9, tones=32, delta=REF_DELTA)
-        noise = NoiseModel(0.1, 10.0, 12345)
-        a1 = simulate_signature(scene, REF_GRID, noise)
-        a2 = simulate_signature(scene, REF_GRID, noise)
+        a1 = simulate_signature(scene, REF_GRID, 0.1, 12345)
+        a2 = simulate_signature(scene, REF_GRID, 0.1, 12345)
         assert list(a1) == list(a2) == list(scene.images)
         for pid in a1:
             assert np.array_equal(a1[pid], a2[pid])
         for pid in scene.images:
-            assert np.array_equal(simulate_sfcw(scene, grid, noise, pid, 1e-9),
-                                  simulate_sfcw(scene, grid, noise, pid, 1e-9))
+            assert np.array_equal(simulate_sfcw(scene, grid, 10.0, 12345, pid, 1e-9),
+                                  simulate_sfcw(scene, grid, 10.0, 12345, pid, 1e-9))
 
     def test_adding_a_surface_leaves_the_other_paths_unchanged(self):
         # The pipeline simulates one path at a time with its own clock
@@ -147,15 +152,14 @@ class TestDeterminismAndPlumbing:
         wider = small_scene(surfaces=surf + (ReflectionSurface.from_trace(-0.6, 3.5),),
                             has_los=True)
         grid = FrequencyGrid(f1=57e9, tones=40, delta=REF_DELTA)
-        noise = NoiseModel(0.05, 10.0, 4242)
         est = {0: 11.9e-9, 1: 12.4e-9, 2: 10.7e-9}
         assert list(scene.images) == [0, 1, 2]
         for p in est:
-            for model in (noise, NOISELESS):
-                assert np.array_equal(simulate_sfcw(wider, grid, model, p, est[p]),
-                                      simulate_sfcw(scene, grid, model, p, est[p]))
-            assert not np.allclose(simulate_sfcw(scene, grid, noise, p, est[p]),
-                                   simulate_sfcw(scene, grid, NOISELESS, p, est[p]))
+            for snr_db in (10.0, None):
+                assert np.array_equal(simulate_sfcw(wider, grid, snr_db, 4242, p, est[p]),
+                                      simulate_sfcw(scene, grid, snr_db, 4242, p, est[p]))
+            assert not np.allclose(simulate_sfcw(scene, grid, 10.0, 4242, p, est[p]),
+                                   simulate_sfcw(scene, grid, None, 4242, p, est[p]))
 
 
 # Seeds of one to five 32-bit words: zero, the word edges, and a seed longer
@@ -182,11 +186,10 @@ class TestNoiseStreams:
         # the direct path and each mirrored one, and the blocks are keyed and
         # ordered as the scene's images.
         scene = six_path_scene(n_side)
-        noise = NoiseModel(0.1, None, seed)
         f_a, f_b = REF_GRID.anchor_tones
         coef = 2.0 * math.pi * np.array([f_a, f_a + REF_DELTA, f_b, f_b + REF_DELTA])
-        clean = simulate_signature(scene, REF_GRID, NOISELESS)
-        noisy = simulate_signature(scene, REF_GRID, noise)
+        clean = simulate_signature(scene, REF_GRID, 0.0, 0)
+        noisy = simulate_signature(scene, REF_GRID, 0.1, seed)
         assert list(noisy) == list(clean) == list(scene.images) == list(range(6))
         for pid, image in scene.images.items():
             lengths = scene.lengths[pid]
@@ -207,51 +210,21 @@ class TestNoiseStreams:
         # normals in (real, imaginary) pairs, scaled to the path's SNR.
         scene = six_path_scene(n_side)
         grid = FrequencyGrid(f1=57e9, tones=16, delta=REF_DELTA)
-        noise = NoiseModel(0.0, 10.0, seed)
         for pid in scene.images:
-            clean = simulate_sfcw(scene, grid, NOISELESS, pid, 11.5e-9)
+            clean = simulate_sfcw(scene, grid, None, 0, pid, 11.5e-9)
             std = math.sqrt(float(np.mean(np.abs(clean) ** 2)) * 10.0 ** (-10.0 / 10.0) / 2.0)
             draws = np.array([cell_normals(seed, 2, pid, m, 2 * grid.tones)
                               for m in range(scene.n_sv)])
-            assert np.array_equal(simulate_sfcw(scene, grid, noise, pid, 11.5e-9),
+            assert np.array_equal(simulate_sfcw(scene, grid, 10.0, seed, pid, 11.5e-9),
                                   clean + std * (draws[:, 0::2] + 1j * draws[:, 1::2]))
 
     def test_numpy_integer_seed_draws_the_same_streams(self):
         scene = six_path_scene(2)
         grid = FrequencyGrid(f1=57e9, tones=8, delta=REF_DELTA)
-        as_int, as_numpy = NoiseModel(0.1, 10.0, 2**40 + 7), NoiseModel(0.1, 10.0, np.uint64(2**40 + 7))
-        for a, b in zip(simulate_signature(scene, REF_GRID, as_int).values(),
-                        simulate_signature(scene, REF_GRID, as_numpy).values()):
+        as_int, as_numpy = 2**40 + 7, np.uint64(2**40 + 7)
+        for a, b in zip(simulate_signature(scene, REF_GRID, 0.1, as_int).values(),
+                        simulate_signature(scene, REF_GRID, 0.1, as_numpy).values()):
             assert np.array_equal(a, b)
-        assert np.array_equal(simulate_sfcw(scene, grid, as_int, 3, 1e-9),
-                              simulate_sfcw(scene, grid, as_numpy, 3, 1e-9))
+        assert np.array_equal(simulate_sfcw(scene, grid, 10.0, as_int, 3, 1e-9),
+                              simulate_sfcw(scene, grid, 10.0, as_numpy, 3, 1e-9))
 
-
-class TestNoiseModel:
-    @pytest.mark.parametrize("phase_sigma", [math.nan, math.inf, -math.inf, -1e-3])
-    def test_phase_sigma_must_be_finite_and_non_negative(self, phase_sigma):
-        with pytest.raises(ValueError, match="phase_sigma"):
-            NoiseModel(phase_sigma, 10.0, 0)
-
-    @pytest.mark.parametrize("snr_db", [math.nan, -math.inf])
-    def test_snr_db_must_be_a_number_or_plus_infinity(self, snr_db):
-        with pytest.raises(ValueError, match="snr_db"):
-            NoiseModel(1e-3, snr_db, 0)
-
-    @pytest.mark.parametrize("rng_seed", [1.5, 2.0, "3", None, -1])
-    def test_rng_seed_must_be_a_non_negative_integer(self, rng_seed):
-        with pytest.raises(ValueError, match="rng_seed"):
-            NoiseModel(1e-3, 10.0, rng_seed)
-
-    @pytest.mark.parametrize("snr_db", [math.inf, None])
-    def test_infinite_or_no_snr_adds_no_sfcw_noise(self, snr_db):
-        scene = small_scene()
-        grid = FrequencyGrid(f1=57e9, tones=8, delta=REF_DELTA)
-        assert np.array_equal(simulate_sfcw(scene, grid, NoiseModel(0.0, snr_db, 5), 0, 1e-9),
-                              simulate_sfcw(scene, grid, NOISELESS, 0, 1e-9))
-
-
-def test_noise_model_defaults_follow_the_scenario_defaults():
-    spec = ScenarioConfig().noise
-    model = NoiseModel()
-    assert (model.phase_sigma, model.snr_db) == (spec.phase_sigma_rad, spec.snr_db)

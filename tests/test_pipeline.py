@@ -18,9 +18,8 @@ from coposim.analysis import hausdorff, range_resolution
 from coposim.combining import VirtualDetection
 from coposim.errors import ConfigError, CoposimError
 from coposim.pipeline import run, run_los, run_nlos, run_sweep
-from coposim.scenario import (DEFAULT_SURFACE_POOL, FIELD_TYPES, ScenarioConfig,
-                              _stratified_rect, aperture_antennas, build_scene,
-                              stratified_rows)
+from coposim.scenario import (DEFAULT_SURFACE_POOL, ScenarioConfig, _stratified_rect,
+                              aperture_antennas, build_scene, stratified_rows)
 from coposim.sync import SyncResult
 from coposim.waveform import MIN_FUSED_PATHS, validate_scene
 from oracles import local_maxima_26, stratified_rect
@@ -715,6 +714,11 @@ def test_an_snr_past_the_float_range_is_refused_at_load(tmp_path, capsys):
     assert ScenarioConfig.from_dict({"noise": {"snr_db": -3000.0}}).noise.snr_db == -3000.0
 
 
+def test_an_integral_float_seed_is_refused_at_load(tmp_path, capsys):
+    # The noise seed feeds numpy's seed sequence, which takes integers only.
+    assert_refused_at_load(tmp_path, capsys, "noise", "seed", 2.0)
+
+
 @pytest.mark.parametrize("offset", [1e-6, 1.0, 100.0, 1e3, 1e300, -1e300])
 def test_a_clock_offset_is_read_modulo_the_beat_period(offset):
     # The scene holds the offset's remainder modulo 1/delta, which no receiver
@@ -873,11 +877,13 @@ def test_a_section_must_be_a_known_object(scenario):
         ScenarioConfig.from_dict(scenario)
 
 
-def test_field_types_cover_every_configuration_field():
+def test_of_two_unknown_fields_the_first_in_the_file_is_named():
+    with pytest.raises(ConfigError, match=r"^unrecognised configuration field: scene\.zeta$"):
+        ScenarioConfig.from_json('{"scene": {"zeta": 1, "alpha": 2}}')
+
+
+def test_ints_load_as_floats_and_the_defaults_round_trip():
     config = ScenarioConfig()
-    assert {section: set(fields) for section, fields in config.to_dict().items()} == {
-        section: set(fields) for section, fields in FIELD_TYPES.items()}
-    # Ints pass where floats are asked for, and the defaults load as they are.
     assert ScenarioConfig.from_dict({"scene": {"distance_m": 8, "tv_direction": [1, 0, 0]},
                                      "noise": {"snr_db": None, "seed": 0}}).scene.distance_m == 8
     assert ScenarioConfig.from_dict(config.to_dict()) == config

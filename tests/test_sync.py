@@ -5,7 +5,7 @@ import pytest
 
 from conftest import REF_DELTA, REF_GRID, small_scene, square_array
 from coposim import sync
-from coposim.channel import NOISELESS, NoiseModel, simulate_signature
+from coposim.channel import simulate_signature
 from coposim.errors import DegenerateGeometryError
 from coposim.geometry import SPEED_OF_LIGHT as C
 from coposim.geometry import Scene
@@ -14,9 +14,9 @@ from coposim.sync import (PdoaMeasurement, estimate_clock, initial_guess, locate
 from oracles import grid_search_anchor, range_diff_ssq
 
 
-def observed(scene, noise=NOISELESS):
+def observed(scene, phase_sigma=0.0, seed=0):
     """Anchor a's (N_r, 2) signature block on the scene's first path."""
-    return simulate_signature(scene, REF_GRID, noise)[0][0]
+    return simulate_signature(scene, REF_GRID, phase_sigma, seed)[0][0]
 
 
 def sphere_array(n: int, radius: float, seed: int = 3) -> np.ndarray:
@@ -53,7 +53,7 @@ class TestMeasure:
         truth = measure_pdoa(observed(scene), REF_DELTA).range_diffs[0]
         errs = np.empty(10_000)
         for i in range(len(errs)):
-            meas = measure_pdoa(observed(scene, NoiseModel(sigma_z, None, i)), REF_DELTA)
+            meas = measure_pdoa(observed(scene, sigma_z, i), REF_DELTA)
             errs[i] = meas.range_diffs[0] - truth
         expected = 2.0 * (C * sigma_z / (2 * math.pi * REF_DELTA)) ** 2
         assert np.var(errs) == pytest.approx(expected, rel=0.08)
@@ -107,7 +107,7 @@ class TestLocate:
             anchor = rng.uniform(-1.0, 1.0, size=3)
             tv = np.vstack([anchor, anchor + [0.7, 0.1, 0.05]])
             scene = Scene(tv, (0, 1), sv, (), clock_offset=8e-9, has_los=True)
-            meas = measure_pdoa(observed(scene, NoiseModel(1e-3, None, trial)), REF_DELTA)
+            meas = measure_pdoa(observed(scene, 1e-3, trial), REF_DELTA)
             res = locate_anchor(meas, sv, initial_guess(meas, sv))
             ref = grid_search_anchor(meas.range_diffs, sv, center=anchor, half_span=2.0)
             assert np.linalg.norm(res.x_anchor - ref) <= math.sqrt(3) * 0.01 + 1e-9
@@ -125,7 +125,7 @@ class TestLocate:
 
     def test_objective_non_increasing(self):
         scene = small_scene()
-        meas = measure_pdoa(observed(scene, NoiseModel(0.01, None, 2)), REF_DELTA)
+        meas = measure_pdoa(observed(scene, 0.01, 2), REF_DELTA)
         guess = np.array([4.0, 4.0, 2.0])
         costs = []
         for iters in range(1, 12):
@@ -157,7 +157,7 @@ class TestLocate:
         # the twin's mirror image, where G's z column changes sign.
         scene = small_scene()
         phase_sigma = 3e-3
-        meas = measure_pdoa(observed(scene, NoiseModel(phase_sigma, None, 7)), REF_DELTA)
+        meas = measure_pdoa(observed(scene, phase_sigma, 7), REF_DELTA)
         start = initial_guess(meas, scene.sv_antennas)
         behind = []
         canonical = sync._canonical_halfspace
@@ -220,7 +220,7 @@ class TestInitialGuess:
 class TestClock:
     def test_solve_returns_the_clock_at_its_anchor(self):
         scene = small_scene(clock_offset=22e-9)
-        meas = measure_pdoa(observed(scene, NoiseModel(1e-3, None, 5)), REF_DELTA)
+        meas = measure_pdoa(observed(scene, 1e-3, 5), REF_DELTA)
         res = locate_anchor(meas, scene.sv_antennas, initial_guess(meas, scene.sv_antennas))
         assert res.sigma_hat == estimate_clock(res.x_anchor, meas, scene.sv_antennas)
 
@@ -244,7 +244,7 @@ class TestClock:
         sigma_z = 0.02
         est = []
         for seed in range(300):
-            obs = observed(scene, NoiseModel(sigma_z, None, seed))
+            obs = observed(scene, sigma_z, seed)
             meas = measure_pdoa(obs, REF_DELTA)
             res = locate_anchor(meas, sv, tv[0] + [0.3, -0.2, 0.4])
             est.append(estimate_clock(res.x_anchor, meas, sv))
